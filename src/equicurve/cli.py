@@ -101,6 +101,8 @@ def _parse_options(node, where, seed_override=None):
         for k, v in node.items():
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ParseError(f"{where}.{k}: expected an integer")
+            if k != "seed" and v < 1:
+                raise ParseError(f"{where}.{k}: expected an integer of at least 1")
             merged[k] = v
     if seed_override is not None:
         merged["seed"] = seed_override
@@ -300,8 +302,8 @@ def analyze_manifest(data, seed_override=None) -> dict:
     """Full report for parsed manifest data; entries in manifest order."""
     _require_mapping(data, ("ring", "entries"), ("ring", "entries"), "manifest")
     names = _string_list(data["ring"], "manifest.ring")
-    if "u" in names or "t" in names or len(set(names)) != len(names):
-        raise ParseError("manifest.ring: names must be distinct and avoid 'u' and 't'")
+    if not names or "u" in names or "t" in names or len(set(names)) != len(names):
+        raise ParseError("manifest.ring: names must be nonempty, distinct and avoid 'u' and 't'")
     ring = VarSet(tuple(names))
     if not isinstance(data["entries"], list):
         raise ParseError("manifest.entries: expected a list")
@@ -421,10 +423,15 @@ def _cmd_std(args) -> int:
             raise ParseError(f"input is not valid JSON: {exc}") from exc
     _require_mapping(data, ("ring", "generators"), ("ring", "generators"), "input")
     names = _string_list(data["ring"], "input.ring")
+    if not names or len(set(names)) != len(names):
+        raise ParseError("input.ring: expected a nonempty list of distinct names")
     ring = VarSet(tuple(names))
     gens = [parse_poly(g, ring) for g in _string_list(data["generators"], "input.generators")]
     order = order_by_name(args.order)
-    B = std_basis(Ideal(gens, ring), order)
+    I = Ideal(gens, ring)
+    if not I.gens:
+        raise ParseError("input.generators: the ideal is zero; give a nonzero generator")
+    B = std_basis(I, order)
     for g in B.basis:
         print(g.render())
     return EXIT_OK

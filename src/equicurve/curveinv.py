@@ -10,19 +10,17 @@ turns the limit into a finite exact computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ComputationError, InternalCheckError
 from .gb import Ideal
 from .linalg import RowSpace
 from .localdim import PrimaryDecomposition, epsilon_from_decomposition
-from .poly import Polynomial, VarSet
+from .poly import Polynomial
 
 JET_ORDER_CAP = 64
 DEGREE_BOUND_CAP = 32
-
-_U = VarSet(("u",))
 
 
 def _u_coeffs(p: Polynomial, length: int):

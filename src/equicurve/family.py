@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .curveinv import (
@@ -19,13 +19,11 @@ from .curveinv import (
     CurveInvariants,
     CurvePresentation,
     branch_multiplicity,
-    curve_multiplicity,
     invariants,
 )
 from .errors import ComputationError, HypothesisError, InternalCheckError
 from .gb import Ideal
 from .localdim import (
-    CMWitness,
     PrimaryDecomposition,
     hs_multiplicity_of_param,
     is_cohen_macaulay,

@@ -2,6 +2,29 @@
 and the ideal operations the invariant layer needs: sum, quotient, intersection,
 equality and membership.
 
+``std_basis`` is Buchberger's algorithm with the normal selection strategy: the
+pending pair of least lcm degree is reduced next, ties broken by the monomial
+order on the lcm and then by the pair's indices. Pairs wait in a heap keyed that
+way, and the leading monomial of every basis element is computed once and kept
+next to it. When an element joins the basis the pair set is updated as Gebauer
+and Moeller ("On an installation of Buchberger's algorithm", JSC 1988) do: a new
+pair is dropped when another new pair's lcm properly divides its lcm, or when
+its leading monomials are coprime (product criterion), and of the new pairs
+that share an lcm at most one is kept; an old pair is dropped when the new
+leading monomial divides its lcm without giving either of its halves that same
+lcm (chain criterion). Under a local order the weak normal form is Mora's, with the ecart
+kept for every reducer (Greuel-Pfister, A Singular Introduction to Commutative
+Algebra, 1.6-1.7).
+
+The criteria only skip pairs whose S-polynomial has a standard representation
+by the final basis, so the result is a standard basis of the same ideal with the
+same leading ideal. Under a global order the output, which is minimalized,
+tail-reduced, monic and sorted, is the reduced Groebner basis: unique, hence the
+same whatever pairs were reduced on the way. Under the local order a tail-reduced
+standard basis is not unique in general (tail reduction is truncated); there the
+output is pinned by tests, the corpus report and the family outcomes recorded in
+perfbench/expected_families.json.
+
 Intersections and quotients are always computed in the polynomial ring with a
 global elimination order; local-order computations consume the results, which is
 valid here because localization is flat and all inputs are polynomial.
@@ -9,7 +32,7 @@ valid here because localization is flat and all inputs are polynomial.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from heapq import heapify, heappop
 
 from .errors import ComputationError, InternalCheckError, RingMismatchError
 from .poly import (
@@ -53,78 +76,110 @@ def ecart(f: Polynomial, order: MonomialOrder) -> int:
     return f.total_degree() - sum(f.leading_monomial(order))
 
 
-def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
+def _subtract_multiple(h: dict, g: Polynomial, q, c) -> None:
+    """h -= c * x^q * g, in place on a term dict."""
+    for m, gc in g.terms.items():
+        m = mon_mul(m, q)
+        s = h.get(m, 0) - c * gc
+        if s:
+            h[m] = s
+        else:
+            del h[m]
+
+
+def _from_terms(ring: VarSet, terms: dict) -> Polynomial:
+    out = Polynomial(ring)
+    out.terms = terms
+    return out
+
+
+def _spoly(f: Polynomial, lf, g: Polynomial, lg) -> Polynomial:
+    """S-polynomial of f and g, whose leading monomials are lf and lg."""
     l = mon_lcm(lf, lg)
-    cf, cg = f.terms[lf], g.terms[lg]
-    return f.term_mul(mon_div(l, lf), 1 / cf) - g.term_mul(mon_div(l, lg), 1 / cg)
+    qf, cf = mon_div(l, lf), 1 / f.terms[lf]
+    h = {mon_mul(m, qf): c * cf for m, c in f.terms.items()}
+    _subtract_multiple(h, g, mon_div(l, lg), 1 / g.terms[lg])
+    return _from_terms(f.ring, h)
 
 
-def _reduce_global(f: Polynomial, G, order: MonomialOrder) -> Polynomial:
-    """Full multivariate division remainder under a global order."""
-    remainder = Polynomial.zero(f.ring)
-    h = f
+def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+    return _spoly(f, f.leading_monomial(order), g, g.leading_monomial(order))
+
+
+def _reduce_global(f: Polynomial, G, leads, order: MonomialOrder) -> Polynomial:
+    """Full multivariate division remainder under a global order; ``leads`` holds
+    the leading monomials of ``G``."""
+    key = order.key
+    remainder = {}
+    h = dict(f.terms)
     steps = 0
-    while not h.is_zero():
+    while h:
         steps += 1
         if steps > _REDUCTION_CAP:
             raise InternalCheckError("global reduction exceeded iteration cap")
-        lm = h.leading_monomial(order)
-        for g in G:
-            lg = g.leading_monomial(order)
+        lm = max(h, key=key)
+        for g, lg in zip(G, leads):
             if mon_divides(lg, lm):
-                c = h.terms[lm] / g.terms[lg]
-                h = h - g.term_mul(mon_div(lm, lg), c)
+                _subtract_multiple(h, g, mon_div(lm, lg), h[lm] / g.terms[lg])
                 break
         else:
-            c = h.terms[lm]
-            remainder = remainder + Polynomial.monomial(f.ring, lm, c)
-            h = h - Polynomial.monomial(f.ring, lm, c)
-    return remainder
+            remainder[lm] = h.pop(lm)
+    return _from_terms(f.ring, remainder)
 
 
-def _mora_weak_nf(f: Polynomial, G, order: MonomialOrder) -> Polynomial:
-    """Mora's ecart-controlled weak normal form; zero iff f lies in the localized ideal."""
-    h = f
-    T = list(G)
+def _mora_weak_nf(f: Polynomial, G, leads, order: MonomialOrder) -> Polynomial:
+    """Mora's ecart-controlled weak normal form; zero iff f lies in the localized ideal.
+
+    Each reducer is kept as (polynomial, lead, ecart, order key of the lead); among
+    the reducers whose lead divides, the first of least (ecart, key) is used.
+    """
+    key = order.key
+    T = [(g, lg, g.total_degree() - sum(lg), key(lg)) for g, lg in zip(G, leads)]
+    h = dict(f.terms)
     steps = 0
-    while not h.is_zero():
+    while h:
         steps += 1
         if steps > _REDUCTION_CAP:
             raise InternalCheckError("Mora normal form exceeded iteration cap")
-        lm = h.leading_monomial(order)
-        candidates = [g for g in T if mon_divides(g.leading_monomial(order), lm)]
-        if not candidates:
-            return h
-        g = min(candidates, key=lambda p: (ecart(p, order), order.key(p.leading_monomial(order))))
-        if ecart(g, order) > ecart(h, order):
-            T.append(h)
-        lg = g.leading_monomial(order)
-        c = h.terms[lm] / g.terms[lg]
-        h = h - g.term_mul(mon_div(lm, lg), c)
-    return h
+        lm = max(h, key=key)
+        best = None
+        for t in T:
+            if mon_divides(t[1], lm) and (best is None or t[2:] < best[2:]):
+                best = t
+        if best is None:
+            break
+        g, lg, eg, _ = best
+        eh = max(map(sum, h)) - sum(lm)
+        if eg > eh:
+            T.append((_from_terms(f.ring, dict(h)), lm, eh, key(lm)))
+        _subtract_multiple(h, g, mon_div(lm, lg), h[lm] / g.terms[lg])
+    return _from_terms(f.ring, h)
 
 
-def _weak_nf(f: Polynomial, G, order: MonomialOrder) -> Polynomial:
+def _weak_nf(f: Polynomial, G, leads, order: MonomialOrder) -> Polynomial:
     if order.is_global:
-        return _reduce_global(f, G, order)
-    return _mora_weak_nf(f, G, order)
+        return _reduce_global(f, G, leads, order)
+    return _mora_weak_nf(f, G, leads, order)
 
 
-def _reduced_nf_local(f: Polynomial, G, order: MonomialOrder, cap=2000) -> Polynomial:
+def _reduced_nf_local(f: Polynomial, G, leads, order: MonomialOrder, cap=2000) -> Polynomial:
     """Tail-reduced normal form under a local order; bounded iteration because tail
     reduction need not terminate over power series."""
-    result = Polynomial.zero(f.ring)
+    key = order.key
+    result = {}
     h = f
     for _ in range(cap):
-        h = _mora_weak_nf(h, G, order)
+        h = _mora_weak_nf(h, G, leads, order)
         if h.is_zero():
-            return result
-        lm = h.leading_monomial(order)
-        lt = Polynomial.monomial(f.ring, lm, h.terms[lm])
-        result = result + lt
-        h = h - lt
-    return result + h
+            return _from_terms(f.ring, result)
+        lm = max(h.terms, key=key)
+        c = h.terms.pop(lm)
+        s = result.get(lm, 0) + c
+        if s:
+            result[lm] = s
+        else:
+            del result[lm]
+    return _from_terms(f.ring, result) + h
 
 
 class StandardBasis:
@@ -144,77 +199,106 @@ class StandardBasis:
         if f.is_zero():
             return f
         if self.order.is_global:
-            return _reduce_global(f, self.basis, self.order)
+            return _reduce_global(f, self.basis, self.lead_monomials, self.order)
         if reduced:
-            return _reduced_nf_local(f, self.basis, self.order)
-        return _mora_weak_nf(f, self.basis, self.order)
+            return _reduced_nf_local(f, self.basis, self.lead_monomials, self.order)
+        return _mora_weak_nf(f, self.basis, self.lead_monomials, self.order)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f, reduced=False).is_zero()
 
 
+def _update_pairs(pairs: list, L: list, order: MonomialOrder) -> list:
+    """The pair heap after the basis element with leading monomial L[-1] joins.
+
+    A pair is (deg lcm, order key of lcm, i, j, lcm). Old pairs go by the chain
+    criterion. The new pairs (i, k) are grouped by lcm; a group is dropped when
+    another new lcm properly divides its lcm or when one of its pairs has coprime
+    leading monomials, and otherwise its pair of least i is kept.
+    """
+    k = len(L) - 1
+    lk = L[k]
+    kept = [
+        p for p in pairs
+        if not (
+            mon_divides(lk, p[4])
+            and mon_lcm(L[p[2]], lk) != p[4]
+            and mon_lcm(L[p[3]], lk) != p[4]
+        )
+    ]
+    by_lcm = {}
+    for i in range(k):
+        by_lcm.setdefault(mon_lcm(L[i], lk), []).append(i)
+    for l, idx in by_lcm.items():
+        if any(l2 != l and mon_divides(l2, l) for l2 in by_lcm):
+            continue
+        if any(mon_mul(L[i], lk) == l for i in idx):
+            continue
+        kept.append((sum(l), order.key(l), idx[0], k, l))
+    heapify(kept)
+    return kept
+
+
 def std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
     """Buchberger's algorithm; Mora weak normal form replaces division for local orders.
 
-    Output is minimalized, tail-reduced, monic and deterministically sorted.
+    Pairs are taken by the normal selection strategy (least lcm degree, then the
+    order on the lcm, then the indices) from a heap, and pruned by the product,
+    chain and Gebauer-Moeller criteria as each element joins (see the module
+    docstring). The leading monomials of the basis are kept in a list parallel to
+    it. Output is minimalized, tail-reduced, monic and deterministically sorted;
+    under a global order it is the unique reduced Groebner basis, so the pruning
+    leaves the output unchanged.
     """
-    G = []
+    G = []  # basis elements, monic
+    L = []  # their leading monomials
+    pairs = []  # heap, see _update_pairs
     for g in I.gens:
         g = g.monic(order)
         if g not in G:
             G.append(g)
+            L.append(g.leading_monomial(order))
+            pairs = _update_pairs(pairs, L, order)
     if not G:
         raise ValueError("standard basis of the zero ideal")
 
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
     while pairs:
-        def pair_key(p):
-            i, j = p
-            l = mon_lcm(G[i].leading_monomial(order), G[j].leading_monomial(order))
-            return (sum(l), order.key(l), i, j)
-
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        li = G[i].leading_monomial(order)
-        lj = G[j].leading_monomial(order)
-        if mon_mul(li, lj) == mon_lcm(li, lj):
-            continue  # coprime leading monomials: S-polynomial reduces to zero
-        h = _weak_nf(spoly(G[i], G[j], order), G, order)
+        _, _, i, j, _ = heappop(pairs)
+        h = _weak_nf(_spoly(G[i], L[i], G[j], L[j]), G, L, order)
         if not h.is_zero():
-            h = h.monic(order)
-            G.append(h)
-            k = len(G) - 1
-            pairs.update((i2, k) for i2 in range(k))
+            lh = max(h.terms, key=order.key)
+            G.append(h * (1 / h.terms[lh]))
+            L.append(lh)
+            pairs = _update_pairs(pairs, L, order)
 
     # Minimalize: drop generators whose lead is divisible by another's.
-    leads = [g.leading_monomial(order) for g in G]
-    minimal = []
-    for i in range(len(G)):
-        dominated = any(
-            mon_divides(leads[j], leads[i]) and (leads[j] != leads[i] or j < i)
+    minimal = [
+        i for i in range(len(G))
+        if not any(
+            mon_divides(L[j], L[i]) and (L[j] != L[i] or j < i)
             for j in range(len(G))
             if j != i
         )
-        if not dominated:
-            minimal.append(G[i])
+    ]
 
     # Tail-reduce each element against the others for reproducible output.
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
+    for i in minimal:
+        others = [G[j] for j in minimal if j != i]
+        g = G[i]
         if others:
-            lm = g.leading_monomial(order)
-            lt = Polynomial.monomial(g.ring, lm, g.terms[lm])
+            other_leads = [L[j] for j in minimal if j != i]
+            lt = Polynomial.monomial(g.ring, L[i], g.terms[L[i]])
             tail = g - lt
             if not tail.is_zero():
                 if order.is_global:
-                    tail = _reduce_global(tail, others, order)
+                    tail = _reduce_global(tail, others, other_leads, order)
                 else:
-                    tail = _reduced_nf_local(tail, others, order, cap=500)
+                    tail = _reduced_nf_local(tail, others, other_leads, order, cap=500)
             g = lt + tail
-        reduced.append(g.monic(order))
-    reduced.sort(key=lambda p: order.key(p.leading_monomial(order)))
-    return StandardBasis(I, order, reduced)
+        reduced.append((order.key(L[i]), g))
+    reduced.sort(key=lambda kg: kg[0])
+    return StandardBasis(I, order, [g for _, g in reduced])
 
 
 def normal_form(f: Polynomial, B: StandardBasis) -> Polynomial:
@@ -243,17 +327,13 @@ def _fresh_var(ring: VarSet) -> str:
 
 
 def _lift(f: Polynomial, big: VarSet) -> Polynomial:
-    out = Polynomial(big)
     shift = len(big) - len(f.ring)
-    out.terms = {(0,) * shift + m: c for m, c in f.terms.items()}
-    return out
+    return _from_terms(big, {(0,) * shift + m: c for m, c in f.terms.items()})
 
 
 def _project(f: Polynomial, small: VarSet) -> Polynomial:
     shift = len(f.ring) - len(small)
-    out = Polynomial(small)
-    out.terms = {m[shift:]: c for m, c in f.terms.items()}
-    return out
+    return _from_terms(small, {m[shift:]: c for m, c in f.terms.items()})
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:

@@ -1,12 +1,10 @@
-"""Exact rational linear algebra: incremental echelon spans and small dense solves.
+"""Exact rational linear algebra: incremental echelon spans.
 
 Vectors are sparse dicts mapping column index to a nonzero Fraction. Ranks and
 memberships are decided exactly; no numerical tolerance enters anywhere.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 class RowSpace:
@@ -47,19 +45,3 @@ class RowSpace:
 
     def contains(self, vec) -> bool:
         return not self._reduce(vec)
-
-
-def solve_exists(rows, rhs, ncols) -> bool:
-    """Whether the linear system sum_j x_j * rows[j] = rhs has a rational solution.
-
-    ``rows`` are sparse dicts over columns 0..ncols-1; decided by comparing the
-    rank of the coefficient span with the rank after adjoining ``rhs``.
-    """
-    space = RowSpace()
-    for r in rows:
-        space.add(r)
-    return space.contains(rhs)
-
-
-def vec_from_list(values) -> dict:
-    return {i: Fraction(v) for i, v in enumerate(values) if v}

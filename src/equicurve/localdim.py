@@ -78,13 +78,14 @@ class PrimaryDecomposition:
     Primality of the primes is not verified; it is a recorded trust assumption.
     """
 
-    __slots__ = ("primes", "embedded")
+    __slots__ = ("primes", "embedded", "_intersection")
 
     def __init__(self, primes, embedded=None):
         if not primes:
             raise ValueError("a decomposition needs at least one minimal prime")
         self.primes = tuple(primes)
         self.embedded = embedded
+        self._intersection = None
 
     @classmethod
     def verified(cls, I: Ideal, primes, embedded=None) -> "PrimaryDecomposition":
@@ -93,7 +94,10 @@ class PrimaryDecomposition:
         return d
 
     def intersection(self) -> Ideal:
-        return reduce(ideal_intersect, self.primes)
+        """The intersection of the primes, computed on the first call and kept."""
+        if self._intersection is None:
+            self._intersection = reduce(ideal_intersect, self.primes)
+        return self._intersection
 
     def verify_against(self, I: Ideal) -> None:
         for P in self.primes:

@@ -99,6 +99,7 @@ class TestSchemaRejection:
             {"ring": ["x", "y", "z"], "entries": [], "extra": 1},
             {"ring": ["x", "x", "z"], "entries": []},
             {"ring": ["x", "u"], "entries": []},
+            {"ring": [], "entries": []},
             {"ring": ["x", "y", "z"], "entries": [{"name": "a", "kind": "widget"}]},
         ],
     )
@@ -127,6 +128,24 @@ class TestSchemaRejection:
         path = tmp_path / "m.json"
         path.write_text("not json {")
         assert main(["analyze", str(path)]) == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"jet_order": -5},
+            {"jet_order": 0},
+            {"degree_bound": 0},
+            {"n_max": 0},
+            {"n_max": -1},
+        ],
+    )
+    def test_option_below_one_is_parse_error(self, tmp_path, capsys, options):
+        for entry in (CUSP_CURVE_ENTRY, CUSP_FAMILY_ENTRY):
+            path = write_manifest(tmp_path, manifest(dict(entry, options=options)))
+            assert main(["analyze", path]) == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err.startswith("parse error:") and err.count("\n") == 1
+            assert "least 1" in err
 
     def test_rejected_decomposition_is_compute_error(self, tmp_path):
         entry = json.loads(json.dumps(CUSP_CURVE_ENTRY))
@@ -213,3 +232,22 @@ class TestStd:
         path = tmp_path / "i.json"
         path.write_text(json.dumps({"ring": ["x"], "generators": ["x"]}))
         assert main(["std", str(path), "--order", "lex"]) == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"ring": ["x", "y"], "generators": []},
+            {"ring": ["x", "y"], "generators": ["0"]},
+            {"ring": ["x", "y"], "generators": ["x - x", "0*y"]},
+            {"ring": [], "generators": ["1"]},
+            {"ring": [], "generators": []},
+            {"ring": ["x", "x"], "generators": ["x"]},
+        ],
+    )
+    def test_bad_input_is_parse_error(self, tmp_path, capsys, data):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(data))
+        assert main(["std", str(path), "--order", "degrevlex"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error:") and captured.err.count("\n") == 1

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from equicurve import localdim
 from equicurve.errors import ComputationError, InternalCheckError
 from equicurve.gb import Ideal, ideal_sum
 from equicurve.localdim import (
@@ -109,6 +110,22 @@ class TestPrimaryDecomposition:
     def test_rejects_prime_not_containing_ideal(self):
         with pytest.raises(ComputationError):
             PrimaryDecomposition.verified(I(*CURVE_IDEAL), [I("x")])
+
+    def test_intersection_computed_once(self, monkeypatch):
+        # two coordinate axes with an embedded point: verification and epsilon
+        # share one intersection of the primes
+        calls = []
+        real = localdim.ideal_intersect
+        monkeypatch.setattr(
+            localdim, "ideal_intersect", lambda a, b: calls.append(1) or real(a, b)
+        )
+        J = I("x*y", "x*z", "y*z", "z^2")
+        m2 = I("x^2", "y^2", "z^2", "x*y", "x*z", "y*z")
+        D = PrimaryDecomposition.verified(J, [I("y", "z"), I("x", "z")], embedded=m2)
+        assert len(calls) == 2  # the primes, then with the embedded component
+        assert epsilon_from_decomposition(J, D) == 1
+        assert len(calls) == 2
+        assert D.intersection() is D.intersection()
 
 
 class TestEpsilon:
