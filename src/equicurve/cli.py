@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 parse/schema errors, 3 computation errors,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -22,6 +23,7 @@ from .errors import (
     ParseError,
 )
 from .family import (
+    RING_U,
     RING_UT,
     FamilyComponent,
     FamilyOptions,
@@ -38,9 +40,7 @@ EXIT_PARSE = 2
 EXIT_COMPUTE = 3
 EXIT_HYPOTHESIS = 4
 
-DEFAULT_OPTIONS = {"jet_order": 24, "degree_bound": 12, "n_max": 32, "seed": 0}
-
-RING_U = VarSet(("u",))
+DEFAULT_OPTIONS = dataclasses.asdict(FamilyOptions())
 
 
 def _require_mapping(node, allowed, required, where):
@@ -154,7 +154,7 @@ def _analyze_curve(entry, ring, seed_override):
         ("name", "kind", "branches"),
         where,
     )
-    opts = _parse_options(entry.get("options"), f"{where}.options", seed_override)
+    _parse_options(entry.get("options"), f"{where}.options", seed_override)
     branches = _parse_branches(entry["branches"], len(ring), RING_U, f"{where}.branches")
     ideal = None
     decomposition = None
@@ -168,7 +168,7 @@ def _analyze_curve(entry, ring, seed_override):
         )
         decomposition = PrimaryDecomposition.verified(ideal, primes, embedded)
     C = CurvePresentation(branches, ideal=ideal, decomposition=decomposition)
-    inv = invariants(C, opts.jet_order, opts.degree_bound)
+    inv = invariants(C)
     return {
         "name": entry["name"],
         "kind": "curve",

@@ -1,10 +1,10 @@
 """Invariants of a curve germ from branch parametrizations: multiplicity, branch
 count, the delta invariant via jet-space linear algebra, and Milnor numbers.
 
-The delta computation embeds the coordinate ring into the product of truncated
-power series rings of the branches and measures the codimension of the span of
-monomial jets; a conductor certificate plus stabilization across escalations
-turns the limit into a finite exact computation.
+The delta computation embeds the local ring into the product of truncated
+power series rings of the branches, as the closure of 1 under multiplication
+by the coordinates, and measures the codimension of that span; a certificate
+by Nakayama's lemma makes the truncation exact (see ``delta_reduced``).
 """
 
 from __future__ import annotations
@@ -17,20 +17,8 @@ from .errors import ComputationError, InternalCheckError
 from .gb import Ideal
 from .linalg import RowSpace
 from .localdim import PrimaryDecomposition, epsilon_from_decomposition
-from .poly import Polynomial
 
-JET_ORDER_CAP = 64
-DEGREE_BOUND_CAP = 32
-
-
-def _u_coeffs(p: Polynomial, length: int):
-    """Coefficient list [c_0, ..., c_{length-1}] of a univariate polynomial in u."""
-    out = [Fraction(0)] * length
-    for m, c in p.terms.items():
-        e = sum(m)
-        if e < length:
-            out[e] = c
-    return out
+JET_ORDER_CAP = 256
 
 
 class BranchParam:
@@ -142,190 +130,100 @@ def semigroup_delta_oracle(b: BranchParam) -> int:
         limit *= 2
 
 
-def _branch_jets(branches, jet_order):
-    """Truncated coefficient lists of every coordinate on every branch."""
-    return [
-        [_u_coeffs(c, jet_order) for c in b.components]
-        for b in branches
-    ]
-
-
-def _series_mul(a, b, length):
-    out = [Fraction(0)] * length
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if i + j >= length:
+def _times_coordinate(vec, coordinate, J):
+    """vec in the direct sum of Q[u]/u^J (column i*J + j is u^j on branch i)
+    times one coordinate, given by its jets on the branches."""
+    out = {}
+    for col, c in vec.items():
+        i, j = divmod(col, J)
+        for e, a in coordinate[i]:
+            if j + e >= J:
                 break
-            if y:
-                out[i + j] += x * y
+            s = out.get(col + e, 0) + c * a
+            if s:
+                out[col + e] = s
+            else:
+                del out[col + e]
     return out
 
 
-def _compositions(total, nparts):
-    """All tuples of nparts non-negative integers summing to total."""
-    if nparts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, nparts - 1):
-            yield (first,) + rest
-
-
-def _monomials_on_supports(nvars, supports, lo, hi):
-    """Exponent tuples with lo <= total degree <= hi supported inside one of the
-    given coordinate subsets; monomials supported elsewhere vanish on every branch.
-    Graded, deterministic."""
-    for d in range(lo, hi + 1):
-        level = set()
-        for supp in supports:
-            if not supp:
-                continue
-            positions = sorted(supp)
-            for comp in _compositions(d, len(positions)):
-                mono = [0] * nvars
-                for pos, e in zip(positions, comp):
-                    mono[pos] = e
-                level.add(tuple(mono))
-        yield from sorted(level)
-
-
-class _JetSpan:
-    """Span of monomial jets inside the direct sum of truncated series rings;
-    extendable by monomial degree at a fixed jet order."""
-
-    def __init__(self, branches, jet_order):
-        self.r = len(branches)
-        self.jet_order = jet_order
-        self.nvars = branches[0].ambient_dim
-        self.jets = _branch_jets(branches, jet_order)
-        self.space = RowSpace()
-        self.max_degree = 0
-        self._power_cache = [dict() for _ in range(self.r)]
-        self._supports = {
-            frozenset(k for k in range(self.nvars) if any(self.jets[bi][k]))
-            for bi in range(self.r)
-        }
-        # Degree zero: the constants embed diagonally.
-        self.space.add({i * jet_order: Fraction(1) for i in range(self.r)})
-
-    def _coord_power(self, bi, k, e):
-        cache = self._power_cache[bi]
-        key = (k, e)
-        if key not in cache:
-            if e == 1:
-                cache[key] = self.jets[bi][k]
-            else:
-                cache[key] = _series_mul(
-                    self._coord_power(bi, k, e - 1), self.jets[bi][k], self.jet_order
-                )
-        return cache[key]
-
-    def extend_to_degree(self, degree_bound):
-        """Add the jets of all coordinate monomials up to the given total degree."""
-        if degree_bound <= self.max_degree:
-            return
-        full_rank = self.r * self.jet_order
-        for mono in _monomials_on_supports(
-            self.nvars, self._supports, self.max_degree + 1, degree_bound
-        ):
-            if self.space.rank == full_rank:
-                break
-            vec = {}
-            for bi in range(self.r):
-                series = None
-                for k, e in enumerate(mono):
-                    if e == 0:
-                        continue
-                    part = self._coord_power(bi, k, e)
-                    if not any(part):
-                        series = None
-                        break
-                    series = part if series is None else _series_mul(series, part, self.jet_order)
-                    if not any(series):
-                        series = None
-                        break
-                if series is not None:
-                    for j, c in enumerate(series):
-                        if c:
-                            vec[bi * self.jet_order + j] = c
-            if vec:
-                self.space.add(vec)
-        self.max_degree = degree_bound
-
-    @property
-    def codim(self):
-        return self.r * self.jet_order - self.space.rank
-
-    def has_unit_jet(self, branch_index, exponent):
-        return self.space.contains({branch_index * self.jet_order + exponent: Fraction(1)})
-
-
-def _check_branches_distinct(branches, jet_order):
+def _check_branches_distinct(branches):
     seen = {}
     for i, b in enumerate(branches):
-        key = tuple(tuple(_u_coeffs(c, jet_order)) for c in b.components)
-        if key in seen:
+        if b.components in seen:
             raise ComputationError(
-                f"indistinguishable branches up to jet order {jet_order} "
-                f"(branches {seen[key]} and {i})"
+                f"branches {seen[b.components]} and {i} have the same parametrization"
             )
-        seen[key] = i
+        seen[b.components] = i
 
 
-def delta_reduced(branches, jet_order: int = 24, degree_bound: int = 12) -> int:
-    """Delta invariant of the reduced curve with the given branches.
+def delta_reduced(branches) -> int:
+    """Delta invariant of the reduced curve with the given branches, exactly.
 
-    Escalates jet order and monomial degree bound until the candidate value is
-    stable across two escalations and every high-order jet beyond the conductor
-    bound (2*delta + 1) lies in the span; errors past the caps.
+    Let O be the local ring of the curve and O' = Q[[u]]^r the ring of its
+    normalization, branch i having order m_i (the least u-order of its
+    coordinates). For a jet order J the image S of O in O'/u^J O', the direct
+    sum of r copies of Q[u]/u^J, is the closure of the diagonal 1 under
+    multiplication by each coordinate's jet: every coordinate has positive
+    order on every branch, so a monomial of degree J or more vanishes there.
+    Only products independent of the span so far are multiplied further, so
+    the work is at most rank(S) times the number of coordinates products. The
+    codimension r*J - rank(S) = dim O'/(O + u^J O') is at most delta.
+
+    Certificate: every unit jet u^j e_i with J - m_i <= j < J lies in S.
+    Then the ideal M = (u^(J - m_1), ..., u^(J - m_r)) O' of O', which these
+    jets span modulo u^J O', satisfies M c O + u^J O'. The coordinates
+    generate the maximal ideal m_O of O and have least order m_i on branch i,
+    so m_O O' = (u^(m_1), ..., u^(m_r)) O' and u^J O' = m_O M. Hence the
+    finitely generated O-module N = (O + M)/O satisfies N = m_O N, and
+    Nakayama's lemma (Matsumura, Commutative Ring Theory, Thm 2.2) gives
+    N = 0, i.e. M c O. So u^J O' c O and delta is the codimension, exactly.
+
+    J starts at twice the largest branch order and doubles up to
+    JET_ORDER_CAP. A curve with two branches on the same image (in different
+    parametrizations) has infinite delta and fails there, as does a branch of
+    order above JET_ORDER_CAP / 2.
     """
     branches = list(branches)
-    if jet_order < 1 or degree_bound < 1:
-        raise ValueError("jet_order and degree_bound must be >= 1")
     for b in branches:
         g = b.exponent_gcd()
         if g > 1:
             raise ComputationError(
                 f"branch exponent gcd {g} > 1: parametrization is not a normalization"
             )
-    J = jet_order
-    last_candidates = []
-    while True:
-        _check_branches_distinct(branches, J)
-        span = _JetSpan(branches, J)
-        span.extend_to_degree(degree_bound)
-        cand = span.codim
-        # Escalate the degree bound at fixed jet order until the candidate is
-        # stable across two escalations.
-        stable = 0
-        D = degree_bound
-        while stable < 2 and D < DEGREE_BOUND_CAP:
-            D = min(D + 4, DEGREE_BOUND_CAP)
-            span.extend_to_degree(D)
-            if span.codim == cand:
-                stable += 1
-            else:
-                cand = span.codim
-                stable = 0
-        last_candidates.append(cand)
-        c = 2 * cand + 1
-        if (
-            stable >= 2
-            and c < J
-            and all(
-                span.has_unit_jet(i, j)
-                for i in range(len(branches))
-                for j in range(c, J)
-            )
+    _check_branches_distinct(branches)
+    r = len(branches)
+    orders = [b.u_order() for b in branches]
+    # coordinates[k][i]: the u-jet of coordinate k on branch i, as (exponent,
+    # coefficient) pairs in increasing exponent order
+    coordinates = [
+        [sorted((sum(m), c) for m, c in b.components[k].terms.items()) for b in branches]
+        for k in range(branches[0].ambient_dim)
+    ]
+    J = 2 * max(orders)
+    while J <= JET_ORDER_CAP:
+        span = RowSpace()
+        queue = [{i * J: Fraction(1) for i in range(r)}]
+        span.add(queue[0])
+        while queue:
+            vec = queue.pop()
+            for coordinate in coordinates:
+                prod = _times_coordinate(vec, coordinate, J)
+                if prod and span.add(prod):
+                    queue.append(prod)
+        if all(
+            span.contains({i * J + j: Fraction(1)})
+            for i, m in enumerate(orders)
+            for j in range(J - m, J)
         ):
-            return cand
-        if J >= JET_ORDER_CAP:
-            raise ComputationError(
-                f"delta did not stabilize within caps (candidates {last_candidates})"
-            )
-        J = min(J + 8, JET_ORDER_CAP)
+            return r * J - span.rank
+        if J == JET_ORDER_CAP:
+            break
+        J = min(2 * J, JET_ORDER_CAP)
+    raise ComputationError(
+        f"delta not certified within JET_ORDER_CAP = {JET_ORDER_CAP}; a curve with "
+        "a repeated branch has infinite delta"
+    )
 
 
 @dataclass(frozen=True)
@@ -351,14 +249,12 @@ class CurveInvariants:
             raise InternalCheckError("negative invariant")
 
 
-def invariants(
-    C: CurvePresentation, jet_order: int = 24, degree_bound: int = 12
-) -> CurveInvariants:
+def invariants(C: CurvePresentation) -> CurveInvariants:
     """All invariants of the germ; epsilon comes from the supplied decomposition
     (zero when the curve is reduced, i.e. no embedded component declared)."""
     m = curve_multiplicity(C)
     r = len(C.branches)
-    d_red = delta_reduced(C.branches, jet_order, degree_bound)
+    d_red = delta_reduced(C.branches)
     if C.decomposition is not None:
         if C.ideal is None:
             raise ComputationError("decomposition supplied without the decomposed ideal")

@@ -38,8 +38,6 @@ RING_U = VarSet(("u",))
 
 @dataclass(frozen=True)
 class FamilyOptions:
-    jet_order: int = 24
-    degree_bound: int = 12
     n_max: int = 32
     seed: int = 0
 
@@ -314,7 +312,7 @@ def _classify_parametrized(F, options):
 
     # Fiber invariants.
     C0 = specialize_fiber(norm, 0)
-    inv0 = invariants(C0, options.jet_order, options.degree_bound)
+    inv0 = invariants(C0)
 
     samples = _generic_samples(options.seed)
     assertions = F.generic_assertions
@@ -325,7 +323,7 @@ def _classify_parametrized(F, options):
     gen_invs = []
     for s in samples:
         Ct = specialize_fiber(norm, s)
-        raw = invariants(Ct, options.jet_order, options.degree_bound)
+        raw = invariants(Ct)
         adjusted = CurveInvariants(
             m=raw.m,
             r=raw.r,
@@ -368,7 +366,7 @@ def _classify_parametrized(F, options):
 
 
 def _classify_declared(F, options):
-    inv0 = invariants(F.declared_special, options.jet_order, options.degree_bound)
+    inv0 = invariants(F.declared_special)
     a = F.generic_assertions
     if a.delta is not None:
         delta_t = a.delta

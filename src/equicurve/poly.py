@@ -45,10 +45,6 @@ class VarSet:
         return f"VarSet({', '.join(self.names)})"
 
 
-def mon_degree(m: Exponents) -> int:
-    return sum(m)
-
-
 def mon_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -74,13 +70,6 @@ class MonomialOrder:
 
     def key(self, m: Exponents):
         raise NotImplementedError
-
-    def cmp(self, a: Exponents, b: Exponents) -> int:
-        """-1, 0 or +1 comparing a against b."""
-        if len(a) != len(b):
-            raise RingMismatchError("monomials over different variable sets")
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
 
     def __repr__(self):
         return f"<order {self.kind}>"
@@ -359,11 +348,6 @@ class Polynomial:
         return f"Polynomial({self.render()!r})"
 
 
-def cmp_monomials(a: Exponents, b: Exponents, order: MonomialOrder) -> int:
-    """Compare two exponent tuples under ``order``: -1, 0 or +1."""
-    return order.cmp(a, b)
-
-
 # --- parser ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -391,15 +375,21 @@ def _tokenize(text: str):
     return tokens
 
 
+# Deepest parenthesis nesting parse_poly accepts; each level costs five
+# interpreter frames, so this stays well inside Python's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive descent over: expr := term (+|- term)*; term := unary (* unary)*;
-    unary := [+|-] power; power := atom [^ num]; atom := rational | ident | ( expr )."""
+    unary := (+|-)* power; power := atom [^ num]; atom := rational | ident | ( expr )."""
 
     def __init__(self, text, ring):
         self.text = text
         self.ring = ring
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -436,13 +426,11 @@ class _Parser:
         return p
 
     def unary(self):
-        if self.peek() == ("op", "-"):
-            self.next()
-            return -self.unary()
-        if self.peek() == ("op", "+"):
-            self.next()
-            return self.unary()
-        return self.power()
+        negate = False
+        while self.peek() in (("op", "-"), ("op", "+")):
+            negate ^= self.next()[1] == "-"
+        p = self.power()
+        return -p if negate else p
 
     def power(self):
         base = self.atom()
@@ -474,8 +462,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {val!r} (ring has {self.ring.names})")
             return Polynomial.var(self.ring, val)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
+            self.depth += 1
             p = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return p
         raise ParseError(f"malformed expression {self.text!r}")
 

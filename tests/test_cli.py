@@ -132,9 +132,6 @@ class TestSchemaRejection:
     @pytest.mark.parametrize(
         "options",
         [
-            {"jet_order": -5},
-            {"jet_order": 0},
-            {"degree_bound": 0},
             {"n_max": 0},
             {"n_max": -1},
         ],
@@ -146,6 +143,33 @@ class TestSchemaRejection:
             err = capsys.readouterr().err
             assert err.startswith("parse error:") and err.count("\n") == 1
             assert "least 1" in err
+
+    @pytest.mark.parametrize("options", [{"jet_order": 24}, {"degree_bound": 12}])
+    def test_removed_delta_options_are_unknown_fields(self, tmp_path, capsys, options):
+        for entry in (CUSP_CURVE_ENTRY, CUSP_FAMILY_ENTRY):
+            path = write_manifest(tmp_path, manifest(dict(entry, options=options)))
+            assert main(["analyze", path]) == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err.startswith("parse error:") and err.count("\n") == 1
+            assert "unknown field" in err
+
+    def test_deeply_nested_polynomial(self, tmp_path, capsys):
+        component = "(" * 3000 + "u" + ")" * 3000
+        entry = {"name": "deep", "kind": "curve", "branches": [[component, "u^2", "0"]]}
+        path = write_manifest(tmp_path, manifest(entry))
+        assert main(["analyze", path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and err.count("\n") == 1
+
+    def test_infinite_delta_is_compute_error(self, tmp_path, capsys):
+        # the cusp in two parametrizations: a repeated branch, delta infinite
+        entry = {"name": "twice", "kind": "curve",
+                 "branches": [["u^2", "u^3", "0"], ["u^2", "-u^3", "0"]]}
+        path = write_manifest(tmp_path, manifest(entry))
+        assert main(["analyze", path]) == EXIT_COMPUTE
+        err = capsys.readouterr().err
+        assert err.startswith("computation error:") and err.count("\n") == 1
+        assert "JET_ORDER_CAP" in err
 
     def test_rejected_decomposition_is_compute_error(self, tmp_path):
         entry = json.loads(json.dumps(CUSP_CURVE_ENTRY))

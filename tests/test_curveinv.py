@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +21,7 @@ from equicurve.curveinv import (
 )
 from equicurve.errors import ComputationError, InternalCheckError
 from equicurve.gb import Ideal
+from equicurve.linalg import RowSpace
 from equicurve.localdim import PrimaryDecomposition
 from equicurve.poly import VarSet, parse_poly
 
@@ -32,6 +35,31 @@ def branch(*comps):
 
 def I(*gens, ring=XYZ):
     return Ideal([parse_poly(g, ring) for g in gens], ring)
+
+
+# Pairwise independent directions in C^3 with no zero entry.
+LINE_DIRECTIONS = [
+    (1, 1, 1), (1, 2, -1), (2, -1, 1), (-1, 1, 2), (1, -2, -2),
+    (2, 1, -2), (1, -1, 2), (2, 2, -1), (-2, 1, 1), (1, 2, 2),
+]
+
+
+def hilbert_delta(dirs):
+    """delta of the lines through 0 with these directions: the sum over k of
+    n - H(k), H the Hilbert function of the directions as points of P^2,
+    each H(k) the rank of the degree-k monomials evaluated at them."""
+    total = 0
+    for k in itertools.count():
+        values = RowSpace()
+        for mono in itertools.product(range(k + 1), repeat=3):
+            if sum(mono) == k:
+                values.add({
+                    i: Fraction(math.prod(c**e for c, e in zip(v, mono)))
+                    for i, v in enumerate(dirs)
+                })
+        if values.rank == len(dirs):
+            return total
+        total += len(dirs) - values.rank
 
 
 class TestBranchParam:
@@ -125,6 +153,31 @@ class TestDeltaReduced:
         ]
         assert delta_reduced(lines) == 5
 
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_concurrent_lines_match_hilbert_function(self, n):
+        dirs = LINE_DIRECTIONS[:n]
+        lines = [branch(*(f"{c}*u" for c in v)) for v in dirs]
+        assert delta_reduced(lines) == hilbert_delta(dirs)
+
+    def test_tangent_smooth_branches(self):
+        # y = x^30 and y = x^31 meet with multiplicity 30
+        assert delta_reduced([branch("u", "u^30"), branch("u", "u^31")]) == 30
+
+    @pytest.mark.parametrize(
+        "comps",
+        [
+            (("u^2", "u^3"), ("u^2", "-u^3")),
+            (("u", "u"), ("2*u", "2*u")),
+            (("u", "u", "u"), ("2*u", "2*u", "2*u")),
+            (("u^129", "u^130"),),
+        ],
+    )
+    def test_fails_at_budget(self, comps):
+        # one curve in two parametrizations (delta infinite), or a branch whose
+        # order leaves no certificate range below the cap
+        with pytest.raises(ComputationError, match="JET_ORDER_CAP"):
+            delta_reduced([branch(*c) for c in comps])
+
     def test_rejects_repeated_branch(self):
         with pytest.raises(ComputationError):
             delta_reduced([branch("u^2", "u^3"), branch("u^2", "u^3")])
@@ -142,10 +195,12 @@ class TestDeltaReduced:
             if math.gcd(a, b) != 1:
                 continue
             br = branch(f"u^{a}", f"u^{b}")
-            assert delta_reduced([br], jet_order=2 * (a - 1) * (b - 1) + 8) == (
-                semigroup_delta_oracle(br)
-            )
+            assert delta_reduced([br]) == semigroup_delta_oracle(br)
             done += 1
+        # delta 35 to 78, certified at jet orders 128 to 208
+        for a, b in ((8, 11), (9, 10), (10, 11), (11, 13), (12, 13), (13, 14)):
+            br = branch(f"u^{a}", f"u^{b}")
+            assert delta_reduced([br]) == semigroup_delta_oracle(br)
 
 
 class TestInvariants:

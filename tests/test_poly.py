@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from equicurve.errors import ParseError, RingMismatchError
 from equicurve.poly import (
     DEGREVLEX,
+    MAX_NESTING,
     NEGDEGREVLEX,
     Elimination,
     Polynomial,
     VarSet,
-    cmp_monomials,
-    mon_degree,
     mon_div,
     mon_divides,
     mon_lcm,
@@ -59,27 +58,26 @@ class TestMonomialHelpers:
         assert not mon_divides((0, 2, 0), (1, 1, 3))
         assert mon_lcm((2, 0, 1), (1, 3, 0)) == (2, 3, 1)
 
-    def test_degree(self):
-        assert mon_degree((2, 0, 5)) == 7
-
 
 class TestOrders:
     def test_degrevlex_basics(self):
         # degree dominates; within a degree, degrevlex on x > y > z
-        assert cmp_monomials((2, 0, 0), (1, 1, 0), DEGREVLEX) > 0
-        assert cmp_monomials((0, 0, 3), (2, 0, 0), DEGREVLEX) > 0
-        assert cmp_monomials((1, 1, 0), (1, 0, 1), DEGREVLEX) > 0
+        key = DEGREVLEX.key
+        assert key((2, 0, 0)) > key((1, 1, 0))
+        assert key((0, 0, 3)) > key((2, 0, 0))
+        assert key((1, 1, 0)) > key((1, 0, 1))
 
     def test_negdegrevlex_prefers_low_degree(self):
-        assert cmp_monomials((1, 0, 0), (0, 2, 0), NEGDEGREVLEX) > 0
-        assert cmp_monomials((0, 1, 0), (1, 0, 0), NEGDEGREVLEX) < 0
+        key = NEGDEGREVLEX.key
+        assert key((1, 0, 0)) > key((0, 2, 0))
+        assert key((0, 1, 0)) < key((1, 0, 0))
 
     def test_elimination_block_dominates(self):
-        order = Elimination(1)
+        key = Elimination(1).key
         # any positive power of the first variable beats everything without it
-        assert cmp_monomials((1, 0, 0), (0, 9, 9), order) > 0
-        assert cmp_monomials((0, 2, 0), (0, 1, 1), order) == cmp_monomials(
-            (2, 0), (1, 1), DEGREVLEX
+        assert key((1, 0, 0)) > key((0, 9, 9))
+        assert (key((0, 2, 0)) > key((0, 1, 1))) == (
+            DEGREVLEX.key((2, 0)) > DEGREVLEX.key((1, 1))
         )
 
     def test_order_by_name(self):
@@ -148,6 +146,15 @@ class TestParser:
 
     def test_nested_parens(self):
         assert P("((x))") == P("x")
+
+    def test_nesting_limit(self):
+        assert P("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == P("x")
+        with pytest.raises(ParseError, match="nested deeper"):
+            P("(" * 3000 + "x" + ")" * 3000)
+
+    def test_long_sign_chain(self):
+        assert P("-" * 3000 + "x") == P("x")
+        assert P("-+" * 1500 + "-x") == P("-x")
 
     @pytest.mark.parametrize(
         "bad",
