@@ -132,6 +132,9 @@ class TestSchemaRejection:
     @pytest.mark.parametrize(
         "options",
         [
+            {"n_max": -5},
+            {"n_max": 0, "seed": 3},
+            {"seed": -4, "n_max": -1},
             {"n_max": 0},
             {"n_max": -1},
         ],
