@@ -101,8 +101,6 @@ def _parse_options(node, where, seed_override=None):
         for k, v in node.items():
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ParseError(f"{where}.{k}: expected an integer")
-            if k != "seed" and v < 1:
-                raise ParseError(f"{where}.{k}: expected an integer of at least 1")
             merged[k] = v
     if seed_override is not None:
         merged["seed"] = seed_override
@@ -147,14 +145,15 @@ def _invariants_record(inv) -> dict:
 
 
 def _analyze_curve(entry, ring, seed_override):
+    # seed_override is unused: a curve entry draws no samples; both entry kinds
+    # take the same arguments.
     where = f"entry {entry.get('name', '?')!r}"
     _require_mapping(
         entry,
-        ("name", "kind", "branches", "ideal", "decomposition", "options"),
+        ("name", "kind", "branches", "ideal", "decomposition"),
         ("name", "kind", "branches"),
         where,
     )
-    _parse_options(entry.get("options"), f"{where}.options", seed_override)
     branches = _parse_branches(entry["branches"], len(ring), RING_U, f"{where}.branches")
     ideal = None
     decomposition = None
@@ -390,12 +389,19 @@ def run_paper_corpus(seed=None, expectation_overrides=None):
     return {"entries": entries}, mismatches
 
 
-def _cmd_analyze(args) -> int:
-    with open(args.manifest, "r", encoding="utf-8") as fh:
+def _load_json(path, what):
+    """Parsed JSON of a file; bad or too deeply nested JSON is a parse error."""
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"manifest is not valid JSON: {exc}") from exc
+            raise ParseError(f"{what} is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ParseError(f"{what} is nested too deeply to parse") from exc
+
+
+def _cmd_analyze(args) -> int:
+    data = _load_json(args.manifest, "manifest")
     report = analyze_manifest(data, seed_override=args.seed)
     sys.stdout.write(render_report(report, args.format))
     return EXIT_OK
@@ -416,11 +422,7 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_std(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"input is not valid JSON: {exc}") from exc
+    data = _load_json(args.file, "input")
     _require_mapping(data, ("ring", "generators"), ("ring", "generators"), "input")
     names = _string_list(data["ring"], "input.ring")
     if not names or len(set(names)) != len(names):

@@ -25,8 +25,8 @@ from .errors import ComputationError, HypothesisError, InternalCheckError
 from .gb import Ideal
 from .localdim import (
     PrimaryDecomposition,
-    hs_multiplicity_of_param,
     is_cohen_macaulay,
+    param_multiplicity,
     vdim,
 )
 from .localdim import _check_radical_is_axis
@@ -38,7 +38,6 @@ RING_U = VarSet(("u",))
 
 @dataclass(frozen=True)
 class FamilyOptions:
-    n_max: int = 32
     seed: int = 0
 
 
@@ -93,11 +92,20 @@ class FamilyComponent:
         return FamilyComponent(new_param, self.label)
 
     def specialize(self, t0) -> BranchParam:
-        """The branch of the fiber at t = t0 contributed by this component."""
+        """The branch of the fiber at t = t0 contributed by this component,
+        evaluated term by term: c * u^a * t^b gives c * t0^b * u^a."""
         t0 = Fraction(t0)
         comps = []
         for p in self.param:
-            q = p.substitute({"t": Polynomial.const(RING_U, t0)}, RING_U)
+            terms = {}
+            for (a, b), c in p.terms.items():
+                s = terms.get((a,), 0) + c * t0**b
+                if s:
+                    terms[(a,)] = s
+                else:
+                    terms.pop((a,), None)
+            q = Polynomial(RING_U)
+            q.terms = terms
             comps.append(q)
         if all(q.is_zero() for q in comps):
             raise ComputationError(
@@ -171,16 +179,17 @@ def special_multiplicity(J: Ideal) -> int:
     return l.expect_finite("special multiplicity")
 
 
-def generic_multiplicity(obj, n_max: int = 32) -> int:
-    """Generic-fiber multiplicity at the section: the Hilbert-Samuel multiplicity
-    of the parameter in a pullback ring, or, for a whole family, the sum of those
-    over the components containing the section (the others miss it off t = 0)."""
+def generic_multiplicity(obj) -> int:
+    """Generic-fiber multiplicity at the section: the multiplicity of the
+    parameter in a pullback ring (exact, ``param_multiplicity``), or, for a whole
+    family, the sum of those over the components containing the section (the
+    others miss it off t = 0)."""
     if isinstance(obj, Ideal):
-        return hs_multiplicity_of_param(obj, n_max=n_max)
+        return param_multiplicity(obj)
     total = 0
     for c in obj.components:
         if c.component_class() == "A":
-            total += hs_multiplicity_of_param(pullback_ideal(c), n_max=n_max)
+            total += param_multiplicity(pullback_ideal(c))
     return total
 
 
@@ -296,7 +305,7 @@ def _classify_parametrized(F, options):
         if cls != "A":
             continue
         J = pullback_ideal(c)
-        witness = is_cohen_macaulay(J, n_max=options.n_max)
+        witness = is_cohen_macaulay(J)
         l_direct = special_multiplicity(J)
         if l_direct != witness.length:
             raise InternalCheckError("special multiplicity disagrees with the CM witness length")

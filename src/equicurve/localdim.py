@@ -1,6 +1,12 @@
 """Length counting for local quotient rings, the epsilon invariant from a primary
-decomposition, Hilbert-Samuel multiplicity of a parameter, and the Cohen-Macaulay
-test for the one-dimensional rings produced by family pullbacks.
+decomposition, and the Cohen-Macaulay test for the one-dimensional rings produced
+by family pullbacks.
+
+The multiplicity of the parameter t in such a ring Q[u, t]_(u,t)/J, with
+sqrt(J) = <u>, is exact: by the associativity formula it is the least u-exponent
+over the generators of J (``param_multiplicity``). The Hilbert-Samuel ladder
+``hs_multiplicity_of_param`` computes the same number from the lengths of
+J + <t^n>; it is kept as the tests' oracle and is on no production path.
 """
 
 from __future__ import annotations
@@ -154,7 +160,16 @@ def hs_multiplicity_of_param(
     J: Ideal, param: str = "t", axis_var: str = "u", n_max: int = 32
 ) -> int:
     """Hilbert-Samuel multiplicity of the parameter in the quotient by J, via the
-    stabilized first difference of n -> vdim(J + <param^n>)."""
+    stabilized first difference of n -> vdim(J + <param^n>).
+
+    The tests' oracle for ``param_multiplicity``; no production path calls it.
+    It stops at the first three equal differences, which is not a proof of
+    stability: the differences fall to e and stay there once param^(n-1) kills
+    the finite-length part of the ring, and before that they can repeat. Known
+    failure: for J = <u^3 + t^2*u^2, u^7, t^2*u^4> the lengths are 3, 6, ..., 18,
+    20, 22, ..., so the differences read 3 five times before settling at 2, and
+    the ladder returns 3. Compare against a late difference instead.
+    """
     _check_radical_is_axis(J, axis_var)
     ring = J.ring
     lengths = []
@@ -172,6 +187,21 @@ def hs_multiplicity_of_param(
     raise ComputationError(f"multiplicity differences did not stabilize within n = {n_max}")
 
 
+def param_multiplicity(J: Ideal, param: str = "t", axis_var: str = "u") -> int:
+    """Multiplicity of the parameter in the quotient by J, exactly: the least
+    axis_var-exponent over the generators of J (argument in ``is_cohen_macaulay``).
+
+    The ring must be exactly (axis_var, param); sqrt(J) = <axis_var> is verified
+    first.
+    """
+    if J.ring.names != (axis_var, param):
+        raise ComputationError(
+            f"multiplicity of {param} needs the ring ({axis_var}, {param}), got {J.ring!r}"
+        )
+    _check_radical_is_axis(J, axis_var)
+    return min(m[0] for g in J.gens for m in g.terms)
+
+
 @dataclass(frozen=True)
 class CMWitness:
     """Outcome of the Cohen-Macaulay test with both compared numbers recorded."""
@@ -181,15 +211,30 @@ class CMWitness:
     multiplicity: int
 
 
-def is_cohen_macaulay(
-    J: Ideal, param: str = "t", axis_var: str = "u", n_max: int = 32
-) -> CMWitness:
+def is_cohen_macaulay(J: Ideal, param: str = "t", axis_var: str = "u") -> CMWitness:
     """Whether the quotient by J is Cohen-Macaulay, decided by length == multiplicity
-    and cross-checked against the nonzerodivisor test (J : param) = J."""
+    and cross-checked against the nonzerodivisor test (J : param) = J.
+
+    Write u = axis_var, t = param and O = Q[u, t] localized at the origin; the
+    ring of J must be exactly (u, t). The length is l = vdim(J + <t>). The
+    multiplicity e = e(t; O/J) is exact (``param_multiplicity``), by the
+    associativity formula (Matsumura, Commutative Ring Theory, section 14):
+
+    - sqrt(J) = <u> is verified first, so (u) is the only minimal prime of O/J
+      and e(t; O/J) = length(O_(u)/J O_(u)) * e(t; O/(u));
+    - O/(u) = Q[t]_(t), so the second factor is 1;
+    - O_(u) is a discrete valuation ring with uniformizer u and residue field
+      Q(t). A generator u^k * (h(t) + u * ...) with h nonzero is u^k times a
+      unit, so J O_(u) = (u^k) with k the least u-exponent over the generators
+      of J, and e = k.
+
+    O/J is one-dimensional, so it is Cohen-Macaulay iff t is a nonzerodivisor,
+    iff l = e; the two routes must agree.
+    """
+    e = param_multiplicity(J, param=param, axis_var=axis_var)
     ring = J.ring
     t = Polynomial.var(ring, param)
     l = vdim(ideal_sum(J, Ideal([t], ring))).expect_finite("special-fiber length")
-    e = hs_multiplicity_of_param(J, param=param, axis_var=axis_var, n_max=n_max)
     by_length = l == e
     by_quotient = ideal_equal(ideal_quotient(J, t), J, NEGDEGREVLEX)
     if by_length != by_quotient:

@@ -71,6 +71,19 @@ class TestAnalyze:
         assert len(entry["generic"]["t_samples"]) == 2
         assert entry["justification"]
 
+    def test_lowering_family_gets_exact_multiplicity(self, tmp_path, capsys):
+        # lengths of J + <t^n> repeat the difference 3 five times before settling
+        # at e = 2, which stopped the Hilbert-Samuel ladder at e = 3
+        entry = {"name": "lowering", "kind": "family",
+                 "components": [["u^3+t^2*u^2", "u^7", "t^2*u^4"]]}
+        path = write_manifest(tmp_path, manifest(entry))
+        assert main(["analyze", path]) == EXIT_OK
+        verdict = json.loads(capsys.readouterr().out)["entries"][0]["verdict"]
+        assert verdict["cm_by_component"] == [
+            {"label": "0", "is_cm": False, "length": 3, "multiplicity": 2}
+        ]
+        assert verdict["whitney"] is False
+
     def test_empty_manifest(self):
         report = analyze_manifest(manifest())
         assert report["entries"] == []
@@ -139,15 +152,18 @@ class TestSchemaRejection:
             {"n_max": -1},
         ],
     )
-    def test_option_below_one_is_parse_error(self, tmp_path, capsys, options):
-        for entry in (CUSP_CURVE_ENTRY, CUSP_FAMILY_ENTRY):
+    def test_n_max_and_curve_options_are_unknown_fields(self, tmp_path, capsys, options):
+        # a curve entry takes no options; a family's only option is the seed
+        for entry, field in ((CUSP_CURVE_ENTRY, "'options'"), (CUSP_FAMILY_ENTRY, "'n_max'")):
             path = write_manifest(tmp_path, manifest(dict(entry, options=options)))
             assert main(["analyze", path]) == EXIT_PARSE
             err = capsys.readouterr().err
             assert err.startswith("parse error:") and err.count("\n") == 1
-            assert "least 1" in err
+            assert "unknown field" in err and field in err
 
-    @pytest.mark.parametrize("options", [{"jet_order": 24}, {"degree_bound": 12}])
+    @pytest.mark.parametrize(
+        "options", [{"jet_order": 24}, {"degree_bound": 12}, {"n_max": 32}]
+    )
     def test_removed_delta_options_are_unknown_fields(self, tmp_path, capsys, options):
         for entry in (CUSP_CURVE_ENTRY, CUSP_FAMILY_ENTRY):
             path = write_manifest(tmp_path, manifest(dict(entry, options=options)))
@@ -161,6 +177,15 @@ class TestSchemaRejection:
         entry = {"name": "deep", "kind": "curve", "branches": [[component, "u^2", "0"]]}
         path = write_manifest(tmp_path, manifest(entry))
         assert main(["analyze", path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "std"])
+    def test_deeply_nested_json(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = [command, str(path)] + (["--order", "local"] if command == "std" else [])
+        assert main(argv) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and err.count("\n") == 1
 

@@ -10,6 +10,7 @@ import pytest
 from equicurve.curveinv import BranchParam, CurvePresentation, curve_multiplicity
 from equicurve.errors import ComputationError, HypothesisError
 from equicurve.family import (
+    RING_U,
     RING_UT,
     FamilyComponent,
     FamilyOptions,
@@ -24,7 +25,7 @@ from equicurve.family import (
 )
 from equicurve.gb import Ideal, ideal_equal
 from equicurve.localdim import PrimaryDecomposition
-from equicurve.poly import NEGDEGREVLEX, VarSet, parse_poly
+from equicurve.poly import NEGDEGREVLEX, Polynomial, VarSet, parse_poly
 
 XYZ = VarSet(("x", "y", "z"))
 
@@ -87,6 +88,15 @@ class TestFamilyComponent:
         assert c.u_exponent_gcd() == 2
         r = c.reparametrized(2)
         assert [p.render() for p in r.param] == ["u", "u^3", "u*t"]
+
+    @pytest.mark.parametrize("t0", [0, 1, Fraction(-5, 9), 2])
+    def test_specialize_matches_substitution(self, t0):
+        # terms cancel at t0 = 1 (u^2) and t0 = 2 (u); u^4*t drops out at t0 = 0
+        c = comp("u^2*t - u^2 + u^2*t^2 + 3*u^3", "t^2*u - 4*u + u^3", "(t - 2)^3*u + u^4*t")
+        got = c.specialize(t0)
+        for p, q in zip(c.param, got.components):
+            expected = p.substitute({"t": Polynomial.const(RING_U, t0)}, RING_U)
+            assert q == expected and list(q.terms) == list(expected.terms)
 
 
 class TestPullback:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equicurve import gb
 from equicurve.errors import ComputationError, RingMismatchError
 from equicurve.gb import (
     Ideal,
@@ -20,7 +21,14 @@ from equicurve.gb import (
     spoly,
     std_basis,
 )
-from equicurve.poly import DEGREVLEX, NEGDEGREVLEX, Polynomial, VarSet, parse_poly
+from equicurve.poly import (
+    DEGREVLEX,
+    NEGDEGREVLEX,
+    Elimination,
+    Polynomial,
+    VarSet,
+    parse_poly,
+)
 
 XYZ = VarSet(("x", "y", "z"))
 UT = VarSet(("u", "t"))
@@ -98,6 +106,50 @@ class TestLocalBasis:
         f = parse_poly("u^2 + u^5 + t^2*u^3", UT)
         nf = B.normal_form(f)
         assert B.normal_form(nf) == nf
+
+
+MEMO_GENS = ("x^2 + y*z", "y^3 - x*z", "z^2 + x*y^2 + x^3")
+MEMO_ORDERS = (DEGREVLEX, NEGDEGREVLEX, Elimination(1), Elimination(2))
+
+
+def fresh_std_basis(J, order):
+    gb._STD_BASES.clear()
+    return std_basis(J, order)
+
+
+def same_basis(A, B):
+    return A.order.kind == B.order.kind and A.basis == B.basis and (
+        A.lead_monomials == B.lead_monomials
+    )
+
+
+class TestMemo:
+    def test_each_order_gets_its_own_basis(self):
+        fresh = {o.kind: fresh_std_basis(I(*MEMO_GENS), o) for o in MEMO_ORDERS}
+        gb._STD_BASES.clear()
+        kept = [std_basis(I(*MEMO_GENS), o) for o in MEMO_ORDERS]
+        assert len({B.order.kind for B in kept}) == 4
+        assert len({B.basis for B in kept}) == 4
+        for B in kept:
+            assert same_basis(B, fresh[B.order.kind])
+            assert std_basis(I(*MEMO_GENS), B.order) is B
+
+    @pytest.mark.parametrize("order", MEMO_ORDERS, ids=lambda o: o.kind)
+    def test_repeat_equals_fresh_after_normal_forms(self, order):
+        B = std_basis(I(*MEMO_GENS), order)
+        for f in ("x^3*y + z^4", "x*y*z - y^5 + x", "(x + y + z)^4"):
+            B.normal_form(B.normal_form(P(f)))
+            B.normal_form(P(f), reduced=False)
+            B.contains(P(f))
+        again = std_basis(I(*MEMO_GENS), order)
+        assert again is B
+        assert same_basis(again, fresh_std_basis(I(*MEMO_GENS), order))
+
+    def test_table_is_bounded(self):
+        gb._STD_BASES.clear()
+        for k in range(1, gb._STD_BASES_SIZE + 6):
+            std_basis(I(f"x^{k}", "y"), DEGREVLEX)
+        assert len(gb._STD_BASES) == gb._STD_BASES_SIZE
 
 
 class TestIdealOps:

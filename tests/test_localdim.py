@@ -7,10 +7,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equicurve import localdim
 from equicurve.errors import ComputationError, InternalCheckError
-from equicurve.gb import Ideal, ideal_sum
+from equicurve.gb import Ideal, ideal_equal, ideal_quotient, ideal_sum
 from equicurve.localdim import (
     INFINITE,
     CMWitness,
@@ -18,9 +20,10 @@ from equicurve.localdim import (
     epsilon_from_decomposition,
     hs_multiplicity_of_param,
     is_cohen_macaulay,
+    param_multiplicity,
     vdim,
 )
-from equicurve.poly import Polynomial, VarSet, parse_poly
+from equicurve.poly import NEGDEGREVLEX, Polynomial, VarSet, parse_poly
 
 XYZ = VarSet(("x", "y", "z"))
 UT = VarSet(("u", "t"))
@@ -156,7 +159,68 @@ class TestEpsilon:
         assert epsilon_from_decomposition(J, D1) == epsilon_from_decomposition(J, D2) == 3
 
 
+# The lowering pullback: lengths of J + <t^n> are 3, 6, 9, 12, 15, 18, 20, 22, ...
+LOWERING = ("u^3 + t^2*u^2", "u^7", "t^2*u^4")
+HS_IDEALS = [("u^3", "t*u"), ("u^3", "u^4", "t*u^5"), LOWERING] + [
+    (f"u^{m}",) for m in range(1, 9)
+]
+
+
+def late_difference(J):
+    """vdim(J + <t^N>) - vdim(J + <t^(N-1)>) for an N past the settling point.
+
+    With H = (J : t^oo)/J the t-torsion of O/J, length(O/(J + t^n)) is
+    n*e + length(H / t^n H), so the difference at n is e plus
+    length(t^(n-1) H / t^n H): it equals e once t^(n-1) kills H. If
+    J : t^k = J : t^(k+1), then J : t^oo = J : t^k and t^k kills H, so every
+    difference from n = k + 1 on is e; N = 2k + 3 is well past that.
+    """
+    t = Polynomial.var(UT, "t")
+    k, Q, Q_next = 0, J, ideal_quotient(J, t)
+    while not ideal_equal(Q_next, Q, NEGDEGREVLEX):
+        k, Q, Q_next = k + 1, Q_next, ideal_quotient(Q_next, t)
+    N = 2 * k + 3
+    l = [vdim(ideal_sum(J, Ideal([Polynomial.var(UT, "t", n)], UT))).value for n in (N - 1, N)]
+    return l[1] - l[0]
+
+
+@st.composite
+def pullback_ideals(draw):
+    """u^p with one or two polynomials whose terms are all divisible by u, so
+    that sqrt(J) = <u>."""
+    term = st.tuples(st.tuples(st.integers(1, 6), st.integers(0, 3)),
+                     st.sampled_from((-2, -1, 1, 2)))
+    polys = draw(st.lists(st.lists(term, min_size=1, max_size=2).map(dict),
+                          min_size=1, max_size=2))
+    p = draw(st.integers(2, 7))
+    return Ideal([Polynomial.var(UT, "u", p)] + [Polynomial(UT, d) for d in polys], UT)
+
+
 class TestHilbertSamuel:
+    @pytest.mark.parametrize("gens", HS_IDEALS)
+    def test_exact_multiplicity_is_late_difference(self, gens):
+        J = I(*gens, ring=UT)
+        assert param_multiplicity(J) == late_difference(J)
+
+    @given(pullback_ideals())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_exact_multiplicity_on_random_pullbacks(self, J):
+        assert param_multiplicity(J) == late_difference(J)
+
+    def test_ladder_stops_early_on_lowering_pullback(self):
+        # the oracle's known failure: three equal differences (3, 3, 3) are
+        # not yet the settled difference 2
+        J = I(*LOWERING, ring=UT)
+        assert hs_multiplicity_of_param(J) == 3
+        assert param_multiplicity(J) == 2
+
+    def test_exact_multiplicity_needs_the_u_t_ring(self):
+        for ring in (VarSet(("t", "u")), VarSet(("u", "t", "x"))):
+            with pytest.raises(ComputationError):
+                param_multiplicity(I("u^3", ring=ring))
+            with pytest.raises(ComputationError):
+                is_cohen_macaulay(I("u^3", ring=ring))
+
     def test_moving_tangent_pullback(self):
         assert hs_multiplicity_of_param(I("u^3", "t*u", ring=UT)) == 1
 
@@ -174,6 +238,8 @@ class TestHilbertSamuel:
     def test_radical_precheck_requires_u_power(self):
         with pytest.raises(ComputationError):
             hs_multiplicity_of_param(I("t*u", ring=UT))
+        with pytest.raises(ComputationError):
+            param_multiplicity(I("t*u", ring=UT))
 
 
 class TestCohenMacaulay:
@@ -184,6 +250,9 @@ class TestCohenMacaulay:
     def test_cm_principal(self):
         w = is_cohen_macaulay(I("u^3", ring=UT))
         assert w == CMWitness(is_cm=True, length=3, multiplicity=3)
+
+    def test_not_cm_lowering_pullback(self):
+        assert is_cohen_macaulay(I(*LOWERING, ring=UT)) == CMWitness(False, 3, 2)
 
     def test_cm_high_order_deformation(self):
         w = is_cohen_macaulay(I("u^3", "u^4", "t*u^5", ring=UT))
