@@ -1,80 +1,2 @@
 """Exact invariants of generically reduced curve germs and equisingularity
 verdicts for one-parameter flat families."""
-
-from .curveinv import (
-    BranchParam,
-    CurveInvariants,
-    CurvePresentation,
-    branch_multiplicity,
-    curve_multiplicity,
-    delta_reduced,
-    invariants,
-    semigroup_delta_oracle,
-)
-from .errors import (
-    ComputationError,
-    EquicurveError,
-    HypothesisError,
-    InternalCheckError,
-    ParseError,
-    RingMismatchError,
-)
-from .family import (
-    FamilyComponent,
-    FamilyOptions,
-    FamilyPresentation,
-    FamilyReport,
-    FiberInvariants,
-    GenericAssertions,
-    Verdict,
-    classify,
-    connectivity,
-    generic_multiplicity,
-    pullback_ideal,
-    special_multiplicity,
-    specialize_fiber,
-)
-from .gb import (
-    Ideal,
-    StandardBasis,
-    ideal_contains,
-    ideal_equal,
-    ideal_intersect,
-    ideal_quotient,
-    ideal_sum,
-    normal_form,
-    std_basis,
-)
-from .localdim import (
-    CMWitness,
-    PrimaryDecomposition,
-    epsilon_from_decomposition,
-    hs_multiplicity_of_param,
-    is_cohen_macaulay,
-    vdim,
-)
-from .poly import (
-    DEGREVLEX,
-    NEGDEGREVLEX,
-    Elimination,
-    Polynomial,
-    VarSet,
-    order_by_name,
-    parse_poly,
-)
-
-__all__ = [
-    "BranchParam", "CurveInvariants", "CurvePresentation", "branch_multiplicity",
-    "curve_multiplicity", "delta_reduced", "invariants", "semigroup_delta_oracle",
-    "ComputationError", "EquicurveError", "HypothesisError", "InternalCheckError",
-    "ParseError", "RingMismatchError",
-    "FamilyComponent", "FamilyOptions", "FamilyPresentation", "FamilyReport",
-    "FiberInvariants", "GenericAssertions", "Verdict", "classify", "connectivity",
-    "generic_multiplicity", "pullback_ideal", "special_multiplicity", "specialize_fiber",
-    "Ideal", "StandardBasis", "ideal_contains", "ideal_equal", "ideal_intersect",
-    "ideal_quotient", "ideal_sum", "normal_form", "std_basis",
-    "CMWitness", "PrimaryDecomposition", "epsilon_from_decomposition",
-    "hs_multiplicity_of_param", "is_cohen_macaulay", "vdim",
-    "DEGREVLEX", "NEGDEGREVLEX", "Elimination", "Polynomial", "VarSet",
-    "order_by_name", "parse_poly",
-]

@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument("--seed", type=int, default=None)
     p_corpus.set_defaults(func=_cmd_corpus)
 
-    p_std = sub.add_parser("std", help="print a reduced standard basis")
+    p_std = sub.add_parser("std", help="print a standard basis")
     p_std.add_argument("file")
     p_std.add_argument("--order", required=True)
     p_std.set_defaults(func=_cmd_std)

@@ -5,6 +5,10 @@ The Whitney verdict is computed twice, through independent routes (constancy of
 the Milnor number and multiplicity of the fibers, versus topological triviality
 plus the Cohen-Macaulay property of each component's pullback ring), and the two
 routes must agree; a disagreement is an internal error, never a silent choice.
+Each class-A component's pullback ring is tested once by ``is_cohen_macaulay``,
+which also verifies sqrt(J) = <u>; its length is checked against the order of
+the specialized branch, and the sum of its multiplicities against the generic
+multiplicity.
 """
 
 from __future__ import annotations
@@ -23,13 +27,7 @@ from .curveinv import (
 )
 from .errors import ComputationError, HypothesisError, InternalCheckError
 from .gb import Ideal
-from .localdim import (
-    PrimaryDecomposition,
-    is_cohen_macaulay,
-    param_multiplicity,
-    vdim,
-)
-from .localdim import _check_radical_is_axis
+from .localdim import PrimaryDecomposition, is_cohen_macaulay
 from .poly import Polynomial, VarSet
 
 RING_UT = VarSet(("u", "t"))
@@ -159,38 +157,9 @@ class FamilyPresentation:
 
 
 def pullback_ideal(c: FamilyComponent) -> Ideal:
-    """The ideal generated by the coordinate polynomials of the parametrization,
-    with the contracted-locus check sqrt(J) = <u>."""
-    J = Ideal([p for p in c.param if not p.is_zero()], RING_UT)
-    try:
-        _check_radical_is_axis(J, "u")
-    except ComputationError as exc:
-        raise HypothesisError(
-            f"component {c.label!r} violates the pullback radical condition: {exc}"
-        ) from exc
-    return J
-
-
-def special_multiplicity(J: Ideal) -> int:
-    """Length of the pullback ring cut by the parameter: the special-fiber
-    multiplicity contribution of the component."""
-    t = Polynomial.var(RING_UT, "t")
-    l = vdim(Ideal(list(J.gens) + [t], RING_UT))
-    return l.expect_finite("special multiplicity")
-
-
-def generic_multiplicity(obj) -> int:
-    """Generic-fiber multiplicity at the section: the multiplicity of the
-    parameter in a pullback ring (exact, ``param_multiplicity``), or, for a whole
-    family, the sum of those over the components containing the section (the
-    others miss it off t = 0)."""
-    if isinstance(obj, Ideal):
-        return param_multiplicity(obj)
-    total = 0
-    for c in obj.components:
-        if c.component_class() == "A":
-            total += param_multiplicity(pullback_ideal(c))
-    return total
+    """The ideal J generated by the coordinate polynomials of the parametrization;
+    ``is_cohen_macaulay`` verifies sqrt(J) = <u>."""
+    return Ideal([p for p in c.param if not p.is_zero()], RING_UT)
 
 
 def connectivity(F: FamilyPresentation) -> int:
@@ -299,16 +268,16 @@ def _classify_parametrized(F, options):
 
     # Lemma 5.3 pipeline on each component through the section.
     cm_list = []
-    sum_l = 0
     sum_e = 0
     for c, cls in comps:
         if cls != "A":
             continue
-        J = pullback_ideal(c)
-        witness = is_cohen_macaulay(J)
-        l_direct = special_multiplicity(J)
-        if l_direct != witness.length:
-            raise InternalCheckError("special multiplicity disagrees with the CM witness length")
+        try:
+            witness = is_cohen_macaulay(pullback_ideal(c))
+        except HypothesisError as exc:
+            raise HypothesisError(
+                f"component {c.label!r} violates the pullback radical condition: {exc}"
+            ) from exc
         b_special = c.specialize(0)
         if branch_multiplicity(b_special) != witness.length:
             raise InternalCheckError(
@@ -316,7 +285,6 @@ def _classify_parametrized(F, options):
                 f"pullback length ({branch_multiplicity(b_special)} vs {witness.length})"
             )
         cm_list.append((c.label, witness.is_cm, witness.length, witness.multiplicity))
-        sum_l += witness.length
         sum_e += witness.multiplicity
 
     # Fiber invariants.
@@ -354,10 +322,6 @@ def _classify_parametrized(F, options):
             f"generic multiplicity from branch orders ({inv_t.m}) disagrees with the "
             f"sum of Hilbert-Samuel multiplicities ({sum_e})"
         )
-    if inv0.m != sum_l + sum(
-        branch_multiplicity(c.specialize(0)) for c, cls in comps if cls == "B"
-    ):
-        raise InternalCheckError("special multiplicity additivity check failed")
 
     b0 = connectivity(norm)
     hypotheses = {

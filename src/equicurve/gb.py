@@ -1,6 +1,7 @@
 """Groebner bases (global orders), standard bases (local orders, Mora normal form),
-and the ideal operations the invariant layer needs: sum, quotient, intersection,
-equality and membership.
+and the ideal operations the invariant layer needs: sum, intersection, equality
+and membership. The ideal quotient (with ``exact_divide``) is on no production
+path; the tests use it as an oracle.
 
 ``std_basis`` is Buchberger's algorithm with the normal selection strategy: the
 pending pair of least lcm degree is reduced next, ties broken by the monomial
@@ -20,10 +21,12 @@ The criteria only skip pairs whose S-polynomial has a standard representation
 by the final basis, so the result is a standard basis of the same ideal with the
 same leading ideal. Under a global order the output, which is minimalized,
 tail-reduced, monic and sorted, is the reduced Groebner basis: unique, hence the
-same whatever pairs were reduced on the way. Under the local order a tail-reduced
-standard basis is not unique in general (tail reduction is truncated); there the
-output is pinned by tests, the corpus report and the family outcomes recorded in
-perfbench/expected_families.json.
+same whatever pairs were reduced on the way. Under a local order the output is
+minimalized, monic and sorted, with its tails as computed: tail reduction need
+not terminate over power series, and no caller reads tails. Every consumer reads
+only the leading monomials (``vdim``) or whether Mora's weak normal form is zero
+(``contains``), and both are determined by the leading ideal and the ideal
+(Greuel-Pfister 1.6-1.7).
 
 Intersections and quotients are always computed in the polynomial ring with a
 global elimination order; local-order computations consume the results, which is
@@ -71,11 +74,6 @@ class Ideal:
         return f"Ideal({', '.join(g.render() for g in self.gens)})"
 
 
-def ecart(f: Polynomial, order: MonomialOrder) -> int:
-    """Degree spread between f and its leading monomial; drives Mora's reduction."""
-    return f.total_degree() - sum(f.leading_monomial(order))
-
-
 def _subtract_multiple(h: dict, g: Polynomial, q, c) -> None:
     """h -= c * x^q * g, in place on a term dict."""
     for m, gc in g.terms.items():
@@ -100,10 +98,6 @@ def _spoly(f: Polynomial, lf, g: Polynomial, lg) -> Polynomial:
     h = {mon_mul(m, qf): c * cf for m, c in f.terms.items()}
     _subtract_multiple(h, g, mon_div(l, lg), 1 / g.terms[lg])
     return _from_terms(f.ring, h)
-
-
-def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    return _spoly(f, f.leading_monomial(order), g, g.leading_monomial(order))
 
 
 def _reduce_global(f: Polynomial, G, leads, order: MonomialOrder) -> Polynomial:
@@ -162,26 +156,6 @@ def _weak_nf(f: Polynomial, G, leads, order: MonomialOrder) -> Polynomial:
     return _mora_weak_nf(f, G, leads, order)
 
 
-def _reduced_nf_local(f: Polynomial, G, leads, order: MonomialOrder, cap=2000) -> Polynomial:
-    """Tail-reduced normal form under a local order; bounded iteration because tail
-    reduction need not terminate over power series."""
-    key = order.key
-    result = {}
-    h = f
-    for _ in range(cap):
-        h = _mora_weak_nf(h, G, leads, order)
-        if h.is_zero():
-            return _from_terms(f.ring, result)
-        lm = max(h.terms, key=key)
-        c = h.terms.pop(lm)
-        s = result.get(lm, 0) + c
-        if s:
-            result[lm] = s
-        else:
-            del result[lm]
-    return _from_terms(f.ring, result) + h
-
-
 class StandardBasis:
     """A computed basis (Groebner for global orders, standard for local) of an ideal."""
 
@@ -193,19 +167,17 @@ class StandardBasis:
         self.basis = tuple(basis)
         self.lead_monomials = tuple(g.leading_monomial(order) for g in self.basis)
 
-    def normal_form(self, f: Polynomial, reduced: bool = True) -> Polynomial:
+    def normal_form(self, f: Polynomial) -> Polynomial:
+        """The division remainder under a global order, Mora's weak normal form
+        under a local one; zero iff f lies in the (localized) ideal."""
         if f.ring != self.ideal.ring:
             raise RingMismatchError("polynomial over a different ring than the basis")
         if f.is_zero():
             return f
-        if self.order.is_global:
-            return _reduce_global(f, self.basis, self.lead_monomials, self.order)
-        if reduced:
-            return _reduced_nf_local(f, self.basis, self.lead_monomials, self.order)
-        return _mora_weak_nf(f, self.basis, self.lead_monomials, self.order)
+        return _weak_nf(f, self.basis, self.lead_monomials, self.order)
 
     def contains(self, f: Polynomial) -> bool:
-        return self.normal_form(f, reduced=False).is_zero()
+        return self.normal_form(f).is_zero()
 
 
 def _update_pairs(pairs: list, L: list, order: MonomialOrder) -> list:
@@ -253,9 +225,10 @@ def std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
     order on the lcm, then the indices) from a heap, and pruned by the product,
     chain and Gebauer-Moeller criteria as each element joins (see the module
     docstring). The leading monomials of the basis are kept in a list parallel to
-    it. Output is minimalized, tail-reduced, monic and deterministically sorted;
-    under a global order it is the unique reduced Groebner basis, so the pruning
-    leaves the output unchanged.
+    it. Output is minimalized, monic and deterministically sorted, and tail-reduced
+    under a global order, where it is the unique reduced Groebner basis, so the
+    pruning leaves the output unchanged. Under a local order the tails are left
+    as computed (see the module docstring).
 
     The last ``_STD_BASES_SIZE`` results are kept and returned again for the same
     ring, generators (as term sets, in the same order) and order kind. The key
@@ -305,36 +278,19 @@ def _compute_std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
         )
     ]
 
-    # Tail-reduce each element against the others for reproducible output.
-    reduced = []
+    # Under a global order, tail-reduce each element against the others: the
+    # reduced Groebner basis is unique.
+    out = []
     for i in minimal:
-        others = [G[j] for j in minimal if j != i]
         g = G[i]
-        if others:
+        others = [G[j] for j in minimal if j != i]
+        if order.is_global and others:
             other_leads = [L[j] for j in minimal if j != i]
             lt = Polynomial.monomial(g.ring, L[i], g.terms[L[i]])
-            tail = g - lt
-            if not tail.is_zero():
-                if order.is_global:
-                    tail = _reduce_global(tail, others, other_leads, order)
-                else:
-                    tail = _reduced_nf_local(tail, others, other_leads, order, cap=500)
-            g = lt + tail
-        reduced.append((order.key(L[i]), g))
-    reduced.sort(key=lambda kg: kg[0])
-    return StandardBasis(I, order, [g for _, g in reduced])
-
-
-def normal_form(f: Polynomial, B: StandardBasis) -> Polynomial:
-    """Remainder of f modulo B; zero iff f lies in the (localized) ideal."""
-    return B.normal_form(f)
-
-
-def ideal_contains(I: Ideal, f: Polynomial, order: MonomialOrder) -> bool:
-    """Membership of f in I (in the localization at the origin for local orders)."""
-    if f.is_zero():
-        return True
-    return std_basis(I, order).contains(f)
+            g = lt + _reduce_global(g - lt, others, other_leads, order)
+        out.append((order.key(L[i]), g))
+    out.sort(key=lambda kg: kg[0])
+    return StandardBasis(I, order, [g for _, g in out])
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:

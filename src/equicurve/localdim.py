@@ -4,9 +4,13 @@ by family pullbacks.
 
 The multiplicity of the parameter t in such a ring Q[u, t]_(u,t)/J, with
 sqrt(J) = <u>, is exact: by the associativity formula it is the least u-exponent
-over the generators of J (``param_multiplicity``). The Hilbert-Samuel ladder
-``hs_multiplicity_of_param`` computes the same number from the lengths of
-J + <t^n>; it is kept as the tests' oracle and is on no production path.
+e over the generators of J (``param_multiplicity``). The Cohen-Macaulay test
+compares it with the length of J + <t> and cross-checks that against
+unmixedness, u^e in J, read from the scan that verifies sqrt(J) = <u>
+(arguments in ``is_cohen_macaulay`` and ``_check_radical_is_axis``). The
+Hilbert-Samuel ladder ``hs_multiplicity_of_param`` computes the multiplicity
+from the lengths of J + <t^n>; it is kept as the tests' oracle and is on no
+production path.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import ComputationError, InternalCheckError
-from .gb import Ideal, ideal_equal, ideal_intersect, ideal_quotient, ideal_sum, std_basis
+from .errors import ComputationError, HypothesisError, InternalCheckError
+from .gb import Ideal, ideal_equal, ideal_intersect, ideal_sum, std_basis
 from .poly import DEGREVLEX, NEGDEGREVLEX, Polynomial, mon_divides
 
 
@@ -137,23 +141,51 @@ def epsilon_from_decomposition(I: Ideal, D: PrimaryDecomposition) -> int:
     return eps
 
 
-def _check_radical_is_axis(J: Ideal, axis_var: str, power_cap: int = 64) -> int:
-    """Verify sqrt(J) = <axis_var> locally: every generator divisible by the axis
-    variable and some pure power of it in J. Returns the witnessing power."""
-    ring = J.ring
-    idx = ring.index[axis_var]
+def _axis_order(J: Ideal, axis_var: str) -> int:
+    """The least axis_var-exponent over the terms of the generators of J."""
+    idx = J.ring.index[axis_var]
+    return min(m[idx] for g in J.gens for m in g.terms)
+
+
+def _check_radical_is_axis(J: Ideal, axis_var: str) -> int:
+    """Verify sqrt(J) = <axis_var> locally and return the least k with
+    axis_var^k in J; raises HypothesisError when the radical is another ideal.
+
+    The ring of J has two variables (every caller's is (u, t)), so the local
+    ring O is a two-dimensional regular local ring, a UFD. Write u = axis_var
+    and e for its least exponent over the generators, so that J = u^e * I, with
+    I generated by the generators divided by u^e, and some generator of I not
+    divisible by u. O is a domain, so u^k lies in J iff k >= e and u^(k-e) lies
+    in I; the scan starts at k = e. The radical needs e >= 1, and then it is
+    <u> iff I has a finite colength d:
+
+    - if it has, the d + 1 classes of 1, u, ..., u^d modulo I are dependent, and
+      a dependence is u^j times a unit, so u^j lies in I for some j <= d;
+    - if it has not, a minimal prime of I has height one and is not (u), as I
+      is not in (u); it is principal, so it contains no power of u, and
+      neither do I and J.
+
+    So the scan over j = 0, ..., d is exact and ends with a hit.
+    """
+    idx = J.ring.index[axis_var]
+    e = _axis_order(J, axis_var)
+    if e == 0:
+        g = next(g for g in J.gens if any(m[idx] == 0 for m in g.terms))
+        raise HypothesisError(
+            f"radical check failed: generator {g.render()!r} not divisible by {axis_var}"
+        )
+    I = []
     for g in J.gens:
-        if any(m[idx] == 0 for m in g.terms):
-            raise ComputationError(
-                f"radical check failed: generator {g.render()!r} not divisible by {axis_var}"
-            )
-    B = std_basis(J, NEGDEGREVLEX)
-    for k in range(1, power_cap + 1):
-        if B.contains(Polynomial.var(ring, axis_var, k)):
-            return k
-    raise ComputationError(
-        f"radical check failed: no power of {axis_var} up to {power_cap} lies in the ideal"
-    )
+        terms = {m[:idx] + (m[idx] - e,) + m[idx + 1:]: c for m, c in g.terms.items()}
+        I.append(Polynomial(J.ring, terms))
+    B = std_basis(Ideal(I, J.ring), NEGDEGREVLEX)
+    d = _staircase_count(B.lead_monomials, len(J.ring))
+    if not d.finite:
+        raise HypothesisError(f"radical check failed: no power of {axis_var} lies in the ideal")
+    for j in range(d.value + 1):
+        if B.contains(Polynomial.var(J.ring, axis_var, j)):
+            return e + j
+    raise InternalCheckError(f"no power of {axis_var} up to the colength {d.value} lies in the ideal")
 
 
 def hs_multiplicity_of_param(
@@ -187,6 +219,13 @@ def hs_multiplicity_of_param(
     raise ComputationError(f"multiplicity differences did not stabilize within n = {n_max}")
 
 
+def _require_axis_param_ring(J: Ideal, param: str, axis_var: str) -> None:
+    if J.ring.names != (axis_var, param):
+        raise ComputationError(
+            f"multiplicity of {param} needs the ring ({axis_var}, {param}), got {J.ring!r}"
+        )
+
+
 def param_multiplicity(J: Ideal, param: str = "t", axis_var: str = "u") -> int:
     """Multiplicity of the parameter in the quotient by J, exactly: the least
     axis_var-exponent over the generators of J (argument in ``is_cohen_macaulay``).
@@ -194,12 +233,9 @@ def param_multiplicity(J: Ideal, param: str = "t", axis_var: str = "u") -> int:
     The ring must be exactly (axis_var, param); sqrt(J) = <axis_var> is verified
     first.
     """
-    if J.ring.names != (axis_var, param):
-        raise ComputationError(
-            f"multiplicity of {param} needs the ring ({axis_var}, {param}), got {J.ring!r}"
-        )
+    _require_axis_param_ring(J, param, axis_var)
     _check_radical_is_axis(J, axis_var)
-    return min(m[0] for g in J.gens for m in g.terms)
+    return _axis_order(J, axis_var)
 
 
 @dataclass(frozen=True)
@@ -213,33 +249,44 @@ class CMWitness:
 
 def is_cohen_macaulay(J: Ideal, param: str = "t", axis_var: str = "u") -> CMWitness:
     """Whether the quotient by J is Cohen-Macaulay, decided by length == multiplicity
-    and cross-checked against the nonzerodivisor test (J : param) = J.
+    and cross-checked against unmixedness, u^e in J.
 
     Write u = axis_var, t = param and O = Q[u, t] localized at the origin; the
     ring of J must be exactly (u, t). The length is l = vdim(J + <t>). The
     multiplicity e = e(t; O/J) is exact (``param_multiplicity``), by the
     associativity formula (Matsumura, Commutative Ring Theory, section 14):
 
-    - sqrt(J) = <u> is verified first, so (u) is the only minimal prime of O/J
+    - sqrt(J) = <u> is verified first (``_check_radical_is_axis``, which also
+      gives the least k with u^k in J), so (u) is the only minimal prime of O/J
       and e(t; O/J) = length(O_(u)/J O_(u)) * e(t; O/(u));
     - O/(u) = Q[t]_(t), so the second factor is 1;
     - O_(u) is a discrete valuation ring with uniformizer u and residue field
-      Q(t). A generator u^k * (h(t) + u * ...) with h nonzero is u^k times a
-      unit, so J O_(u) = (u^k) with k the least u-exponent over the generators
-      of J, and e = k.
+      Q(t). A generator u^a * (h(t) + u * ...) with h nonzero is u^a times a
+      unit, so J O_(u) = (u^e) with e the least u-exponent over the generators
+      of J, and the multiplicity is e.
 
     O/J is one-dimensional, so it is Cohen-Macaulay iff t is a nonzerodivisor,
-    iff l = e; the two routes must agree.
+    iff l = e. It is also Cohen-Macaulay iff J is unmixed (no embedded
+    component), and that is read from k:
+
+    - O is a UFD and O_(u) is a DVR, so the (u)-primary component of J is
+      J O_(u) meet O = (u^e);
+    - so J is unmixed iff J = (u^e), iff u^e lies in J (J lies in (u^e)
+      anyway), iff k = e.
+
+    The two routes use different standard bases and must agree.
     """
-    e = param_multiplicity(J, param=param, axis_var=axis_var)
+    _require_axis_param_ring(J, param, axis_var)
+    k = _check_radical_is_axis(J, axis_var)
+    e = _axis_order(J, axis_var)
     ring = J.ring
     t = Polynomial.var(ring, param)
     l = vdim(ideal_sum(J, Ideal([t], ring))).expect_finite("special-fiber length")
     by_length = l == e
-    by_quotient = ideal_equal(ideal_quotient(J, t), J, NEGDEGREVLEX)
-    if by_length != by_quotient:
+    by_unmixed = k == e
+    if by_length != by_unmixed:
         raise InternalCheckError(
             f"Cohen-Macaulay tests disagree: length test {by_length} "
-            f"(l={l}, e={e}), nonzerodivisor test {by_quotient}"
+            f"(l={l}, e={e}), unmixedness test {by_unmixed} (k={k})"
         )
     return CMWitness(by_length, l, e)

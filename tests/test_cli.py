@@ -3,6 +3,7 @@ determinism, exit codes and the corpus runner."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -83,6 +84,32 @@ class TestAnalyze:
             {"label": "0", "is_cm": False, "length": 3, "multiplicity": 2}
         ]
         assert verdict["whitney"] is False
+
+    @pytest.mark.parametrize(
+        "component",
+        [["u^2 - u*t + u^3", "u^3", "0"], ["u^7", "-u^6*t - 3*u^2 + 2*u*t", "0"]],
+    )
+    def test_family_with_long_local_tails(self, tmp_path, capsys, component):
+        # small families whose pullback bases have long local tails; nothing
+        # reads the tails, so nothing reduces them
+        entry = {"name": "tails", "kind": "family", "components": [component]}
+        path = write_manifest(tmp_path, manifest(entry))
+        assert main(["analyze", path]) == EXIT_OK
+        verdict = json.loads(capsys.readouterr().out)["entries"][0]["verdict"]
+        assert verdict["cm_by_component"] == [
+            {"label": "0", "is_cm": False, "length": 2, "multiplicity": 1}
+        ]
+        assert verdict["whitney"] is False
+
+    def test_pullback_radical_failure_names_the_component(self, tmp_path, capsys):
+        # J = <u*(u - t)>: the component also meets u = t
+        entry = {"name": "radical", "kind": "family",
+                 "components": [["u^2 - t*u", "u^3 - t*u^2"]]}
+        path = write_manifest(tmp_path, {"ring": ["x", "y"], "entries": [entry]})
+        assert main(["analyze", path]) == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert err.startswith("hypothesis failure:") and err.count("\n") == 1
+        assert "component '0' violates the pullback radical condition" in err
 
     def test_empty_manifest(self):
         report = analyze_manifest(manifest())
@@ -239,6 +266,19 @@ class TestCorpus:
         assert mismatches == []
         assert len(report["entries"]) == 10
         assert all(e["expectations_checked"] > 0 for e in report["entries"])
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (None, "33c4ebe0ebffd027ce356f435c2b9691b6a51e92e785e0615a18441eb08c8800"),
+            (0, "33c4ebe0ebffd027ce356f435c2b9691b6a51e92e785e0615a18441eb08c8800"),
+            (7, "8599ba881842d50cc156cce9bd169b3d707f82a5af1ebb1ca9f9613b5b87ac34"),
+        ],
+    )
+    def test_report_bytes_are_pinned(self, seed, digest):
+        report, _ = run_paper_corpus(seed=seed)
+        text = json.dumps(report, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_injected_wrong_expectation_is_flagged(self):
         overrides = {

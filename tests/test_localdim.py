@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicurve import localdim
-from equicurve.errors import ComputationError, InternalCheckError
-from equicurve.gb import Ideal, ideal_equal, ideal_quotient, ideal_sum
+from equicurve.errors import ComputationError, HypothesisError, InternalCheckError
+from equicurve.gb import Ideal, ideal_equal, ideal_quotient, ideal_sum, std_basis
 from equicurve.localdim import (
     INFINITE,
     CMWitness,
@@ -232,13 +232,13 @@ class TestHilbertSamuel:
         assert hs_multiplicity_of_param(I("u^3", "u^4", "t*u^5", ring=UT), n_max=6) == 3
 
     def test_radical_precheck_rejects_bad_generator(self):
-        with pytest.raises(ComputationError):
+        with pytest.raises(HypothesisError):
             hs_multiplicity_of_param(I("t", ring=UT))
 
     def test_radical_precheck_requires_u_power(self):
-        with pytest.raises(ComputationError):
+        with pytest.raises(HypothesisError):
             hs_multiplicity_of_param(I("t*u", ring=UT))
-        with pytest.raises(ComputationError):
+        with pytest.raises(HypothesisError):
             param_multiplicity(I("t*u", ring=UT))
 
 
@@ -263,3 +263,34 @@ class TestCohenMacaulay:
             w = is_cohen_macaulay(I(*gens, ring=UT))
             assert w.length >= w.multiplicity
             assert w.is_cm == (w.length == w.multiplicity)
+
+    @given(pullback_ideals())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_unmixedness_matches_the_quotient_oracle(self, J):
+        t = Polynomial.var(UT, "t")
+        assert is_cohen_macaulay(J).is_cm == ideal_equal(ideal_quotient(J, t), J, NEGDEGREVLEX)
+
+
+class TestRadicalScan:
+    @pytest.mark.parametrize(
+        "gens, k",
+        [(("u^3", "t*u"), 3), (("u^3",), 3), (("u^2 - u*t + u^3", "u^3"), 3), (LOWERING, 5)],
+    )
+    def test_least_power_in_the_ideal(self, gens, k):
+        J = I(*gens, ring=UT)
+        assert localdim._check_radical_is_axis(J, "u") == k
+        B = std_basis(J, NEGDEGREVLEX)
+        assert B.contains(Polynomial.var(UT, "u", k))
+        assert not B.contains(Polynomial.var(UT, "u", k - 1))
+
+    def test_no_power_cap(self):
+        # J = u*<u + t^2, t^140>: u = -t^2 modulo the second factor, so the
+        # least power of u in J is u^71
+        J = I("u^2 + u*t^2", "u*t^140", ring=UT)
+        assert localdim._check_radical_is_axis(J, "u") == 71
+        assert is_cohen_macaulay(J) == CMWitness(False, 2, 1)
+
+    @pytest.mark.parametrize("gens", [("u^2 - u*t", "u^3 - u^2*t"), ("u*t",), ("u^2", "t")])
+    def test_other_radical_is_a_hypothesis_failure(self, gens):
+        with pytest.raises(HypothesisError, match="radical check failed"):
+            is_cohen_macaulay(I(*gens, ring=UT))
