@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ComputationError, InternalCheckError
 from .gb import Ideal
@@ -179,10 +178,20 @@ def delta_reduced(branches) -> int:
     Nakayama's lemma (Matsumura, Commutative Ring Theory, Thm 2.2) gives
     N = 0, i.e. M c O. So u^J O' c O and delta is the codimension, exactly.
 
+    The closure runs on integers. Each coordinate's jets, on all branches at
+    once, are scaled by the lcm of their denominators. A coordinate times a
+    nonzero constant generates the same algebra, so S, its rank and the
+    certificate are unchanged; every vector the closure meets is a nonzero
+    multiple of the one it meets with the unscaled coordinates, so the same
+    vectors are independent, in the same order.
+
     J starts at twice the largest branch order and doubles up to
-    JET_ORDER_CAP. A curve with two branches on the same image (in different
-    parametrizations) has infinite delta and fails there, as does a branch of
-    order above JET_ORDER_CAP / 2.
+    JET_ORDER_CAP. The certificate can still fail there: for two branches on
+    the same image (delta infinite), for a map that is not a normalization,
+    or for a finite delta whose conductor lies past the cap, such as that of
+    (u^17, u^19). A branch of order above JET_ORDER_CAP / 2 leaves no jet
+    order to try. The error then states the jet order that was not certified
+    and names no cause.
     """
     branches = list(branches)
     for b in branches:
@@ -195,15 +204,18 @@ def delta_reduced(branches) -> int:
     r = len(branches)
     orders = [b.u_order() for b in branches]
     # coordinates[k][i]: the u-jet of coordinate k on branch i, as (exponent,
-    # coefficient) pairs in increasing exponent order
-    coordinates = [
-        [sorted((sum(m), c) for m, c in b.components[k].terms.items()) for b in branches]
-        for k in range(branches[0].ambient_dim)
-    ]
+    # coefficient) pairs in increasing exponent order, with integer coefficients
+    coordinates = []
+    for k in range(branches[0].ambient_dim):
+        jets = [sorted((sum(m), c) for m, c in b.components[k].terms.items()) for b in branches]
+        d = math.lcm(*(c.denominator for jet in jets for _, c in jet))
+        coordinates.append(
+            [[(e, c.numerator * (d // c.denominator)) for e, c in jet] for jet in jets]
+        )
     J = 2 * max(orders)
     while J <= JET_ORDER_CAP:
         span = RowSpace()
-        queue = [{i * J: Fraction(1) for i in range(r)}]
+        queue = [{i * J: 1 for i in range(r)}]
         span.add(queue[0])
         while queue:
             vec = queue.pop()
@@ -212,17 +224,21 @@ def delta_reduced(branches) -> int:
                 if prod and span.add(prod):
                     queue.append(prod)
         if all(
-            span.contains({i * J + j: Fraction(1)})
+            span.contains({i * J + j: 1})
             for i, m in enumerate(orders)
             for j in range(J - m, J)
         ):
             return r * J - span.rank
         if J == JET_ORDER_CAP:
-            break
+            raise ComputationError(
+                f"delta not certified within JET_ORDER_CAP = {JET_ORDER_CAP}: at the "
+                f"last jet order tried, J = {J}, the unit jets u^j e_i with "
+                "J - m_i <= j < J are not all in the span"
+            )
         J = min(2 * J, JET_ORDER_CAP)
     raise ComputationError(
-        f"delta not certified within JET_ORDER_CAP = {JET_ORDER_CAP}; a curve with "
-        "a repeated branch has infinite delta"
+        f"delta not certified within JET_ORDER_CAP = {JET_ORDER_CAP}: branch order "
+        f"{max(orders)} needs jet order {J} for the certificate"
     )
 
 

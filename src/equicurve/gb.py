@@ -110,7 +110,9 @@ def _reduce_global(f: Polynomial, G, leads, order: MonomialOrder) -> Polynomial:
     while h:
         steps += 1
         if steps > _REDUCTION_CAP:
-            raise InternalCheckError("global reduction exceeded iteration cap")
+            raise ComputationError(
+                f"global reduction not finished within _REDUCTION_CAP = {_REDUCTION_CAP} steps"
+            )
         lm = max(h, key=key)
         for g, lg in zip(G, leads):
             if mon_divides(lg, lm):
@@ -134,7 +136,9 @@ def _mora_weak_nf(f: Polynomial, G, leads, order: MonomialOrder) -> Polynomial:
     while h:
         steps += 1
         if steps > _REDUCTION_CAP:
-            raise InternalCheckError("Mora normal form exceeded iteration cap")
+            raise ComputationError(
+                f"Mora normal form not finished within _REDUCTION_CAP = {_REDUCTION_CAP} steps"
+            )
         lm = max(h, key=key)
         best = None
         for t in T:

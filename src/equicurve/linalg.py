@@ -1,47 +1,83 @@
-"""Exact rational linear algebra: incremental echelon spans.
+"""Exact linear algebra over the rationals: incremental echelon spans.
 
-Vectors are sparse dicts mapping column index to a nonzero Fraction. Ranks and
-memberships are decided exactly; no numerical tolerance enters anywhere.
+Vectors are sparse dicts mapping column index to a nonzero rational (an int or
+a Fraction). A span stores each row as a primitive integer vector: integer
+entries with gcd 1 and a positive pivot. Elimination is fraction-free (Bareiss,
+Math. Comp. 1968): a vector is scaled by an integer before a row is subtracted
+and divided by its content afterwards, so it only changes by nonzero rational
+factors. Ranks and memberships over Q are therefore decided exactly; no
+numerical tolerance enters anywhere.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
+
+
+def _integral(vec):
+    """A new dict holding vec times the lcm of its denominators: integer entries."""
+    vals = vec.values()
+    if set(map(type, vals)) == {int}:
+        return dict(vec)
+    d = lcm(*(v.denominator for v in vals))
+    return {col: v.numerator * (d // v.denominator) for col, v in vec.items()}
 
 
 class RowSpace:
     """Incrementally built row space in echelon form, for rank and membership queries."""
 
     def __init__(self):
-        self.rows = {}  # pivot column -> row (dict col -> Fraction, pivot coeff 1)
+        self.rows = {}  # pivot column -> primitive integer row, positive pivot
 
     @property
     def rank(self):
         return len(self.rows)
 
     def _reduce(self, vec):
-        vec = dict(vec)
+        """The remainder of the integer vector vec, which it consumes, against the rows.
+
+        For a row with pivot a and an entry c of vec at that column, vec becomes
+        vec*(a/g) - row*(c/g) with g = gcd(a, c); the remainder is a nonzero
+        multiple of the rational one, so it is empty exactly when vec lies in
+        the span.
+        """
+        rows = self.rows
         while vec:
             p = min(vec)
-            row = self.rows.get(p)
+            row = rows.get(p)
             if row is None:
                 return vec
+            a = row[p]
             c = vec[p]
+            g = gcd(a, c)
+            scale = a // g
+            if scale != 1:
+                for col in vec:
+                    vec[col] *= scale
+            c //= g
             for col, val in row.items():
                 s = vec.get(col, 0) - c * val
                 if s:
                     vec[col] = s
                 else:
                     vec.pop(col, None)
+            if scale != 1 and vec:
+                h = gcd(*vec.values())
+                if h != 1:
+                    vec = {col: val // h for col, val in vec.items()}
         return vec
 
     def add(self, vec) -> bool:
         """Add a vector to the span; True if it was independent of the current span."""
-        red = self._reduce(vec)
+        red = self._reduce(_integral(vec))
         if not red:
             return False
         p = min(red)
-        inv = 1 / red[p]
-        self.rows[p] = {col: val * inv for col, val in red.items()}
+        h = gcd(*red.values())
+        if red[p] < 0:
+            h = -h
+        self.rows[p] = {col: val // h for col, val in red.items()} if h != 1 else red
         return True
 
     def contains(self, vec) -> bool:
-        return not self._reduce(vec)
+        return not self._reduce(_integral(vec))

@@ -20,7 +20,7 @@ from functools import reduce
 
 from .errors import ComputationError, HypothesisError, InternalCheckError
 from .gb import Ideal, ideal_equal, ideal_intersect, ideal_sum, std_basis
-from .poly import DEGREVLEX, NEGDEGREVLEX, Polynomial, mon_divides
+from .poly import DEGREVLEX, NEGDEGREVLEX, Polynomial
 
 
 @dataclass(frozen=True)
@@ -48,27 +48,33 @@ INFINITE = LengthValue(None)
 def _staircase_count(leads, nvars) -> LengthValue:
     """Number of monomials outside the staircase of the given lead monomials.
 
-    Finite iff every variable has a pure power among the leads; counted by direct
-    enumeration of the bounding box.
+    Finite iff every variable has a pure power among the leads; counted by
+    ``_count_below``.
     """
-    bounds = []
     for i in range(nvars):
-        pure = [m[i] for m in leads if all(e == 0 for j, e in enumerate(m) if j != i)]
-        if not pure:
+        if not any(all(e == 0 for j, e in enumerate(m) if j != i) for m in leads):
             return INFINITE
-        bounds.append(min(pure))
+    return LengthValue(_count_below(leads, nvars))
 
-    count = 0
-    stack = [(0, ())]
-    while stack:
-        i, prefix = stack.pop()
-        if i == nvars:
-            if not any(mon_divides(l, prefix) for l in leads):
-                count += 1
-            continue
-        for e in range(bounds[i]):
-            stack.append((i + 1, prefix + (e,)))
-    return LengthValue(count)
+
+def _count_below(leads, nvars) -> int:
+    """Count of the monomials in nvars variables divisible by none of the leads,
+    every variable having a pure power among them.
+
+    A monomial x_1^e * m lies outside the staircase iff m lies outside that of
+    the leads with first exponent at most e, with that exponent dropped. This
+    set of leads only changes at the first exponents of the leads, and the
+    slices stop at the least pure power of x_1, so each run of equal sets is
+    counted once, times its length.
+    """
+    if nvars == 0:
+        return 0 if leads else 1
+    bound = min(m[0] for m in leads if not any(m[1:]))
+    cuts = sorted({0} | {m[0] for m in leads if m[0] < bound})
+    total = 0
+    for lo, hi in zip(cuts, cuts[1:] + [bound]):
+        total += (hi - lo) * _count_below([m[1:] for m in leads if m[0] <= lo], nvars - 1)
+    return total
 
 
 def vdim(I: Ideal) -> LengthValue:

@@ -257,6 +257,11 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ParseError("negative exponent")
+        if len(self.terms) == 1:
+            ((m, c),) = self.terms.items()
+            out = Polynomial(self.ring)
+            out.terms = {tuple(e * n for e in m): c**n}
+            return out
         result = Polynomial.const(self.ring, 1)
         base = self
         while n:

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from equicurve import gb
 from equicurve.cli import (
     EXIT_COMPUTE,
     EXIT_HYPOTHESIS,
@@ -319,6 +320,17 @@ class TestStd:
         path.write_text(json.dumps({"ring": ["x"], "generators": ["x"]}))
         assert main(["std", str(path), "--order", "degrevlex"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "x"
+
+    def test_reduction_budget_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(gb, "_REDUCTION_CAP", 2)
+        gb._STD_BASES.clear()
+        path = tmp_path / "i.json"
+        gens = ["x^2 + y*z", "y^3 - x*z", "z^2 + x*y^2 + x^3"]
+        path.write_text(json.dumps({"ring": ["x", "y", "z"], "generators": gens}))
+        assert main(["std", str(path), "--order", "degrevlex"]) == EXIT_COMPUTE
+        err = capsys.readouterr().err
+        assert err.startswith("computation error:") and err.count("\n") == 1
+        assert "_REDUCTION_CAP" in err
 
     def test_unknown_order(self, tmp_path, capsys):
         path = tmp_path / "i.json"

@@ -178,6 +178,32 @@ class TestDeltaReduced:
         with pytest.raises(ComputationError, match="JET_ORDER_CAP"):
             delta_reduced([branch(*c) for c in comps])
 
+    @pytest.mark.parametrize(
+        "comps, reason",
+        [
+            # a plane branch of delta 144, certified only past the cap
+            (("u^17", "u^19"), "J = 256"),
+            # factors through v = u^2 + u^3, yet its exponent gcd is 1
+            (("u^2 + u^3", "u^4 + 2*u^5 + u^6"), "J = 256"),
+            (("u^129", "u^130"), "needs jet order 258"),
+        ],
+    )
+    def test_cap_failure_names_no_unproven_cause(self, comps, reason):
+        with pytest.raises(ComputationError, match="JET_ORDER_CAP") as exc:
+            delta_reduced([branch(*comps)])
+        assert reason in str(exc.value)
+        assert "repeated branch" not in str(exc.value)
+
+    def test_rational_coefficients(self):
+        # (u^7, u^9 + ...) has the semigroup <7, 9> whatever the higher terms
+        br = branch("u^7", "u^9 + 1/3*u^10 - 5/7*u^11")
+        assert delta_reduced([br]) == 24 == semigroup_delta_oracle(branch("u^7", "u^9"))
+
+    def test_dense_plane_branch(self):
+        # semigroup <10, 11>: delta (a - 1)(b - 1)/2 = 45
+        dense = " + ".join(f"u^{k}" for k in range(11, 40))
+        assert delta_reduced([branch("u^10", dense)]) == 45
+
     def test_rejects_repeated_branch(self):
         with pytest.raises(ComputationError):
             delta_reduced([branch("u^2", "u^3"), branch("u^2", "u^3")])

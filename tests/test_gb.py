@@ -146,6 +146,14 @@ class TestMemo:
         assert len(gb._STD_BASES) == gb._STD_BASES_SIZE
 
 
+class TestReductionBudget:
+    @pytest.mark.parametrize("order", [DEGREVLEX, NEGDEGREVLEX], ids=lambda o: o.kind)
+    def test_budget_is_a_computation_error(self, monkeypatch, order):
+        monkeypatch.setattr(gb, "_REDUCTION_CAP", 2)
+        with pytest.raises(ComputationError, match="_REDUCTION_CAP = 2 steps"):
+            fresh_std_basis(I(*MEMO_GENS), order)
+
+
 class TestIdealOps:
     def test_sum(self):
         s = ideal_sum(I("x"), I("y"))

@@ -16,6 +16,7 @@ from equicurve.gb import Ideal, ideal_equal, ideal_quotient, ideal_sum, std_basi
 from equicurve.localdim import (
     INFINITE,
     CMWitness,
+    LengthValue,
     PrimaryDecomposition,
     epsilon_from_decomposition,
     hs_multiplicity_of_param,
@@ -23,7 +24,7 @@ from equicurve.localdim import (
     param_multiplicity,
     vdim,
 )
-from equicurve.poly import NEGDEGREVLEX, Polynomial, VarSet, parse_poly
+from equicurve.poly import NEGDEGREVLEX, Polynomial, VarSet, mon_divides, parse_poly
 
 XYZ = VarSet(("x", "y", "z"))
 UT = VarSet(("u", "t"))
@@ -84,6 +85,49 @@ class TestVdim:
                 if not any(all(c[i] >= m[i] for i in range(3)) for m in monos)
             )
             assert v.value == count
+
+
+def enumerated_staircase_count(leads, nvars):
+    """Monomials outside the staircase, enumerated over the box below the pure
+    powers; the reference for ``localdim._staircase_count``."""
+    bounds = []
+    for i in range(nvars):
+        pure = [m[i] for m in leads if all(e == 0 for j, e in enumerate(m) if j != i)]
+        if not pure:
+            return INFINITE
+        bounds.append(min(pure))
+    count = sum(
+        1
+        for c in itertools.product(*(range(b) for b in bounds))
+        if not any(mon_divides(m, c) for m in leads)
+    )
+    return LengthValue(count)
+
+
+@st.composite
+def lead_sets(draw):
+    """Lead monomials in 1-3 variables, usually with every pure power present."""
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 7)] * nvars)
+    leads = draw(st.lists(exps, max_size=5))
+    for i in range(nvars):
+        if draw(st.integers(0, 9)):
+            leads.append(tuple(draw(st.integers(0, 9)) if j == i else 0 for j in range(nvars)))
+    return leads, nvars
+
+
+class TestStaircaseCount:
+    @given(lead_sets())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_matches_enumeration(self, case):
+        leads, nvars = case
+        assert localdim._staircase_count(leads, nvars) == enumerated_staircase_count(
+            leads, nvars
+        )
+
+    def test_large_box(self):
+        leads = [(40, 0, 0), (0, 40, 0), (0, 0, 40)]
+        assert localdim._staircase_count(leads, 3) == LengthValue(64000)
 
 
 CURVE_IDEAL = ("x*z", "y^3 - x^4", "y^2*z", "y*z^2", "z^3")

@@ -101,6 +101,23 @@ class TestArithmetic:
     def test_pow_zero(self):
         assert P("x") ** 0 == Polynomial.const(XYZ, 1)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    @pytest.mark.parametrize(
+        "base, ring", [("u", UT), ("-2*u^3", UT), ("(2/3*u^2*t)", UT), ("(x*y)", XYZ)]
+    )
+    def test_monomial_power_equals_repeated_product(self, base, ring, n):
+        f = P(base, ring)
+        product = Polynomial.const(ring, 1)
+        for _ in range(n):
+            product = product * f
+        assert f**n == product
+        assert P(f"({base})^{n}", ring) == product
+
+    def test_zero_power(self):
+        zero = Polynomial.zero(XYZ)
+        assert zero**0 == Polynomial.const(XYZ, 1)
+        assert zero**3 == zero
+
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatchError):
             P("x") + parse_poly("u", UT)
