@@ -2,15 +2,15 @@
 decomposition, and the Cohen-Macaulay test for the one-dimensional rings produced
 by family pullbacks.
 
-The multiplicity of the parameter t in such a ring Q[u, t]_(u,t)/J, with
-sqrt(J) = <u>, is exact: by the associativity formula it is the least u-exponent
-e over the generators of J (``param_multiplicity``). The Cohen-Macaulay test
-compares it with the length of J + <t> and cross-checks that against
-unmixedness, u^e in J, read from the scan that verifies sqrt(J) = <u>
-(arguments in ``is_cohen_macaulay`` and ``_check_radical_is_axis``). The
-Hilbert-Samuel ladder ``hs_multiplicity_of_param`` computes the multiplicity
-from the lengths of J + <t^n>; it is kept as the tests' oracle and is on no
-production path.
+For such a ring Q[u, t]_(u,t)/J the whole Cohen-Macaulay witness is read off
+the generators of J, with no standard basis. sqrt(J) = <u> is verified by
+divisibility by u and one polynomial gcd (``_verify_radical_is_axis``). The
+multiplicity of t is the least u-exponent e over the generators, by the
+associativity formula (``param_multiplicity``). The length of J + <t> is the
+least order in u of the generators at t = 0, and the ring is Cohen-Macaulay iff
+the two are equal (arguments in ``is_cohen_macaulay``). The Hilbert-Samuel
+ladder ``hs_multiplicity_of_param`` computes the multiplicity from the lengths
+of J + <t^n>; it is kept as the tests' oracle and is on no production path.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from functools import reduce
 
 from .errors import ComputationError, HypothesisError, InternalCheckError
 from .gb import Ideal, ideal_equal, ideal_intersect, ideal_sum, std_basis
+from .gcd import bivariate_gcd
 from .poly import DEGREVLEX, NEGDEGREVLEX, Polynomial
 
 
@@ -147,51 +148,46 @@ def epsilon_from_decomposition(I: Ideal, D: PrimaryDecomposition) -> int:
     return eps
 
 
-def _axis_order(J: Ideal, axis_var: str) -> int:
-    """The least axis_var-exponent over the terms of the generators of J."""
-    idx = J.ring.index[axis_var]
-    return min(m[idx] for g in J.gens for m in g.terms)
-
-
-def _check_radical_is_axis(J: Ideal, axis_var: str) -> int:
-    """Verify sqrt(J) = <axis_var> locally and return the least k with
-    axis_var^k in J; raises HypothesisError when the radical is another ideal.
+def _verify_radical_is_axis(J: Ideal, axis_var: str) -> int:
+    """Verify sqrt(J) = <axis_var> locally at the origin and return the least
+    axis_var-exponent e over the generators; raises HypothesisError when the
+    radical is another ideal.
 
     The ring of J has two variables (every caller's is (u, t)), so the local
     ring O is a two-dimensional regular local ring, a UFD. Write u = axis_var
-    and e for its least exponent over the generators, so that J = u^e * I, with
-    I generated by the generators divided by u^e, and some generator of I not
-    divisible by u. O is a domain, so u^k lies in J iff k >= e and u^(k-e) lies
-    in I; the scan starts at k = e. The radical needs e >= 1, and then it is
-    <u> iff I has a finite colength d:
+    and J = u^e * I, with I generated by the generators divided by u^e and some
+    generator of I not divisible by u. The radical needs e >= 1, and then it is
+    <u> iff I has finite colength in O. That is read off the generators of I:
 
-    - if it has, the d + 1 classes of 1, u, ..., u^d modulo I are dependent, and
-      a dependence is u^j times a unit, so u^j lies in I for some j <= d;
-    - if it has not, a minimal prime of I has height one and is not (u), as I
-      is not in (u); it is principal, so it contains no power of u, and
-      neither do I and J.
+    - if one of them has a nonzero constant term, it is a unit and I O = O;
+    - otherwise let h be the gcd in Q[u, t] of the generators of I. If
+      h(0) = 0, then h is prime to u (u does not divide every generator of
+      I), so
+      V(h) is a curve germ other than u = 0 and contains V(I): the colength is
+      infinite and no power of u lies in J. If h(0) != 0, h is a unit in O and
+      I O is generated by the coprime quotients of the generators by h, which
+      have finitely many common zeros: the colength is finite.
 
-    So the scan over j = 0, ..., d is exact and ends with a hit.
+    The gcd is taken over Q, and it is also the gcd over the algebraic closure.
     """
     idx = J.ring.index[axis_var]
-    e = _axis_order(J, axis_var)
+    e = min(m[idx] for g in J.gens for m in g.terms)
     if e == 0:
         g = next(g for g in J.gens if any(m[idx] == 0 for m in g.terms))
         raise HypothesisError(
             f"radical check failed: generator {g.render()!r} not divisible by {axis_var}"
         )
-    I = []
+    unit = tuple(e if i == idx else 0 for i in range(len(J.ring)))
+    if any(unit in g.terms for g in J.gens):
+        return e
+    h = Polynomial(J.ring)
     for g in J.gens:
-        terms = {m[:idx] + (m[idx] - e,) + m[idx + 1:]: c for m, c in g.terms.items()}
-        I.append(Polynomial(J.ring, terms))
-    B = std_basis(Ideal(I, J.ring), NEGDEGREVLEX)
-    d = _staircase_count(B.lead_monomials, len(J.ring))
-    if not d.finite:
-        raise HypothesisError(f"radical check failed: no power of {axis_var} lies in the ideal")
-    for j in range(d.value + 1):
-        if B.contains(Polynomial.var(J.ring, axis_var, j)):
-            return e + j
-    raise InternalCheckError(f"no power of {axis_var} up to the colength {d.value} lies in the ideal")
+        cofactor = Polynomial(J.ring)
+        cofactor.terms = {m[:idx] + (m[idx] - e,) + m[idx + 1:]: c for m, c in g.terms.items()}
+        h = bivariate_gcd(h, cofactor)
+        if h.constant_term():  # so is that of every divisor of h
+            return e
+    raise HypothesisError(f"radical check failed: no power of {axis_var} lies in the ideal")
 
 
 def hs_multiplicity_of_param(
@@ -208,7 +204,7 @@ def hs_multiplicity_of_param(
     20, 22, ..., so the differences read 3 five times before settling at 2, and
     the ladder returns 3. Compare against a late difference instead.
     """
-    _check_radical_is_axis(J, axis_var)
+    _verify_radical_is_axis(J, axis_var)
     ring = J.ring
     lengths = []
     diffs = []
@@ -240,8 +236,7 @@ def param_multiplicity(J: Ideal, param: str = "t", axis_var: str = "u") -> int:
     first.
     """
     _require_axis_param_ring(J, param, axis_var)
-    _check_radical_is_axis(J, axis_var)
-    return _axis_order(J, axis_var)
+    return _verify_radical_is_axis(J, axis_var)
 
 
 @dataclass(frozen=True)
@@ -254,45 +249,32 @@ class CMWitness:
 
 
 def is_cohen_macaulay(J: Ideal, param: str = "t", axis_var: str = "u") -> CMWitness:
-    """Whether the quotient by J is Cohen-Macaulay, decided by length == multiplicity
-    and cross-checked against unmixedness, u^e in J.
+    """Whether the quotient by J is Cohen-Macaulay, read off the generators of J:
+    it is iff l = e, iff some generator has a nonzero u^e * t^0 term.
 
     Write u = axis_var, t = param and O = Q[u, t] localized at the origin; the
-    ring of J must be exactly (u, t). The length is l = vdim(J + <t>). The
-    multiplicity e = e(t; O/J) is exact (``param_multiplicity``), by the
-    associativity formula (Matsumura, Commutative Ring Theory, section 14):
+    ring of J must be exactly (u, t). sqrt(J) = <u> is verified first
+    (``_verify_radical_is_axis``), so (u) is the only minimal prime of O/J.
 
-    - sqrt(J) = <u> is verified first (``_check_radical_is_axis``, which also
-      gives the least k with u^k in J), so (u) is the only minimal prime of O/J
-      and e(t; O/J) = length(O_(u)/J O_(u)) * e(t; O/(u));
-    - O/(u) = Q[t]_(t), so the second factor is 1;
-    - O_(u) is a discrete valuation ring with uniformizer u and residue field
-      Q(t). A generator u^a * (h(t) + u * ...) with h nonzero is u^a times a
-      unit, so J O_(u) = (u^e) with e the least u-exponent over the generators
-      of J, and the multiplicity is e.
-
-    O/J is one-dimensional, so it is Cohen-Macaulay iff t is a nonzerodivisor,
-    iff l = e. It is also Cohen-Macaulay iff J is unmixed (no embedded
-    component), and that is read from k:
-
-    - O is a UFD and O_(u) is a DVR, so the (u)-primary component of J is
-      J O_(u) meet O = (u^e);
-    - so J is unmixed iff J = (u^e), iff u^e lies in J (J lies in (u^e)
-      anyway), iff k = e.
-
-    The two routes use different standard bases and must agree.
+    - The multiplicity e = e(t; O/J) is the least u-exponent over the
+      generators of J, by the associativity formula (Matsumura, Commutative
+      Ring Theory, section 14): e(t; O/J) = length(O_(u)/J O_(u)) * e(t; O/(u)),
+      and O/(u) = Q[t]_(t), so the second factor is 1. O_(u) is a discrete
+      valuation ring with uniformizer u and residue field Q(t); a generator
+      u^a * (h(t) + u * ...) with h nonzero is u^a times a unit, so
+      J O_(u) = (u^e).
+    - The length l = length(O/(J + <t>)) is that of Q[u]_(u) modulo the
+      generators at t = 0, i.e. the least order in u of n(u, 0) over the
+      generators n. It is finite: if t divided every generator, it would divide
+      their gcd in the radical check, and that check would have failed.
+    - O/J is one-dimensional, so it is Cohen-Macaulay iff t is a
+      nonzerodivisor, iff l = e. Equivalently J is unmixed: O is a UFD, so the
+      (u)-primary component of J is J O_(u) meet O = (u^e), and J = u^e * I
+      lies in it, with equality iff 1 lies in I O, iff some generator has a
+      nonzero u^e * t^0 term, iff l = e. Both readings are the same support
+      read, so nothing is cross-checked here.
     """
     _require_axis_param_ring(J, param, axis_var)
-    k = _check_radical_is_axis(J, axis_var)
-    e = _axis_order(J, axis_var)
-    ring = J.ring
-    t = Polynomial.var(ring, param)
-    l = vdim(ideal_sum(J, Ideal([t], ring))).expect_finite("special-fiber length")
-    by_length = l == e
-    by_unmixed = k == e
-    if by_length != by_unmixed:
-        raise InternalCheckError(
-            f"Cohen-Macaulay tests disagree: length test {by_length} "
-            f"(l={l}, e={e}), unmixedness test {by_unmixed} (k={k})"
-        )
-    return CMWitness(by_length, l, e)
+    e = _verify_radical_is_axis(J, axis_var)
+    l = min(a for g in J.gens for a, b in g.terms if b == 0)
+    return CMWitness(l == e, l, e)

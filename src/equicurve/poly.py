@@ -1,4 +1,5 @@
-"""Exact multivariate polynomials over the rationals, monomial orders, and a text parser.
+"""Exact multivariate polynomials over the rationals, monomial orders, and a text
+parser with explicit budgets.
 
 Monomials are exponent tuples aligned with a fixed ``VarSet``; polynomials are
 sparse dicts mapping exponent tuples to nonzero ``Fraction`` coefficients.
@@ -7,6 +8,7 @@ All arithmetic is exact; there is no floating point anywhere in the package.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -255,6 +257,11 @@ class Polynomial:
     __radd__ = __add__
 
     def __pow__(self, n: int):
+        return self.power(n)
+
+    def power(self, n: int, multiply=None):
+        """self**n by repeated squaring; ``multiply(p, q)``, p * q by default,
+        does each product (the parser passes one that checks its budget)."""
         if n < 0:
             raise ParseError("negative exponent")
         if len(self.terms) == 1:
@@ -262,12 +269,13 @@ class Polynomial:
             out = Polynomial(self.ring)
             out.terms = {tuple(e * n for e in m): c**n}
             return out
+        multiply = multiply or Polynomial.__mul__
         result = Polynomial.const(self.ring, 1)
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = multiply(result, base)
+            base = multiply(base, base) if n > 1 else base
             n >>= 1
         return result
 
@@ -370,7 +378,10 @@ def _tokenize(text: str):
                 raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} in {text!r}")
             break
         if m.lastgroup == "num":
-            tokens.append(("num", int(m.group("num"))))
+            try:
+                tokens.append(("num", int(m.group("num"))))
+            except ValueError:  # past the interpreter's limit on digits
+                raise ParseError(f"number literal of {m.end() - m.start()} characters is too long") from None
         elif m.lastgroup == "ident":
             tokens.append(("ident", m.group("ident")))
         else:
@@ -380,14 +391,34 @@ def _tokenize(text: str):
     return tokens
 
 
-# Deepest parenthesis nesting parse_poly accepts; each level costs five
-# interpreter frames, so this stays well inside Python's recursion limit.
+# Budgets of parse_poly; input past one is a ParseError that names it. A number
+# counts once per started 64-bit word of its numerator and denominator
+# (``_words``), since arithmetic on it costs about that many small products.
+# Deepest parenthesis nesting; each level costs five interpreter frames, so this
+# stays well inside Python's recursion limit.
 MAX_NESTING = 100
+# Largest exponent, counted through nested powers and times the words of a
+# number: in (a^m)^n the exponent applied to a is m*n. It bounds the degree and
+# the coefficients one power can build, which no count of terms sees:
+# ((2^9)^9)^9 is one term.
+MAX_EXPONENT = 1000
+# Most term products in one multiplication, the parser's own or one step of a
+# power's repeated squaring: the operands' term counts multiplied, times the
+# words of their largest coefficient. The slowest accepted input found,
+# (u + t + 1)^43, parses in 0.4 s on a 2-vCPU VM; (u + u^2)^303 in 0.2 s.
+MAX_TERM_PRODUCTS = 50_000
+
+
+def _words(c: Fraction) -> int:
+    return 1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64
 
 
 class _Parser:
     """Recursive descent over: expr := term (+|- term)*; term := unary (* unary)*;
-    unary := (+|-)* power; power := atom [^ num]; atom := rational | ident | ( expr )."""
+    unary := (+|-)* power; power := atom [^ num]; atom := rational | ident | ( expr ).
+
+    Each rule returns the polynomial and the largest exponent applied to an
+    atom inside it, counted through nested powers (see MAX_EXPONENT)."""
 
     def __init__(self, text, ring):
         self.text = text
@@ -409,46 +440,63 @@ class _Parser:
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r} in {self.text!r}")
 
+    def multiply(self, p, q):
+        coeffs = itertools.chain(p.terms.values(), q.terms.values())
+        size = len(p.terms) * len(q.terms) * max(map(_words, coeffs), default=1)
+        if size > MAX_TERM_PRODUCTS:
+            raise ParseError(
+                f"a multiplication of {size} term products exceeds "
+                f"MAX_TERM_PRODUCTS = {MAX_TERM_PRODUCTS} in {self.text!r}"
+            )
+        return p * q
+
     def parse(self):
-        p = self.expr()
+        p, _ = self.expr()
         if self.peek()[0] != "end":
             raise ParseError(f"trailing input in {self.text!r}")
         return p
 
     def expr(self):
-        p = self.term()
+        p, w = self.term()
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             _, op = self.next()
-            q = self.term()
+            q, wq = self.term()
             p = p + q if op == "+" else p - q
-        return p
+            w = max(w, wq)
+        return p, w
 
     def term(self):
-        p = self.unary()
+        p, w = self.unary()
         while self.peek() == ("op", "*"):
             self.next()
-            p = p * self.unary()
-        return p
+            q, wq = self.unary()
+            p = self.multiply(p, q)
+            w = max(w, wq)
+        return p, w
 
     def unary(self):
         negate = False
         while self.peek() in (("op", "-"), ("op", "+")):
             negate ^= self.next()[1] == "-"
-        p = self.power()
-        return -p if negate else p
+        p, w = self.power()
+        return (-p if negate else p), w
 
     def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.next()
-            kind, val = self.peek()
-            if kind == "op" and val == "-":
-                raise ParseError(f"negative exponent in {self.text!r}")
-            kind, val = self.next()
-            if kind != "num":
-                raise ParseError(f"exponent must be an integer literal in {self.text!r}")
-            return base**val
-        return base
+        base, w = self.atom()
+        if self.peek() != ("op", "^"):
+            return base, w
+        self.next()
+        kind, val = self.peek()
+        if kind == "op" and val == "-":
+            raise ParseError(f"negative exponent in {self.text!r}")
+        kind, n = self.next()
+        if kind != "num":
+            raise ParseError(f"exponent must be an integer literal in {self.text!r}")
+        if w * n > MAX_EXPONENT:
+            raise ParseError(
+                f"exponent {w * n} exceeds MAX_EXPONENT = {MAX_EXPONENT} in {self.text!r}"
+            )
+        return base.power(n, self.multiply), w * n
 
     def atom(self):
         kind, val = self.next()
@@ -460,12 +508,12 @@ class _Parser:
                     raise ParseError(f"malformed rational literal in {self.text!r}")
                 if den == 0:
                     raise ParseError("zero denominator")
-                return Polynomial.const(self.ring, Fraction(val, den))
-            return Polynomial.const(self.ring, val)
+                val = Fraction(val, den)
+            return Polynomial.const(self.ring, val), _words(Fraction(val))
         if kind == "ident":
             if val not in self.ring:
                 raise ParseError(f"unknown variable {val!r} (ring has {self.ring.names})")
-            return Polynomial.var(self.ring, val)
+            return Polynomial.var(self.ring, val), 1
         if kind == "op" and val == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")

@@ -227,6 +227,39 @@ class TestSchemaRejection:
         assert err.startswith("computation error:") and err.count("\n") == 1
         assert "JET_ORDER_CAP" in err
 
+    def test_degenerate_samples_are_a_compute_error(self, tmp_path, capsys):
+        # both seed-0 samples, t = 1 and t = -5/9, are roots of the t*u coefficient,
+        # so both sampled fibers have multiplicity 3 over the generic 1
+        entry = {"name": "degenerate", "kind": "family",
+                 "components": [["u^3", "u^4", "(t-1)*(t+5/9)*u"]]}
+        path = write_manifest(tmp_path, manifest(entry))
+        assert main(["analyze", path]) == EXIT_COMPUTE
+        err = capsys.readouterr().err
+        assert err.startswith("computation error:") and err.count("\n") == 1
+        assert "t = 1, -5/9" in err and "multiplicity 3" in err and "multiplicity 1" in err
+        assert "Hilbert" not in err
+
+    @pytest.mark.parametrize(
+        "ring, field, text, budget",
+        [
+            (["x", "y", "z"], "branches", "(u+u^2)^100000", "MAX_EXPONENT"),
+            (["x", "y", "z"], "branches", "2^100000000", "MAX_EXPONENT"),
+            (["x", "y", "z", "w", "v"], "ideal", "(x+y+z+w+v)^40", "MAX_TERM_PRODUCTS"),
+        ],
+    )
+    def test_parser_budgets(self, tmp_path, capsys, ring, field, text, budget):
+        branch = ["u"] + ["0"] * (len(ring) - 1)
+        entry = {"name": "budget", "kind": "curve", "branches": [branch]}
+        if field == "branches":
+            entry["branches"] = [[text] + branch[1:]]
+        else:
+            entry["ideal"] = [text]
+        path = write_manifest(tmp_path, {"ring": ring, "entries": [entry]})
+        assert main(["analyze", path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and err.count("\n") == 1
+        assert budget in err
+
     def test_rejected_decomposition_is_compute_error(self, tmp_path):
         entry = json.loads(json.dumps(CUSP_CURVE_ENTRY))
         entry["decomposition"]["embedded"] = ["x", "y", "z"]

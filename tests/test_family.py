@@ -3,6 +3,7 @@ equisingularity verdicts with their cross-checked routes."""
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -298,6 +299,19 @@ class TestClassify:
         F = FamilyPresentation(components=(comp("u^2", "u^3 - t*u^3"),))
         with pytest.raises(ComputationError):
             classify(F)
+
+    def test_family_whose_pullback_hangs_a_local_standard_basis(self):
+        # the cofactors of J by u generate the maximal ideal, whose local
+        # standard basis does not finish its first S-polynomial in minutes;
+        # the witness is read off the generators instead
+        F = FamilyPresentation(components=(comp(
+            "-u^2*t^3 - u^5 + 2*u^6*t^2", "2*u^2*t^2 - 3*u^4*t^3 + u*t",
+            "2*u^3*t^3 - u^2 - 3*u^7", label="0"),))
+        start = time.perf_counter()
+        rep = classify(F)
+        assert time.perf_counter() - start < 5
+        assert rep.verdict.cm_by_component == (("0", False, 2, 1),)
+        assert not rep.verdict.whitney
 
     def test_seed_independence_of_invariants(self):
         a = classify(cusp_family_b(), FamilyOptions(seed=0))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from equicurve.errors import ComputationError, HypothesisError, InternalCheckErr
 from equicurve.gb import Ideal, ideal_equal, ideal_quotient, ideal_sum, std_basis
 from equicurve.localdim import (
     INFINITE,
+    _staircase_count,
     CMWitness,
     LengthValue,
     PrimaryDecomposition,
@@ -311,8 +313,84 @@ class TestCohenMacaulay:
     @given(pullback_ideals())
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_unmixedness_matches_the_quotient_oracle(self, J):
-        t = Polynomial.var(UT, "t")
-        assert is_cohen_macaulay(J).is_cm == ideal_equal(ideal_quotient(J, t), J, NEGDEGREVLEX)
+        assert_matches_the_oracles(J)
+
+
+def mora_radical_scan(J: Ideal, axis_var: str = "u") -> int:
+    """Verify sqrt(J) = <axis_var> locally and return the least k with
+    axis_var^k in J, from local standard bases; raises HypothesisError when the
+    radical is another ideal. The oracle for the closed form in ``localdim``.
+
+    Write u = axis_var and e for its least exponent over the generators, so
+    that J = u^e * I with some generator of I not divisible by u. O is a
+    domain, so u^k lies in J iff k >= e and u^(k-e) lies in I; the scan starts
+    at k = e. The radical needs e >= 1, and then it is <u> iff I has a finite
+    colength d:
+
+    - if it has, the d + 1 classes of 1, u, ..., u^d modulo I are dependent, and
+      a dependence is u^j times a unit, so u^j lies in I for some j <= d;
+    - if it has not, a minimal prime of I has height one and is not (u), as I
+      is not in (u); it is principal, so it contains no power of u, and
+      neither do I and J.
+
+    So the scan over j = 0, ..., d is exact and ends with a hit.
+    """
+    idx = J.ring.index[axis_var]
+    e = min(m[idx] for g in J.gens for m in g.terms)
+    if e == 0:
+        raise HypothesisError(f"radical check failed: a generator is not divisible by {axis_var}")
+    I = []
+    for g in J.gens:
+        terms = {m[:idx] + (m[idx] - e,) + m[idx + 1:]: c for m, c in g.terms.items()}
+        I.append(Polynomial(J.ring, terms))
+    B = std_basis(Ideal(I, J.ring), NEGDEGREVLEX)
+    d = _staircase_count(B.lead_monomials, len(J.ring))
+    if not d.finite:
+        raise HypothesisError(f"radical check failed: no power of {axis_var} lies in the ideal")
+    for j in range(d.value + 1):
+        if B.contains(Polynomial.var(J.ring, axis_var, j)):
+            return e + j
+    raise InternalCheckError(f"no power of {axis_var} up to the colength {d.value} lies in the ideal")
+
+
+def assert_matches_the_oracles(J):
+    """``is_cohen_macaulay`` against the Mora scan (CM iff the least power of u
+    in J is u^e) and against the quotient test (CM iff J : t = J)."""
+    try:
+        k = mora_radical_scan(J)
+    except HypothesisError:
+        with pytest.raises(HypothesisError, match="radical check failed"):
+            is_cohen_macaulay(J)
+        return
+    w = is_cohen_macaulay(J)
+    assert w.is_cm == (k == w.multiplicity)
+    assert w.length >= w.multiplicity
+    t = Polynomial.var(UT, "t")
+    assert w.is_cm == ideal_equal(ideal_quotient(J, t), J, NEGDEGREVLEX)
+
+
+@st.composite
+def axis_ideals(draw):
+    """One to three polynomials whose terms are all divisible by u, with no
+    power of u among the generators: sqrt(J) = <u> holds or fails."""
+    term = st.tuples(st.tuples(st.integers(1, 4), st.integers(0, 3)),
+                     st.sampled_from((-2, -1, 1, 2)))
+    polys = draw(st.lists(st.lists(term, min_size=1, max_size=3).map(dict),
+                          min_size=1, max_size=3))
+    return Ideal([Polynomial(UT, d) for d in polys], UT)
+
+
+def random_pullback(seed):
+    """Three generators of three terms u^a * t^b, 1 <= a <= 7, 0 <= b <= 3."""
+    rng = random.Random(seed)
+    gens = []
+    for _ in range(3):
+        terms = {}
+        for _ in range(3):
+            coeff = rng.choice((-3, -2, -1, 1, 2, 3))
+            terms[rng.randint(1, 7), rng.randint(0, 3)] = coeff
+        gens.append(Polynomial(UT, terms))
+    return Ideal(gens, UT)
 
 
 class TestRadicalScan:
@@ -322,19 +400,44 @@ class TestRadicalScan:
     )
     def test_least_power_in_the_ideal(self, gens, k):
         J = I(*gens, ring=UT)
-        assert localdim._check_radical_is_axis(J, "u") == k
+        assert mora_radical_scan(J, "u") == k
         B = std_basis(J, NEGDEGREVLEX)
         assert B.contains(Polynomial.var(UT, "u", k))
         assert not B.contains(Polynomial.var(UT, "u", k - 1))
+        assert_matches_the_oracles(J)
 
     def test_no_power_cap(self):
         # J = u*<u + t^2, t^140>: u = -t^2 modulo the second factor, so the
         # least power of u in J is u^71
         J = I("u^2 + u*t^2", "u*t^140", ring=UT)
-        assert localdim._check_radical_is_axis(J, "u") == 71
+        assert mora_radical_scan(J, "u") == 71
         assert is_cohen_macaulay(J) == CMWitness(False, 2, 1)
 
     @pytest.mark.parametrize("gens", [("u^2 - u*t", "u^3 - u^2*t"), ("u*t",), ("u^2", "t")])
     def test_other_radical_is_a_hypothesis_failure(self, gens):
+        J = I(*gens, ring=UT)
         with pytest.raises(HypothesisError, match="radical check failed"):
-            is_cohen_macaulay(I(*gens, ring=UT))
+            is_cohen_macaulay(J)
+        with pytest.raises(HypothesisError):
+            mora_radical_scan(J)
+
+    @given(axis_ideals())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_closed_form_radical_check_matches_the_oracles(self, J):
+        assert_matches_the_oracles(J)
+
+    def test_radical_failure_needs_the_gcd(self):
+        # no generator is u^e times a unit, and the cofactors u + t and
+        # u^2 - t^2 share the factor u + t, which vanishes at the origin
+        J = I("u^2 + u*t", "u^3 - u*t^2", ring=UT)
+        with pytest.raises(HypothesisError, match="no power of u lies in the ideal"):
+            is_cohen_macaulay(J)
+        # with coprime cofactors the colength is finite
+        assert is_cohen_macaulay(I("u^2 + u*t", "u^3 - u*t^3", ring=UT)) == CMWitness(False, 2, 1)
+
+    @pytest.mark.parametrize("seed, witness", [(0, CMWitness(True, 1, 1)), (1, CMWitness(False, 5, 1))])
+    def test_pullbacks_that_hang_the_mora_scan(self, seed, witness):
+        # the local standard basis of the cofactors runs for minutes on these
+        start = time.perf_counter()
+        assert is_cohen_macaulay(random_pullback(seed)) == witness
+        assert time.perf_counter() - start < 5

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from equicurve.errors import ParseError, RingMismatchError
 from equicurve.poly import (
     DEGREVLEX,
+    MAX_EXPONENT,
     MAX_NESTING,
+    MAX_TERM_PRODUCTS,
     NEGDEGREVLEX,
     Elimination,
     Polynomial,
@@ -168,6 +170,45 @@ class TestParser:
         assert P("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == P("x")
         with pytest.raises(ParseError, match="nested deeper"):
             P("(" * 3000 + "x" + ")" * 3000)
+
+    def test_exponent_budget_counts_nested_powers(self):
+        assert P(f"x^{MAX_EXPONENT}") == Polynomial.var(XYZ, "x", MAX_EXPONENT)
+        assert P(f"(x^2)^{MAX_EXPONENT // 2}") == P(f"x^{MAX_EXPONENT}")
+        for text in (f"x^{MAX_EXPONENT + 1}", f"(x^2)^{MAX_EXPONENT // 2 + 1}",
+                     "((2^10)^10)^11", f"(x + y)^{MAX_EXPONENT + 1}"):
+            with pytest.raises(ParseError, match="MAX_EXPONENT"):
+                P(text)
+
+    def test_exponent_budget_counts_the_words_of_a_number(self):
+        big = 2**64  # two words
+        assert P(f"{big}^{MAX_EXPONENT // 2}").constant_term() == big ** (MAX_EXPONENT // 2)
+        with pytest.raises(ParseError, match="MAX_EXPONENT"):
+            P(f"{big}^{MAX_EXPONENT // 2 + 1}")
+
+    def test_term_product_budget(self):
+        # a k-term sum in x times a k-term sum in y: k^2 products of unit
+        # coefficients, one word each
+        def sums(k):
+            return [" + ".join(f"{v}^{i}" for i in range(k)) for v in "xy"]
+
+        k = int(MAX_TERM_PRODUCTS**0.5)
+        a, b = sums(k)
+        assert len(P(f"({a}) * ({b})").terms) == k * k
+        a, b = sums(k + 1)
+        with pytest.raises(ParseError, match="MAX_TERM_PRODUCTS"):
+            P(f"({a}) * ({b})")
+        # powers are budgeted step by step, and a coefficient counts by its words
+        with pytest.raises(ParseError, match="MAX_TERM_PRODUCTS"):
+            P("(x + y + z + 1)^40")
+        _, b = sums(k)
+        half = " + ".join(f"x^{i}" for i in range(k // 2 + 1))
+        assert P(f"({half}) * ({b})")
+        with pytest.raises(ParseError, match="MAX_TERM_PRODUCTS"):
+            P(f"({2**128} + {half}) * ({b})")
+
+    def test_overlong_number_literal_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="too long"):
+            P("9" * 5000 + "*x")
 
     def test_long_sign_chain(self):
         assert P("-" * 3000 + "x") == P("x")
