@@ -433,9 +433,8 @@ def _cmd_std(args) -> int:
     I = Ideal(gens, ring)
     if not I.gens:
         raise ParseError("input.generators: the ideal is zero; give a nonzero generator")
-    B = std_basis(I, order)
-    for g in B.basis:
-        print(g.render())
+    # render every generator before printing any, so a failure prints nothing
+    sys.stdout.write("".join(f"{g.render()}\n" for g in std_basis(I, order).basis))
     return EXIT_OK
 
 

@@ -9,6 +9,8 @@ by Nakayama's lemma makes the truncation exact (see ``delta_reduced``).
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -146,6 +148,64 @@ def _times_coordinate(vec, coordinate, J):
     return out
 
 
+def _pivots(vectors):
+    """Yield, for each integer vector {column: value} independent of those before
+    it, the pivot (least column) it takes in an echelon form."""
+    rows = {}
+    for vec in vectors:
+        vec = {col: v for col, v in vec.items() if v}
+        while vec and min(vec) in rows:
+            p = min(vec)
+            row, c = rows[p], vec[p]
+            vec = {col: s for col in vec.keys() | row.keys()
+                   if (s := row[p] * vec.get(col, 0) - c * row.get(col, 0))}
+        if vec:
+            p = min(vec)
+            rows[p] = vec
+            yield p
+
+
+def semigroup_conductor(gens):
+    """Conductor of the numerical semigroup generated by the positive integers
+    gens (the least c with c + N inside it), or None when their gcd is above 1.
+
+    With a = min(gens), the least element of the semigroup in each residue
+    class mod a (the Apéry set) is a shortest path from 0; the largest of them
+    is the largest gap plus a, i.e. c + a - 1.
+    """
+    if math.gcd(*gens) != 1:
+        return None
+    a = min(gens)
+    apery = [0] + [None] * (a - 1)
+    heap = [(0, 0)]
+    while heap:
+        w, r = heapq.heappop(heap)
+        if w == apery[r]:
+            for g in gens:
+                s = (r + g) % a
+                if apery[s] is None or w + g < apery[s]:
+                    apery[s] = w + g
+                    heapq.heappush(heap, (w + g, s))
+    return max(apery) - a + 1
+
+
+def _first_jet_order(coordinates, orders):
+    """The jet order the value semigroups predict for the certificate, or None
+    when the coordinate jets of some branch have orders with gcd above 1 (see
+    ``delta_reduced``)."""
+    conductors, tangents = [], []
+    for i, m in enumerate(orders):
+        jets = [dict(coordinate[i]) for coordinate in coordinates]
+        c = 0 if m == 1 else semigroup_conductor(list(_pivots(jets)))  # smooth: G = N
+        if c is None:
+            return None
+        conductors.append(c)
+        tangents.append({k: jet.get(m, 0) for k, jet in enumerate(jets)})
+    plane = len(list(itertools.islice(_pivots(tangents), 3))) <= 2
+    total = sum(orders)
+    return max(c + m + plane * m * (total - m) for c, m in zip(conductors, orders))
+
+
 def _check_branches_distinct(branches):
     seen = {}
     for i, b in enumerate(branches):
@@ -185,8 +245,28 @@ def delta_reduced(branches) -> int:
     multiple of the one it meets with the unscaled coordinates, so the same
     vectors are independent, in the same order.
 
-    J starts at twice the largest branch order and doubles up to
-    JET_ORDER_CAP. The certificate can still fail there: for two branches on
+    The certificate holds at J exactly when J - m_i >= c_i for every i, where
+    (u^(c_1), ..., u^(c_r)) O' is the conductor of O in O': a certificate puts
+    the O'-ideal M in O, hence in the conductor, and the conductor holds every
+    unit jet of the range. So the least certifying J is max(c_i + m_i), and
+    the first J tried estimates it from the value semigroups; it decides only
+    how much work is done. On branch i, the orders of the coordinate jets in
+    echelon form (pivots by least exponent) generate a semigroup G'_i inside
+    the value semigroup G_i. If gcd(G'_i) = 1 then gcd(G_i) = 1, so the branch
+    map is birational, and G'_i c G_i gives c(G_i) <= c(G'_i): one branch
+    certifies at J = c(G'_1) + m_1. For r > 1 branches of a plane curve,
+    c_i = c(G_i) + the sum over j != i of (B_i . B_j) (Casas-Alvero,
+    Singularities of Plane Curves), each intersection number being at least
+    m_i m_j, with equality for distinct tangents. So J_i = c(G'_i) + m_i, plus
+    m_i (m_1 + ... + m_r - m_i) when the tangents (the coefficient vectors of
+    u^(m_i)) span at most a plane. As c(G'_i) bounds c(G_i) from above and
+    m_i m_j bounds (B_i . B_j) from below, J_i is only an estimate: the
+    certificate alone decides. J starts at the largest J_i, at most
+    JET_ORDER_CAP, or at twice the largest branch order if that is larger or
+    some gcd(G'_i) is above 1, and doubles up to JET_ORDER_CAP while the
+    certificate fails.
+
+    The certificate can still fail at the cap: for two branches on
     the same image (delta infinite), for a map that is not a normalization,
     or for a finite delta whose conductor lies past the cap, such as that of
     (u^17, u^19). A branch of order above JET_ORDER_CAP / 2 leaves no jet
@@ -213,6 +293,9 @@ def delta_reduced(branches) -> int:
             [[(e, c.numerator * (d // c.denominator)) for e, c in jet] for jet in jets]
         )
     J = 2 * max(orders)
+    first = _first_jet_order(coordinates, orders)
+    if first is not None:
+        J = max(J, min(JET_ORDER_CAP, first))
     while J <= JET_ORDER_CAP:
         span = RowSpace()
         queue = [{i * J: 1 for i in range(r)}]

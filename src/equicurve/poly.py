@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from fractions import Fraction
 
-from .errors import ParseError, RingMismatchError
+from .errors import ComputationError, ParseError, RingMismatchError
 
 Exponents = tuple  # tuple[int, ...], one entry per variable of the ring
 
@@ -348,9 +349,9 @@ class Polynomial:
             if mono and mag == 1:
                 body = mono
             elif mono:
-                body = f"{mag}*{mono}"
+                body = f"{_number_text(mag)}*{mono}"
             else:
-                body = str(mag)
+                body = _number_text(mag)
             if i == 0:
                 pieces.append(body if c > 0 else f"-{body}")
             else:
@@ -359,6 +360,18 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.render()!r})"
+
+
+def _number_text(x) -> str:
+    """str(x); a number with more digits than the interpreter converts to text
+    is a ComputationError that names that limit."""
+    try:
+        return str(x)
+    except ValueError:
+        raise ComputationError(
+            "a coefficient has more digits than the interpreter's int-to-str limit "
+            f"of {sys.get_int_max_str_digits()}"
+        ) from None
 
 
 # --- parser ----------------------------------------------------------------

@@ -365,6 +365,23 @@ class TestStd:
         assert err.startswith("computation error:") and err.count("\n") == 1
         assert "_REDUCTION_CAP" in err
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # the monic basis has the coefficient 1/9^5000, past 4,300 digits
+            {"ring": ["x", "y"], "generators": ["9^1000*9^1000*9^1000*9^1000*9^1000*x + y"]},
+            {"ring": ["x", "y", "z"], "generators": ["z", "9^1000*9^1000*9^1000*9^1000*9^1000*x + y"]},
+        ],
+    )
+    def test_coefficient_past_the_digit_limit_exits_3(self, tmp_path, capsys, data):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(data))
+        assert main(["std", str(path), "--order", "degrevlex"]) == EXIT_COMPUTE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("computation error:") and captured.err.count("\n") == 1
+        assert "int-to-str limit" in captured.err
+
     def test_unknown_order(self, tmp_path, capsys):
         path = tmp_path / "i.json"
         path.write_text(json.dumps({"ring": ["x"], "generators": ["x"]}))

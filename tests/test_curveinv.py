@@ -8,7 +8,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from equicurve import curveinv
 from equicurve.curveinv import (
     BranchParam,
     CurveInvariants,
@@ -17,6 +20,7 @@ from equicurve.curveinv import (
     curve_multiplicity,
     delta_reduced,
     invariants,
+    semigroup_conductor,
     semigroup_delta_oracle,
 )
 from equicurve.errors import ComputationError, InternalCheckError
@@ -153,11 +157,18 @@ class TestDeltaReduced:
         ]
         assert delta_reduced(lines) == 5
 
-    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("n", [3, 4, 6, 8, 10])
     def test_concurrent_lines_match_hilbert_function(self, n):
         dirs = LINE_DIRECTIONS[:n]
         lines = [branch(*(f"{c}*u" for c in v)) for v in dirs]
         assert delta_reduced(lines) == hilbert_delta(dirs)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_coplanar_lines_match_hilbert_function(self, n):
+        # tangents in the plane x + y + z = 0: the first jet order adds the plane term
+        dirs = [(1, d, -1 - d) for d in (1, 2, 3, -2, -3, 4, 5)[:n]]
+        lines = [branch(*(f"{c}*u" for c in v)) for v in dirs]
+        assert delta_reduced(lines) == hilbert_delta(dirs) == n * (n - 1) // 2
 
     def test_tangent_smooth_branches(self):
         # y = x^30 and y = x^31 meet with multiplicity 30
@@ -227,6 +238,96 @@ class TestDeltaReduced:
         for a, b in ((8, 11), (9, 10), (10, 11), (11, 13), (12, 13), (13, 14)):
             br = branch(f"u^{a}", f"u^{b}")
             assert delta_reduced([br]) == semigroup_delta_oracle(br)
+
+
+def semigroup_gaps(gens, bound):
+    """The positive integers below bound that are no sum of elements of gens."""
+    reachable = {0}
+    for n in range(1, bound):
+        if any(n - g in reachable for g in gens):
+            reachable.add(n)
+    return [n for n in range(1, bound) if n not in reachable]
+
+
+class TestSemigroupConductor:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=4))
+    def test_matches_gap_enumeration(self, gens):
+        if math.gcd(*gens) != 1:
+            assert semigroup_conductor(gens) is None
+            return
+        # every gap of a semigroup with gcd 1 and generators up to 30 is below 30^2
+        gaps = semigroup_gaps(gens, 30 * 30)
+        assert semigroup_conductor(gens) == (gaps[-1] + 1 if gaps else 0)
+
+    def test_examples(self):
+        assert semigroup_conductor([1]) == 0
+        assert semigroup_conductor([2, 3]) == 2
+        assert semigroup_conductor([17, 19]) == 16 * 18
+        assert semigroup_conductor([4, 6]) is None
+
+
+def _coprime_pairs(max_b, keep):
+    return [(a, b) for a in range(2, max_b) for b in range(a + 1, max_b + 1)
+            if math.gcd(a, b) == 1 and keep(a, b)]
+
+
+def _plane_delta(a, b):
+    return (a - 1) * (b - 1) // 2
+
+
+# The exponent pairs, perturbations and line slopes of the benchmark's germs
+PLANE_PAIRS = _coprime_pairs(13, lambda a, b: _plane_delta(a, b) <= 28)
+BRANCH_LINE_PAIRS = _coprime_pairs(17, lambda a, b: _plane_delta(a, b) + a <= 10)
+PERTURBATIONS = [(c, k) for c in (-3, -2, -1, 1, 2, 3) for k in (1, 2, 3)]
+
+
+@pytest.fixture
+def spans_built(monkeypatch):
+    """The number of RowSpace objects delta_reduced has built, as a one-item list."""
+    built = [0]
+
+    class CountingRowSpace(RowSpace):
+        def __init__(self):
+            built[0] += 1
+            super().__init__()
+
+    monkeypatch.setattr(curveinv, "RowSpace", CountingRowSpace)
+    return built
+
+
+class TestFirstJetOrder:
+    """The first jet order tried is the one the value semigroups predict, so the
+    germs below certify with a single span."""
+
+    def test_plane_branches_take_one_span(self, spans_built):
+        for a, b in PLANE_PAIRS:
+            for c, k in PERTURBATIONS:
+                spans_built[0] = 0
+                br = branch(f"u^{a}", f"u^{b} + {c}*u^{b + k}", "0")
+                assert delta_reduced([br]) == _plane_delta(a, b)
+                assert spans_built[0] == 1, (a, b, c, k)
+
+    def test_branch_plus_transversal_line_takes_one_span(self, spans_built):
+        for a, b in BRANCH_LINE_PAIRS:
+            for n, (c, k) in enumerate(PERTURBATIONS):
+                d = n % 7 - 3
+                spans_built[0] = 0
+                br = branch(f"u^{a}", f"u^{b} + {c}*u^{b + k}", "0")
+                line = branch(f"{d}*u", "u", "0")
+                assert delta_reduced([br, line]) == _plane_delta(a, b) + a
+                assert spans_built[0] == 1, (a, b, c, k, d)
+
+    def test_conductor_past_the_cap_fails_with_one_span(self, spans_built):
+        with pytest.raises(ComputationError, match="J = 256"):
+            delta_reduced([branch("u^17", "u^19")])
+        assert spans_built[0] == 1
+
+    def test_pivot_gcd_above_one_keeps_the_doubling(self, spans_built):
+        # the coordinate jets have orders 2 and 4, yet y - x^2 has order 5: the
+        # semigroup is <2, 5>, but no estimate is made, and J = 4 fails before 8
+        assert delta_reduced([branch("u^2 + u^3", "u^4 + u^7")]) == 2
+        assert spans_built[0] == 2
 
 
 class TestInvariants:
