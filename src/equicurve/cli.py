@@ -61,7 +61,10 @@ def _string_list(node, where):
 
 
 def _parse_ideal(gens, ring, where):
-    return Ideal([parse_poly(g, ring) for g in _string_list(gens, where)], ring)
+    I = Ideal([parse_poly(g, ring) for g in _string_list(gens, where)], ring)
+    if not I.gens:
+        raise ParseError(f"{where}: the ideal is zero; give a nonzero generator")
+    return I
 
 
 def _parse_decomposition(node, ring, where):
@@ -428,11 +431,8 @@ def _cmd_std(args) -> int:
     if not names or len(set(names)) != len(names):
         raise ParseError("input.ring: expected a nonempty list of distinct names")
     ring = VarSet(tuple(names))
-    gens = [parse_poly(g, ring) for g in _string_list(data["generators"], "input.generators")]
+    I = _parse_ideal(data["generators"], ring, "input.generators")
     order = order_by_name(args.order)
-    I = Ideal(gens, ring)
-    if not I.gens:
-        raise ParseError("input.generators: the ideal is zero; give a nonzero generator")
     # render every generator before printing any, so a failure prints nothing
     sys.stdout.write("".join(f"{g.render()}\n" for g in std_basis(I, order).basis))
     return EXIT_OK

@@ -1,7 +1,6 @@
 """Groebner bases (global orders), standard bases (local orders, Mora normal form),
-and the ideal operations the invariant layer needs: sum, intersection, equality
-and membership. The ideal quotient (with ``exact_divide``) is on no production
-path; the tests use it as an oracle.
+and the ideal operations the invariant layer needs: sum, intersection and
+membership.
 
 ``std_basis`` is Buchberger's algorithm with the normal selection strategy: the
 pending pair of least lcm degree is reduced next, ties broken by the monomial
@@ -28,29 +27,74 @@ only the leading monomials (``vdim``) or whether Mora's weak normal form is zero
 (``contains``), and both are determined by the leading ideal and the ideal
 (Greuel-Pfister 1.6-1.7).
 
-Intersections and quotients are always computed in the polynomial ring with a
-global elimination order; local-order computations consume the results, which is
+*Packed monomials.* Inside the core a monomial x^e in n variables is one int,
+p = sum_i e_i << (w*i), with w = ``_FIELD_BITS`` bits per variable whose top bit,
+the guard bit, stays clear (Monagan and Pearce, "Sparse polynomial division using
+a heap", JSC 2011). With G the guard bits, x^a * x^b is a + b, and x^a divides
+x^b iff ((b | G) - a) & G == G: a field of b | G minus that of a keeps its guard
+bit iff b_i >= a_i, and never borrows from the next field. The lcm takes each
+field from a where that subtraction of b keeps the guard bit, and from b
+elsewhere; x^a and x^b are coprime iff their lcm is a + b. Terms are keyed by
+the order key of the monomial, the linear form
+
+    key = (d1 << A) - (p1 << B) + s*(d2 << C) - p2,
+
+where the first k variables (k = 0 except under ``Elimination(k)``) have degree
+d1 and packed exponents p1, the rest d2 and p2; C is the width of p2, B = C + D
+with D bits that hold d2, A = B + k*w, and s = -1 under negdegrevlex, else 1.
+A block part (d << W) - p ranks by degree and then, as p compares its fields
+from the last variable down, by the reverse lexicographic tie-break, and the
+lower part spans less than one unit of the upper. So keys compare as
+``MonomialOrder.key`` does, the key of a product is the sum of the keys, and
+the leading term of a term dict h is at max(h). p2 is -key mod 2^C, and p1 is
+read the same way from (key + p2) >> B.
+
+No exponent overflows silently: input exponents are checked when packed, the
+lcm of guard-free monomials is guard-free, and before a multiple x^q * g is
+formed, q plus the fieldwise maximum of g's exponents is checked. So every
+exponent met is below 2^(w-1) and every degree fits its width; an exponent that
+would reach a guard bit is a ComputationError that names the width.
+
+*Fraction-free coefficients.* Polynomials in the core have integer
+coefficients, and basis elements are primitive with a positive leading
+coefficient. With a and b the leading coefficients of f and g divided by their
+gcd, the S-polynomial is b*x^(l-lf)*f - a*x^(l-lg)*g. A reduction step cancels
+the term c*x^m of h by g with leading coefficient a as
+h <- (a/d)*h - (c/d)*x^(m-lg)*g, d = gcd(a, c), and then divides out the
+content (Bareiss, Math. Comp. 1968). A basis element becomes monic
+``Fraction``s only on output.
+
+*Unchanged output.* Each of these steps is the one taken in rational arithmetic
+with monic basis elements, times a nonzero rational. So every polynomial met is
+a nonzero multiple of the one met in ``Fraction`` arithmetic, with the same terms.
+Every choice the algorithm makes reads terms only: the leading term, the first
+reducer whose lead divides it, Mora's ecarts and the pair order. So the same
+steps are taken, and each monic output element is the same polynomial term for
+term, also under a local order, where the tails are not unique. The tests keep
+the rational version as the oracle. ``normal_form`` keeps the factor between its
+integer remainder and the rational one and divides it out.
+
+Intersections are always computed in the polynomial ring with a global
+elimination order; local-order computations consume the results, which is
 valid here because localization is flat and all inputs are polynomial.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop
+from math import gcd, lcm
+from operator import mul
 
 from .errors import ComputationError, InternalCheckError, RingMismatchError
-from .poly import (
-    DEGREVLEX,
-    Elimination,
-    MonomialOrder,
-    Polynomial,
-    VarSet,
-    mon_div,
-    mon_divides,
-    mon_lcm,
-    mon_mul,
-)
+from .poly import Elimination, MonomialOrder, Polynomial, VarSet
 
 _REDUCTION_CAP = 200_000
+
+# Bits of one exponent field of a packed monomial, guard bit included: every
+# exponent in the core stays below 2^(_FIELD_BITS - 1).
+_FIELD_BITS = 32
 
 
 class Ideal:
@@ -74,38 +118,139 @@ class Ideal:
         return f"Ideal({', '.join(g.render() for g in self.gens)})"
 
 
-def _subtract_multiple(h: dict, g: Polynomial, q, c) -> None:
-    """h -= c * x^q * g, in place on a term dict."""
-    for m, gc in g.terms.items():
-        m = mon_mul(m, q)
-        s = h.get(m, 0) - c * gc
-        if s:
-            h[m] = s
-        else:
-            del h[m]
-
-
 def _from_terms(ring: VarSet, terms: dict) -> Polynomial:
     out = Polynomial(ring)
     out.terms = terms
     return out
 
 
-def _spoly(f: Polynomial, lf, g: Polynomial, lg) -> Polynomial:
-    """S-polynomial of f and g, whose leading monomials are lf and lg."""
-    l = mon_lcm(lf, lg)
-    qf, cf = mon_div(l, lf), 1 / f.terms[lf]
-    h = {mon_mul(m, qf): c * cf for m, c in f.terms.items()}
-    _subtract_multiple(h, g, mon_div(l, lg), 1 / g.terms[lg])
-    return _from_terms(f.ring, h)
+def _overflow() -> ComputationError:
+    w = _FIELD_BITS
+    return ComputationError(
+        f"an exponent reached 2^{w - 1}, the guard bit of the {w}-bit exponent "
+        f"field of a packed monomial (_FIELD_BITS = {w})"
+    )
 
 
-def _reduce_global(f: Polynomial, G, leads, order: MonomialOrder) -> Polynomial:
-    """Full multivariate division remainder under a global order; ``leads`` holds
-    the leading monomials of ``G``."""
-    key = order.key
-    remainder = {}
-    h = dict(f.terms)
+class _Packing:
+    """Packed monomials and order keys for one ring size and order (see the
+    module docstring). A reducer is the tuple (packed lead, ecart, lead key,
+    leading coefficient, terms as (key, coefficient) pairs, fieldwise maximum
+    of the packed monomials); the ecart is 0 under a global order."""
+
+    __slots__ = ("width", "guard", "coeffs", "shifts", "split", "low", "high", "B", "C", "local")
+
+    def __init__(self, nvars: int, order: MonomialOrder):
+        w = self.width = _FIELD_BITS
+        k = min(order.block, nvars) if isinstance(order, Elimination) else 0
+        C = self.C = (nvars - k) * w
+        B = self.B = C + w + nvars.bit_length()
+        A = B + k * w
+        s = 1 if order.is_global else -1
+        self.local = not order.is_global
+        self.coeffs = tuple((1 << A) - (1 << (B + w * i)) for i in range(k)) + tuple(
+            s * (1 << C) - (1 << (w * i)) for i in range(nvars - k)
+        )
+        self.shifts = tuple(range(0, nvars * w, w))
+        self.guard = sum(1 << (i + w - 1) for i in self.shifts)
+        self.split = k * w
+        self.low = (1 << self.split) - 1
+        self.high = (1 << C) - 1
+
+    def key(self, exps) -> int:
+        if max(exps) >> (self.width - 1):
+            raise _overflow()
+        return sum(map(mul, exps, self.coeffs))
+
+    def packed(self, key: int) -> int:
+        p2 = -key & self.high
+        return (-((key + p2) >> self.B) & self.low) | (p2 << self.split)
+
+    def fields(self, p: int) -> tuple:
+        mask = (1 << self.width) - 1
+        return tuple((p >> s) & mask for s in self.shifts)
+
+    def exps(self, key: int) -> tuple:
+        return self.fields(self.packed(key))
+
+    def degree(self, key: int) -> int:
+        """Total degree of the monomial of a key under negdegrevlex."""
+        return -key >> self.C
+
+    def lcm(self, a: int, b: int) -> int:
+        d = ((a | self.guard) - b) & self.guard
+        return b ^ ((a ^ b) & (d - (d >> (self.width - 1))))
+
+    def integral(self, f: Polynomial):
+        """The terms of f times their least common denominator d, keyed by order
+        key, and d."""
+        d = lcm(*(c.denominator for c in f.terms.values()))
+        key = self.key
+        return {key(m): c.numerator * (d // c.denominator) for m, c in f.terms.items()}, d
+
+    def reducer(self, h: dict) -> tuple:
+        lk = max(h)
+        ecart = self.degree(min(h)) - self.degree(lk) if self.local else 0
+        top = reduce(self.lcm, map(self.packed, h))
+        return (self.packed(lk), ecart, lk, h[lk], tuple(h.items()), top)
+
+    def monic(self, h: dict, ring: VarSet) -> Polynomial:
+        lc = h[max(h)]
+        return _from_terms(ring, {self.exps(k): Fraction(h[k], lc) for k in sorted(h, reverse=True)})
+
+
+def _primitive(h: dict) -> dict:
+    """h divided by its content, with a positive leading coefficient."""
+    c = gcd(*h.values())
+    if h[max(h)] < 0:
+        c = -c
+    return h if c == 1 else {m: v // c for m, v in h.items()}
+
+
+def _cancel(h: dict, lm: int, lp: int, r: tuple, guard: int, rem: dict):
+    """Cancel the term of h at key lm (packed lp) by the reducer r, fraction-free
+    and in place; ``rem``, the remainder split off h so far, is scaled with it.
+    Returns the factor by which h and rem were multiplied."""
+    rp, _, rk, a, items, top = r
+    c = h[lm]
+    d = gcd(a, c)
+    if a < 0:
+        d = -d
+    a //= d
+    c //= d
+    if (lp - rp + top) & guard:
+        raise _overflow()
+    if a != 1:
+        for m in h:
+            h[m] *= a
+        for m in rem:
+            rem[m] *= a
+    q = lm - rk
+    for t, v in items:
+        m = t + q
+        s = h.get(m, 0) - c * v
+        if s:
+            h[m] = s
+        else:
+            del h[m]
+    if a == 1:
+        return 1
+    k = gcd(*h.values(), *rem.values()) or 1
+    if k > 1:
+        for m in h:
+            h[m] //= k
+        for m in rem:
+            rem[m] //= k
+    return Fraction(a, k)
+
+
+def _reduce_global(h: dict, reducers, pk: _Packing):
+    """Full division remainder of the term dict h, which it consumes, by the
+    reducers under a global order, and the factor by which it exceeds the
+    rational remainder."""
+    guard, packed = pk.guard, pk.packed
+    rem = {}
+    scale = 1
     steps = 0
     while h:
         steps += 1
@@ -113,25 +258,28 @@ def _reduce_global(f: Polynomial, G, leads, order: MonomialOrder) -> Polynomial:
             raise ComputationError(
                 f"global reduction not finished within _REDUCTION_CAP = {_REDUCTION_CAP} steps"
             )
-        lm = max(h, key=key)
-        for g, lg in zip(G, leads):
-            if mon_divides(lg, lm):
-                _subtract_multiple(h, g, mon_div(lm, lg), h[lm] / g.terms[lg])
+        lm = max(h)
+        lp = packed(lm)
+        for r in reducers:
+            if ((lp | guard) - r[0]) & guard == guard:
+                scale *= _cancel(h, lm, lp, r, guard, rem)
                 break
         else:
-            remainder[lm] = h.pop(lm)
-    return _from_terms(f.ring, remainder)
+            rem[lm] = h.pop(lm)
+    return rem, scale
 
 
-def _mora_weak_nf(f: Polynomial, G, leads, order: MonomialOrder) -> Polynomial:
-    """Mora's ecart-controlled weak normal form; zero iff f lies in the localized ideal.
+def _reduce_local(h: dict, reducers, pk: _Packing):
+    """Mora's ecart-controlled weak normal form of h, which it consumes, and the
+    factor by which it exceeds the rational one; zero iff h lies in the
+    localized ideal.
 
-    Each reducer is kept as (polynomial, lead, ecart, order key of the lead); among
-    the reducers whose lead divides, the first of least (ecart, key) is used.
+    Among the reducers whose lead divides, the first of least (ecart, lead key)
+    is used; h joins the reducers when that ecart exceeds its own.
     """
-    key = order.key
-    T = [(g, lg, g.total_degree() - sum(lg), key(lg)) for g, lg in zip(G, leads)]
-    h = dict(f.terms)
+    guard, packed, degree = pk.guard, pk.packed, pk.degree
+    T = list(reducers)
+    scale = 1
     steps = 0
     while h:
         steps += 1
@@ -139,78 +287,96 @@ def _mora_weak_nf(f: Polynomial, G, leads, order: MonomialOrder) -> Polynomial:
             raise ComputationError(
                 f"Mora normal form not finished within _REDUCTION_CAP = {_REDUCTION_CAP} steps"
             )
-        lm = max(h, key=key)
+        lm = max(h)
+        lp = packed(lm)
         best = None
         for t in T:
-            if mon_divides(t[1], lm) and (best is None or t[2:] < best[2:]):
+            if ((lp | guard) - t[0]) & guard == guard and (best is None or t[1:3] < best[1:3]):
                 best = t
         if best is None:
             break
-        g, lg, eg, _ = best
-        eh = max(map(sum, h)) - sum(lm)
-        if eg > eh:
-            T.append((_from_terms(f.ring, dict(h)), lm, eh, key(lm)))
-        _subtract_multiple(h, g, mon_div(lm, lg), h[lm] / g.terms[lg])
-    return _from_terms(f.ring, h)
+        eh = degree(min(h)) - degree(lm)
+        if best[1] > eh:
+            T.append(pk.reducer(h))
+        scale *= _cancel(h, lm, lp, best, guard, {})
+    return h, scale
 
 
-def _weak_nf(f: Polynomial, G, leads, order: MonomialOrder) -> Polynomial:
-    if order.is_global:
-        return _reduce_global(f, G, leads, order)
-    return _mora_weak_nf(f, G, leads, order)
+def _spoly(f: tuple, g: tuple, l: int, lk: int, guard: int) -> dict:
+    """S-polynomial of the reducers f and g, fraction-free: x^(l - lead f) * f
+    with its leading term cancelled by g; l is the packed lcm of the leads and
+    lk its key."""
+    fp, _, fk, _, items, top = f
+    if (l - fp + top) & guard:
+        raise _overflow()
+    q = lk - fk
+    h = {t + q: v for t, v in items}
+    _cancel(h, lk, l, g, guard, {})
+    return h
 
 
 class StandardBasis:
     """A computed basis (Groebner for global orders, standard for local) of an ideal."""
 
-    __slots__ = ("ideal", "order", "basis", "lead_monomials")
+    __slots__ = ("ideal", "order", "basis", "lead_monomials", "_packing", "_reducers")
 
-    def __init__(self, ideal, order, basis):
+    def __init__(self, ideal, order, basis, lead_monomials, packing, reducers):
         self.ideal = ideal
         self.order = order
         self.basis = tuple(basis)
-        self.lead_monomials = tuple(g.leading_monomial(order) for g in self.basis)
+        self.lead_monomials = tuple(lead_monomials)
+        self._packing = packing
+        self._reducers = tuple(reducers)
+
+    def _reduce(self, f: Polynomial):
+        if f.ring != self.ideal.ring:
+            raise RingMismatchError("polynomial over a different ring than the basis")
+        h, d = self._packing.integral(f)
+        reduce_ = _reduce_global if self.order.is_global else _reduce_local
+        r, scale = reduce_(h, self._reducers, self._packing)
+        return r, scale * d
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """The division remainder under a global order, Mora's weak normal form
         under a local one; zero iff f lies in the (localized) ideal."""
-        if f.ring != self.ideal.ring:
-            raise RingMismatchError("polynomial over a different ring than the basis")
-        if f.is_zero():
-            return f
-        return _weak_nf(f, self.basis, self.lead_monomials, self.order)
+        r, scale = self._reduce(f)
+        exps = self._packing.exps
+        return _from_terms(f.ring, {exps(k): Fraction(r[k]) / scale for k in sorted(r, reverse=True)})
 
     def contains(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
+        return not self._reduce(f)[0]
 
 
-def _update_pairs(pairs: list, L: list, order: MonomialOrder) -> list:
-    """The pair heap after the basis element with leading monomial L[-1] joins.
+def _update_pairs(pairs: list, L: list, pk: _Packing) -> list:
+    """The pair heap after the basis element with packed leading monomial L[-1]
+    joins.
 
-    A pair is (deg lcm, order key of lcm, i, j, lcm). Old pairs go by the chain
+    A pair is (deg lcm, key of lcm, i, j, packed lcm). Old pairs go by the chain
     criterion. The new pairs (i, k) are grouped by lcm; a group is dropped when
     another new lcm properly divides its lcm or when one of its pairs has coprime
     leading monomials, and otherwise its pair of least i is kept.
     """
+    guard, lcm_ = pk.guard, pk.lcm
     k = len(L) - 1
     lk = L[k]
     kept = [
         p for p in pairs
         if not (
-            mon_divides(lk, p[4])
-            and mon_lcm(L[p[2]], lk) != p[4]
-            and mon_lcm(L[p[3]], lk) != p[4]
+            ((p[4] | guard) - lk) & guard == guard
+            and lcm_(L[p[2]], lk) != p[4]
+            and lcm_(L[p[3]], lk) != p[4]
         )
     ]
     by_lcm = {}
     for i in range(k):
-        by_lcm.setdefault(mon_lcm(L[i], lk), []).append(i)
+        by_lcm.setdefault(lcm_(L[i], lk), []).append(i)
     for l, idx in by_lcm.items():
-        if any(l2 != l and mon_divides(l2, l) for l2 in by_lcm):
+        if any(l2 != l and ((l | guard) - l2) & guard == guard for l2 in by_lcm):
             continue
-        if any(mon_mul(L[i], lk) == l for i in idx):
+        if any(L[i] + lk == l for i in idx):
             continue
-        kept.append((sum(l), order.key(l), idx[0], k, l))
+        e = pk.fields(l)
+        kept.append((sum(e), pk.key(e), idx[0], k, l))
     heapify(kept)
     return kept
 
@@ -232,7 +398,9 @@ def std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
     it. Output is minimalized, monic and deterministically sorted, and tail-reduced
     under a global order, where it is the unique reduced Groebner basis, so the
     pruning leaves the output unchanged. Under a local order the tails are left
-    as computed (see the module docstring).
+    as computed (see the module docstring). Monomials are packed ints and
+    coefficients integers throughout; the output is the one rational arithmetic
+    gives, term for term (module docstring).
 
     The last ``_STD_BASES_SIZE`` results are kept and returned again for the same
     ring, generators (as term sets, in the same order) and order kind. The key
@@ -251,50 +419,61 @@ def std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
 
 
 def _compute_std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
-    G = []  # basis elements, monic
-    L = []  # their leading monomials
+    pk = _Packing(len(I.ring), order)
+    guard = pk.guard
+    reduce_ = _reduce_global if order.is_global else _reduce_local
+    G = []  # reducers of the basis elements
+    L = []  # their packed leading monomials
     pairs = []  # heap, see _update_pairs
+    seen = []
     for g in I.gens:
-        g = g.monic(order)
-        if g not in G:
-            G.append(g)
-            L.append(g.leading_monomial(order))
-            pairs = _update_pairs(pairs, L, order)
+        h = _primitive(pk.integral(g)[0])
+        if h not in seen:
+            seen.append(h)
+            G.append(pk.reducer(h))
+            L.append(G[-1][0])
+            pairs = _update_pairs(pairs, L, pk)
     if not G:
         raise ValueError("standard basis of the zero ideal")
 
     while pairs:
-        _, _, i, j, _ = heappop(pairs)
-        h = _weak_nf(_spoly(G[i], L[i], G[j], L[j]), G, L, order)
-        if not h.is_zero():
-            lh = max(h.terms, key=order.key)
-            G.append(h * (1 / h.terms[lh]))
-            L.append(lh)
-            pairs = _update_pairs(pairs, L, order)
+        _, lk, i, j, l = heappop(pairs)
+        h, _ = reduce_(_spoly(G[i], G[j], l, lk, guard), G, pk)
+        if h:
+            G.append(pk.reducer(_primitive(h)))
+            L.append(G[-1][0])
+            pairs = _update_pairs(pairs, L, pk)
 
     # Minimalize: drop generators whose lead is divisible by another's.
+    n = len(G)
     minimal = [
-        i for i in range(len(G))
+        i for i in range(n)
         if not any(
-            mon_divides(L[j], L[i]) and (L[j] != L[i] or j < i)
-            for j in range(len(G))
+            ((L[i] | guard) - L[j]) & guard == guard and (L[j] != L[i] or j < i)
+            for j in range(n)
             if j != i
         )
     ]
 
     # Under a global order, tail-reduce each element against the others: the
-    # reduced Groebner basis is unique.
+    # reduced Groebner basis is unique. The lead, divisible by no other lead,
+    # passes to the remainder first.
     out = []
     for i in minimal:
-        g = G[i]
+        h = dict(G[i][4])
         others = [G[j] for j in minimal if j != i]
         if order.is_global and others:
-            other_leads = [L[j] for j in minimal if j != i]
-            lt = Polynomial.monomial(g.ring, L[i], g.terms[L[i]])
-            g = lt + _reduce_global(g - lt, others, other_leads, order)
-        out.append((order.key(L[i]), g))
-    out.sort(key=lambda kg: kg[0])
-    return StandardBasis(I, order, [g for _, g in out])
+            h = _primitive(_reduce_global(h, others, pk)[0])
+        out.append((G[i][2], h))
+    out.sort(key=lambda kh: kh[0])
+    return StandardBasis(
+        I,
+        order,
+        [pk.monic(h, I.ring) for _, h in out],
+        [pk.exps(k) for k, _ in out],
+        pk,
+        [pk.reducer(h) for _, h in out],
+    )
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
@@ -338,39 +517,3 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
         # would mean the elimination lost everything.
         raise InternalCheckError("empty intersection of nonzero ideals")
     return Ideal(result, ring)
-
-
-def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
-    """g / f when f divides g exactly; raises otherwise."""
-    if f.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    q = Polynomial.zero(g.ring)
-    h = g
-    lf = f.leading_monomial(DEGREVLEX)
-    cf = f.terms[lf]
-    while not h.is_zero():
-        lm = h.leading_monomial(DEGREVLEX)
-        if not mon_divides(lf, lm):
-            raise ComputationError("polynomial division is not exact")
-        c = h.terms[lm] / cf
-        m = mon_div(lm, lf)
-        q = q + Polynomial.monomial(g.ring, m, c)
-        h = h - f.term_mul(m, c)
-    return q
-
-
-def ideal_quotient(I: Ideal, f: Polynomial) -> Ideal:
-    """I : f = {g : g*f in I}, computed as (I intersect <f>) / f."""
-    if f.is_zero():
-        raise ZeroDivisionError("ideal quotient by the zero polynomial")
-    inter = ideal_intersect(I, Ideal([f], I.ring))
-    return Ideal([exact_divide(g, f) for g in inter.gens], I.ring)
-
-
-def ideal_equal(I: Ideal, J: Ideal, order: MonomialOrder = DEGREVLEX) -> bool:
-    """Mutual containment under the given order."""
-    if I.ring != J.ring:
-        raise RingMismatchError("ideal comparison over mixed rings")
-    BI = std_basis(I, order)
-    BJ = std_basis(J, order)
-    return all(BI.contains(g) for g in J.gens) and all(BJ.contains(g) for g in I.gens)

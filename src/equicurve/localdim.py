@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import ComputationError, HypothesisError, InternalCheckError
-from .gb import Ideal, ideal_equal, ideal_intersect, ideal_sum, std_basis
+from .gb import Ideal, ideal_intersect, ideal_sum, std_basis
 from .gcd import bivariate_gcd
 from .poly import DEGREVLEX, NEGDEGREVLEX, Polynomial
 
@@ -117,6 +117,13 @@ class PrimaryDecomposition:
         return self._intersection
 
     def verify_against(self, I: Ideal) -> None:
+        """Check that the components intersect to I, or raise ComputationError.
+
+        I is first checked to lie in every listed component, so it lies in
+        their intersection. The intersection then equals I iff it also lies in
+        I, which one Groebner basis of I decides: no basis of the intersection
+        is needed.
+        """
         for P in self.primes:
             B = std_basis(P, DEGREVLEX)
             if not all(B.contains(g) for g in I.gens):
@@ -129,7 +136,8 @@ class PrimaryDecomposition:
             if not vdim(self.embedded).finite:
                 raise ComputationError("decomposition rejected: embedded component is not m-primary")
             parts = ideal_intersect(parts, self.embedded)
-        if not ideal_equal(parts, I, DEGREVLEX):
+        BI = std_basis(I, DEGREVLEX)
+        if not all(BI.contains(g) for g in parts.gens):
             raise ComputationError("decomposition rejected: components do not intersect to the ideal")
 
 

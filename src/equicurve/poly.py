@@ -52,19 +52,6 @@ def mon_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mon_divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mon_div(a: Exponents, b: Exponents) -> Exponents:
-    """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mon_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 class MonomialOrder:
     """Total order on monomials given by a sort key (larger key = greater monomial)."""
 

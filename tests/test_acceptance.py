@@ -18,7 +18,7 @@ from equicurve.family import (
     FamilyPresentation,
     classify,
 )
-from equicurve.gb import Ideal, ideal_equal, ideal_quotient
+from equicurve.gb import Ideal
 from equicurve.localdim import (
     PrimaryDecomposition,
     epsilon_from_decomposition,
@@ -27,6 +27,7 @@ from equicurve.localdim import (
     vdim,
 )
 from equicurve.poly import NEGDEGREVLEX, Polynomial, VarSet, parse_poly
+from gb_reference import ideal_equal, ideal_quotient
 
 XYZ = VarSet(("x", "y", "z"))
 UT = RING_UT

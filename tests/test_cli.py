@@ -260,6 +260,29 @@ class TestSchemaRejection:
         assert err.startswith("parse error:") and err.count("\n") == 1
         assert budget in err
 
+    @pytest.mark.parametrize("gens", [["0"], ["0*x"], []], ids=["zero", "zero-term", "empty"])
+    @pytest.mark.parametrize("kind", ["curve", "family"])
+    @pytest.mark.parametrize(
+        "position, field",
+        [
+            (("ideal",), "ideal"),
+            (("decomposition", "primes", 0), "decomposition.primes[0]"),
+            (("decomposition", "embedded"), "decomposition.embedded"),
+        ],
+        ids=["ideal", "prime", "embedded"],
+    )
+    def test_zero_ideal_is_parse_error(self, tmp_path, capsys, gens, kind, position, field):
+        entry = json.loads(json.dumps(CUSP_CURVE_ENTRY if kind == "curve" else CUSP_FAMILY_ENTRY))
+        node = entry if kind == "curve" else entry["special_fiber"]
+        for step in position[:-1]:
+            node = node[step]
+        node[position[-1]] = gens
+        path = write_manifest(tmp_path, manifest(entry))
+        assert main(["analyze", path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and err.count("\n") == 1
+        assert f"{field}: the ideal is zero" in err
+
     def test_rejected_decomposition_is_compute_error(self, tmp_path):
         entry = json.loads(json.dumps(CUSP_CURVE_ENTRY))
         entry["decomposition"]["embedded"] = ["x", "y", "z"]

@@ -22,9 +22,10 @@ from equicurve.family import (
     pullback_ideal,
     specialize_fiber,
 )
-from equicurve.gb import Ideal, ideal_equal
+from equicurve.gb import Ideal
 from equicurve.localdim import PrimaryDecomposition, is_cohen_macaulay, param_multiplicity
 from equicurve.poly import NEGDEGREVLEX, Polynomial, VarSet, parse_poly
+from gb_reference import ideal_equal
 
 XYZ = VarSet(("x", "y", "z"))
 

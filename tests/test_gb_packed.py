@@ -1,0 +1,177 @@
+"""The packed, fraction-free Groebner core against the tuple/Fraction reference.
+
+``gb.std_basis`` must return the reference's basis term for term under every
+order (under a local order the tails are not unique, so this checks that the
+same steps were taken), and its normal forms and memberships must agree.
+"""
+
+from __future__ import annotations
+
+from datetime import timedelta
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from equicurve import gb
+from equicurve.cli import EXIT_COMPUTE, main
+from equicurve.errors import ComputationError
+from equicurve.gb import Ideal, std_basis
+from equicurve.poly import (
+    DEGREVLEX,
+    MAX_EXPONENT,
+    NEGDEGREVLEX,
+    Elimination,
+    Polynomial,
+    VarSet,
+    parse_poly,
+)
+from gb_reference import reference_normal_form, reference_std_basis
+
+ORDERS = (DEGREVLEX, NEGDEGREVLEX, Elimination(1), Elimination(2))
+
+
+def fresh_std_basis(J, order):
+    gb._STD_BASES.clear()
+    return std_basis(J, order)
+
+
+def assert_same_basis(J, order):
+    B = fresh_std_basis(J, order)
+    basis, leads = reference_std_basis(J, order)
+    assert B.lead_monomials == leads
+    assert [g.terms for g in B.basis] == [g.terms for g in basis]
+    return B, basis, leads
+
+
+def _polys(nvars, max_terms):
+    term = st.tuples(
+        st.tuples(*[st.integers(0, 2)] * nvars),
+        st.sampled_from([Fraction(-3), Fraction(-1), Fraction(1), Fraction(2), Fraction(5, 3)]),
+    )
+    return st.lists(term, min_size=1, max_size=max_terms).map(dict)
+
+
+@st.composite
+def cases(draw):
+    """An ideal in 2-5 variables, an order, and probes: sums of multiples of
+    the generators (members) plus an optional stray term."""
+    nvars = draw(st.integers(2, 5))
+    ring = VarSet(tuple(f"x{i}" for i in range(nvars)))
+    gens = [Polynomial(ring, t) for t in draw(st.lists(_polys(nvars, 3), min_size=1, max_size=3))]
+    gens = [g for g in gens if not g.is_zero()] or [Polynomial.var(ring, "x0")]
+    probes = []
+    for _ in range(2):
+        f = Polynomial.zero(ring)
+        for g in gens:
+            f = f + g * Polynomial(ring, draw(_polys(nvars, 2)))
+        if draw(st.booleans()):
+            f = f + Polynomial(ring, draw(_polys(nvars, 1)))
+        probes.append(f)
+    return Ideal(gens, ring), draw(st.sampled_from(ORDERS)), probes
+
+
+@given(cases())
+@settings(max_examples=80, deadline=timedelta(seconds=5), derandomize=True)
+def test_packed_core_matches_reference(case):
+    J, order, probes = case
+    B, basis, leads = assert_same_basis(J, order)
+    for f in probes + list(J.gens):
+        nf = reference_normal_form(basis, leads, order, f)
+        assert B.normal_form(f) == nf
+        assert B.contains(f) == nf.is_zero()
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
+@pytest.mark.parametrize("gen, f", [("2*x + 3*y^2", "x"), ("4*x*y + 6*y^3", "x*y + y^5")])
+def test_normal_form_divides_out_the_scale(order, gen, f):
+    # cancelling the lead of f by 2x + 3y^2 scales f by 2 and leaves a content
+    # of 3 to divide out; the normal form is the rational one all the same
+    ring = VarSet(("x", "y"))
+    J = Ideal([parse_poly(gen, ring)], ring)
+    B, basis, leads = assert_same_basis(J, order)
+    f = parse_poly(f, ring)
+    assert B.normal_form(f) == reference_normal_form(basis, leads, order, f)
+
+
+@st.composite
+def monomial_sets(draw):
+    """Exponent tuples in 1-5 variables, small or up to the widest exponent
+    a 32-bit field holds, with an order."""
+    nvars = draw(st.integers(1, 5))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, 2**31 - 1))
+    monos = draw(st.lists(st.tuples(*[exponent] * nvars), min_size=2, max_size=8, unique=True))
+    return nvars, monos, draw(st.sampled_from(ORDERS + (Elimination(5),)))
+
+
+@given(monomial_sets())
+@settings(max_examples=200, deadline=timedelta(seconds=5), derandomize=True)
+def test_packed_keys_follow_the_order(case):
+    # keys sort as MonomialOrder.key does and read back to the exponents;
+    # divisibility and lcm on packed monomials are the tuple ones
+    nvars, monos, order = case
+    pk = gb._Packing(nvars, order)
+    assert sorted(monos, key=pk.key) == sorted(monos, key=order.key)
+    G = pk.guard
+    for a in monos:
+        assert pk.exps(pk.key(a)) == a
+        for b in monos:
+            pa, pb = pk.packed(pk.key(a)), pk.packed(pk.key(b))
+            assert (((pb | G) - pa) & G == G) == all(x <= y for x, y in zip(a, b))
+            assert pk.fields(pk.lcm(pa, pb)) == tuple(map(max, a, b))
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
+@pytest.mark.parametrize(
+    "gens",
+    [
+        (f"x^{MAX_EXPONENT}*y^{MAX_EXPONENT - 1} - z^{MAX_EXPONENT}",),
+        (f"x^{MAX_EXPONENT}*y^{MAX_EXPONENT - 1} - z^{MAX_EXPONENT}", "x - 3*y^999*z"),
+        (f"x^{MAX_EXPONENT} + y^{MAX_EXPONENT}", f"x*y^{MAX_EXPONENT} - z", "x^2*z"),
+    ],
+    ids=["binomial", "binomial-and-line", "three"],
+)
+def test_max_exponent_rows(order, gens):
+    ring = VarSet(("x", "y", "z"))
+    J = Ideal([parse_poly(g, ring) for g in gens], ring)
+    assert_same_basis(J, order)
+
+
+class TestGuardBits:
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
+    def test_narrow_field_is_a_computation_error(self, monkeypatch, order):
+        # 4-bit fields hold exponents up to 7: both generators pack, but under
+        # every order the S-polynomial multiplies x^7 + y^7 by y
+        monkeypatch.setattr(gb, "_FIELD_BITS", 4)
+        ring = VarSet(("x", "y", "z"))
+        J = Ideal([parse_poly(g, ring) for g in ("x^7 + y^7", "x*y + x^2*y")], ring)
+        with pytest.raises(ComputationError, match="_FIELD_BITS = 4"):
+            fresh_std_basis(J, order)
+
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
+    def test_narrow_field_reduction_step(self, monkeypatch, order):
+        # one generator, so no S-polynomial: reducing x^7*y^7 by y^7 + x would
+        # form x^8 or y^14
+        monkeypatch.setattr(gb, "_FIELD_BITS", 4)
+        ring = VarSet(("x", "y"))
+        B = fresh_std_basis(Ideal([parse_poly("y^7 + x", ring)], ring), order)
+        with pytest.raises(ComputationError, match="_FIELD_BITS = 4"):
+            B.normal_form(parse_poly("x^7*y^7", ring))
+
+    def test_narrow_field_input_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(gb, "_FIELD_BITS", 4)
+        gb._STD_BASES.clear()
+        path = tmp_path / "i.json"
+        path.write_text('{"ring": ["x", "y"], "generators": ["x^8 + y"]}')
+        assert main(["std", str(path), "--order", "degrevlex"]) == EXIT_COMPUTE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("computation error:") and captured.err.count("\n") == 1
+        assert "4-bit" in captured.err and "_FIELD_BITS" in captured.err
+
+    def test_widest_exponent_packs(self, monkeypatch):
+        monkeypatch.setattr(gb, "_FIELD_BITS", 4)
+        ring = VarSet(("x", "y"))
+        J = Ideal([parse_poly("x^7 + y^7", ring)], ring)
+        assert [g.render() for g in fresh_std_basis(J, DEGREVLEX).basis] == ["x^7 + y^7"]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equicurve import gb
 from equicurve.errors import ParseError, RingMismatchError
 from equicurve.poly import (
     DEGREVLEX,
@@ -18,9 +19,6 @@ from equicurve.poly import (
     Elimination,
     Polynomial,
     VarSet,
-    mon_div,
-    mon_divides,
-    mon_lcm,
     mon_mul,
     order_by_name,
     parse_poly,
@@ -49,16 +47,34 @@ class TestVarSet:
         assert XYZ != UT
 
 
+PACKED_ORDERS = (DEGREVLEX, NEGDEGREVLEX, Elimination(1), Elimination(2))
+
+
 class TestMonomialHelpers:
+    # the tuple product, and the packed monomials of the Groebner core: a
+    # product is the sum of order keys, a quotient their difference
     def test_mul_div_roundtrip(self):
         a, b = (2, 0, 1), (1, 3, 0)
         assert mon_mul(a, b) == (3, 3, 1)
-        assert mon_div(mon_mul(a, b), b) == a
+        for order in PACKED_ORDERS:
+            pk = gb._Packing(3, order)
+            assert pk.key(a) + pk.key(b) == pk.key((3, 3, 1))
+            assert pk.exps(pk.key(mon_mul(a, b)) - pk.key(b)) == a
 
     def test_divides_and_lcm(self):
-        assert mon_divides((1, 0, 0), (2, 1, 0))
-        assert not mon_divides((0, 2, 0), (1, 1, 3))
-        assert mon_lcm((2, 0, 1), (1, 3, 0)) == (2, 3, 1)
+        for order in PACKED_ORDERS:
+            pk = gb._Packing(3, order)
+            G = pk.guard
+
+            def packed(m):
+                return pk.packed(pk.key(m))
+
+            def divides(a, b):
+                return ((packed(b) | G) - packed(a)) & G == G
+
+            assert divides((1, 0, 0), (2, 1, 0))
+            assert not divides((0, 2, 0), (1, 1, 3))
+            assert pk.fields(pk.lcm(packed((2, 0, 1)), packed((1, 3, 0)))) == (2, 3, 1)
 
 
 class TestOrders:
