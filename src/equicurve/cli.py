@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 parse/schema errors, 3 computation errors,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -40,7 +39,7 @@ EXIT_PARSE = 2
 EXIT_COMPUTE = 3
 EXIT_HYPOTHESIS = 4
 
-DEFAULT_OPTIONS = dataclasses.asdict(FamilyOptions())
+DEFAULT_OPTIONS = FamilyOptions()._asdict()
 
 
 def _require_mapping(node, allowed, required, where):
@@ -114,11 +113,15 @@ def _parse_assertions(node, where):
     _require_mapping(
         node, ("mu", "m", "r", "delta", "epsilon", "reduced"), ("mu", "m", "r"), where
     )
+    # a null delta is not declared; a curve germ has m, r >= 1 and epsilon >= 0
+    least = {"m": 1, "r": 1, "epsilon": 0}
     for k in ("mu", "m", "r", "delta", "epsilon"):
-        if k in node and node[k] is not None and (
-            not isinstance(node[k], int) or isinstance(node[k], bool)
-        ):
+        if k not in node or (k == "delta" and node[k] is None):
+            continue
+        if not isinstance(node[k], int) or isinstance(node[k], bool):
             raise ParseError(f"{where}.{k}: expected an integer")
+        if k in least and node[k] < least[k]:
+            raise ParseError(f"{where}.{k}: expected an integer of at least {least[k]}")
     if "reduced" in node and not isinstance(node["reduced"], bool):
         raise ParseError(f"{where}.reduced: expected a boolean")
     return GenericAssertions(

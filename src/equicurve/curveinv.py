@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ComputationError, InternalCheckError
 from .gb import Ideal
@@ -56,17 +56,6 @@ class BranchParam:
                 g = math.gcd(g, sum(m))
         return g
 
-    def monomial_exponents(self):
-        """Exponent set when every component is a single monomial; None otherwise."""
-        exps = set()
-        for c in self.components:
-            if c.is_zero():
-                continue
-            if not c.is_monomial():
-                return None
-            exps.add(c.min_degree())
-        return exps
-
     def __repr__(self):
         body = ", ".join(c.render() for c in self.components)
         return f"BranchParam({body})"
@@ -77,58 +66,26 @@ def branch_multiplicity(b: BranchParam) -> int:
     return b.u_order()
 
 
-@dataclass
 class CurvePresentation:
     """A curve germ: branches of the reduced structure plus optional embedded data."""
 
-    branches: list
-    ideal: Ideal | None = None
-    decomposition: PrimaryDecomposition | None = None
+    __slots__ = ("branches", "ideal", "decomposition")
 
-    def __post_init__(self):
-        if not self.branches:
+    def __init__(self, branches, ideal: Ideal | None = None,
+                 decomposition: PrimaryDecomposition | None = None):
+        if not branches:
             raise ValueError("curve needs at least one branch")
-        dims = {b.ambient_dim for b in self.branches}
-        if len(dims) != 1:
+        if len({b.ambient_dim for b in branches}) != 1:
             raise ComputationError("branches with mismatched ambient dimensions")
+        self.branches = branches
+        self.ideal = ideal
+        self.decomposition = decomposition
 
 
 def curve_multiplicity(C: CurvePresentation) -> int:
     """Multiplicity of the germ; computed on the reduced structure as the sum of
     branch multiplicities (multiplicity is insensitive to the embedded component)."""
     return sum(branch_multiplicity(b) for b in C.branches)
-
-
-def semigroup_delta_oracle(b: BranchParam) -> int:
-    """Gap count of the numerical semigroup generated by the exponents of a
-    monomial branch; an independent oracle for the delta invariant."""
-    exps = b.monomial_exponents()
-    if exps is None:
-        raise ComputationError("oracle needs a branch with single-monomial components")
-    exps = sorted(exps)
-    g = 0
-    for e in exps:
-        g = math.gcd(g, e)
-    if g != 1:
-        raise ComputationError(f"exponent gcd {g} > 1: branch is not a normalization")
-    smallest = exps[0]
-    if smallest == 1:
-        return 0
-    limit = max(exps) * smallest + 1
-    while True:
-        reachable = [False] * limit
-        reachable[0] = True
-        for n in range(1, limit):
-            reachable[n] = any(n >= e and reachable[n - e] for e in exps)
-        run = 0
-        for n in range(limit - 1, 0, -1):
-            if reachable[n]:
-                run += 1
-                if run >= smallest:
-                    return sum(1 for n in range(1, limit) if not reachable[n])
-            else:
-                break
-        limit *= 2
 
 
 def _times_coordinate(vec, coordinate, J):
@@ -325,27 +282,23 @@ def delta_reduced(branches) -> int:
     )
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
+class CurveInvariants(
+    namedtuple("CurveInvariants", "m r delta_red epsilon delta mu_red mu")
+):
     """The full invariant record of a generically reduced curve germ."""
 
-    m: int
-    r: int
-    delta_red: int
-    epsilon: int
-    delta: int
-    mu_red: int
-    mu: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mu_red != 2 * self.delta_red - self.r + 1:
+    def __new__(cls, m, r, delta_red, epsilon, delta, mu_red, mu):
+        if mu_red != 2 * delta_red - r + 1:
             raise InternalCheckError("mu_red identity violated")
-        if self.delta != self.delta_red - self.epsilon:
+        if delta != delta_red - epsilon:
             raise InternalCheckError("delta identity violated")
-        if self.mu != self.mu_red - 2 * self.epsilon:
+        if mu != mu_red - 2 * epsilon:
             raise InternalCheckError("mu identity violated")
-        if min(self.m, self.r, self.delta_red, self.epsilon, self.mu_red) < 0:
+        if min(m, r, delta_red, epsilon, mu_red) < 0:
             raise InternalCheckError("negative invariant")
+        return super().__new__(cls, m, r, delta_red, epsilon, delta, mu_red, mu)
 
 
 def invariants(C: CurvePresentation) -> CurveInvariants:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .curveinv import (
@@ -33,9 +33,7 @@ RING_UT = VarSet(("u", "t"))
 RING_U = VarSet(("u",))
 
 
-@dataclass(frozen=True)
-class FamilyOptions:
-    seed: int = 0
+FamilyOptions = namedtuple("FamilyOptions", "seed", defaults=(0,))
 
 
 class FamilyComponent:
@@ -114,45 +112,51 @@ class FamilyComponent:
         return f"FamilyComponent({', '.join(p.render() for p in self.param)})"
 
 
-@dataclass(frozen=True)
-class GenericAssertions:
+class GenericAssertions(
+    namedtuple("GenericAssertions", "mu m r reduced delta epsilon",
+               defaults=(True, None, 0))
+):
     """Declared invariants of the generic fiber, for families not given by a
     parametrization; every use is labeled 'asserted' in the report."""
 
-    mu: int
-    m: int
-    r: int
-    reduced: bool = True
-    delta: int | None = None
-    epsilon: int = 0
+    __slots__ = ()
 
 
-@dataclass
 class FamilyPresentation:
-    mode: str = "parametrized"  # or "declared"
-    components: tuple = ()
-    special_ideal: Ideal | None = None
-    special_decomposition: PrimaryDecomposition | None = None
-    declared_special: CurvePresentation | None = None
-    declared_classes: tuple | None = None  # (#class A, #class B)
-    generic_assertions: GenericAssertions | None = None
+    """A family given by its components ("parametrized" mode) or by its special
+    fiber, component classes and generic-fiber assertions ("declared" mode)."""
 
-    def __post_init__(self):
-        if self.mode == "parametrized":
-            if not self.components:
+    __slots__ = ("mode", "components", "special_ideal", "special_decomposition",
+                 "declared_special", "declared_classes", "generic_assertions")
+
+    def __init__(
+        self,
+        mode: str = "parametrized",
+        components: tuple = (),
+        special_ideal: Ideal | None = None,
+        special_decomposition: PrimaryDecomposition | None = None,
+        declared_special: CurvePresentation | None = None,
+        declared_classes: tuple | None = None,  # (#class A, #class B)
+        generic_assertions: GenericAssertions | None = None,
+    ):
+        if mode == "parametrized":
+            if not components:
                 raise ComputationError("parametrized family needs at least one component")
-        elif self.mode == "declared":
-            if (
-                self.declared_special is None
-                or self.declared_classes is None
-                or self.generic_assertions is None
-            ):
+        elif mode == "declared":
+            if declared_special is None or declared_classes is None or generic_assertions is None:
                 raise ComputationError(
                     "declared family needs special fiber, component classes and "
                     "generic-fiber assertions"
                 )
         else:
-            raise ComputationError(f"unknown family mode {self.mode!r}")
+            raise ComputationError(f"unknown family mode {mode!r}")
+        self.mode = mode
+        self.components = components
+        self.special_ideal = special_ideal
+        self.special_decomposition = special_decomposition
+        self.declared_special = declared_special
+        self.declared_classes = declared_classes
+        self.generic_assertions = generic_assertions
 
 
 def pullback_ideal(c: FamilyComponent) -> Ideal:
@@ -191,30 +195,19 @@ def specialize_fiber(F: FamilyPresentation, t0) -> CurvePresentation:
     return CurvePresentation([c.specialize(t0) for c in comps])
 
 
-@dataclass(frozen=True)
-class FiberInvariants:
-    at: str  # "special" or "generic"
-    inv: CurveInvariants
-    t_samples_used: tuple = ()
+# at is "special" or "generic"; inv a CurveInvariants
+FiberInvariants = namedtuple("FiberInvariants", "at inv t_samples_used", defaults=((),))
 
+# cm_by_component holds (label, is_cm, length, multiplicity) tuples and
+# justification (claim, theorem tag, inputs) tuples
+Verdict = namedtuple(
+    "Verdict",
+    "topologically_trivial whitney strong_simultaneous_resolution cm_by_component "
+    "b0_generic_fiber justification",
+)
 
-@dataclass(frozen=True)
-class Verdict:
-    topologically_trivial: bool
-    whitney: bool
-    strong_simultaneous_resolution: bool
-    cm_by_component: tuple  # (label, is_cm, length, multiplicity)
-    b0_generic_fiber: int
-    justification: tuple  # (claim, theorem tag, inputs)
-
-
-@dataclass(frozen=True)
-class FamilyReport:
-    special: FiberInvariants
-    generic: FiberInvariants | None
-    verdict: Verdict
-    hypotheses: dict
-    constancy: dict
+# special and generic are FiberInvariants; hypotheses and constancy are dicts
+FamilyReport = namedtuple("FamilyReport", "special generic verdict hypotheses constancy")
 
 
 def _generic_samples(seed: int):
@@ -356,13 +349,21 @@ def _classify_declared(F, options):
                 f"{a.mu + a.r - 1} is odd"
             )
         delta_t = (a.mu + a.r - 1) // 2
+    # mu_red = 2*delta_red - r + 1 with r >= 1, so a negative delta_red makes
+    # mu_red negative too
+    delta_red, mu_red = delta_t + a.epsilon, a.mu + 2 * a.epsilon
+    if mu_red < 0:
+        raise HypothesisError(
+            "declared generic invariants are inconsistent: they give "
+            f"delta_red = {delta_red} and mu_red = {mu_red}, and neither can be negative"
+        )
     inv_t = CurveInvariants(
         m=a.m,
         r=a.r,
-        delta_red=delta_t + a.epsilon,
+        delta_red=delta_red,
         epsilon=a.epsilon,
         delta=delta_t,
-        mu_red=a.mu + 2 * a.epsilon,
+        mu_red=mu_red,
         mu=a.mu,
     )
     b0 = connectivity(F)

@@ -15,7 +15,7 @@ of J + <t^n>; it is kept as the tests' oracle and is on no production path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 
 from .errors import ComputationError, HypothesisError, InternalCheckError
@@ -24,11 +24,10 @@ from .gcd import bivariate_gcd
 from .poly import DEGREVLEX, NEGDEGREVLEX, Polynomial
 
 
-@dataclass(frozen=True)
-class LengthValue:
+class LengthValue(namedtuple("LengthValue", "value")):
     """A vector-space dimension over the rationals; None encodes infinity."""
 
-    value: int | None
+    __slots__ = ()
 
     @property
     def finite(self) -> bool:
@@ -247,13 +246,10 @@ def param_multiplicity(J: Ideal, param: str = "t", axis_var: str = "u") -> int:
     return _verify_radical_is_axis(J, axis_var)
 
 
-@dataclass(frozen=True)
-class CMWitness:
+class CMWitness(namedtuple("CMWitness", "is_cm length multiplicity")):
     """Outcome of the Cohen-Macaulay test with both compared numbers recorded."""
 
-    is_cm: bool
-    length: int
-    multiplicity: int
+    __slots__ = ()
 
 
 def is_cohen_macaulay(J: Ideal, param: str = "t", axis_var: str = "u") -> CMWitness:

@@ -159,9 +159,6 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def total_degree(self):
         """Degree of the polynomial; -1 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=-1)
@@ -274,35 +271,6 @@ class Polynomial:
         if coeff:
             out.terms = {mon_mul(m, exps): c * coeff for m, c in self.terms.items()}
         return out
-
-    def substitute(self, mapping, target: VarSet | None = None):
-        """Evaluate with each variable replaced by a polynomial over ``target``.
-
-        Variables absent from ``mapping`` must exist in the target ring and map
-        to themselves.
-        """
-        target = target or self.ring
-        images = []
-        for name in self.ring.names:
-            if name in mapping:
-                img = mapping[name]
-                if not isinstance(img, Polynomial):
-                    img = Polynomial.const(target, img)
-                images.append(img)
-            else:
-                images.append(Polynomial.var(target, name))
-        result = Polynomial.zero(target)
-        pow_cache = [dict() for _ in images]
-        for m, c in self.terms.items():
-            part = Polynomial.const(target, c)
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                if e not in pow_cache[i]:
-                    pow_cache[i][e] = images[i] ** e
-                part = part * pow_cache[i][e]
-            result = result + part
-        return result
 
     # -- leading data ------------------------------------------------------
 

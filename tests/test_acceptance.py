@@ -10,7 +10,7 @@ import random
 from contextlib import contextmanager
 
 from equicurve.cli import analyze_manifest, run_paper_corpus
-from equicurve.curveinv import BranchParam, CurvePresentation, delta_reduced, invariants, semigroup_delta_oracle
+from equicurve.curveinv import BranchParam, CurvePresentation, delta_reduced, invariants
 from equicurve.errors import ComputationError, HypothesisError
 from equicurve.family import (
     RING_UT,
@@ -28,6 +28,7 @@ from equicurve.localdim import (
 )
 from equicurve.poly import NEGDEGREVLEX, Polynomial, VarSet, parse_poly
 from gb_reference import ideal_equal, ideal_quotient
+from oracles import semigroup_delta_oracle
 
 XYZ = VarSet(("x", "y", "z"))
 UT = RING_UT

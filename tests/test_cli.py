@@ -5,6 +5,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,13 @@ CUSP_CURVE_ENTRY = {
         "primes": [["z", "y^3-x^4"]],
         "embedded": ["x^4", "x*z", "y^2", "y*z^2", "z^3"],
     },
+}
+
+DECLARED_FAMILY_ENTRY = {
+    "name": "declared-cusp",
+    "kind": "family",
+    "mode": "declared",
+    "special_fiber": {"branches": [["u^2", "u^3", "0"]], "classes": [1, 0]},
 }
 
 
@@ -283,6 +294,45 @@ class TestSchemaRejection:
         assert err.startswith("parse error:") and err.count("\n") == 1
         assert f"{field}: the ideal is zero" in err
 
+    @pytest.mark.parametrize(
+        "assertions, field",
+        [
+            ({"mu": 0, "m": 1, "r": 1, "epsilon": -2, "reduced": False}, "epsilon"),
+            ({"mu": 0, "m": 0, "r": 1}, "m"),
+            ({"mu": 0, "m": 1, "r": 0}, "r"),
+            ({"mu": 2, "m": None, "r": 1}, "m"),
+            ({"mu": 2, "m": 2, "r": 1, "epsilon": None}, "epsilon"),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["declared", "parametrized"])
+    def test_assertions_that_describe_no_curve(self, tmp_path, capsys, assertions, field, mode):
+        entry = DECLARED_FAMILY_ENTRY if mode == "declared" else CUSP_FAMILY_ENTRY
+        path = write_manifest(
+            tmp_path, manifest(dict(entry, generic_fiber_assertions=assertions))
+        )
+        assert main(["analyze", path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and err.count("\n") == 1
+        assert f".generic_fiber_assertions.{field}: expected an integer" in err
+
+    @pytest.mark.parametrize(
+        "assertions, delta_red, mu_red",
+        [
+            ({"mu": -2, "m": 1, "r": 1}, -1, -2),
+            ({"mu": -2, "m": 1, "r": 1, "delta": -1}, -1, -2),
+            ({"mu": -2, "m": 3, "r": 3}, 0, -2),
+        ],
+    )
+    def test_declared_invariants_of_no_curve(self, tmp_path, capsys, assertions, delta_red,
+                                             mu_red):
+        entry = dict(DECLARED_FAMILY_ENTRY, generic_fiber_assertions=assertions)
+        path = write_manifest(tmp_path, manifest(entry))
+        assert main(["analyze", path]) == EXIT_HYPOTHESIS
+        assert capsys.readouterr().err == (
+            "hypothesis failure: declared generic invariants are inconsistent: they give "
+            f"delta_red = {delta_red} and mu_red = {mu_red}, and neither can be negative\n"
+        )
+
     def test_rejected_decomposition_is_compute_error(self, tmp_path):
         entry = json.loads(json.dumps(CUSP_CURVE_ENTRY))
         entry["decomposition"]["embedded"] = ["x", "y", "z"]
@@ -428,3 +478,22 @@ class TestStd:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("parse error:") and captured.err.count("\n") == 1
+
+
+class TestStartup:
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # the modules importing the front end adds to those of a bare start, so a
+        # site hook that preloads modules does not count against the package
+        code = (
+            "import sys; bare = set(sys.modules); import equicurve.cli; "
+            "print(*sorted(set(sys.modules) - bare))"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        added = set(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout.split())
+        assert "equicurve.cli" in added
+        assert not added & {"dataclasses", "inspect"}

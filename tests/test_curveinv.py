@@ -21,13 +21,13 @@ from equicurve.curveinv import (
     delta_reduced,
     invariants,
     semigroup_conductor,
-    semigroup_delta_oracle,
 )
 from equicurve.errors import ComputationError, InternalCheckError
 from equicurve.gb import Ideal
 from equicurve.linalg import RowSpace
 from equicurve.localdim import PrimaryDecomposition
 from equicurve.poly import VarSet, parse_poly
+from oracles import semigroup_delta_oracle
 
 U = VarSet(("u",))
 XYZ = VarSet(("x", "y", "z"))
