@@ -12,7 +12,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import corpus as corpus_data
 from .curveinv import BranchParam, CurvePresentation, invariants
 from .errors import (
     ComputationError,
@@ -375,6 +374,8 @@ def run_paper_corpus(seed=None, expectation_overrides=None):
     Returns (report dict, mismatch list); ``expectation_overrides`` replaces
     expectation tables per entry name (used by the harness self-test).
     """
+    from . import corpus as corpus_data  # the built-in manifests; only this reads them
+
     expectations = dict(corpus_data.EXPECTATIONS)
     if expectation_overrides:
         expectations.update(expectation_overrides)

@@ -88,20 +88,22 @@ def curve_multiplicity(C: CurvePresentation) -> int:
     return sum(branch_multiplicity(b) for b in C.branches)
 
 
-def _times_coordinate(vec, coordinate, J):
+def _times_coordinate(vec, jet_at, end_at):
     """vec in the direct sum of Q[u]/u^J (column i*J + j is u^j on branch i)
-    times one coordinate, given by its jets on the branches."""
+    times one coordinate: jet_at[col] is its jet on the branch of column col,
+    and end_at[col] the first column past that branch."""
     out = {}
     for col, c in vec.items():
-        i, j = divmod(col, J)
-        for e, a in coordinate[i]:
-            if j + e >= J:
+        end = end_at[col]
+        for e, a in jet_at[col]:
+            k = col + e
+            if k >= end:
                 break
-            s = out.get(col + e, 0) + c * a
+            s = out.get(k, 0) + c * a
             if s:
-                out[col + e] = s
+                out[k] = s
             else:
-                del out[col + e]
+                del out[k]
     return out
 
 
@@ -163,16 +165,6 @@ def _first_jet_order(coordinates, orders):
     return max(c + m + plane * m * (total - m) for c, m in zip(conductors, orders))
 
 
-def _check_branches_distinct(branches):
-    seen = {}
-    for i, b in enumerate(branches):
-        if b.components in seen:
-            raise ComputationError(
-                f"branches {seen[b.components]} and {i} have the same parametrization"
-            )
-        seen[b.components] = i
-
-
 def delta_reduced(branches) -> int:
     """Delta invariant of the reduced curve with the given branches, exactly.
 
@@ -230,37 +222,58 @@ def delta_reduced(branches) -> int:
     order to try. The error then states the jet order that was not certified
     and names no cause.
     """
-    branches = list(branches)
-    for b in branches:
-        g = b.exponent_gcd()
+    # jets[i][k]: the u-jet of coordinate k on branch i, as (exponent,
+    # coefficient) pairs in increasing exponent order
+    jets = [
+        [sorted((sum(m), c) for m, c in comp.terms.items()) for comp in b.components]
+        for b in branches
+    ]
+    for jet in jets:
+        g = math.gcd(*(e for coordinate in jet for e, _ in coordinate))
         if g > 1:
             raise ComputationError(
                 f"branch exponent gcd {g} > 1: parametrization is not a normalization"
             )
-    _check_branches_distinct(branches)
-    r = len(branches)
-    orders = [b.u_order() for b in branches]
-    # coordinates[k][i]: the u-jet of coordinate k on branch i, as (exponent,
-    # coefficient) pairs in increasing exponent order, with integer coefficients
+    r = len(jets)
+    # coordinates[k][i]: the same jet with integer coefficients. A coordinate
+    # that vanishes on every branch is left out: it takes every vector to 0.
     coordinates = []
-    for k in range(branches[0].ambient_dim):
-        jets = [sorted((sum(m), c) for m, c in b.components[k].terms.items()) for b in branches]
-        d = math.lcm(*(c.denominator for jet in jets for _, c in jet))
-        coordinates.append(
-            [[(e, c.numerator * (d // c.denominator)) for e, c in jet] for jet in jets]
-        )
+    for on_branches in zip(*jets):
+        if any(on_branches):
+            d = math.lcm(*(c.denominator for jet in on_branches for _, c in jet))
+            coordinates.append([
+                tuple((e, c.numerator * (d // c.denominator)) for e, c in jet)
+                for jet in on_branches
+            ])
+    # two branches have the same parametrization exactly when their scaled
+    # jets are the same
+    seen = {}
+    for i, branch_jets in enumerate(zip(*coordinates)):
+        if branch_jets in seen:
+            raise ComputationError(
+                f"branches {seen[branch_jets]} and {i} have the same parametrization"
+            )
+        seen[branch_jets] = i
+    orders = [min(jet[0][0] for jet in branch_jets if jet) for branch_jets in jets]
     J = 2 * max(orders)
     first = _first_jet_order(coordinates, orders)
     if first is not None:
         J = max(J, min(JET_ORDER_CAP, first))
     while J <= JET_ORDER_CAP:
+        # per column: each coordinate's jet on its branch, and the branch's end
+        jet_at = [[] for _ in coordinates]
+        end_at = []
+        for i in range(r):
+            for on_columns, coordinate in zip(jet_at, coordinates):
+                on_columns += [coordinate[i]] * J
+            end_at += [(i + 1) * J] * J
         span = RowSpace()
         queue = [{i * J: 1 for i in range(r)}]
         span.add(queue[0])
         while queue:
             vec = queue.pop()
-            for coordinate in coordinates:
-                prod = _times_coordinate(vec, coordinate, J)
+            for on_columns in jet_at:
+                prod = _times_coordinate(vec, on_columns, end_at)
                 if prod and span.add(prod):
                     queue.append(prod)
         if all(

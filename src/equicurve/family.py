@@ -316,6 +316,14 @@ def _classify_parametrized(F, options):
             f"generic multiplicity from branch orders ({inv_t.m}) is below the sum "
             f"of the pullback multiplicities ({sum_e})"
         )
+    if assertions is not None:
+        for field in ("m", "r", "mu", "delta"):
+            declared, computed = getattr(assertions, field), getattr(inv_t, field)
+            if declared is not None and declared != computed:
+                raise HypothesisError(
+                    f"generic_fiber_assertions.{field} = {declared}, but the generic "
+                    f"fiber of the components has {field} = {computed}"
+                )
 
     b0 = connectivity(norm)
     hypotheses = {

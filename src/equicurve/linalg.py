@@ -17,7 +17,7 @@ from math import gcd, lcm
 def _integral(vec):
     """A new dict holding vec times the lcm of its denominators: integer entries."""
     vals = vec.values()
-    if set(map(type, vals)) == {int}:
+    if type(sum(vals)) is int:  # a sum with a Fraction in it is a Fraction
         return dict(vec)
     d = lcm(*(v.denominator for v in vals))
     return {col: v.numerator * (d // v.denominator) for col, v in vec.items()}

@@ -4,14 +4,16 @@ parser with explicit budgets.
 Monomials are exponent tuples aligned with a fixed ``VarSet``; polynomials are
 sparse dicts mapping exponent tuples to nonzero ``Fraction`` coefficients.
 All arithmetic is exact; there is no floating point anywhere in the package.
+The parser works on such dicts with int coefficients, a Fraction only from an
+``a/b`` literal, and makes every coefficient a Fraction in its one Polynomial.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 import sys
 from fractions import Fraction
+from operator import add
 
 from .errors import ComputationError, ParseError, RingMismatchError
 
@@ -49,7 +51,52 @@ class VarSet:
 
 
 def mon_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
+
+
+# Arithmetic on term dicts {exponents: nonzero coefficient}, shared by
+# Polynomial and the parser, whose coefficients may be ints.
+def _negated(p):
+    return {m: -c for m, c in p.items()}
+
+
+def _add_terms(p, q):
+    """p + q, computed in p."""
+    for m, c in q.items():
+        s = p.get(m, 0) + c
+        if s:
+            p[m] = s
+        else:
+            del p[m]
+    return p
+
+
+def _mul_terms(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = mon_mul(m1, m2)
+            s = out.get(m, 0) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def _power_terms(p, n, nvars, multiply=_mul_terms):
+    """p**n for n >= 0: a single term scales its exponents, a sum is raised by
+    repeated squaring, each product done by ``multiply``."""
+    if len(p) == 1:
+        ((m, c),) = p.items()
+        return {tuple(e * n for e in m): c**n}
+    result = {(0,) * nvars: 1}
+    while n:
+        if n & 1:
+            result = multiply(result, p)
+        p = multiply(p, p) if n > 1 else p
+        n >>= 1
+    return result
 
 
 class MonomialOrder:
@@ -123,12 +170,8 @@ class Polynomial:
 
     def __init__(self, ring: VarSet, terms=None):
         self.ring = ring
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    self.terms[m] = c
+        terms = terms or {}
+        self.terms = {m: c for m, c in zip(terms, map(Fraction, terms.values())) if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -170,9 +213,6 @@ class Polynomial:
     def constant_term(self):
         return self.terms.get((0,) * len(self.ring), Fraction(0))
 
-    def coeff(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
@@ -196,25 +236,16 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.const(self.ring, other)
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
         out = Polynomial(self.ring)
-        out.terms = terms
+        out.terms = _add_terms(dict(self.terms), other.terms)
         return out
 
     def __neg__(self):
         out = Polynomial(self.ring)
-        out.terms = {m: -c for m, c in self.terms.items()}
+        out.terms = _negated(self.terms)
         return out
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.const(self.ring, other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -225,44 +256,17 @@ class Polynomial:
                 out.terms = {m: co * c for m, co in self.terms.items()}
             return out
         self._check(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mon_mul(m1, m2)
-                s = terms.get(m, 0) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
         out = Polynomial(self.ring)
-        out.terms = terms
+        out.terms = _mul_terms(self.terms, other.terms)
         return out
 
     __rmul__ = __mul__
     __radd__ = __add__
 
     def __pow__(self, n: int):
-        return self.power(n)
-
-    def power(self, n: int, multiply=None):
-        """self**n by repeated squaring; ``multiply(p, q)``, p * q by default,
-        does each product (the parser passes one that checks its budget)."""
         if n < 0:
             raise ParseError("negative exponent")
-        if len(self.terms) == 1:
-            ((m, c),) = self.terms.items()
-            out = Polynomial(self.ring)
-            out.terms = {tuple(e * n for e in m): c**n}
-            return out
-        multiply = multiply or Polynomial.__mul__
-        result = Polynomial.const(self.ring, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = multiply(result, base)
-            base = multiply(base, base) if n > 1 else base
-            n >>= 1
-        return result
+        return Polynomial(self.ring, _power_terms(self.terms, n, len(self.ring)))
 
     def term_mul(self, exps, coeff):
         """Multiply by a single term coeff * x^exps."""
@@ -332,29 +336,23 @@ def _number_text(x) -> str:
 # --- parser ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))"
+    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str):
-    pos = 0
     tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} in {text!r}")
-            break
-        if m.lastgroup == "num":
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        val = m[kind]
+        if kind == "bad":
+            raise ParseError(f"unexpected character {val!r} in {text!r}")
+        if kind == "num":
             try:
-                tokens.append(("num", int(m.group("num"))))
+                val = int(val)
             except ValueError:  # past the interpreter's limit on digits
                 raise ParseError(f"number literal of {m.end() - m.start()} characters is too long") from None
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
+        tokens.append((kind, val))
     tokens.append(("end", None))
     return tokens
 
@@ -373,11 +371,11 @@ MAX_EXPONENT = 1000
 # Most term products in one multiplication, the parser's own or one step of a
 # power's repeated squaring: the operands' term counts multiplied, times the
 # words of their largest coefficient. The slowest accepted input found,
-# (u + t + 1)^43, parses in 0.4 s on a 2-vCPU VM; (u + u^2)^303 in 0.2 s.
+# (u + t + 1/2)^43, parses in 0.4 s on a 2-vCPU VM; (u + t + 1)^43 in 0.05 s.
 MAX_TERM_PRODUCTS = 50_000
 
 
-def _words(c: Fraction) -> int:
+def _words(c) -> int:
     return 1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64
 
 
@@ -385,8 +383,9 @@ class _Parser:
     """Recursive descent over: expr := term (+|- term)*; term := unary (* unary)*;
     unary := (+|-)* power; power := atom [^ num]; atom := rational | ident | ( expr ).
 
-    Each rule returns the polynomial and the largest exponent applied to an
-    atom inside it, counted through nested powers (see MAX_EXPONENT)."""
+    Each rule returns a term dict {exponents: nonzero coefficient}, which its
+    caller owns and may change in place, and the largest exponent applied to
+    an atom inside it, counted through nested powers (see MAX_EXPONENT)."""
 
     def __init__(self, text, ring):
         self.text = text
@@ -409,27 +408,26 @@ class _Parser:
             raise ParseError(f"expected {op!r} in {self.text!r}")
 
     def multiply(self, p, q):
-        coeffs = itertools.chain(p.terms.values(), q.terms.values())
-        size = len(p.terms) * len(q.terms) * max(map(_words, coeffs), default=1)
+        size = len(p) * len(q) * max(map(_words, (*p.values(), *q.values())), default=1)
         if size > MAX_TERM_PRODUCTS:
             raise ParseError(
                 f"a multiplication of {size} term products exceeds "
                 f"MAX_TERM_PRODUCTS = {MAX_TERM_PRODUCTS} in {self.text!r}"
             )
-        return p * q
+        return _mul_terms(p, q)
 
     def parse(self):
         p, _ = self.expr()
         if self.peek()[0] != "end":
             raise ParseError(f"trailing input in {self.text!r}")
-        return p
+        return Polynomial(self.ring, p)
 
     def expr(self):
         p, w = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
+        while self.peek() in (("op", "+"), ("op", "-")):
             _, op = self.next()
             q, wq = self.term()
-            p = p + q if op == "+" else p - q
+            p = _add_terms(p, q if op == "+" else _negated(q))
             w = max(w, wq)
         return p, w
 
@@ -447,7 +445,7 @@ class _Parser:
         while self.peek() in (("op", "-"), ("op", "+")):
             negate ^= self.next()[1] == "-"
         p, w = self.power()
-        return (-p if negate else p), w
+        return (_negated(p) if negate else p), w
 
     def power(self):
         base, w = self.atom()
@@ -464,7 +462,7 @@ class _Parser:
             raise ParseError(
                 f"exponent {w * n} exceeds MAX_EXPONENT = {MAX_EXPONENT} in {self.text!r}"
             )
-        return base.power(n, self.multiply), w * n
+        return _power_terms(base, n, len(self.ring), self.multiply), w * n
 
     def atom(self):
         kind, val = self.next()
@@ -477,11 +475,13 @@ class _Parser:
                 if den == 0:
                     raise ParseError("zero denominator")
                 val = Fraction(val, den)
-            return Polynomial.const(self.ring, val), _words(Fraction(val))
+            return ({(0,) * len(self.ring): val} if val else {}), _words(val)
         if kind == "ident":
             if val not in self.ring:
                 raise ParseError(f"unknown variable {val!r} (ring has {self.ring.names})")
-            return Polynomial.var(self.ring, val), 1
+            e = [0] * len(self.ring)
+            e[self.ring.index[val]] = 1
+            return {tuple(e): 1}, 1
         if kind == "op" and val == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")

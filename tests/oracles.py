@@ -1,12 +1,16 @@
-"""Independent routes that only tests use: polynomial substitution, and the
-delta invariant of a monomial branch counted as the gaps of its semigroup."""
+"""Independent routes that only tests use: polynomial substitution, the delta
+invariant of a monomial branch counted as the gaps of its semigroup, and the
+expression parser as it was before it carried plain term dicts."""
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
+from fractions import Fraction
 
-from equicurve.errors import ComputationError
-from equicurve.poly import Polynomial
+from equicurve.errors import ComputationError, ParseError
+from equicurve.poly import MAX_EXPONENT, MAX_NESTING, MAX_TERM_PRODUCTS, Polynomial
 
 
 def substitute(f: Polynomial, mapping, target=None) -> Polynomial:
@@ -69,3 +73,172 @@ def semigroup_delta_oracle(b) -> int:
             else:
                 break
         limit *= 2
+
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))"
+)
+
+
+def _tokenize(text: str):
+    pos = 0
+    tokens = []
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            if text[pos:].strip():
+                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} in {text!r}")
+            break
+        if m.lastgroup == "num":
+            try:
+                tokens.append(("num", int(m.group("num"))))
+            except ValueError:  # past the interpreter's limit on digits
+                raise ParseError(f"number literal of {m.end() - m.start()} characters is too long") from None
+        elif m.lastgroup == "ident":
+            tokens.append(("ident", m.group("ident")))
+        else:
+            tokens.append(("op", m.group("op")))
+        pos = m.end()
+    tokens.append(("end", None))
+    return tokens
+
+
+def _words(c: Fraction) -> int:
+    return 1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64
+
+
+def _power(p: Polynomial, n: int, multiply) -> Polynomial:
+    """p**n by repeated squaring, each product done by ``multiply``."""
+    if len(p.terms) == 1:
+        ((m, c),) = p.terms.items()
+        out = Polynomial(p.ring)
+        out.terms = {tuple(e * n for e in m): c**n}
+        return out
+    result = Polynomial.const(p.ring, 1)
+    base = p
+    while n:
+        if n & 1:
+            result = multiply(result, base)
+        base = multiply(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
+class OracleParser:
+    """The reference parser: every atom is a Polynomial and every step is
+    Fraction arithmetic. Same grammar, budgets and error texts as
+    ``equicurve.poly.parse_poly``.
+
+    Recursive descent over: expr := term (+|- term)*; term := unary (* unary)*;
+    unary := (+|-)* power; power := atom [^ num]; atom := rational | ident | ( expr ).
+
+    Each rule returns the polynomial and the largest exponent applied to an
+    atom inside it, counted through nested powers (see MAX_EXPONENT)."""
+
+    def __init__(self, text, ring):
+        self.text = text
+        self.ring = ring
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, val = self.next()
+        if kind != "op" or val != op:
+            raise ParseError(f"expected {op!r} in {self.text!r}")
+
+    def multiply(self, p, q):
+        coeffs = itertools.chain(p.terms.values(), q.terms.values())
+        size = len(p.terms) * len(q.terms) * max(map(_words, coeffs), default=1)
+        if size > MAX_TERM_PRODUCTS:
+            raise ParseError(
+                f"a multiplication of {size} term products exceeds "
+                f"MAX_TERM_PRODUCTS = {MAX_TERM_PRODUCTS} in {self.text!r}"
+            )
+        return p * q
+
+    def parse(self):
+        p, _ = self.expr()
+        if self.peek()[0] != "end":
+            raise ParseError(f"trailing input in {self.text!r}")
+        return p
+
+    def expr(self):
+        p, w = self.term()
+        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
+            _, op = self.next()
+            q, wq = self.term()
+            p = p + q if op == "+" else p - q
+            w = max(w, wq)
+        return p, w
+
+    def term(self):
+        p, w = self.unary()
+        while self.peek() == ("op", "*"):
+            self.next()
+            q, wq = self.unary()
+            p = self.multiply(p, q)
+            w = max(w, wq)
+        return p, w
+
+    def unary(self):
+        negate = False
+        while self.peek() in (("op", "-"), ("op", "+")):
+            negate ^= self.next()[1] == "-"
+        p, w = self.power()
+        return (-p if negate else p), w
+
+    def power(self):
+        base, w = self.atom()
+        if self.peek() != ("op", "^"):
+            return base, w
+        self.next()
+        kind, val = self.peek()
+        if kind == "op" and val == "-":
+            raise ParseError(f"negative exponent in {self.text!r}")
+        kind, n = self.next()
+        if kind != "num":
+            raise ParseError(f"exponent must be an integer literal in {self.text!r}")
+        if w * n > MAX_EXPONENT:
+            raise ParseError(
+                f"exponent {w * n} exceeds MAX_EXPONENT = {MAX_EXPONENT} in {self.text!r}"
+            )
+        return _power(base, n, self.multiply), w * n
+
+    def atom(self):
+        kind, val = self.next()
+        if kind == "num":
+            if self.peek() == ("op", "/"):
+                self.next()
+                kind2, den = self.next()
+                if kind2 != "num":
+                    raise ParseError(f"malformed rational literal in {self.text!r}")
+                if den == 0:
+                    raise ParseError("zero denominator")
+                val = Fraction(val, den)
+            return Polynomial.const(self.ring, val), _words(Fraction(val))
+        if kind == "ident":
+            if val not in self.ring:
+                raise ParseError(f"unknown variable {val!r} (ring has {self.ring.names})")
+            return Polynomial.var(self.ring, val), 1
+        if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
+            self.depth += 1
+            p = self.expr()
+            self.expect_op(")")
+            self.depth -= 1
+            return p
+        raise ParseError(f"malformed expression {self.text!r}")
+
+
+def oracle_parse(text: str, ring) -> Polynomial:
+    return OracleParser(text, ring).parse()

@@ -349,6 +349,56 @@ class TestSchemaRejection:
         assert main(["analyze", path]) == EXIT_HYPOTHESIS
 
 
+class TestParametrizedAssertions:
+    """In parametrized mode the declared generic invariants are checked against
+    the generic fiber computed from the components (m = r = 1, delta = mu = 0
+    for the cusp family, before the epsilon adjustment)."""
+
+    @pytest.mark.parametrize(
+        "assertions, field, declared, computed",
+        [
+            ({"mu": 99, "m": 7, "r": 5}, "m", 7, 1),
+            ({"mu": 0, "m": 1, "r": 2}, "r", 2, 1),
+            ({"mu": 2, "m": 1, "r": 1}, "mu", 2, 0),
+            ({"mu": 0, "m": 1, "r": 1, "delta": 1}, "delta", 1, 0),
+            ({"mu": 0, "m": 1, "r": 1, "epsilon": 1, "reduced": False}, "mu", 0, -2),
+        ],
+    )
+    def test_mismatch_is_hypothesis_failure(self, tmp_path, capsys, assertions, field,
+                                            declared, computed):
+        entry = dict(CUSP_FAMILY_ENTRY, generic_fiber_assertions=assertions)
+        path = write_manifest(tmp_path, manifest(entry))
+        assert main(["analyze", path]) == EXIT_HYPOTHESIS
+        assert capsys.readouterr().err == (
+            f"hypothesis failure: generic_fiber_assertions.{field} = {declared}, but the "
+            f"generic fiber of the components has {field} = {computed}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "assertions",
+        [{"mu": 0, "m": 1, "r": 1}, {"mu": 0, "m": 1, "r": 1, "delta": 0, "reduced": True}],
+    )
+    def test_matching_assertions_leave_the_report_unchanged(self, tmp_path, capsys, assertions):
+        plain = write_manifest(tmp_path, manifest(CUSP_FAMILY_ENTRY), "plain.json")
+        asserted = write_manifest(
+            tmp_path,
+            manifest(dict(CUSP_FAMILY_ENTRY, generic_fiber_assertions=assertions)),
+            "asserted.json",
+        )
+        assert main(["analyze", plain]) == EXIT_OK
+        expected = capsys.readouterr().out
+        assert main(["analyze", asserted]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
+    def test_assertions_match_after_the_epsilon_adjustment(self):
+        assertions = {"mu": -2, "m": 1, "r": 1, "delta": -1, "epsilon": 1, "reduced": False}
+        report = analyze_manifest(
+            manifest(dict(CUSP_FAMILY_ENTRY, generic_fiber_assertions=assertions))
+        )
+        generic = report["entries"][0]["generic"]["invariants"]
+        assert (generic["epsilon"], generic["delta"], generic["mu"]) == (1, -1, -2)
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path, capsys):
         path = write_manifest(tmp_path, manifest(CUSP_FAMILY_ENTRY, CUSP_CURVE_ENTRY))
@@ -480,20 +530,30 @@ class TestStd:
         assert captured.err.startswith("parse error:") and captured.err.count("\n") == 1
 
 
+def _modules_added_by(statement):
+    """The modules a fresh interpreter adds to those of a bare start by running
+    statement, so a site hook that preloads modules does not count."""
+    code = (
+        f"import sys; bare = set(sys.modules); {statement}; "
+        "print(*sorted(set(sys.modules) - bare))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    return set(subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split())
+
+
 class TestStartup:
     def test_import_loads_neither_dataclasses_nor_inspect(self):
-        # the modules importing the front end adds to those of a bare start, so a
-        # site hook that preloads modules does not count against the package
-        code = (
-            "import sys; bare = set(sys.modules); import equicurve.cli; "
-            "print(*sorted(set(sys.modules) - bare))"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
-        added = set(subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout.split())
+        added = _modules_added_by("import equicurve.cli")
         assert "equicurve.cli" in added
         assert not added & {"dataclasses", "inspect"}
+
+    def test_import_leaves_the_corpus_unloaded(self):
+        # only the corpus command reads the built-in manifests
+        added = _modules_added_by("import equicurve.cli")
+        assert "equicurve.cli" in added
+        assert "equicurve.corpus" not in added

@@ -223,6 +223,24 @@ class TestDeltaReduced:
         with pytest.raises(ComputationError):
             delta_reduced([branch("u^2", "u^4")])
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (("2*u", "u^3", "0"), ("u + u", "u^3", "0")),
+            (("u^2", "u^3 + 1/2*u^4"), ("u*u", "u^3 + u^4 - 1/2*u^4")),
+            (("1/2*u^3", "u^4"), ("2/4*u^3", "u^2*u^2")),
+        ],
+    )
+    def test_same_polynomials_written_differently_are_repeated(self, first, second):
+        with pytest.raises(ComputationError, match="branches 0 and 1 have the same"):
+            delta_reduced([branch(*first), branch(*second)])
+
+    def test_branches_differing_in_a_rational_coefficient_are_distinct(self):
+        # x = u^3/2, y = u^4 lies on y^3 = 16 x^4, which meets the cusp
+        # y^3 = x^4 with multiplicity ord_u(u^12 - u^12/16) = 12: delta = 3 + 3 + 12
+        assert delta_reduced([branch("1/2*u^3", "u^4"), branch("u^3", "u^4")]) == 18
+        assert delta_reduced([branch("u^3", "u^4"), branch("u^3", "u^4 + 1/2*u^5")]) > 6
+
     def test_matches_oracle_on_random_monomial_branches(self):
         rng = random.Random(11)
         done = 0
@@ -322,6 +340,24 @@ class TestFirstJetOrder:
         with pytest.raises(ComputationError, match="J = 256"):
             delta_reduced([branch("u^17", "u^19")])
         assert spans_built[0] == 1
+
+    def test_coordinate_zero_on_every_branch_changes_nothing(self, spans_built):
+        # the same germs, embedded with a zero coordinate in each position
+        germs = [
+            [("u^3", "u^5 - 2*u^7")],
+            [("u^4", "u^9 + 3*u^10"), ("2*u", "u")],
+            [("u^2", "u^3"), ("u", "-u")],
+            [("1/2*u^5", "u^7 + 1/3*u^8")],
+        ]
+        for germ in germs:
+            counts = set()
+            for where in range(3):
+                spans_built[0] = 0
+                branches = [branch(*(b[:where] + ("0",) + b[where:])) for b in germ]
+                counts.add((delta_reduced(branches), spans_built[0]))
+            spans_built[0] = 0
+            counts.add((delta_reduced([branch(*b) for b in germ]), spans_built[0]))
+            assert len(counts) == 1, (germ, counts)
 
     def test_pivot_gcd_above_one_keeps_the_doubling(self, spans_built):
         # the coordinate jets have orders 2 and 4, yet y - x^2 has order 5: the
