@@ -23,47 +23,50 @@ JET_ORDER_CAP = 256
 
 
 class BranchParam:
-    """One branch of a curve germ: a tuple of polynomials in u vanishing at u = 0."""
+    """One branch of a curve germ: a tuple of polynomials in u vanishing at u = 0.
 
-    __slots__ = ("components", "label")
+    ``jets`` holds the terms of each component, read once, as a pair
+    (d, pairs): d is the lcm of the denominators of its coefficients, and pairs
+    are (exponent, coefficient times d) in increasing exponent order.
+    """
+
+    __slots__ = ("components", "label", "jets")
 
     def __init__(self, components, label=""):
         components = tuple(components)
         if not components:
             raise ValueError("branch needs at least one component")
-        if all(c.is_zero() for c in components):
+        # *args from lists, here and in gcd: CPython resizes the tuple made from a
+        # generator, and the small free lists that keep such tuples raise peak RSS
+        jets = []
+        for comp in components:
+            d = math.lcm(*[c.denominator for c in comp.terms.values()])
+            jets.append((d, tuple(sorted(
+                (sum(m), c.numerator * (d // c.denominator)) for m, c in comp.terms.items()))))
+        if not any(pairs for _, pairs in jets):
             raise ComputationError("all-zero branch")
-        for c in components:
-            if c.constant_term() != 0:
-                raise ComputationError("branch does not pass through the origin")
+        if any(pairs and pairs[0][0] == 0 for _, pairs in jets):
+            raise ComputationError("branch does not pass through the origin")
         self.components = components
         self.label = label
+        self.jets = tuple(jets)
 
     @property
     def ambient_dim(self):
         return len(self.components)
 
     def u_order(self) -> int:
-        """Minimum over components of the lowest u-exponent with nonzero coefficient."""
-        return min(c.min_degree() for c in self.components if not c.is_zero())
+        """The least u-exponent of a term, the multiplicity of the branch germ."""
+        return min(pairs[0][0] for _, pairs in self.jets if pairs)
 
     def exponent_gcd(self) -> int:
         """gcd of every u-exponent appearing in any component; >1 means the
         parametrization factors through a power of u and is not a normalization."""
-        g = 0
-        for c in self.components:
-            for m in c.terms:
-                g = math.gcd(g, sum(m))
-        return g
+        return math.gcd(*[e for _, pairs in self.jets for e, _ in pairs])
 
     def __repr__(self):
         body = ", ".join(c.render() for c in self.components)
         return f"BranchParam({body})"
-
-
-def branch_multiplicity(b: BranchParam) -> int:
-    """Multiplicity of the branch germ: its u-order."""
-    return b.u_order()
 
 
 class CurvePresentation:
@@ -80,12 +83,6 @@ class CurvePresentation:
         self.branches = branches
         self.ideal = ideal
         self.decomposition = decomposition
-
-
-def curve_multiplicity(C: CurvePresentation) -> int:
-    """Multiplicity of the germ; computed on the reduced structure as the sum of
-    branch multiplicities (multiplicity is insensitive to the embedded component)."""
-    return sum(branch_multiplicity(b) for b in C.branches)
 
 
 def _times_coordinate(vec, jet_at, end_at):
@@ -222,28 +219,23 @@ def delta_reduced(branches) -> int:
     order to try. The error then states the jet order that was not certified
     and names no cause.
     """
-    # jets[i][k]: the u-jet of coordinate k on branch i, as (exponent,
-    # coefficient) pairs in increasing exponent order
-    jets = [
-        [sorted((sum(m), c) for m, c in comp.terms.items()) for comp in b.components]
-        for b in branches
-    ]
-    for jet in jets:
-        g = math.gcd(*(e for coordinate in jet for e, _ in coordinate))
+    for b in branches:
+        g = b.exponent_gcd()
         if g > 1:
             raise ComputationError(
                 f"branch exponent gcd {g} > 1: parametrization is not a normalization"
             )
-    r = len(jets)
-    # coordinates[k][i]: the same jet with integer coefficients. A coordinate
-    # that vanishes on every branch is left out: it takes every vector to 0.
+    r = len(branches)
+    # coordinates[k][i]: the u-jet of coordinate k on branch i, times the lcm D
+    # of its denominators on all branches. A coordinate that vanishes on every
+    # branch is left out: it takes every vector to 0.
     coordinates = []
-    for on_branches in zip(*jets):
-        if any(on_branches):
-            d = math.lcm(*(c.denominator for jet in on_branches for _, c in jet))
+    for on_branches in zip(*[b.jets for b in branches]):
+        if any(pairs for _, pairs in on_branches):
+            D = math.lcm(*[d for d, _ in on_branches])
             coordinates.append([
-                tuple((e, c.numerator * (d // c.denominator)) for e, c in jet)
-                for jet in on_branches
+                pairs if d == D else tuple((e, c * (D // d)) for e, c in pairs)
+                for d, pairs in on_branches
             ])
     # two branches have the same parametrization exactly when their scaled
     # jets are the same
@@ -254,7 +246,7 @@ def delta_reduced(branches) -> int:
                 f"branches {seen[branch_jets]} and {i} have the same parametrization"
             )
         seen[branch_jets] = i
-    orders = [min(jet[0][0] for jet in branch_jets if jet) for branch_jets in jets]
+    orders = [b.u_order() for b in branches]
     J = 2 * max(orders)
     first = _first_jet_order(coordinates, orders)
     if first is not None:
@@ -317,7 +309,7 @@ class CurveInvariants(
 def invariants(C: CurvePresentation) -> CurveInvariants:
     """All invariants of the germ; epsilon comes from the supplied decomposition
     (zero when the curve is reduced, i.e. no embedded component declared)."""
-    m = curve_multiplicity(C)
+    m = sum(b.u_order() for b in C.branches)  # blind to the embedded component
     r = len(C.branches)
     d_red = delta_reduced(C.branches)
     if C.decomposition is not None:

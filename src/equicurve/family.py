@@ -26,6 +26,7 @@ from .curveinv import (
 )
 from .errors import ComputationError, HypothesisError, InternalCheckError
 from .gb import Ideal
+from .gcd import recursive_form
 from .localdim import PrimaryDecomposition, is_cohen_macaulay
 from .poly import Polynomial, VarSet
 
@@ -38,9 +39,13 @@ FamilyOptions = namedtuple("FamilyOptions", "seed", defaults=(0,))
 
 class FamilyComponent:
     """One irreducible component of the family, given as N polynomials in (u, t);
-    the surface is the image of (u, t) -> (n_1, ..., n_N, t)."""
+    the surface is the image of (u, t) -> (n_1, ..., n_N, t).
 
-    __slots__ = ("param", "label")
+    ``table`` holds the coordinates, read once, as ``gcd.recursive_form`` gives
+    them: for each, (d, A) with A in Z[t][u] equal to d times the coordinate.
+    """
+
+    __slots__ = ("param", "label", "table", "_special")
 
     def __init__(self, param, label=""):
         param = tuple(param)
@@ -53,60 +58,56 @@ class FamilyComponent:
                 raise ComputationError("family component does not pass through the origin")
         self.param = param
         self.label = label
+        self.table = [recursive_form(p.terms) for p in param]
+        self._special = None
 
     def component_class(self) -> str:
         """'A' when the section {u = 0} lies in the component, 'B' when the
         component meets the section only at the origin."""
-        u_idx = RING_UT.index["u"]
-        for p in self.param:
-            if any(m[u_idx] == 0 for m in p.terms):
-                return "B"
-        return "A"
+        return "B" if any(A and A[0] for _, A in self.table) else "A"
 
     def u_exponent_gcd(self) -> int:
-        u_idx = RING_UT.index["u"]
-        g = 0
-        for p in self.param:
-            for m in p.terms:
-                g = math.gcd(g, m[u_idx])
-        return g
+        return math.gcd(*[a for _, A in self.table for a, row in enumerate(A) if row])
 
     def reparametrized(self, g: int) -> "FamilyComponent":
         """Substitute u -> u^(1/g); valid when every u-exponent is divisible by g."""
         if g <= 1:
             return self
-        u_idx = RING_UT.index["u"]
-        new_param = []
-        for p in self.param:
-            q = Polynomial(RING_UT)
-            q.terms = {
-                tuple(e // g if i == u_idx else e for i, e in enumerate(m)): c
-                for m, c in p.terms.items()
-            }
-            new_param.append(q)
-        return FamilyComponent(new_param, self.label)
+        return FamilyComponent(
+            [Polynomial(RING_UT, {(a // g, b): c for (a, b), c in p.terms.items()}) for p in self.param],
+            self.label,
+        )
 
     def specialize(self, t0) -> BranchParam:
-        """The branch of the fiber at t = t0 contributed by this component,
-        evaluated term by term: c * u^a * t^b gives c * t0^b * u^a."""
+        """The branch of the fiber at t = t0 contributed by this component; the
+        one at t0 = 0 is built once and kept.
+
+        For t0 = p/q in lowest terms, the coefficient n(t)/d of u^a, n of
+        degree D, is n^h(p, q) / (q^D * d), where the homogenization
+        n^h(p, q) = sum_b n_b p^b q^(D - b) is evaluated in integers.
+        """
         t0 = Fraction(t0)
+        if not t0 and self._special is not None:
+            return self._special
+        p, q = t0.numerator, t0.denominator
         comps = []
-        for p in self.param:
-            terms = {}
-            for (a, b), c in p.terms.items():
-                s = terms.get((a,), 0) + c * t0**b
-                if s:
-                    terms[(a,)] = s
-                else:
-                    terms.pop((a,), None)
-            q = Polynomial(RING_U)
-            q.terms = terms
-            comps.append(q)
-        if all(q.is_zero() for q in comps):
+        for d, A in self.table:
+            f = Polynomial(RING_U)
+            for a, row in enumerate(A):
+                h, qk = 0, 1
+                for n in reversed(row):  # Horner's rule; qk ends at q^(D + 1)
+                    h, qk = h * p + n * qk, qk * q
+                if h:
+                    f.terms[(a,)] = Fraction(h, qk // q * d)
+            comps.append(f)
+        if all(f.is_zero() for f in comps):
             raise ComputationError(
                 f"component {self.label!r} specializes to the zero branch at t = {t0}"
             )
-        return BranchParam(comps, label=self.label)
+        branch = BranchParam(comps, label=self.label)
+        if not t0:
+            self._special = branch
+        return branch
 
     def __repr__(self):
         return f"FamilyComponent({', '.join(p.render() for p in self.param)})"
@@ -171,9 +172,8 @@ def connectivity(F: FamilyPresentation) -> int:
     if F.mode == "declared":
         n_a, n_b = F.declared_classes
     else:
-        classes = [c.component_class() for c in F.components]
-        n_a = sum(1 for k in classes if k == "A")
-        n_b = sum(1 for k in classes if k == "B")
+        n_b = sum(c.component_class() == "B" for c in F.components)
+        n_a = len(F.components) - n_b
     return (1 if n_a else 0) + n_b
 
 
@@ -184,11 +184,8 @@ def specialize_fiber(F: FamilyPresentation, t0) -> CurvePresentation:
         raise ComputationError("specialization needs a parametrized family")
     t0 = Fraction(t0)
     if t0 == 0:
-        comps = list(F.components)
-        branches = [c.specialize(0) for c in comps]
-        return CurvePresentation(
-            branches, ideal=F.special_ideal, decomposition=F.special_decomposition
-        )
+        return CurvePresentation([c.specialize(0) for c in F.components],
+                                 ideal=F.special_ideal, decomposition=F.special_decomposition)
     comps = [c for c in F.components if c.component_class() == "A"]
     if not comps:
         raise HypothesisError("no component contains the section: empty generic germ")
@@ -227,10 +224,8 @@ def _normalized_components(F: FamilyPresentation):
     for c in F.components:
         cls = c.component_class()
         if cls == "A":
-            g = c.u_exponent_gcd()
-            c = c.reparametrized(g) if g > 1 else c
-            b0 = c.specialize(0)
-            if b0.exponent_gcd() > 1:
+            c = c.reparametrized(c.u_exponent_gcd())
+            if c.specialize(0).exponent_gcd() > 1:
                 raise HypothesisError(
                     f"component {c.label!r}: special fiber parametrization factors "
                     "through a power of u; the special fiber is not generically reduced"
@@ -251,11 +246,8 @@ def _classify_parametrized(F, options):
     if not any(cls == "A" for _, cls in comps):
         raise HypothesisError("no component contains the section: family outside scope")
     norm = FamilyPresentation(
-        mode="parametrized",
-        components=tuple(c for c, _ in comps),
-        special_ideal=F.special_ideal,
-        special_decomposition=F.special_decomposition,
-        generic_assertions=F.generic_assertions,
+        components=tuple(c for c, _ in comps), special_ideal=F.special_ideal,
+        special_decomposition=F.special_decomposition, generic_assertions=F.generic_assertions,
     )
 
     # Lemma 5.3 pipeline on each component through the section.
@@ -279,24 +271,13 @@ def _classify_parametrized(F, options):
 
     samples = _generic_samples(options.seed)
     assertions = F.generic_assertions
-    if assertions is not None and not assertions.reduced:
-        eps_gen = assertions.epsilon
-    else:
-        eps_gen = 0
+    eps_gen = assertions.epsilon if assertions is not None and not assertions.reduced else 0
     gen_invs = []
     for s in samples:
-        Ct = specialize_fiber(norm, s)
-        raw = invariants(Ct)
-        adjusted = CurveInvariants(
-            m=raw.m,
-            r=raw.r,
-            delta_red=raw.delta_red,
-            epsilon=eps_gen,
-            delta=raw.delta_red - eps_gen,
-            mu_red=raw.mu_red,
-            mu=raw.mu_red - 2 * eps_gen,
-        )
-        gen_invs.append(adjusted)
+        raw = invariants(specialize_fiber(norm, s))
+        gen_invs.append(CurveInvariants(
+            m=raw.m, r=raw.r, delta_red=raw.delta_red, epsilon=eps_gen,
+            delta=raw.delta_red - eps_gen, mu_red=raw.mu_red, mu=raw.mu_red - 2 * eps_gen))
     if gen_invs[0] != gen_invs[1]:
         raise ComputationError(
             f"generic-fiber invariants disagree between samples {samples}: "

@@ -1,113 +1,140 @@
-"""Exact polynomial gcds: Euclid in Q[t], and a primitive remainder sequence in
-Q[t][u] for polynomials in a ring of two variables.
+"""Exact polynomial gcds in one and two variables, on integers.
 
-A polynomial in Q[t] is a list of Fractions, lowest degree first, with no
-trailing zero; [] is zero. A polynomial in Q[t][u] is a list of those, lowest
-u-degree first.
+A polynomial in Z[t] is a list of ints, lowest degree first, with no trailing
+zero; [] is zero. One in Z[t][u] is a list of those, lowest u-degree first.
+
+A gcd over Q is unique up to a rational factor, so it is taken of integer
+multiples of the inputs. Z and Z[t] are UFDs, so by Gauss's lemma the gcd of A
+and B in R[x], for R = Z or Z[t], is gcd(cont A, cont B) * gcd(pp A, pp B):
+the content cont is the gcd in R of the coefficients, pp the quotient by it.
+The gcd of two primitive parts comes from a primitive remainder sequence
+(Brown, JACM 1971; Knuth, TAOCP vol. 2, section 4.6.1): pseudo-remainders
+computed fraction-free, each replaced by its primitive part. Only ``uni_gcd``
+and ``bivariate_gcd`` leave the integers, and they make the gcd monic; a monic
+gcd is unique, so it is the same term for term as Euclid over Q gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
 
 from .poly import Polynomial
 
 
-def uni_divmod(a, b):
-    """Quotient and remainder of a by a nonzero b in Q[t]."""
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    lead = b[-1]
-    while len(r) >= len(b):
-        c = r[-1] / lead
-        k = len(r) - len(b)
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[i + k] -= c * bc
-        while r and not r[-1]:
-            r.pop()
-    return q, r
-
-
-def uni_gcd(a, b):
-    """Monic gcd of a and b in Q[t] by Euclid's algorithm; [] when both are zero."""
-    while b:
-        a, b = b, uni_divmod(a, b)[1]
-    return [c / a[-1] for c in a] if a else []
-
-
-def _uni_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
 
 
-def _primitive(A):
-    """The content of A in Q[t][u], the monic gcd of its coefficients, and A
-    divided by it."""
-    content = []
-    for c in A:
-        content = uni_gcd(content, c)
-    return content, [uni_divmod(c, content)[0] for c in A]
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def _uni_sub(a, b):
-    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-           for i in range(max(len(a), len(b)))]
-    while out and not out[-1]:
-        out.pop()
-    return out
+def _primitive(a):
+    """a over the gcd of its entries, with a positive leading entry."""
+    g = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return a if g == 1 else [x // g for x in a]
 
 
-def _pseudo_remainder(A, B):
-    """A remainder of A by B in Q[t][u], up to a factor in Q[t]: while
-    deg_u A >= deg_u B, A becomes lc(B)*A - lc(A)*u^k*B."""
-    R = list(A)
-    while len(R) >= len(B):
-        k = len(R) - len(B)
-        top = R[-1]
-        R = [_uni_mul(B[-1], c) for c in R]
-        for i, c in enumerate(B):
-            R[i + k] = _uni_sub(R[i + k], _uni_mul(top, c))
-        while R and not R[-1]:
-            R.pop()
-    return R
+def _quo(a, b):
+    """The quotient of a by b in Z[t], where b divides a."""
+    q, r = [0] * (len(a) - len(b) + 1), list(a)
+    for k in reversed(range(len(q))):
+        c = q[k] = r[k + len(b) - 1] // b[-1]
+        for i, y in enumerate(b):
+            r[i + k] -= c * y
+    return q
+
+
+def _uni_gcd(a, b):
+    """The gcd of a and b in Z[t], primitive with a positive leading
+    coefficient; [] when both are zero."""
+    a, b = a and _primitive(a), b and _primitive(b)
+    while len(b) > 1:
+        r = list(a)
+        while len(r) >= len(b):  # r <- (lc b / d) * r - (lc r / d) * t^k * b
+            k, d = len(r) - len(b), gcd(b[-1], r[-1])
+            x, y = b[-1] // d, r[-1] // d
+            r = [x * c for c in r] if x != 1 else r
+            for i, c in enumerate(b):
+                r[i + k] -= y * c
+            _trim(r)
+        a, b = b, r and _primitive(r)
+    return [1] if b else a
+
+
+def _content(A):
+    """The content of A in Z[t][u], up to an integer factor, and A over it and
+    over its integer content."""
+    c = []
+    for a in A:
+        c = _uni_gcd(c, a)
+        if len(c) == 1:
+            break
+    if len(c) > 1:
+        A = [_quo(a, c) for a in A]
+    k = gcd(*[x for a in A for x in a])
+    return c, A if k in (0, 1) else [[x // k for x in a] for a in A]
+
+
+def recursive_form(terms):
+    """(d, A): d is the lcm of the denominators of the rational coefficients
+    {(a, b): coefficient of u^a t^b}, and A is d times that polynomial, in
+    Z[t][u]."""
+    d = lcm(*[c.denominator for c in terms.values()])
+    A = []
+    for (a, b), c in terms.items():
+        A.extend([] for _ in range(a + 1 - len(A)))
+        A[a].extend([0] * (b + 1 - len(A[a])))
+        A[a][b] = c.numerator * (d // c.denominator)
+    return d, A
+
+
+def recursive_gcd(A, B):
+    """A gcd of A and B in Q[t][u], with integer coefficients; [] when both
+    are zero."""
+    ca, A = _content(A)
+    cb, B = _content(B)
+    while len(B) > 1:
+        R = list(A)
+        while len(R) >= len(B):  # R <- (lc B / d) * R - (lc R / d) * u^k * B
+            k, d = len(R) - len(B), gcd(*B[-1], *R[-1])
+            x, y = [c // d for c in B[-1]], [c // d for c in R[-1]]
+            if x != [1]:
+                R = [_mul(x, c) for c in R]
+            for i, c in enumerate(B):
+                R[i + k] = _trim([p - q for p, q in zip_longest(R[i + k], _mul(y, c), fillvalue=0)])
+            _trim(R)
+        A, B = B, _content(R)[1]
+    c = _uni_gcd(ca, cb)
+    return [_mul(c, a) for a in ([[1]] if B else A)]  # a nonzero B of u-degree 0 is a unit
+
+
+def uni_gcd(a, b):
+    """Monic gcd in Q[t] of a and b, lists of rationals lowest degree first with
+    no trailing zero; [] when both are zero."""
+    def scaled(p):
+        d = lcm(*[c.denominator for c in p])
+        return [c.numerator * (d // c.denominator) for c in p]
+
+    h = _uni_gcd(scaled(a), scaled(b))
+    return [Fraction(c, h[-1]) for c in h]
 
 
 def bivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """The gcd of f and g in Q[x, y], for a ring of two variables (x, y), made
-    monic in its highest power of x and then of y; zero when both are zero.
-
-    A primitive polynomial remainder sequence in Q[y][x] (Brown, JACM 1971;
-    Knuth, TAOCP vol. 2, section 4.6.1): Q[y] is a principal ideal domain, so by
-    Gauss's lemma gcd(f, g) is gcd(cont f, cont g) times the gcd of the
-    primitive parts, and the primitive part of each pseudo-remainder keeps the
-    gcd of the primitive parts while bounding the coefficients. The contents
-    are gcds in Q[y], taken by Euclid (``uni_gcd``).
-    """
+    monic in its highest power of x and then of y; zero when both are zero."""
     ring = f.ring
     if g.ring != ring or len(ring) != 2:
         raise ValueError(f"bivariate_gcd needs one ring of two variables, got {ring!r}, {g.ring!r}")
-
-    def recursive(p):
-        A = [[] for _ in range(max((a for a, _ in p.terms), default=-1) + 1)]
-        for (a, b), c in p.terms.items():
-            A[a].extend([Fraction(0)] * (b + 1 - len(A[a])))
-            A[a][b] = c
-        return A
-
-    cf, A = _primitive(recursive(f))
-    cg, B = _primitive(recursive(g))
-    while B:  # if deg_u A < deg_u B, the first step swaps them
-        A, B = B, _primitive(_pseudo_remainder(A, B))[1]
-    content = uni_gcd(cf, cg)
-    terms = {(a, b): x for a, c in enumerate(A) for b, x in enumerate(_uni_mul(content, c)) if x}
+    H = recursive_gcd(recursive_form(f.terms)[1], recursive_form(g.terms)[1])
     out = Polynomial(ring)
-    if terms:
-        scale = terms[max(terms)]
-        out.terms = {m: c / scale for m, c in terms.items()}
+    out.terms = {(a, b): Fraction(x, H[-1][-1]) for a, c in enumerate(H) for b, x in enumerate(c) if x}
     return out

@@ -20,7 +20,7 @@ from functools import reduce
 
 from .errors import ComputationError, HypothesisError, InternalCheckError
 from .gb import Ideal, ideal_intersect, ideal_sum, std_basis
-from .gcd import bivariate_gcd
+from .gcd import recursive_form, recursive_gcd
 from .poly import DEGREVLEX, NEGDEGREVLEX, Polynomial
 
 
@@ -175,7 +175,8 @@ def _verify_radical_is_axis(J: Ideal, axis_var: str) -> int:
       I O is generated by the coprime quotients of the generators by h, which
       have finitely many common zeros: the colength is finite.
 
-    The gcd is taken over Q, and it is also the gcd over the algebraic closure.
+    The gcd over Q is also the gcd over the algebraic closure. It is folded in
+    integers, up to a rational factor, which leaves h(0) != 0 unchanged.
     """
     idx = J.ring.index[axis_var]
     e = min(m[idx] for g in J.gens for m in g.terms)
@@ -187,12 +188,11 @@ def _verify_radical_is_axis(J: Ideal, axis_var: str) -> int:
     unit = tuple(e if i == idx else 0 for i in range(len(J.ring)))
     if any(unit in g.terms for g in J.gens):
         return e
-    h = Polynomial(J.ring)
+    h = []  # the gcd so far, in the integer form of ``recursive_gcd``
     for g in J.gens:
-        cofactor = Polynomial(J.ring)
-        cofactor.terms = {m[:idx] + (m[idx] - e,) + m[idx + 1:]: c for m, c in g.terms.items()}
-        h = bivariate_gcd(h, cofactor)
-        if h.constant_term():  # so is that of every divisor of h
+        cofactor = {m[:idx] + (m[idx] - e,) + m[idx + 1:]: c for m, c in g.terms.items()}
+        h = recursive_gcd(h, recursive_form(cofactor)[1])
+        if h[0] and h[0][0]:  # h(0) != 0, and so for every divisor of h
             return e
     raise HypothesisError(f"radical check failed: no power of {axis_var} lies in the ideal")
 

@@ -1,6 +1,8 @@
 """Independent routes that only tests use: polynomial substitution, the delta
-invariant of a monomial branch counted as the gaps of its semigroup, and the
-expression parser as it was before it carried plain term dicts."""
+invariant of a monomial branch counted as the gaps of its semigroup, the
+expression parser as it was before it carried plain term dicts, the gcds by
+Euclid over Q, and the specialization of a family component term by term in
+Fractions."""
 
 from __future__ import annotations
 
@@ -9,8 +11,9 @@ import math
 import re
 from fractions import Fraction
 
+from equicurve.curveinv import BranchParam
 from equicurve.errors import ComputationError, ParseError
-from equicurve.poly import MAX_EXPONENT, MAX_NESTING, MAX_TERM_PRODUCTS, Polynomial
+from equicurve.poly import MAX_EXPONENT, MAX_NESTING, MAX_TERM_PRODUCTS, Polynomial, VarSet
 
 
 def substitute(f: Polynomial, mapping, target=None) -> Polynomial:
@@ -242,3 +245,126 @@ class OracleParser:
 
 def oracle_parse(text: str, ring) -> Polynomial:
     return OracleParser(text, ring).parse()
+
+
+# -- gcds by Euclid over Q ---------------------------------------------------
+# A polynomial in Q[t] is a list of Fractions, lowest degree first, with no
+# trailing zero; [] is zero. A polynomial in Q[t][u] is a list of those, lowest
+# u-degree first.
+
+
+def uni_divmod(a, b):
+    """Quotient and remainder of a by a nonzero b in Q[t]."""
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    lead = b[-1]
+    while len(r) >= len(b):
+        c = r[-1] / lead
+        k = len(r) - len(b)
+        q[k] = c
+        for i, bc in enumerate(b):
+            r[i + k] -= c * bc
+        while r and not r[-1]:
+            r.pop()
+    return q, r
+
+
+def rational_uni_gcd(a, b):
+    """Monic gcd of a and b in Q[t] by Euclid's algorithm; [] when both are zero."""
+    while b:
+        a, b = b, uni_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else []
+
+
+def _rational_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _rational_primitive(A):
+    """The content of A in Q[t][u], the monic gcd of its coefficients, and A
+    divided by it."""
+    content = []
+    for c in A:
+        content = rational_uni_gcd(content, c)
+    return content, [uni_divmod(c, content)[0] for c in A]
+
+
+def _rational_sub(a, b):
+    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+           for i in range(max(len(a), len(b)))]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _rational_pseudo_remainder(A, B):
+    """A remainder of A by B in Q[t][u], up to a factor in Q[t]: while
+    deg_u A >= deg_u B, A becomes lc(B)*A - lc(A)*u^k*B."""
+    R = list(A)
+    while len(R) >= len(B):
+        k = len(R) - len(B)
+        top = R[-1]
+        R = [_rational_mul(B[-1], c) for c in R]
+        for i, c in enumerate(B):
+            R[i + k] = _rational_sub(R[i + k], _rational_mul(top, c))
+        while R and not R[-1]:
+            R.pop()
+    return R
+
+
+def rational_bivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The gcd of f and g in Q[x, y], monic in its highest power of x and then
+    of y: a primitive remainder sequence in Q[y][x] whose contents are taken by
+    Euclid in Q[y]."""
+    ring = f.ring
+
+    def recursive(p):
+        A = [[] for _ in range(max((a for a, _ in p.terms), default=-1) + 1)]
+        for (a, b), c in p.terms.items():
+            A[a].extend([Fraction(0)] * (b + 1 - len(A[a])))
+            A[a][b] = c
+        return A
+
+    cf, A = _rational_primitive(recursive(f))
+    cg, B = _rational_primitive(recursive(g))
+    while B:  # if deg_u A < deg_u B, the first step swaps them
+        A, B = B, _rational_primitive(_rational_pseudo_remainder(A, B))[1]
+    content = rational_uni_gcd(cf, cg)
+    terms = {(a, b): x for a, c in enumerate(A) for b, x in enumerate(_rational_mul(content, c)) if x}
+    out = Polynomial(ring)
+    if terms:
+        scale = terms[max(terms)]
+        out.terms = {m: c / scale for m, c in terms.items()}
+    return out
+
+
+# -- specialization of a family component ------------------------------------
+
+
+def specialize_by_terms(component, t0) -> BranchParam:
+    """The branch of the fiber at t = t0 of a family component, evaluated term
+    by term in Fractions: c * u^a * t^b gives c * t0^b * u^a."""
+    t0 = Fraction(t0)
+    comps = []
+    for p in component.param:
+        terms = {}
+        for (a, b), c in p.terms.items():
+            s = terms.get((a,), 0) + c * t0**b
+            if s:
+                terms[(a,)] = s
+            else:
+                terms.pop((a,), None)
+        q = Polynomial(VarSet(("u",)))
+        q.terms = terms
+        comps.append(q)
+    if all(q.is_zero() for q in comps):
+        raise ComputationError(
+            f"component {component.label!r} specializes to the zero branch at t = {t0}"
+        )
+    return BranchParam(comps, label=component.label)

@@ -16,8 +16,6 @@ from equicurve.curveinv import (
     BranchParam,
     CurveInvariants,
     CurvePresentation,
-    branch_multiplicity,
-    curve_multiplicity,
     delta_reduced,
     invariants,
     semigroup_conductor,
@@ -78,7 +76,7 @@ class TestBranchParam:
     def test_u_order_and_multiplicity(self):
         b = branch("u^3", "u^4", "0")
         assert b.u_order() == 3
-        assert branch_multiplicity(b) == 3
+        assert invariants(CurvePresentation([b])).m == 3
 
     def test_exponent_gcd(self):
         assert branch("u^2", "u^4").exponent_gcd() == 2
@@ -86,7 +84,7 @@ class TestBranchParam:
 
     def test_curve_multiplicity_adds_branches(self):
         C = CurvePresentation([branch("u", "0"), branch("0", "u"), branch("u", "u")])
-        assert curve_multiplicity(C) == 3
+        assert invariants(C).m == 3
 
     def test_mismatched_ambient_dims_rejected(self):
         with pytest.raises(ComputationError):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from equicurve.curveinv import BranchParam, CurvePresentation, curve_multiplicity
+from equicurve.curveinv import BranchParam, CurvePresentation, invariants
 from equicurve.errors import ComputationError, HypothesisError
 from equicurve.family import (
     RING_U,
@@ -143,7 +143,7 @@ class TestMultiplicities:
             total = sum(
                 special_multiplicity(pullback_ideal(c)) for c in F.components
             )
-            assert total == curve_multiplicity(specialize_fiber(F, 0))
+            assert total == invariants(specialize_fiber(F, 0)).m
 
 
 class TestSpecialization:
