@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .curveinv import BranchParam, CurvePresentation, invariants
 from .errors import (
@@ -317,6 +318,14 @@ def analyze_manifest(data, seed_override=None) -> dict:
             raise ParseError("entry: expected an object with 'name' and 'kind'")
         if not isinstance(entry["name"], str):
             raise ParseError("entry.name: expected a string")
+        # JSON can spell a lone surrogate, which the text report cannot print
+        try:
+            entry["name"].encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(
+                f"entry.name: {entry['name']!r} is not valid Unicode text "
+                "(it holds a lone surrogate)"
+            ) from None
         kind = entry["kind"]
         if kind == "curve":
             entries.append(_analyze_curve(entry, ring, seed_override))
@@ -362,9 +371,63 @@ def _render_text(report) -> str:
     return "\n".join(lines)
 
 
+def _write_json(value, out, pad):
+    """Append to out the pieces of value in the layout of json.dumps(indent=2).
+
+    An indent sends json.dumps to its pure-Python encoder; this writer keeps
+    its bytes and its C string escaper. It takes what reports hold: dicts with
+    str keys, lists, strs, ints, bools and None.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        # int.__repr__ as json does, so an int subclass writes as its number and
+        # an int past the int-to-str digit limit raises ValueError
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render_report(report, fmt: str) -> str:
+    """The report as text, or as JSON with the bytes of json.dumps(report, indent=2)
+    plus a newline."""
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        out = []
+        _write_json(report, out, "")
+        out.append("\n")
+        return "".join(out)
     return _render_text(report)
 
 

@@ -207,14 +207,23 @@ Verdict = namedtuple(
 FamilyReport = namedtuple("FamilyReport", "special generic verdict hypotheses constancy")
 
 
+# The generic samples of each seed seen, drawn once: seeding a random.Random
+# costs more than the draw, and the samples depend on nothing but the seed.
+_SAMPLES_BY_SEED = {}
+
+
 def _generic_samples(seed: int):
-    rng = random.Random(seed)
-    samples = []
-    while len(samples) < 2:
-        s = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))
-        if s != 0 and s not in samples:
-            samples.append(s)
-    return tuple(samples)
+    """Two distinct nonzero t-samples drawn from random.Random(seed)."""
+    samples = _SAMPLES_BY_SEED.get(seed)
+    if samples is None:
+        rng = random.Random(seed)
+        drawn = []
+        while len(drawn) < 2:
+            s = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))
+            if s != 0 and s not in drawn:
+                drawn.append(s)
+        samples = _SAMPLES_BY_SEED[seed] = tuple(drawn)
+    return samples
 
 
 def _normalized_components(F: FamilyPresentation):

@@ -8,9 +8,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equicurve import gb
 from equicurve.cli import (
@@ -20,6 +23,7 @@ from equicurve.cli import (
     EXIT_PARSE,
     analyze_manifest,
     main,
+    render_report,
     run_paper_corpus,
 )
 
@@ -63,6 +67,12 @@ def write_manifest(tmp_path, data, name="m.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def readme_manifest():
+    """The manifest of README.md's "Manifest format" section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
 
 
 class TestAnalyze:
@@ -142,6 +152,20 @@ class TestAnalyze:
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/m.json"]) == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            readme_manifest(),
+            manifest({"name": "cusp-and-line", "kind": "family",
+                      "components": [["u^2", "u^3", "t*u"], ["u + t", "u", "0"]]}),
+        ],
+        ids=["readme", "family"],
+    )
+    def test_json_report_has_the_bytes_of_json_dumps(self, tmp_path, capsys, data):
+        path = write_manifest(tmp_path, data)
+        assert main(["analyze", path]) == EXIT_OK
+        assert capsys.readouterr().out == json.dumps(analyze_manifest(data), indent=2) + "\n"
+
 
 class TestSchemaRejection:
     @pytest.mark.parametrize(
@@ -158,6 +182,17 @@ class TestSchemaRejection:
     def test_bad_toplevel(self, tmp_path, data):
         path = write_manifest(tmp_path, data)
         assert main(["analyze", path]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_name_with_a_lone_surrogate(self, tmp_path, capsys, fmt):
+        # valid JSON, but not text that UTF-8 can encode: the text report could not print it
+        entry = {"name": "a\ud800b", "kind": "curve", "branches": [["u^2", "u^3", "0"]]}
+        path = write_manifest(tmp_path, manifest(entry))
+        assert main(["analyze", path, "--format", fmt]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: entry.name: 'a\\ud800b' is not valid")
+        assert captured.err.count("\n") == 1
 
     def test_unknown_entry_field(self, tmp_path):
         entry = dict(CUSP_CURVE_ENTRY, surprise=1)
@@ -436,6 +471,7 @@ class TestCorpus:
         report, _ = run_paper_corpus(seed=seed)
         text = json.dumps(report, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert render_report(report, "json") == text + "\n"
 
     def test_injected_wrong_expectation_is_flagged(self):
         overrides = {
@@ -461,6 +497,65 @@ class TestCorpus:
         assert main(["corpus"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "0 mismatch(es)" in out and "FAIL" not in out
+
+
+TEXT = st.text(
+    st.characters()
+    | st.characters(categories=["Cs"])  # lone surrogates
+    | st.sampled_from('"\\/\x00\x1f\x7f\u2028'),
+    max_size=10,
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**300)
+    | st.integers(min_value=-(2**300), max_value=-1)
+    | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """render_report(value, "json") writes json.dumps(value, indent=2) and a newline."""
+
+    @settings(max_examples=150, deadline=500, derandomize=True)
+    @given(JSON_VALUES)
+    def test_bytes_of_json_dumps(self, value):
+        assert render_report(value, "json") == json.dumps(value, indent=2) + "\n"
+
+    def test_empty_containers_nested_eight_deep(self):
+        value = {"": [], "b": {}}
+        for depth in range(8):
+            value = {f"k{depth}": [value, {}, [], "", None, -(2**70)]} if depth % 2 else [value, {}]
+        assert render_report(value, "json") == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "value, type_name",
+        [
+            (0.5, "float"),
+            (Fraction(1, 2), "Fraction"),
+            ((1, 2), "tuple"),
+            ({1}, "set"),
+            ({1: "a"}, "int"),
+            ({"a": [{"b": 0.5}]}, "float"),
+        ],
+    )
+    def test_what_no_report_holds_is_a_type_error(self, value, type_name):
+        with pytest.raises(TypeError, match=type_name):
+            render_report(value, "json")
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter has no int-to-str digit limit",
+    )
+    def test_int_past_the_digit_limit_is_a_value_error(self):
+        value = {"n": [10 ** sys.get_int_max_str_digits()]}
+        with pytest.raises(ValueError):
+            json.dumps(value, indent=2)
+        with pytest.raises(ValueError):
+            render_report(value, "json")
 
 
 class TestStd:

@@ -3,6 +3,7 @@ equisingularity verdicts with their cross-checked routes."""
 
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from equicurve.family import (
     FamilyOptions,
     FamilyPresentation,
     GenericAssertions,
+    _generic_samples,
     classify,
     connectivity,
     pullback_ideal,
@@ -320,6 +322,21 @@ class TestClassify:
         b = classify(cusp_family_b(), FamilyOptions(seed=7))
         assert a.generic.inv == b.generic.inv
         assert a.generic.t_samples_used != b.generic.t_samples_used
+
+    def test_generic_samples_are_drawn_once_per_seed(self):
+        def fresh_draw(seed):
+            rng = random.Random(seed)
+            drawn = []
+            while len(drawn) < 2:
+                s = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))
+                if s != 0 and s not in drawn:
+                    drawn.append(s)
+            return tuple(drawn)
+
+        for seed in [*range(51), -(2**80) - 3]:
+            samples = _generic_samples(seed)
+            assert samples == fresh_draw(seed)
+            assert _generic_samples(seed) is samples
 
     def test_componentwise_whitney_reduction(self):
         a_true = comp("u^2", "u^3", "t*u^4", label="a")
