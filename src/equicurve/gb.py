@@ -1,6 +1,6 @@
-"""Groebner bases (global orders), standard bases (local orders, Mora normal form),
-and the ideal operations the invariant layer needs: sum, intersection and
-membership.
+"""Groebner bases (global orders), standard bases (local orders, by Lazard's
+homogenization), and the ideal operations the invariant layer needs: sum,
+intersection and membership.
 
 ``std_basis`` is Buchberger's algorithm with the normal selection strategy: the
 pending pair of least lcm degree is reduced next, ties broken by the monomial
@@ -12,20 +12,25 @@ pair is dropped when another new pair's lcm properly divides its lcm, or when
 its leading monomials are coprime (product criterion), and of the new pairs
 that share an lcm at most one is kept; an old pair is dropped when the new
 leading monomial divides its lcm without giving either of its halves that same
-lcm (chain criterion). Under a local order the weak normal form is Mora's, with the ecart
-kept for every reducer (Greuel-Pfister, A Singular Introduction to Commutative
-Algebra, 1.6-1.7).
+lcm (chain criterion).
 
 The criteria only skip pairs whose S-polynomial has a standard representation
-by the final basis, so the result is a standard basis of the same ideal with the
-same leading ideal. Under a global order the output, which is minimalized,
-tail-reduced, monic and sorted, is the reduced Groebner basis: unique, hence the
-same whatever pairs were reduced on the way. Under a local order the output is
-minimalized, monic and sorted, with its tails as computed: tail reduction need
-not terminate over power series, and no caller reads tails. Every consumer reads
-only the leading monomials (``vdim``) or whether Mora's weak normal form is zero
-(``contains``), and both are determined by the leading ideal and the ideal
-(Greuel-Pfister 1.6-1.7).
+by the final basis, so the result is a Groebner basis of the same ideal. The
+output, which is minimalized, tail-reduced, monic and sorted, is the reduced
+Groebner basis: unique, hence the same whatever pairs were reduced on the way.
+
+*Local orders* (Lazard, EUROCAL 1983; Greuel-Pfister, A Singular Introduction
+to Commutative Algebra, 1.7). Each generator f of degree d becomes h^d * f(x/h)
+in a fresh first variable h, and the core computes the reduced Groebner basis
+of these under ``Elimination(1)``. Every polynomial it meets is homogeneous, and
+within one degree ``Elimination(1)`` ranks h^a * x^m by a, i.e. by least deg m,
+then by revlex on m: the local order on x^m. So h = 1 maps each lead to the
+local lead of the image, and the images, minimalized by their leads, are a
+standard basis of the ideal in the local ring: for f in I, some h^k * f^h lies
+in the homogenized ideal, with the local lead of f times a power of h as its
+lead. Their tails are those of the dehomogenized basis. Consumers read only the
+leads (``vdim``) or membership in the localized ideal (``contains``), which
+the leading ideal decides (Greuel-Pfister 1.6).
 
 *Packed monomials.* Inside the core a monomial x^e in n variables is one int,
 p = sum_i e_i << (w*i), with w = ``_FIELD_BITS`` bits per variable whose top bit,
@@ -37,23 +42,23 @@ field from a where that subtraction of b keeps the guard bit, and from b
 elsewhere; x^a and x^b are coprime iff their lcm is a + b. Terms are keyed by
 the order key of the monomial, the linear form
 
-    key = (d1 << A) - (p1 << B) + s*(d2 << C) - p2,
+    key = (d1 << A) - (p1 << B) + (d2 << C) - p2,
 
 where the first k variables (k = 0 except under ``Elimination(k)``) have degree
 d1 and packed exponents p1, the rest d2 and p2; C is the width of p2, B = C + D
-with D bits that hold d2, A = B + k*w, and s = -1 under negdegrevlex, else 1.
-A block part (d << W) - p ranks by degree and then, as p compares its fields
-from the last variable down, by the reverse lexicographic tie-break, and the
-lower part spans less than one unit of the upper. So keys compare as
-``MonomialOrder.key`` does, the key of a product is the sum of the keys, and
-the leading term of a term dict h is at max(h). p2 is -key mod 2^C, and p1 is
-read the same way from (key + p2) >> B.
+with D bits that hold d2, and A = B + k*w. A block part (d << W) - p ranks by
+degree and then, as p compares its fields from the last variable down, by the
+reverse lexicographic tie-break, and the lower part spans less than one unit of
+the upper. So keys compare as ``MonomialOrder.key`` does, the key of a product
+is the sum of the keys, and the leading term of a term dict h is at max(h). p2
+is -key mod 2^C, and p1 is read the same way from (key + p2) >> B.
 
 No exponent overflows silently: input exponents are checked when packed, the
 lcm of guard-free monomials is guard-free, and before a multiple x^q * g is
 formed, q plus the fieldwise maximum of g's exponents is checked. So every
 exponent met is below 2^(w-1) and every degree fits its width; an exponent that
-would reach a guard bit is a ComputationError that names the width.
+would reach a guard bit, the power of h included, is a ComputationError that
+names the width.
 
 *Fraction-free coefficients.* Polynomials in the core have integer
 coefficients, and basis elements are primitive with a positive leading
@@ -68,11 +73,10 @@ content (Bareiss, Math. Comp. 1968). A basis element becomes monic
 with monic basis elements, times a nonzero rational. So every polynomial met is
 a nonzero multiple of the one met in ``Fraction`` arithmetic, with the same terms.
 Every choice the algorithm makes reads terms only: the leading term, the first
-reducer whose lead divides it, Mora's ecarts and the pair order. So the same
-steps are taken, and each monic output element is the same polynomial term for
-term, also under a local order, where the tails are not unique. The tests keep
-the rational version as the oracle. ``normal_form`` keeps the factor between its
-integer remainder and the rational one and divides it out.
+reducer whose lead divides it and the pair order. So the same steps are taken,
+and each monic output element is the same polynomial term for term. The tests
+keep the rational version as the oracle. ``normal_form`` keeps the factor
+between its integer remainder and the rational one and divides it out.
 
 Intersections are always computed in the polynomial ring with a global
 elimination order; local-order computations consume the results, which is
@@ -84,8 +88,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop
+from itertools import repeat
 from math import gcd, lcm
-from operator import mul
+from operator import le, mul
 
 from .errors import ComputationError, InternalCheckError, RingMismatchError
 from .poly import Elimination, MonomialOrder, Polynomial, VarSet
@@ -133,23 +138,21 @@ def _overflow() -> ComputationError:
 
 
 class _Packing:
-    """Packed monomials and order keys for one ring size and order (see the
-    module docstring). A reducer is the tuple (packed lead, ecart, lead key,
+    """Packed monomials and order keys for one ring size and global order (see
+    the module docstring). A reducer is the tuple (packed lead, lead key,
     leading coefficient, terms as (key, coefficient) pairs, fieldwise maximum
-    of the packed monomials); the ecart is 0 under a global order."""
+    of the packed monomials)."""
 
-    __slots__ = ("width", "guard", "coeffs", "shifts", "split", "low", "high", "B", "C", "local")
+    __slots__ = ("width", "guard", "coeffs", "shifts", "split", "low", "high", "B")
 
     def __init__(self, nvars: int, order: MonomialOrder):
         w = self.width = _FIELD_BITS
         k = min(order.block, nvars) if isinstance(order, Elimination) else 0
-        C = self.C = (nvars - k) * w
+        C = (nvars - k) * w
         B = self.B = C + w + nvars.bit_length()
         A = B + k * w
-        s = 1 if order.is_global else -1
-        self.local = not order.is_global
         self.coeffs = tuple((1 << A) - (1 << (B + w * i)) for i in range(k)) + tuple(
-            s * (1 << C) - (1 << (w * i)) for i in range(nvars - k)
+            (1 << C) - (1 << (w * i)) for i in range(nvars - k)
         )
         self.shifts = tuple(range(0, nvars * w, w))
         self.guard = sum(1 << (i + w - 1) for i in self.shifts)
@@ -173,30 +176,26 @@ class _Packing:
     def exps(self, key: int) -> tuple:
         return self.fields(self.packed(key))
 
-    def degree(self, key: int) -> int:
-        """Total degree of the monomial of a key under negdegrevlex."""
-        return -key >> self.C
-
     def lcm(self, a: int, b: int) -> int:
         d = ((a | self.guard) - b) & self.guard
         return b ^ ((a ^ b) & (d - (d >> (self.width - 1))))
 
-    def integral(self, f: Polynomial):
-        """The terms of f times their least common denominator d, keyed by order
-        key, and d."""
-        d = lcm(*(c.denominator for c in f.terms.values()))
+    def integral(self, terms: dict):
+        """The terms (exponents to ``Fraction``) times their least common
+        denominator d, keyed by order key, and d."""
+        d = lcm(*(c.denominator for c in terms.values()))
         key = self.key
-        return {key(m): c.numerator * (d // c.denominator) for m, c in f.terms.items()}, d
+        return {key(m): c.numerator * (d // c.denominator) for m, c in terms.items()}, d
 
     def reducer(self, h: dict) -> tuple:
         lk = max(h)
-        ecart = self.degree(min(h)) - self.degree(lk) if self.local else 0
         top = reduce(self.lcm, map(self.packed, h))
-        return (self.packed(lk), ecart, lk, h[lk], tuple(h.items()), top)
+        return (self.packed(lk), lk, h[lk], tuple(h.items()), top)
 
-    def monic(self, h: dict, ring: VarSet) -> Polynomial:
+    def monic(self, h: dict, ring: VarSet, skip: int = 0) -> Polynomial:
+        """h made monic over ``ring``, the first ``skip`` exponents dropped."""
         lc = h[max(h)]
-        return _from_terms(ring, {self.exps(k): Fraction(h[k], lc) for k in sorted(h, reverse=True)})
+        return _from_terms(ring, {self.exps(k)[skip:]: Fraction(h[k], lc) for k in sorted(h, reverse=True)})
 
 
 def _primitive(h: dict) -> dict:
@@ -211,7 +210,7 @@ def _cancel(h: dict, lm: int, lp: int, r: tuple, guard: int, rem: dict):
     """Cancel the term of h at key lm (packed lp) by the reducer r, fraction-free
     and in place; ``rem``, the remainder split off h so far, is scaled with it.
     Returns the factor by which h and rem were multiplied."""
-    rp, _, rk, a, items, top = r
+    rp, rk, a, items, top = r
     c = h[lm]
     d = gcd(a, c)
     if a < 0:
@@ -246,8 +245,7 @@ def _cancel(h: dict, lm: int, lp: int, r: tuple, guard: int, rem: dict):
 
 def _reduce_global(h: dict, reducers, pk: _Packing):
     """Full division remainder of the term dict h, which it consumes, by the
-    reducers under a global order, and the factor by which it exceeds the
-    rational remainder."""
+    reducers, and the factor by which it exceeds the rational remainder."""
     guard, packed = pk.guard, pk.packed
     rem = {}
     scale = 1
@@ -269,44 +267,11 @@ def _reduce_global(h: dict, reducers, pk: _Packing):
     return rem, scale
 
 
-def _reduce_local(h: dict, reducers, pk: _Packing):
-    """Mora's ecart-controlled weak normal form of h, which it consumes, and the
-    factor by which it exceeds the rational one; zero iff h lies in the
-    localized ideal.
-
-    Among the reducers whose lead divides, the first of least (ecart, lead key)
-    is used; h joins the reducers when that ecart exceeds its own.
-    """
-    guard, packed, degree = pk.guard, pk.packed, pk.degree
-    T = list(reducers)
-    scale = 1
-    steps = 0
-    while h:
-        steps += 1
-        if steps > _REDUCTION_CAP:
-            raise ComputationError(
-                f"Mora normal form not finished within _REDUCTION_CAP = {_REDUCTION_CAP} steps"
-            )
-        lm = max(h)
-        lp = packed(lm)
-        best = None
-        for t in T:
-            if ((lp | guard) - t[0]) & guard == guard and (best is None or t[1:3] < best[1:3]):
-                best = t
-        if best is None:
-            break
-        eh = degree(min(h)) - degree(lm)
-        if best[1] > eh:
-            T.append(pk.reducer(h))
-        scale *= _cancel(h, lm, lp, best, guard, {})
-    return h, scale
-
-
 def _spoly(f: tuple, g: tuple, l: int, lk: int, guard: int) -> dict:
     """S-polynomial of the reducers f and g, fraction-free: x^(l - lead f) * f
     with its leading term cancelled by g; l is the packed lcm of the leads and
     lk its key."""
-    fp, _, fk, _, items, top = f
+    fp, fk, _, items, top = f
     if (l - fp + top) & guard:
         raise _overflow()
     q = lk - fk
@@ -316,7 +281,8 @@ def _spoly(f: tuple, g: tuple, l: int, lk: int, guard: int) -> dict:
 
 
 class StandardBasis:
-    """A computed basis (Groebner for global orders, standard for local) of an ideal."""
+    """A computed basis (Groebner for global orders, standard for local) of an
+    ideal; only a Groebner basis carries a packing and reducers."""
 
     __slots__ = ("ideal", "order", "basis", "lead_monomials", "_packing", "_reducers")
 
@@ -331,20 +297,33 @@ class StandardBasis:
     def _reduce(self, f: Polynomial):
         if f.ring != self.ideal.ring:
             raise RingMismatchError("polynomial over a different ring than the basis")
-        h, d = self._packing.integral(f)
-        reduce_ = _reduce_global if self.order.is_global else _reduce_local
-        r, scale = reduce_(h, self._reducers, self._packing)
+        h, d = self._packing.integral(f.terms)
+        r, scale = _reduce_global(h, self._reducers, self._packing)
         return r, scale * d
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        """The division remainder under a global order, Mora's weak normal form
-        under a local one; zero iff f lies in the (localized) ideal."""
+        """The division remainder under a global order; zero iff f lies in the
+        ideal. A local order has no unique normal form, so it is refused."""
+        if not self.order.is_global:
+            raise ValueError("normal_form needs a global order")
         r, scale = self._reduce(f)
         exps = self._packing.exps
         return _from_terms(f.ring, {exps(k): Fraction(r[k]) / scale for k in sorted(r, reverse=True)})
 
     def contains(self, f: Polynomial) -> bool:
-        return not self._reduce(f)[0]
+        """Whether f lies in the ideal, localized under a local order.
+
+        Under a local order f lies in I*O iff every lead of a standard basis of
+        I + <f> is divisible by a lead of this one: I lies in I + <f>, and two
+        nested ideals of the local ring with one leading ideal are equal
+        (Greuel-Pfister 1.6).
+        """
+        if self.order.is_global:
+            return not self._reduce(f)[0]
+        if f.ring != self.ideal.ring:
+            raise RingMismatchError("polynomial over a different ring than the basis")
+        bigger = _compute_std_basis(Ideal(self.ideal.gens + (f,), f.ring), self.order)
+        return all(any(map(_divides, self.lead_monomials, repeat(m))) for m in bigger.lead_monomials)
 
 
 def _update_pairs(pairs: list, L: list, pk: _Packing) -> list:
@@ -381,26 +360,17 @@ def _update_pairs(pairs: list, L: list, pk: _Packing) -> list:
     return kept
 
 
-# Bases kept by std_basis, least recently used first. 32 is twice the most
-# distinct bases one corpus or benchmark family entry asks for (15), so every
+# Bases kept by std_basis, least recently used first. 32 is more than twice the
+# most distinct bases one corpus entry asks for (14, five-lines), so every
 # repeat within an entry is a hit.
 _STD_BASES_SIZE = 32
 _STD_BASES = {}
 
 
 def std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
-    """Buchberger's algorithm; Mora weak normal form replaces division for local orders.
-
-    Pairs are taken by the normal selection strategy (least lcm degree, then the
-    order on the lcm, then the indices) from a heap, and pruned by the product,
-    chain and Gebauer-Moeller criteria as each element joins (see the module
-    docstring). The leading monomials of the basis are kept in a list parallel to
-    it. Output is minimalized, monic and deterministically sorted, and tail-reduced
-    under a global order, where it is the unique reduced Groebner basis, so the
-    pruning leaves the output unchanged. Under a local order the tails are left
-    as computed (see the module docstring). Monomials are packed ints and
-    coefficients integers throughout; the output is the one rational arithmetic
-    gives, term for term (module docstring).
+    """Buchberger's algorithm (module docstring): the reduced Groebner basis
+    under a global order; under a local one, Lazard's standard basis from the
+    homogenized generators, minimalized, monic and sorted.
 
     The last ``_STD_BASES_SIZE`` results are kept and returned again for the same
     ring, generators (as term sets, in the same order) and order kind. The key
@@ -419,15 +389,30 @@ def std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
 
 
 def _compute_std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
+    if not order.is_global:
+        return _local_std_basis(I, order)
     pk = _Packing(len(I.ring), order)
+    out = _reduced_basis([pk.integral(g.terms)[0] for g in I.gens], pk)
+    return StandardBasis(
+        I,
+        order,
+        [pk.monic(h, I.ring) for _, h in out],
+        [pk.exps(k) for k, _ in out],
+        pk,
+        [pk.reducer(h) for _, h in out],
+    )
+
+
+def _reduced_basis(gens: list, pk: _Packing) -> list:
+    """The reduced Groebner basis of the ideal of the term dicts ``gens``, as
+    (lead key, primitive term dict) pairs in increasing order of the lead."""
     guard = pk.guard
-    reduce_ = _reduce_global if order.is_global else _reduce_local
     G = []  # reducers of the basis elements
     L = []  # their packed leading monomials
     pairs = []  # heap, see _update_pairs
     seen = []
-    for g in I.gens:
-        h = _primitive(pk.integral(g)[0])
+    for h in gens:
+        h = _primitive(h)
         if h not in seen:
             seen.append(h)
             G.append(pk.reducer(h))
@@ -438,7 +423,7 @@ def _compute_std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
 
     while pairs:
         _, lk, i, j, l = heappop(pairs)
-        h, _ = reduce_(_spoly(G[i], G[j], l, lk, guard), G, pk)
+        h, _ = _reduce_global(_spoly(G[i], G[j], l, lk, guard), G, pk)
         if h:
             G.append(pk.reducer(_primitive(h)))
             L.append(G[-1][0])
@@ -455,25 +440,43 @@ def _compute_std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
         )
     ]
 
-    # Under a global order, tail-reduce each element against the others: the
-    # reduced Groebner basis is unique. The lead, divisible by no other lead,
-    # passes to the remainder first.
+    # Tail-reduce each element against the others: the reduced Groebner basis
+    # is unique. The lead, divisible by no other lead, passes to the remainder
+    # first.
     out = []
     for i in minimal:
-        h = dict(G[i][4])
+        h = dict(G[i][3])
         others = [G[j] for j in minimal if j != i]
-        if order.is_global and others:
+        if others:
             h = _primitive(_reduce_global(h, others, pk)[0])
-        out.append((G[i][2], h))
+        out.append((G[i][1], h))
     out.sort(key=lambda kh: kh[0])
-    return StandardBasis(
-        I,
-        order,
-        [pk.monic(h, I.ring) for _, h in out],
-        [pk.exps(k) for k, _ in out],
-        pk,
-        [pk.reducer(h) for _, h in out],
-    )
+    return out
+
+
+def _divides(a: tuple, b: tuple) -> bool:
+    return all(map(le, a, b))
+
+
+def _local_std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
+    """Lazard's standard basis (module docstring): the reduced Groebner basis of
+    the homogenized generators under ``Elimination(1)``, with h = 1, minimalized
+    by the dehomogenized leads and sorted by the local order."""
+    pk = _Packing(len(I.ring) + 1, Elimination(1))
+    gens = []
+    for g in I.gens:
+        d = max(map(sum, g.terms))
+        gens.append(pk.integral({(d - sum(m),) + m: c for m, c in g.terms.items()})[0])
+    out = _reduced_basis(gens, pk)
+    leads = [pk.exps(k)[1:] for k, _ in out]
+    # A divisor of a lead is a larger monomial under a local order.
+    keep = []
+    for i in sorted(range(len(leads)), key=lambda i: order.key(leads[i]), reverse=True):
+        if not any(_divides(leads[j], leads[i]) for j in keep):
+            keep.append(i)
+    keep.reverse()
+    basis = [pk.monic(out[i][1], I.ring, skip=1) for i in keep]
+    return StandardBasis(I, order, basis, [leads[i] for i in keep], None, ())
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:

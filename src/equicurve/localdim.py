@@ -6,9 +6,9 @@ For such a ring Q[u, t]_(u,t)/J the whole Cohen-Macaulay witness is read off
 the generators of J, with no standard basis. sqrt(J) = <u> is verified by
 divisibility by u and one polynomial gcd (``_verify_radical_is_axis``). The
 multiplicity of t is the least u-exponent e over the generators, by the
-associativity formula (``param_multiplicity``). The length of J + <t> is the
-least order in u of the generators at t = 0, and the ring is Cohen-Macaulay iff
-the two are equal (arguments in ``is_cohen_macaulay``). The Hilbert-Samuel
+associativity formula. The length of J + <t> is the least order in u of the
+generators at t = 0, and the ring is Cohen-Macaulay iff the two are equal
+(``is_cohen_macaulay`` returns both, with the arguments). The Hilbert-Samuel
 ladder ``hs_multiplicity_of_param`` computes the multiplicity from the lengths
 of J + <t^n>; it is kept as the tests' oracle and is on no production path.
 """
@@ -203,7 +203,8 @@ def hs_multiplicity_of_param(
     """Hilbert-Samuel multiplicity of the parameter in the quotient by J, via the
     stabilized first difference of n -> vdim(J + <param^n>).
 
-    The tests' oracle for ``param_multiplicity``; no production path calls it.
+    The tests' oracle for ``is_cohen_macaulay(J).multiplicity``; no production
+    path calls it.
     It stops at the first three equal differences, which is not a proof of
     stability: the differences fall to e and stay there once param^(n-1) kills
     the finite-length part of the ring, and before that they can repeat. Known
@@ -226,24 +227,6 @@ def hs_multiplicity_of_param(
         if len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]:
             return diffs[-1]
     raise ComputationError(f"multiplicity differences did not stabilize within n = {n_max}")
-
-
-def _require_axis_param_ring(J: Ideal, param: str, axis_var: str) -> None:
-    if J.ring.names != (axis_var, param):
-        raise ComputationError(
-            f"multiplicity of {param} needs the ring ({axis_var}, {param}), got {J.ring!r}"
-        )
-
-
-def param_multiplicity(J: Ideal, param: str = "t", axis_var: str = "u") -> int:
-    """Multiplicity of the parameter in the quotient by J, exactly: the least
-    axis_var-exponent over the generators of J (argument in ``is_cohen_macaulay``).
-
-    The ring must be exactly (axis_var, param); sqrt(J) = <axis_var> is verified
-    first.
-    """
-    _require_axis_param_ring(J, param, axis_var)
-    return _verify_radical_is_axis(J, axis_var)
 
 
 class CMWitness(namedtuple("CMWitness", "is_cm length multiplicity")):
@@ -278,7 +261,10 @@ def is_cohen_macaulay(J: Ideal, param: str = "t", axis_var: str = "u") -> CMWitn
       nonzero u^e * t^0 term, iff l = e. Both readings are the same support
       read, so nothing is cross-checked here.
     """
-    _require_axis_param_ring(J, param, axis_var)
+    if J.ring.names != (axis_var, param):
+        raise ComputationError(
+            f"multiplicity of {param} needs the ring ({axis_var}, {param}), got {J.ring!r}"
+        )
     e = _verify_radical_is_axis(J, axis_var)
     l = min(a for g in J.gens for a, b in g.terms if b == 0)
     return CMWitness(l == e, l, e)

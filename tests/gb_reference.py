@@ -1,11 +1,15 @@
 """Reference implementations the tests check the Groebner layer against.
 
 ``reference_std_basis`` and ``reference_normal_form`` are Buchberger-Mora in
-exponent tuples and ``Fraction`` coefficients, with monic basis elements: the
-same pair order, Gebauer-Moeller criteria, reducer choice and output form as
-``gb.std_basis``, which packs monomials into ints and keeps integer
-coefficients. Every polynomial the packed core meets is a nonzero multiple of
-the one met here, so the two must agree term for term.
+exponent tuples and ``Fraction`` coefficients, with monic basis elements.
+Under a global order they take the same pair order, Gebauer-Moeller criteria,
+reducer choice and output form as ``gb.std_basis``, which packs monomials into
+ints and keeps integer coefficients. Every polynomial the packed core meets is
+a nonzero multiple of the one met here, so the two must agree term for term.
+Under a local order the reference is Mora's tangent-cone algorithm with the
+ecart, and ``gb.std_basis`` takes Lazard's route by homogenization: the two
+must have the same leading monomials and generate the same local ideal, but
+their tails may differ.
 
 ``ideal_equal``, ``ideal_quotient`` and ``exact_divide`` are ideal operations
 that only tests use, built on ``gb.std_basis`` and ``gb.ideal_intersect``.

@@ -1,8 +1,9 @@
 """Independent routes that only tests use: polynomial substitution, the delta
 invariant of a monomial branch counted as the gaps of its semigroup, the
 expression parser as it was before it carried plain term dicts, the gcds by
-Euclid over Q, and the specialization of a family component term by term in
-Fractions."""
+Euclid over Q, the specialization of a family component term by term in
+Fractions, and the local length of an m-primary ideal from global bases of
+its truncations."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from fractions import Fraction
 
 from equicurve.curveinv import BranchParam
 from equicurve.errors import ComputationError, ParseError
-from equicurve.poly import MAX_EXPONENT, MAX_NESTING, MAX_TERM_PRODUCTS, Polynomial, VarSet
+from equicurve.gb import Ideal, std_basis
+from equicurve.poly import DEGREVLEX, MAX_EXPONENT, MAX_NESTING, MAX_TERM_PRODUCTS, Polynomial, VarSet
 
 
 def substitute(f: Polynomial, mapping, target=None) -> Polynomial:
@@ -81,6 +83,37 @@ def semigroup_delta_oracle(b) -> int:
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))"
 )
+
+
+def truncated_vdim(Q: Ideal, max_k: int = 64) -> int:
+    """Length of the local ring of Q at the origin, for Q primary to the
+    maximal ideal m, from ``DEGREVLEX`` bases only.
+
+    d_k = dim Q[x]/(Q + m^k) grows with k. At the first k with d_k = d_(k+1),
+    Q + m^k = Q + m^(k+1), so m^k lies in Q + m*m^k and, by Nakayama's lemma,
+    in Q locally. Then the local ring of Q is that of Q + m^k, which is
+    supported only at the origin, so its length is d_k: the monomials of
+    degree below k that no leading monomial divides.
+    """
+    ring, n = Q.ring, len(Q.ring)
+
+    def of_degree(d):
+        for c in itertools.combinations_with_replacement(range(n), d):
+            yield tuple(c.count(i) for i in range(n))
+
+    previous = None
+    for k in range(1, max_k + 1):
+        powers = [Polynomial.monomial(ring, m) for m in of_degree(k)]
+        leads = std_basis(Ideal(list(Q.gens) + powers, ring), DEGREVLEX).lead_monomials
+        d_k = sum(
+            not any(all(map(int.__le__, l, m)) for l in leads)
+            for d in range(k)
+            for m in of_degree(d)
+        )
+        if d_k == previous:
+            return d_k
+        previous = d_k
+    raise ComputationError(f"dim Q[x]/(Q + m^k) still grows at k = {max_k}: is Q m-primary?")
 
 
 def _tokenize(text: str):

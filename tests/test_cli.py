@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,6 +27,7 @@ from equicurve.cli import (
     render_report,
     run_paper_corpus,
 )
+from equicurve.poly import NEGDEGREVLEX, VarSet, parse_poly
 
 CUSP_FAMILY_ENTRY = {
     "name": "cusp-family",
@@ -565,6 +567,29 @@ class TestStd:
         assert main(["std", str(path), "--order", "local"]) == EXIT_OK
         out = capsys.readouterr().out.split()
         assert sorted(out) == ["u*t", "u^3"]
+
+    def test_local_basis_of_the_maximal_ideal_finishes(self, tmp_path, capsys):
+        # the maximal ideal of Q[u, t]: Mora's weak normal form did not finish
+        # its first S-polynomial in 100 s; the homogenized basis takes a
+        # fraction of a second
+        def too_slow(signum, frame):
+            pytest.fail("std --order local ran past its 3 s deadline")
+
+        gens = ["u*t^3 + u^4 - 2*u^5*t^2", "t + 2*u*t^2 - 3*u^3*t^3", "u - 2*u^2*t^3 + 3*u^6"]
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps({"ring": ["u", "t"], "generators": gens}))
+        old = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 3)
+        try:
+            code = main(["std", str(path), "--order", "local"])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+        assert code == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["-3*u^3*t^3 + 2*u*t^2 + t", "3*u^6 - 2*u^2*t^3 + u"]
+        leads = [parse_poly(g, VarSet(("u", "t"))).leading_monomial(NEGDEGREVLEX) for g in out]
+        assert leads == [(0, 1), (1, 0)]
 
     def test_principal(self, tmp_path, capsys):
         path = tmp_path / "i.json"

@@ -25,7 +25,7 @@ from equicurve.family import (
     specialize_fiber,
 )
 from equicurve.gb import Ideal
-from equicurve.localdim import PrimaryDecomposition, is_cohen_macaulay, param_multiplicity
+from equicurve.localdim import PrimaryDecomposition, is_cohen_macaulay
 from equicurve.poly import NEGDEGREVLEX, Polynomial, VarSet, parse_poly
 from gb_reference import ideal_equal
 from oracles import substitute
@@ -122,7 +122,7 @@ def special_multiplicity(J):
 
 def generic_multiplicity(F):
     return sum(
-        param_multiplicity(pullback_ideal(c)) for c in F.components if c.component_class() == "A"
+        is_cohen_macaulay(pullback_ideal(c)).multiplicity for c in F.components if c.component_class() == "A"
     )
 
 
@@ -133,8 +133,8 @@ class TestMultiplicities:
         assert special_multiplicity(ut_ideal("u")) == 1
 
     def test_generic_on_ideal(self):
-        assert param_multiplicity(ut_ideal("u^3", "t*u")) == 1
-        assert param_multiplicity(ut_ideal("u^3")) == 3
+        assert is_cohen_macaulay(ut_ideal("u^3", "t*u")).multiplicity == 1
+        assert is_cohen_macaulay(ut_ideal("u^3")).multiplicity == 3
 
     def test_generic_on_family(self):
         assert generic_multiplicity(cusp_family_a()) == 1
@@ -306,8 +306,8 @@ class TestClassify:
 
     def test_family_whose_pullback_hangs_a_local_standard_basis(self):
         # the cofactors of J by u generate the maximal ideal, whose local
-        # standard basis does not finish its first S-polynomial in minutes;
-        # the witness is read off the generators instead
+        # standard basis Mora's weak normal form did not finish in minutes;
+        # the witness is read off the generators, with no standard basis
         F = FamilyPresentation(components=(comp(
             "-u^2*t^3 - u^5 + 2*u^6*t^2", "2*u^2*t^2 - 3*u^4*t^3 + u*t",
             "2*u^3*t^3 - u^2 - 3*u^7", label="0"),))

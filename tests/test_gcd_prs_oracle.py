@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from equicurve.errors import HypothesisError
 from equicurve.gb import Ideal
 from equicurve.gcd import bivariate_gcd, recursive_form, recursive_gcd, uni_gcd
-from equicurve.localdim import param_multiplicity
+from equicurve.localdim import is_cohen_macaulay
 from equicurve.poly import Polynomial, VarSet, parse_poly
 from oracles import rational_bivariate_gcd, rational_uni_gcd
 
@@ -125,10 +125,10 @@ def test_cofactor_fold_matches_the_rational_prs(case):
     # the radical check holds iff the gcd of all the cofactors is a unit at
     # the origin
     if h_rat.constant_term():
-        assert param_multiplicity(Ideal(gens, UT)) == e
+        assert is_cohen_macaulay(Ideal(gens, UT)).multiplicity == e
     else:
         with pytest.raises(HypothesisError, match="no power of u lies in the ideal"):
-            param_multiplicity(Ideal(gens, UT))
+            is_cohen_macaulay(Ideal(gens, UT)).multiplicity
 
 
 def test_local_degree_gcd_of_u15():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicurve import localdim
+from equicurve.cli import run_paper_corpus
 from equicurve.errors import ComputationError, HypothesisError, InternalCheckError
 from equicurve.gb import Ideal, ideal_sum, std_basis
 from equicurve.localdim import (
@@ -23,11 +24,11 @@ from equicurve.localdim import (
     epsilon_from_decomposition,
     hs_multiplicity_of_param,
     is_cohen_macaulay,
-    param_multiplicity,
     vdim,
 )
 from equicurve.poly import NEGDEGREVLEX, Polynomial, VarSet, parse_poly
 from gb_reference import ideal_equal, ideal_quotient, mon_divides
+from oracles import truncated_vdim
 
 XYZ = VarSet(("x", "y", "z"))
 UT = VarSet(("u", "t"))
@@ -54,6 +55,27 @@ class TestVdim:
         assert not v.finite
         with pytest.raises(ComputationError):
             v.expect_finite("length")
+
+    def test_truncation_oracle_on_a_corpus_pass(self, monkeypatch):
+        # every ideal whose local length a corpus pass reads: the embedded
+        # components and their sums with the intersections of the primes
+        seen = {}
+        real = localdim.vdim
+
+        def spy(Q):
+            seen[tuple(g.render() for g in Q.gens)] = Q
+            return real(Q)
+
+        monkeypatch.setattr(localdim, "vdim", spy)
+        run_paper_corpus(seed=0)
+        assert len(seen) == 16
+        for Q in seen.values():
+            assert vdim(Q).value == truncated_vdim(Q)
+
+    def test_truncation_oracle_on_the_memo_ideal(self):
+        # the generators of test_gb's TestMemo
+        J = I("x^2 + y*z", "y^3 - x*z", "z^2 + x*y^2 + x^3")
+        assert vdim(J).value == truncated_vdim(J) == 14
 
     def test_unit_multiples_do_not_matter(self):
         # local order: 1 + x is a unit, so (1+x)*y generates <y>
@@ -247,26 +269,24 @@ class TestHilbertSamuel:
     @pytest.mark.parametrize("gens", HS_IDEALS)
     def test_exact_multiplicity_is_late_difference(self, gens):
         J = I(*gens, ring=UT)
-        assert param_multiplicity(J) == late_difference(J)
+        assert is_cohen_macaulay(J).multiplicity == late_difference(J)
 
     @given(pullback_ideals())
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_exact_multiplicity_on_random_pullbacks(self, J):
-        assert param_multiplicity(J) == late_difference(J)
+        assert is_cohen_macaulay(J).multiplicity == late_difference(J)
 
     def test_ladder_stops_early_on_lowering_pullback(self):
         # the oracle's known failure: three equal differences (3, 3, 3) are
         # not yet the settled difference 2
         J = I(*LOWERING, ring=UT)
         assert hs_multiplicity_of_param(J) == 3
-        assert param_multiplicity(J) == 2
+        assert is_cohen_macaulay(J).multiplicity == 2
 
     def test_exact_multiplicity_needs_the_u_t_ring(self):
         for ring in (VarSet(("t", "u")), VarSet(("u", "t", "x"))):
             with pytest.raises(ComputationError):
-                param_multiplicity(I("u^3", ring=ring))
-            with pytest.raises(ComputationError):
-                is_cohen_macaulay(I("u^3", ring=ring))
+                is_cohen_macaulay(I("u^3", ring=ring)).multiplicity
 
     def test_moving_tangent_pullback(self):
         assert hs_multiplicity_of_param(I("u^3", "t*u", ring=UT)) == 1
@@ -286,7 +306,7 @@ class TestHilbertSamuel:
         with pytest.raises(HypothesisError):
             hs_multiplicity_of_param(I("t*u", ring=UT))
         with pytest.raises(HypothesisError):
-            param_multiplicity(I("t*u", ring=UT))
+            is_cohen_macaulay(I("t*u", ring=UT)).multiplicity
 
 
 class TestCohenMacaulay:
