@@ -14,10 +14,11 @@ import itertools
 import math
 from collections import namedtuple
 
-from .errors import ComputationError, InternalCheckError
+from .errors import ComputationError, HypothesisError, InternalCheckError
 from .gb import Ideal
 from .linalg import RowSpace
 from .localdim import PrimaryDecomposition, epsilon_from_decomposition
+from .poly import _add_terms, _mul_terms, _power_terms
 
 JET_ORDER_CAP = 256
 
@@ -69,8 +70,48 @@ class BranchParam:
         return f"BranchParam({body})"
 
 
+def _not_vanishing(gens, jets):
+    """The first of the polynomials gens that does not vanish on the branch
+    x(u) with the given integer jets, or None.
+
+    With x_k = P_k / d_k, D_k the largest x_k-exponent of g and a_m the
+    coefficients of g times their least common denominator, g(x(u)) is a
+    nonzero multiple of the sum of a_m * prod_k d_k^(D_k - m_k) * P_k^(m_k).
+    A term with a factor P_k = 0 is skipped.
+    """
+    dens = [d for d, _ in jets]
+    scaled = any(d != 1 for d in dens)
+    powers = {(k, 1): {(x,): b for x, b in pairs} for k, (_, pairs) in enumerate(jets)}
+    for g in gens:
+        top = [max(col) for col in zip(*g.terms)] if scaled else None
+        den = math.lcm(*[c.denominator for c in g.terms.values()])
+        total = {}
+        for m, c in g.terms.items():
+            term = {(0,): c.numerator * (den // c.denominator)}
+            for k, e in enumerate(m):
+                if e:
+                    P = powers.get((k, e))
+                    if P is None:
+                        P = powers[k, e] = _power_terms(powers[k, 1], e, 1)
+                    if not P:
+                        break
+                    term = _mul_terms(term, P)
+            else:
+                if scaled:
+                    a = math.prod([d ** (t - e) for d, t, e in zip(dens, top, m)])
+                    term = {x: a * b for x, b in term.items()}
+                _add_terms(total, term)
+        if total:
+            return g
+    return None
+
+
 class CurvePresentation:
-    """A curve germ: branches of the reduced structure plus optional embedded data."""
+    """A curve germ: branches of the reduced structure plus optional embedded data.
+
+    Every generator of the ideal must vanish on every branch, or the ideal
+    defines another curve; that is checked on construction.
+    """
 
     __slots__ = ("branches", "ideal", "decomposition")
 
@@ -78,8 +119,17 @@ class CurvePresentation:
                  decomposition: PrimaryDecomposition | None = None):
         if not branches:
             raise ValueError("curve needs at least one branch")
-        if len({b.ambient_dim for b in branches}) != 1:
-            raise ComputationError("branches with mismatched ambient dimensions")
+        dims = {b.ambient_dim for b in branches}
+        if ideal is not None:
+            dims.add(len(ideal.ring))
+        if len(dims) != 1:
+            raise ComputationError("branches or ideal with mismatched ambient dimensions")
+        for b in branches if ideal is not None else ():
+            g = _not_vanishing(ideal.gens, b.jets)
+            if g is not None:
+                raise HypothesisError(
+                    f"ideal generator {g.render()!r} does not vanish on branch {b.label!r}"
+                )
         self.branches = branches
         self.ideal = ideal
         self.decomposition = decomposition

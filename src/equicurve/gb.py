@@ -53,6 +53,18 @@ the upper. So keys compare as ``MonomialOrder.key`` does, the key of a product
 is the sum of the keys, and the leading term of a term dict h is at max(h). p2
 is -key mod 2^C, and p1 is read the same way from (key + p2) >> B.
 
+*Pair bookkeeping.* A pair waits under the degree and the order key of its
+packed lcm l, both read off l without unpacking it. The degree is the sum of
+the fields: with E the mask of the even fields, (l & E) + ((l >> w) & E) holds
+the sum of fields 2j and 2j + 1, below 2^w, in the 2w-bit slot j, and one
+multiplication by the sum of 1 << 2wj adds all slots into the top one; no
+partial sum reaches 2^(2w), so no slot carries into the next. The key is then
+the form above with p1 = l mod 2^(kw), p2 = l >> kw and d2 = d - d1, which is
+(d << C) - l under degrevlex. A proper divisor x^a of x^b is a smaller int, as
+b - a packs a nonzero monomial. So the new lcms are visited in increasing
+order and tested only against those before them for a proper divisor, and the
+minimalization of the basis visits the leads the same way.
+
 No exponent overflows silently: input exponents are checked when packed, the
 lcm of guard-free monomials is guard-free, and before a multiple x^q * g is
 formed, q plus the fieldwise maximum of g's exponents is checked. So every
@@ -143,14 +155,15 @@ class _Packing:
     leading coefficient, terms as (key, coefficient) pairs, fieldwise maximum
     of the packed monomials)."""
 
-    __slots__ = ("width", "guard", "coeffs", "shifts", "split", "low", "high", "B")
+    __slots__ = ("width", "guard", "coeffs", "shifts", "split", "low", "high",
+                 "A", "B", "C", "even", "ones", "top")
 
     def __init__(self, nvars: int, order: MonomialOrder):
         w = self.width = _FIELD_BITS
         k = min(order.block, nvars) if isinstance(order, Elimination) else 0
-        C = (nvars - k) * w
+        C = self.C = (nvars - k) * w
         B = self.B = C + w + nvars.bit_length()
-        A = B + k * w
+        A = self.A = B + k * w
         self.coeffs = tuple((1 << A) - (1 << (B + w * i)) for i in range(k)) + tuple(
             (1 << C) - (1 << (w * i)) for i in range(nvars - k)
         )
@@ -159,11 +172,27 @@ class _Packing:
         self.split = k * w
         self.low = (1 << self.split) - 1
         self.high = (1 << C) - 1
+        slots = range(0, nvars * w, 2 * w)
+        self.even = sum(((1 << w) - 1) << s for s in slots)
+        self.ones = sum(1 << s for s in slots)
+        self.top = slots[-1]
 
     def key(self, exps) -> int:
         if max(exps) >> (self.width - 1):
             raise _overflow()
         return sum(map(mul, exps, self.coeffs))
+
+    def degree(self, p: int) -> int:
+        """The sum of the fields of p (module docstring, pair bookkeeping)."""
+        w = self.width
+        s = (p & self.even) + ((p >> w) & self.even)
+        return (s * self.ones >> self.top) & ((1 << 2 * w) - 1)
+
+    def degree_key(self, p: int) -> tuple:
+        """The degree and the order key of the packed monomial p."""
+        p1 = p & self.low
+        d, d1 = self.degree(p), self.degree(p1)
+        return d, (d1 << self.A) - (p1 << self.B) + ((d - d1) << self.C) - (p >> self.split)
 
     def packed(self, key: int) -> int:
         p2 = -key & self.high
@@ -282,23 +311,41 @@ def _spoly(f: tuple, g: tuple, l: int, lk: int, guard: int) -> dict:
 
 class StandardBasis:
     """A computed basis (Groebner for global orders, standard for local) of an
-    ideal; only a Groebner basis carries a packing and reducers."""
+    ideal, kept as the core's primitive term dicts under ``_packing``, the
+    first ``_skip`` exponents (h, under a local order) to be dropped.
 
-    __slots__ = ("ideal", "order", "basis", "lead_monomials", "_packing", "_reducers")
+    ``basis``, the monic ``Fraction`` polynomials, is built on its first read,
+    and the reducers of a Groebner basis on its first reduction; only a
+    Groebner basis is ever reduced by.
+    """
 
-    def __init__(self, ideal, order, basis, lead_monomials, packing, reducers):
+    __slots__ = ("ideal", "order", "lead_monomials", "_packing", "_terms", "_skip",
+                 "_basis", "_reducers")
+
+    def __init__(self, ideal, order, lead_monomials, packing, terms, skip=0):
         self.ideal = ideal
         self.order = order
-        self.basis = tuple(basis)
         self.lead_monomials = tuple(lead_monomials)
         self._packing = packing
-        self._reducers = tuple(reducers)
+        self._terms = terms
+        self._skip = skip
+        self._basis = self._reducers = None
+
+    @property
+    def basis(self) -> tuple:
+        if self._basis is None:
+            ring, monic = self.ideal.ring, self._packing.monic
+            self._basis = tuple(monic(h, ring, self._skip) for h in self._terms)
+        return self._basis
 
     def _reduce(self, f: Polynomial):
         if f.ring != self.ideal.ring:
             raise RingMismatchError("polynomial over a different ring than the basis")
-        h, d = self._packing.integral(f.terms)
-        r, scale = _reduce_global(h, self._reducers, self._packing)
+        pk = self._packing
+        if self._reducers is None:
+            self._reducers = tuple(map(pk.reducer, self._terms))
+        h, d = pk.integral(f.terms)
+        r, scale = _reduce_global(h, self._reducers, pk)
         return r, scale * d
 
     def normal_form(self, f: Polynomial) -> Polynomial:
@@ -333,29 +380,35 @@ def _update_pairs(pairs: list, L: list, pk: _Packing) -> list:
     A pair is (deg lcm, key of lcm, i, j, packed lcm). Old pairs go by the chain
     criterion. The new pairs (i, k) are grouped by lcm; a group is dropped when
     another new lcm properly divides its lcm or when one of its pairs has coprime
-    leading monomials, and otherwise its pair of least i is kept.
+    leading monomials, and otherwise its pair of least i is kept. The groups are
+    visited in increasing packed lcm, and only those before a group are tested
+    as divisors of its lcm.
     """
     guard, lcm_ = pk.guard, pk.lcm
     k = len(L) - 1
     lk = L[k]
+    lcms = list(map(lcm_, L[:k], repeat(lk, k)))
     kept = [
         p for p in pairs
-        if not (
-            ((p[4] | guard) - lk) & guard == guard
-            and lcm_(L[p[2]], lk) != p[4]
-            and lcm_(L[p[3]], lk) != p[4]
-        )
+        if ((p[4] | guard) - lk) & guard != guard or lcms[p[2]] == p[4] or lcms[p[3]] == p[4]
     ]
     by_lcm = {}
-    for i in range(k):
-        by_lcm.setdefault(lcm_(L[i], lk), []).append(i)
-    for l, idx in by_lcm.items():
-        if any(l2 != l and ((l | guard) - l2) & guard == guard for l2 in by_lcm):
-            continue
-        if any(L[i] + lk == l for i in idx):
-            continue
-        e = pk.fields(l)
-        kept.append((sum(e), pk.key(e), idx[0], k, l))
+    for i, l in enumerate(lcms):
+        by_lcm.setdefault(l, []).append(i)
+    smaller = []  # the new lcms below l, the only candidates for a proper divisor
+    for l in sorted(by_lcm):
+        lg = l | guard
+        for s in smaller:
+            if (lg - s) & guard == guard:
+                break
+        else:
+            idx = by_lcm[l]
+            for i in idx:
+                if L[i] + lk == l:
+                    break
+            else:
+                kept.append((*pk.degree_key(l), idx[0], k, l))
+        smaller.append(l)
     heapify(kept)
     return kept
 
@@ -375,8 +428,9 @@ def std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
     The last ``_STD_BASES_SIZE`` results are kept and returned again for the same
     ring, generators (as term sets, in the same order) and order kind. The key
     copies the generators' terms, so a later change to an input polynomial
-    cannot alias a kept basis; a ``StandardBasis`` is never changed after it is
-    built.
+    cannot alias a kept basis. A ``StandardBasis`` builds its output
+    polynomials (``basis``) and its reducers on first read, and is never
+    changed otherwise.
     """
     key = (I.ring, tuple(frozenset(g.terms.items()) for g in I.gens), order.kind)
     B = _STD_BASES.pop(key, None)
@@ -393,14 +447,7 @@ def _compute_std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
         return _local_std_basis(I, order)
     pk = _Packing(len(I.ring), order)
     out = _reduced_basis([pk.integral(g.terms)[0] for g in I.gens], pk)
-    return StandardBasis(
-        I,
-        order,
-        [pk.monic(h, I.ring) for _, h in out],
-        [pk.exps(k) for k, _ in out],
-        pk,
-        [pk.reducer(h) for _, h in out],
-    )
+    return StandardBasis(I, order, [pk.exps(k) for k, _ in out], pk, [h for _, h in out])
 
 
 def _reduced_basis(gens: list, pk: _Packing) -> list:
@@ -429,16 +476,17 @@ def _reduced_basis(gens: list, pk: _Packing) -> list:
             L.append(G[-1][0])
             pairs = _update_pairs(pairs, L, pk)
 
-    # Minimalize: drop generators whose lead is divisible by another's.
-    n = len(G)
-    minimal = [
-        i for i in range(n)
-        if not any(
-            ((L[i] | guard) - L[j]) & guard == guard and (L[j] != L[i] or j < i)
-            for j in range(n)
-            if j != i
-        )
-    ]
+    # Minimalize: drop generators whose lead is divisible by another's, of
+    # equal leads all but the first. A divisor is a smaller int.
+    minimal = []
+    for i in sorted(range(len(L)), key=L.__getitem__):
+        lg = L[i] | guard
+        for j in minimal:
+            if (lg - L[j]) & guard == guard:
+                break
+        else:
+            minimal.append(i)
+    minimal.sort()
 
     # Tail-reduce each element against the others: the reduced Groebner basis
     # is unique. The lead, divisible by no other lead, passes to the remainder
@@ -475,8 +523,7 @@ def _local_std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
         if not any(_divides(leads[j], leads[i]) for j in keep):
             keep.append(i)
     keep.reverse()
-    basis = [pk.monic(out[i][1], I.ring, skip=1) for i in keep]
-    return StandardBasis(I, order, basis, [leads[i] for i in keep], None, ())
+    return StandardBasis(I, order, [leads[i] for i in keep], pk, [out[i][1] for i in keep], skip=1)
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
@@ -492,29 +539,22 @@ def _fresh_var(ring: VarSet) -> str:
     return name
 
 
-def _lift(f: Polynomial, big: VarSet) -> Polynomial:
-    shift = len(big) - len(f.ring)
-    return _from_terms(big, {(0,) * shift + m: c for m, c in f.terms.items()})
-
-
-def _project(f: Polynomial, small: VarSet) -> Polynomial:
-    shift = len(f.ring) - len(small)
-    return _from_terms(small, {m[shift:]: c for m, c in f.terms.items()})
-
-
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I and J intersected via one auxiliary elimination variable w on w*I + (1-w)*J."""
+    """I and J intersected via one auxiliary elimination variable w on
+    w*I + (1-w)*J, whose generators w*g and g - w*g are built as term dicts."""
     if I.ring != J.ring:
         raise RingMismatchError("ideal intersection over mixed rings")
     ring = I.ring
-    w_name = _fresh_var(ring)
-    big = VarSet((w_name,) + ring.names)
-    w = Polynomial.var(big, w_name)
-    one_minus_w = Polynomial.const(big, 1) - w
-    gens = [w * _lift(g, big) for g in I.gens]
-    gens += [one_minus_w * _lift(g, big) for g in J.gens]
+    big = VarSet((_fresh_var(ring),) + ring.names)
+    gens = [_from_terms(big, {(1,) + m: c for m, c in g.terms.items()}) for g in I.gens]
+    for g in J.gens:
+        h = {(0,) + m: c for m, c in g.terms.items()}
+        h.update({(1,) + m: -c for m, c in g.terms.items()})
+        gens.append(_from_terms(big, h))
     B = std_basis(Ideal(gens, big), Elimination(1))
-    result = [_project(g, ring) for g in B.basis if all(m[0] == 0 for m in g.terms)]
+    # Under Elimination(1) an element is free of w iff its lead is.
+    monic = B._packing.monic
+    result = [monic(h, ring, skip=1) for l, h in zip(B.lead_monomials, B._terms) if not l[0]]
     if not result:
         # The intersection of nonzero ideals over a domain is nonzero; reaching this
         # would mean the elimination lost everything.

@@ -118,13 +118,17 @@ class PrimaryDecomposition:
     def verify_against(self, I: Ideal) -> None:
         """Check that the components intersect to I, or raise ComputationError.
 
-        I is first checked to lie in every listed component, so it lies in
-        their intersection. The intersection then equals I iff it also lies in
-        I, which one Groebner basis of I decides: no basis of the intersection
-        is needed.
+        No component may be the unit ideal: a prime whose reduced basis is
+        {1}, or an embedded component of length 0 at the origin. I is first
+        checked to lie in every listed component, so it lies in their
+        intersection. The intersection then equals I iff it also lies in I,
+        which one Groebner basis of I decides: no basis of the intersection is
+        needed.
         """
         for P in self.primes:
             B = std_basis(P, DEGREVLEX)
+            if not any(B.lead_monomials[0]):  # 1 is the least monomial
+                raise ComputationError("decomposition rejected: a listed prime is the unit ideal")
             if not all(B.contains(g) for g in I.gens):
                 raise ComputationError("decomposition rejected: ideal not contained in a listed prime")
         parts = self.intersection()
@@ -132,8 +136,11 @@ class PrimaryDecomposition:
             BQ = std_basis(self.embedded, DEGREVLEX)
             if not all(BQ.contains(g) for g in I.gens):
                 raise ComputationError("decomposition rejected: ideal not contained in the embedded component")
-            if not vdim(self.embedded).finite:
+            length = vdim(self.embedded)
+            if not length.finite:
                 raise ComputationError("decomposition rejected: embedded component is not m-primary")
+            if length.value == 0:
+                raise ComputationError("decomposition rejected: embedded component is the unit ideal at the origin")
             parts = ideal_intersect(parts, self.embedded)
         BI = std_basis(I, DEGREVLEX)
         if not all(BI.contains(g) for g in parts.gens):

@@ -9,7 +9,9 @@ a nonzero multiple of the one met here, so the two must agree term for term.
 Under a local order the reference is Mora's tangent-cone algorithm with the
 ecart, and ``gb.std_basis`` takes Lazard's route by homogenization: the two
 must have the same leading monomials and generate the same local ideal, but
-their tails may differ.
+their tails may differ. Mora's weak normal form runs under a step budget, as
+it can stall; ``reference_local_member`` decides membership in the localized
+ideal from global reference bases instead.
 
 ``ideal_equal``, ``ideal_quotient`` and ``exact_divide`` are ideal operations
 that only tests use, built on ``gb.std_basis`` and ``gb.ideal_intersect``.
@@ -21,9 +23,15 @@ from heapq import heapify, heappop
 
 from equicurve.errors import ComputationError, RingMismatchError
 from equicurve.gb import Ideal, ideal_intersect, std_basis
-from equicurve.poly import DEGREVLEX, MonomialOrder, Polynomial, mon_mul
+from equicurve.poly import DEGREVLEX, Elimination, MonomialOrder, Polynomial, VarSet, mon_mul
 
 REDUCTION_CAP = 200_000
+
+# Steps of one Mora weak normal form. The tests need a few dozen at most; a
+# member probe of a two-generator ideal in four variables has been seen to
+# stall, its remainder growing past a thousand terms, and reaches this budget
+# in well under a second.
+MORA_STEP_BUDGET = 500
 
 
 def mon_divides(a, b) -> bool:
@@ -93,8 +101,11 @@ def _mora_weak_nf(f: Polynomial, G, leads, order: MonomialOrder) -> Polynomial:
     steps = 0
     while h:
         steps += 1
-        if steps > REDUCTION_CAP:
-            raise ComputationError("reference Mora normal form not finished")
+        if steps > MORA_STEP_BUDGET:
+            raise ComputationError(
+                f"Mora oracle (gb_reference._mora_weak_nf) not finished within "
+                f"MORA_STEP_BUDGET = {MORA_STEP_BUDGET} steps"
+            )
         lm = max(h, key=key)
         best = None
         for t in T:
@@ -186,6 +197,36 @@ def reference_normal_form(basis, leads, order: MonomialOrder, f: Polynomial) -> 
     if f.is_zero():
         return f
     return _weak_nf(f, basis, leads, order)
+
+
+def reference_local_member(I: Ideal, f: Polynomial) -> bool:
+    """Whether f lies in I*O, O the local ring at the origin, by global bases
+    only, so that no weak normal form can stall it.
+
+    f lies in I*O iff s*f lies in I for some s with s(0) != 0, iff I : f is
+    not inside the maximal ideal m, iff 1 lies in (I : f) + m, iff some
+    generator of I : f has a nonzero constant term. I : f is (I meet <f>) / f,
+    and I meet <f> is generated by the elements free of w of the reference
+    basis of w*I + (1 - w)*<f> under Elimination(1).
+    """
+    if f.is_zero():
+        return True
+    ring = I.ring
+    w = "_w"
+    while w in ring:
+        w += "_"
+    big = VarSet((w,) + ring.names)
+    gens = [Polynomial(big, {(1,) + m: c for m, c in g.terms.items()}) for g in I.gens]
+    h = {(0,) + m: c for m, c in f.terms.items()}
+    h.update({(1,) + m: -c for m, c in f.terms.items()})
+    gens.append(Polynomial(big, h))
+    basis, leads = reference_std_basis(Ideal(gens, big), Elimination(1))
+    origin = (0,) * len(ring)
+    return any(
+        origin in exact_divide(Polynomial(ring, {m[1:]: c for m, c in g.terms.items()}), f).terms
+        for g, l in zip(basis, leads)
+        if not l[0]
+    )
 
 
 # -- ideal operations used only by tests ---------------------------------------

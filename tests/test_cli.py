@@ -376,6 +376,52 @@ class TestSchemaRejection:
         path = write_manifest(tmp_path, manifest(entry))
         assert main(["analyze", path]) == EXIT_COMPUTE
 
+    @pytest.mark.parametrize(
+        "ideal, decomposition, message",
+        [
+            (["1"], {"primes": [["1"]]}, "a listed prime is the unit ideal"),
+            (["y^2 - x^3", "z"], {"primes": [["y^2 - x^3", "z"]], "embedded": ["1"]},
+             "embedded component is the unit ideal at the origin"),
+        ],
+        ids=["prime", "embedded"],
+    )
+    def test_unit_ideal_component_is_rejected(self, tmp_path, capsys, ideal, decomposition,
+                                              message):
+        entry = {"name": "unit", "kind": "curve", "branches": [["u^2", "u^3", "0"]],
+                 "ideal": ideal, "decomposition": decomposition}
+        path = write_manifest(tmp_path, manifest(entry))
+        assert main(["analyze", path]) == EXIT_COMPUTE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"computation error: decomposition rejected: {message}\n"
+
+    @pytest.mark.parametrize("kind", ["curve", "declared"])
+    def test_ideal_of_another_curve_is_a_hypothesis_failure(self, tmp_path, capsys, kind):
+        # the y-axis with an embedded point, decomposed correctly, beside the
+        # cusp branch: its epsilon is not the cusp's
+        fiber = {
+            "branches": [["u^2", "u^3", "0"]],
+            "ideal": ["x^2", "x*y", "z"],
+            "decomposition": {"primes": [["x", "z"]], "embedded": ["x^2", "y", "z"]},
+        }
+        if kind == "curve":
+            entry = {"name": "other-curve", "kind": "curve", **fiber}
+            label = "0"
+        else:
+            # the y-axis itself passes; the cusp, branch 1, is named
+            fiber["branches"].insert(0, ["0", "u", "0"])
+            entry = {"name": "other-curve", "kind": "family", "mode": "declared",
+                     "special_fiber": {**fiber, "classes": [1, 1]},
+                     "generic_fiber_assertions": {"mu": 1, "m": 2, "r": 2}}
+            label = "1"
+        path = write_manifest(tmp_path, manifest(entry))
+        assert main(["analyze", path]) == EXIT_HYPOTHESIS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"hypothesis failure: ideal generator 'x^2' does not vanish on branch '{label}'\n"
+        )
+
     def test_hypothesis_failure_exit_code(self, tmp_path):
         entry = {
             "name": "bad",

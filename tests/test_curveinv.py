@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from equicurve.curveinv import (
     invariants,
     semigroup_conductor,
 )
-from equicurve.errors import ComputationError, InternalCheckError
+from equicurve.errors import ComputationError, HypothesisError, InternalCheckError
 from equicurve.gb import Ideal
 from equicurve.linalg import RowSpace
 from equicurve.localdim import PrimaryDecomposition
@@ -89,6 +90,34 @@ class TestBranchParam:
     def test_mismatched_ambient_dims_rejected(self):
         with pytest.raises(ComputationError):
             CurvePresentation([branch("u"), branch("u", "0")])
+        with pytest.raises(ComputationError):
+            CurvePresentation([branch("u", "0")], ideal=I("z"))
+
+    @pytest.mark.parametrize(
+        "gen, vanishes",
+        [
+            ("4*y^2 - x^3", True),
+            ("y^2 - 1/4*x^3", True),
+            ("x*z + 2/3*x*y*z^5 + (4*y^2 - x^3)*(1 + x)", True),
+            ("y^2 - x^3", False),
+            ("x^2", False),
+            ("x^3 - 4*y^2 + y*z + 1/3*x", False),
+        ],
+    )
+    def test_ideal_must_vanish_on_every_branch(self, gen, vanishes):
+        # x = u^2, y = u^3/2 on the first branch, the line y = z = 0 on the
+        # second, on which every generator also vanishes
+        gens = (gen, "y*z") if vanishes else ("y*z", gen)
+        ideal = I(*gens, "z*(y - x)")
+        branches = [BranchParam([parse_poly(c, U) for c in comps], label=f"{i}")
+                    for i, comps in enumerate((("u^2", "1/2*u^3", "0"), ("0", "0", "u")))]
+        if vanishes:
+            CurvePresentation(branches, ideal=ideal)
+            return
+        expected = parse_poly(gen, XYZ).render()
+        with pytest.raises(HypothesisError, match=f"^ideal generator '{re.escape(expected)}'"
+                                                  " does not vanish on branch '0'$"):
+            CurvePresentation(branches, ideal=ideal)
 
 
 class TestSemigroupOracle:

@@ -142,6 +142,31 @@ class TestMemo:
         assert again is B
         assert same_basis(again, fresh_std_basis(I(*MEMO_GENS), order))
 
+    @pytest.mark.parametrize(
+        "order, rendered",
+        [
+            (DEGREVLEX, ["x^2 + y*z", "y^3 - x*z", "x*y^2 - x*y*z + z^2", "z^4", "y*z^3",
+                         "x*z^3", "y^2*z^2", "x*y*z^2 - z^3"]),
+            (NEGDEGREVLEX, ["y^5", "x*y^4", "x*y^2 - x*y*z + z^2", "-y^3 + x*z", "x^2 + y*z"]),
+            (Elimination(1), ["z^4", "y*z^3", "y^2*z^2", "y^4*z - z^3", "y^5", "-y^3 + x*z",
+                              "-y^4 + x*y^2 + z^2", "x^2 + y*z"]),
+            (Elimination(2), ["z^4", "y*z^3", "x*z^3", "y^2*z^2", "x*y*z^2 - z^3",
+                              "x^2 + y*z", "y^3 - x*z", "x*y^2 - x*y*z + z^2"]),
+        ],
+        ids=[o.kind for o in MEMO_ORDERS],
+    )
+    def test_basis_built_on_first_read(self, order, rendered):
+        # the basis is built when first read, before or after reductions, and
+        # is the one built with the result; the memo hands back that object
+        first = fresh_std_basis(I(*MEMO_GENS), order)
+        assert [g.render() for g in first.basis] == rendered
+        assert first.basis is first.basis
+        later = fresh_std_basis(I(*MEMO_GENS), order)
+        for f in ("x^3*y + z^4", "x*y*z - y^5 + x"):
+            later.contains(P(f))
+        assert same_basis(later, first)
+        assert std_basis(I(*MEMO_GENS), order) is later
+
     def test_table_is_bounded(self):
         gb._STD_BASES.clear()
         for k in range(1, gb._STD_BASES_SIZE + 6):

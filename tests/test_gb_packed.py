@@ -1,15 +1,17 @@
 """The packed, fraction-free Groebner core against the tuple/Fraction reference.
 
-Under a global order ``gb.std_basis`` must return the reference's basis term
-for term, and its normal forms and memberships must agree. Under the local
-order ``gb.std_basis`` takes Lazard's route and the reference Mora's, whose
-tails need not be the same: the leading monomials must be equal, each basis
-must reduce to zero against the other by Mora's weak normal form, and
-membership must agree with that weak normal form.
+Under a global order ``gb.std_basis`` must reduce the reference's S-pairs in
+the reference's order and return its basis term for term, and its normal
+forms and memberships must agree. Under the local order ``gb.std_basis``
+takes Lazard's route and the reference Mora's, whose tails need not be the
+same: the leading monomials must be equal, each basis must reduce to zero
+against the other by Mora's weak normal form, and membership must agree with
+``reference_local_member``, which decides it by global bases alone.
 """
 
 from __future__ import annotations
 
+import time
 from datetime import timedelta
 from fractions import Fraction
 
@@ -30,7 +32,8 @@ from equicurve.poly import (
     VarSet,
     parse_poly,
 )
-from gb_reference import reference_normal_form, reference_std_basis
+import gb_reference
+from gb_reference import reference_local_member, reference_normal_form, reference_std_basis
 
 ORDERS = (DEGREVLEX, NEGDEGREVLEX, Elimination(1), Elimination(2))
 GLOBAL_ORDERS = tuple(o for o in ORDERS if o.is_global)
@@ -41,11 +44,28 @@ def fresh_std_basis(J, order):
     return std_basis(J, order)
 
 
+def popped_pairs(module, mp):
+    """The (i, j) of every pair ``module`` pops off its heap from now on."""
+    pairs = []
+    pop = module.heappop
+
+    def heappop(heap):
+        pair = pop(heap)
+        pairs.append(pair[2:4])
+        return pair
+
+    mp.setattr(module, "heappop", heappop)
+    return pairs
+
+
 def assert_same_basis(J, order):
-    B = fresh_std_basis(J, order)
-    basis, leads = reference_std_basis(J, order)
+    with pytest.MonkeyPatch.context() as mp:
+        packed, reference = popped_pairs(gb, mp), popped_pairs(gb_reference, mp)
+        B = fresh_std_basis(J, order)
+        basis, leads = reference_std_basis(J, order)
     assert B.lead_monomials == leads
     if order.is_global:
+        assert packed == reference
         assert [g.terms for g in B.basis] == [g.terms for g in basis]
     else:
         assert all(reference_normal_form(basis, leads, order, g).is_zero() for g in B.basis)
@@ -54,10 +74,12 @@ def assert_same_basis(J, order):
 
 
 def assert_same_normal_form(B, basis, leads, order, f):
-    nf = reference_normal_form(basis, leads, order, f)
     if order.is_global:
+        nf = reference_normal_form(basis, leads, order, f)
         assert B.normal_form(f) == nf
-    assert B.contains(f) == nf.is_zero()
+        assert B.contains(f) == nf.is_zero()
+    else:
+        assert B.contains(f) == reference_local_member(B.ideal, f)
 
 
 def _polys(nvars, max_terms):
@@ -90,10 +112,33 @@ def cases(draw):
 @given(cases())
 @settings(max_examples=80, deadline=timedelta(seconds=5), derandomize=True)
 def test_packed_core_matches_reference(case):
+    # same pairs and basis as the reference, then each probe and generator
+    # gets the reference's normal form and membership
     J, order, probes = case
     B, basis, leads = assert_same_basis(J, order)
     for f in probes + list(J.gens):
         assert_same_normal_form(B, basis, leads, order, f)
+
+
+def test_mora_oracle_gives_up_and_membership_does_not_need_it():
+    # Mora's weak normal form of this member of a two-generator ideal grows
+    # past a thousand terms without finishing; the oracle stops at its budget
+    # and says so, and the quotient route decides membership from global bases
+    ring = VarSet(("x0", "x1", "x2", "x3"))
+    g0 = parse_poly("x0^2*x1^2*x2*x3^2 + x0^2*x2^2 - 3*x0*x1*x2", ring)
+    g1 = parse_poly("-3*x0^2*x1^2*x2*x3^2 + 5/3*x0*x1^2*x2^2 + x0*x1^2*x2", ring)
+    J = Ideal([g0, g1], ring)
+    f = parse_poly("x0^2*x2", ring) * g0 + parse_poly("x0*x2*x3", ring) * g1
+    basis, leads = reference_std_basis(J, NEGDEGREVLEX)
+    start = time.perf_counter()
+    with pytest.raises(ComputationError, match=r"Mora oracle .*MORA_STEP_BUDGET = \d+ steps"):
+        reference_normal_form(basis, leads, NEGDEGREVLEX, f)
+    assert time.perf_counter() - start < 10
+    B = fresh_std_basis(J, NEGDEGREVLEX)
+    assert B.contains(f) and reference_local_member(J, f)
+    for probe in ("x0", "x0*x2", "x0^2*x1^2*x2*x3^2 + x0^2*x2^2"):
+        probe = parse_poly(probe, ring)
+        assert not B.contains(probe) and not reference_local_member(J, probe)
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
@@ -132,6 +177,32 @@ def test_packed_keys_follow_the_order(case):
             pa, pb = pk.packed(pk.key(a)), pk.packed(pk.key(b))
             assert (((pb | G) - pa) & G == G) == all(x <= y for x, y in zip(a, b))
             assert pk.fields(pk.lcm(pa, pb)) == tuple(map(max, a, b))
+
+
+@st.composite
+def monomials_to_read(draw):
+    """Exponent tuples in 1-6 variables up to the widest exponent a 32-bit
+    field holds, under DEGREVLEX or Elimination(k), k up to past the ring."""
+    nvars = draw(st.integers(1, 6))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, 2**31 - 1))
+    monos = draw(st.lists(st.tuples(*[exponent] * nvars), min_size=1, max_size=4))
+    order = draw(st.sampled_from((DEGREVLEX,) + tuple(Elimination(k) for k in range(1, 8))))
+    return nvars, monos, order
+
+
+@given(monomials_to_read())
+@settings(max_examples=300, deadline=timedelta(seconds=5), derandomize=True)
+def test_degree_and_key_read_off_the_packed_monomial(case):
+    # what the pair update reads off a packed lcm is what the exponents give
+    nvars, monos, order = case
+    pk = gb._Packing(nvars, order)
+    lcm = pk.packed(pk.key(monos[0]))
+    for e in monos:
+        p = pk.packed(pk.key(e))
+        assert pk.degree_key(p) == (sum(e), pk.key(e))
+        lcm = pk.lcm(lcm, p)
+    e = pk.fields(lcm)
+    assert pk.degree_key(lcm) == (sum(e), pk.key(e))
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
@@ -189,3 +260,28 @@ class TestGuardBits:
         ring = VarSet(("x", "y"))
         J = Ideal([parse_poly("x^7 + y^7", ring)], ring)
         assert [g.render() for g in fresh_std_basis(J, DEGREVLEX).basis] == ["x^7 + y^7"]
+
+
+def test_corpus_bases_match_reference():
+    # every global basis a corpus pass asks for, eliminations included: the
+    # same S-pairs in the same order, and the same basis
+    from equicurve.cli import run_paper_corpus
+
+    asked = {}
+    compute = gb._compute_std_basis
+
+    def recording(J, order):
+        asked[(J.ring, tuple(frozenset(g.terms.items()) for g in J.gens), order.kind)] = (J, order)
+        return compute(J, order)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gb, "_compute_std_basis", recording)
+        gb._STD_BASES.clear()
+        run_paper_corpus(seed=0)
+    cases = [(J, order) for J, order in asked.values() if order.is_global]
+    assert len(cases) > 20
+    with pytest.MonkeyPatch.context() as mp:
+        popped = popped_pairs(gb, mp)
+        for J, order in cases:
+            assert_same_basis(J, order)
+    assert len(popped) > 300
