@@ -25,7 +25,6 @@ from .family import (
     RING_U,
     RING_UT,
     FamilyComponent,
-    FamilyOptions,
     FamilyPresentation,
     GenericAssertions,
     classify,
@@ -38,8 +37,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_COMPUTE = 3
 EXIT_HYPOTHESIS = 4
-
-DEFAULT_OPTIONS = FamilyOptions()._asdict()
 
 
 def _require_mapping(node, allowed, required, where):
@@ -66,21 +63,7 @@ def _parse_ideal(gens, ring, where):
     return I
 
 
-def _parse_decomposition(node, ring, where):
-    _require_mapping(node, ("primes", "embedded"), ("primes",), where)
-    if not isinstance(node["primes"], list) or not node["primes"]:
-        raise ParseError(f"{where}.primes: expected a nonempty list of generator lists")
-    primes = [
-        _parse_ideal(gens, ring, f"{where}.primes[{i}]")
-        for i, gens in enumerate(node["primes"])
-    ]
-    embedded = None
-    if "embedded" in node:
-        embedded = _parse_ideal(node["embedded"], ring, f"{where}.embedded")
-    return primes, embedded
-
-
-def _parse_branches(node, nvars, ring, where):
+def _parse_branches(node, nvars, where):
     if not isinstance(node, list) or not node:
         raise ParseError(f"{where}: expected a nonempty list of branches")
     branches = []
@@ -90,29 +73,38 @@ def _parse_branches(node, nvars, ring, where):
             raise ParseError(
                 f"{where}[{i}]: branch has {len(comps)} components, ring has {nvars}"
             )
-        branches.append(
-            BranchParam([parse_poly(c, ring) for c in comps], label=f"{i}")
-        )
+        branches.append(BranchParam([parse_poly(c, RING_U) for c in comps], label=f"{i}"))
     return branches
 
 
-def _parse_options(node, where, seed_override=None):
-    merged = dict(DEFAULT_OPTIONS)
-    if node is not None:
-        _require_mapping(node, tuple(DEFAULT_OPTIONS), (), where)
-        for k, v in node.items():
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ParseError(f"{where}.{k}: expected an integer")
-            merged[k] = v
-    if seed_override is not None:
-        merged["seed"] = seed_override
-    return FamilyOptions(**merged)
+def _parse_curve_data(node, ring, where):
+    """The branches, ideal and verified decomposition of a curve entry or a
+    special fiber, each None when node does not give it."""
+    branches = ideal = decomposition = None
+    if "branches" in node:
+        branches = _parse_branches(node["branches"], len(ring), f"{where}.branches")
+    if "ideal" in node:
+        ideal = _parse_ideal(node["ideal"], ring, f"{where}.ideal")
+    if "decomposition" in node:
+        if ideal is None:
+            raise ParseError(f"{where}: decomposition given without an ideal")
+        dec, dec_where = node["decomposition"], f"{where}.decomposition"
+        _require_mapping(dec, ("primes", "embedded"), ("primes",), dec_where)
+        if not isinstance(dec["primes"], list) or not dec["primes"]:
+            raise ParseError(f"{dec_where}.primes: expected a nonempty list of generator lists")
+        primes = [
+            _parse_ideal(gens, ring, f"{dec_where}.primes[{i}]")
+            for i, gens in enumerate(dec["primes"])
+        ]
+        embedded = None
+        if "embedded" in dec:
+            embedded = _parse_ideal(dec["embedded"], ring, f"{dec_where}.embedded")
+        decomposition = PrimaryDecomposition.verified(ideal, primes, embedded)
+    return branches, ideal, decomposition
 
 
 def _parse_assertions(node, where):
-    _require_mapping(
-        node, ("mu", "m", "r", "delta", "epsilon", "reduced"), ("mu", "m", "r"), where
-    )
+    _require_mapping(node, ("mu", "m", "r", "delta", "epsilon"), ("mu", "m", "r"), where)
     # a null delta is not declared; a curve germ has m, r >= 1 and epsilon >= 0
     least = {"m": 1, "r": 1, "epsilon": 0}
     for k in ("mu", "m", "r", "delta", "epsilon"):
@@ -122,13 +114,10 @@ def _parse_assertions(node, where):
             raise ParseError(f"{where}.{k}: expected an integer")
         if k in least and node[k] < least[k]:
             raise ParseError(f"{where}.{k}: expected an integer of at least {least[k]}")
-    if "reduced" in node and not isinstance(node["reduced"], bool):
-        raise ParseError(f"{where}.reduced: expected a boolean")
     return GenericAssertions(
         mu=node["mu"],
         m=node["m"],
         r=node["r"],
-        reduced=node.get("reduced", True),
         delta=node.get("delta"),
         epsilon=node.get("epsilon", 0),
     )
@@ -150,9 +139,9 @@ def _invariants_record(inv) -> dict:
     }
 
 
-def _analyze_curve(entry, ring, seed_override):
-    # seed_override is unused: a curve entry draws no samples; both entry kinds
-    # take the same arguments.
+def _analyze_curve(entry, ring, seed):
+    # seed is unused: a curve entry draws no samples; both entry kinds take the
+    # same arguments.
     where = f"entry {entry.get('name', '?')!r}"
     _require_mapping(
         entry,
@@ -160,20 +149,8 @@ def _analyze_curve(entry, ring, seed_override):
         ("name", "kind", "branches"),
         where,
     )
-    branches = _parse_branches(entry["branches"], len(ring), RING_U, f"{where}.branches")
-    ideal = None
-    decomposition = None
-    if "ideal" in entry:
-        ideal = _parse_ideal(entry["ideal"], ring, f"{where}.ideal")
-    if "decomposition" in entry:
-        if ideal is None:
-            raise ParseError(f"{where}: decomposition given without an ideal")
-        primes, embedded = _parse_decomposition(
-            entry["decomposition"], ring, f"{where}.decomposition"
-        )
-        decomposition = PrimaryDecomposition.verified(ideal, primes, embedded)
-    C = CurvePresentation(branches, ideal=ideal, decomposition=decomposition)
-    inv = invariants(C)
+    branches, ideal, decomposition = _parse_curve_data(entry, ring, where)
+    inv = invariants(CurvePresentation(branches, ideal=ideal, decomposition=decomposition))
     return {
         "name": entry["name"],
         "kind": "curve",
@@ -181,42 +158,14 @@ def _analyze_curve(entry, ring, seed_override):
     }
 
 
-def _parse_special_fiber(node, ring, where):
-    _require_mapping(node, ("branches", "ideal", "decomposition", "classes"), (), where)
-    out = {"branches": None, "ideal": None, "decomposition": None, "classes": None}
-    if "ideal" in node:
-        out["ideal"] = _parse_ideal(node["ideal"], ring, f"{where}.ideal")
-    if "decomposition" in node:
-        if out["ideal"] is None:
-            raise ParseError(f"{where}: decomposition given without an ideal")
-        primes, embedded = _parse_decomposition(
-            node["decomposition"], ring, f"{where}.decomposition"
-        )
-        out["decomposition"] = PrimaryDecomposition.verified(out["ideal"], primes, embedded)
-    if "branches" in node:
-        out["branches"] = _parse_branches(node["branches"], len(ring), RING_U, f"{where}.branches")
-    if "classes" in node:
-        c = node["classes"]
-        if (
-            not isinstance(c, list)
-            or len(c) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in c)
-        ):
-            raise ParseError(f"{where}.classes: expected [count_through_section, count_off_section]")
-        out["classes"] = (c[0], c[1])
-    return out
-
-
-def _analyze_family(entry, ring, seed_override):
+def _analyze_family(entry, ring, seed):
     where = f"entry {entry.get('name', '?')!r}"
     _require_mapping(
         entry,
-        ("name", "kind", "mode", "components", "special_fiber",
-         "generic_fiber_assertions", "options"),
+        ("name", "kind", "mode", "components", "special_fiber", "generic_fiber_assertions"),
         ("name", "kind"),
         where,
     )
-    opts = _parse_options(entry.get("options"), f"{where}.options", seed_override)
     mode = entry.get("mode", "parametrized")
     if mode not in ("parametrized", "declared"):
         raise ParseError(f"{where}.mode: expected 'parametrized' or 'declared'")
@@ -225,17 +174,25 @@ def _analyze_family(entry, ring, seed_override):
         assertions = _parse_assertions(
             entry["generic_fiber_assertions"], f"{where}.generic_fiber_assertions"
         )
-    fiber = {"branches": None, "ideal": None, "decomposition": None, "classes": None}
-    if "special_fiber" in entry:
-        fiber = _parse_special_fiber(entry["special_fiber"], ring, f"{where}.special_fiber")
+    fiber = entry.get("special_fiber", {})
+    fiber_where = f"{where}.special_fiber"
+    _require_mapping(fiber, ("branches", "ideal", "decomposition", "classes"), (), fiber_where)
+    classes = fiber.get("classes")
+    if "classes" in fiber and not (
+        isinstance(classes, list)
+        and len(classes) == 2
+        and all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in classes)
+    ):
+        raise ParseError(
+            f"{fiber_where}.classes: expected [count_through_section, count_off_section]"
+        )
+    branches, ideal, decomposition = _parse_curve_data(fiber, ring, fiber_where)
 
     if mode == "parametrized":
         if "components" not in entry:
             raise ParseError(f"{where}: parametrized family needs components")
-        if fiber["branches"] is not None or fiber["classes"] is not None:
-            raise ParseError(
-                f"{where}.special_fiber: branches/classes are only for declared mode"
-            )
+        if branches is not None or classes is not None:
+            raise ParseError(f"{fiber_where}: branches/classes are only for declared mode")
         comps_node = entry["components"]
         if not isinstance(comps_node, list) or not comps_node:
             raise ParseError(f"{where}.components: expected a nonempty list")
@@ -252,28 +209,26 @@ def _analyze_family(entry, ring, seed_override):
             )
         F = FamilyPresentation(
             components=tuple(components),
-            special_ideal=fiber["ideal"],
-            special_decomposition=fiber["decomposition"],
+            special_ideal=ideal,
+            special_decomposition=decomposition,
             generic_assertions=assertions,
         )
     else:
         if "components" in entry:
             raise ParseError(f"{where}: declared family takes no components")
-        if fiber["branches"] is None or fiber["classes"] is None or assertions is None:
+        if branches is None or classes is None or assertions is None:
             raise ParseError(
                 f"{where}: declared mode needs special_fiber branches, classes and "
                 "generic_fiber_assertions"
             )
         F = FamilyPresentation(
             mode="declared",
-            declared_special=CurvePresentation(
-                fiber["branches"], ideal=fiber["ideal"], decomposition=fiber["decomposition"]
-            ),
-            declared_classes=fiber["classes"],
+            declared_special=CurvePresentation(branches, ideal=ideal, decomposition=decomposition),
+            declared_classes=tuple(classes),
             generic_assertions=assertions,
         )
 
-    rep = classify(F, opts)
+    rep = classify(F) if seed is None else classify(F, seed)
     v = rep.verdict
     return {
         "name": entry["name"],
@@ -303,8 +258,9 @@ def _analyze_family(entry, ring, seed_override):
     }
 
 
-def analyze_manifest(data, seed_override=None) -> dict:
-    """Full report for parsed manifest data; entries in manifest order."""
+def analyze_manifest(data, seed=None) -> dict:
+    """Full report for parsed manifest data; entries in manifest order. Family
+    entries draw their generic samples from seed (None: classify's default)."""
     _require_mapping(data, ("ring", "entries"), ("ring", "entries"), "manifest")
     names = _string_list(data["ring"], "manifest.ring")
     if not names or "u" in names or "t" in names or len(set(names)) != len(names):
@@ -328,9 +284,9 @@ def analyze_manifest(data, seed_override=None) -> dict:
             ) from None
         kind = entry["kind"]
         if kind == "curve":
-            entries.append(_analyze_curve(entry, ring, seed_override))
+            entries.append(_analyze_curve(entry, ring, seed))
         elif kind == "family":
-            entries.append(_analyze_family(entry, ring, seed_override))
+            entries.append(_analyze_family(entry, ring, seed))
         else:
             raise ParseError(f"entry {entry['name']!r}: unknown kind {kind!r}")
     return {"ring": list(names), "entries": entries}
@@ -431,23 +387,19 @@ def render_report(report, fmt: str) -> str:
     return _render_text(report)
 
 
-def run_paper_corpus(seed=None, expectation_overrides=None):
+def run_paper_corpus(seed=None):
     """Run every built-in corpus entry and compare against the expectation table.
 
-    Returns (report dict, mismatch list); ``expectation_overrides`` replaces
-    expectation tables per entry name (used by the harness self-test).
+    Returns (report dict, mismatch list).
     """
     from . import corpus as corpus_data  # the built-in manifests; only this reads them
 
-    expectations = dict(corpus_data.EXPECTATIONS)
-    if expectation_overrides:
-        expectations.update(expectation_overrides)
     entries = []
     mismatches = []
     for manifest in corpus_data.MANIFESTS:
-        report = analyze_manifest(manifest, seed_override=seed)
+        report = analyze_manifest(manifest, seed)
         for entry in report["entries"]:
-            expected = expectations.get(entry["name"], {})
+            expected = corpus_data.EXPECTATIONS.get(entry["name"], {})
             bad = corpus_data.check_entry(entry, expected)
             entry = dict(entry)
             entry["expectations_checked"] = len(expected)
@@ -472,7 +424,7 @@ def _load_json(path, what):
 
 def _cmd_analyze(args) -> int:
     data = _load_json(args.manifest, "manifest")
-    report = analyze_manifest(data, seed_override=args.seed)
+    report = analyze_manifest(data, args.seed)
     sys.stdout.write(render_report(report, args.format))
     return EXIT_OK
 

@@ -34,9 +34,6 @@ RING_UT = VarSet(("u", "t"))
 RING_U = VarSet(("u",))
 
 
-FamilyOptions = namedtuple("FamilyOptions", "seed", defaults=(0,))
-
-
 class FamilyComponent:
     """One irreducible component of the family, given as N polynomials in (u, t);
     the surface is the image of (u, t) -> (n_1, ..., n_N, t).
@@ -114,11 +111,11 @@ class FamilyComponent:
 
 
 class GenericAssertions(
-    namedtuple("GenericAssertions", "mu m r reduced delta epsilon",
-               defaults=(True, None, 0))
+    namedtuple("GenericAssertions", "mu m r delta epsilon", defaults=(None, 0))
 ):
-    """Declared invariants of the generic fiber, for families not given by a
-    parametrization; every use is labeled 'asserted' in the report."""
+    """Declared invariants of the generic fiber: the generic fiber of a declared
+    family, labeled 'asserted' in the report, or values that a parametrized
+    family's computed generic fiber must match."""
 
     __slots__ = ()
 
@@ -168,13 +165,17 @@ def pullback_ideal(c: FamilyComponent) -> Ideal:
 
 def connectivity(F: FamilyPresentation) -> int:
     """Number of connected components of the generic fiber: one for the class-A
-    block (all containing the section) plus one per class-B component."""
+    block (all containing the section) plus one per class-B component. A family
+    with no class-A component has an empty generic germ at the section and is
+    outside scope."""
     if F.mode == "declared":
         n_a, n_b = F.declared_classes
     else:
         n_b = sum(c.component_class() == "B" for c in F.components)
         n_a = len(F.components) - n_b
-    return (1 if n_a else 0) + n_b
+    if not n_a:
+        raise HypothesisError("no component contains the section: family outside scope")
+    return 1 + n_b
 
 
 def specialize_fiber(F: FamilyPresentation, t0) -> CurvePresentation:
@@ -243,21 +244,21 @@ def _normalized_components(F: FamilyPresentation):
     return out
 
 
-def classify(F: FamilyPresentation, options: FamilyOptions = FamilyOptions()) -> FamilyReport:
-    """Evaluate the three equisingularity verdicts with full justification."""
+def classify(F: FamilyPresentation, seed: int = 0) -> FamilyReport:
+    """Evaluate the three equisingularity verdicts with full justification; a
+    parametrized family's generic samples are drawn from ``seed``."""
     if F.mode == "declared":
-        return _classify_declared(F, options)
-    return _classify_parametrized(F, options)
+        return _classify_declared(F)
+    return _classify_parametrized(F, seed)
 
 
-def _classify_parametrized(F, options):
+def _classify_parametrized(F, seed):
     comps = _normalized_components(F)
-    if not any(cls == "A" for _, cls in comps):
-        raise HypothesisError("no component contains the section: family outside scope")
     norm = FamilyPresentation(
         components=tuple(c for c, _ in comps), special_ideal=F.special_ideal,
         special_decomposition=F.special_decomposition, generic_assertions=F.generic_assertions,
     )
+    b0 = connectivity(norm)
 
     # Lemma 5.3 pipeline on each component through the section.
     cm_list = []
@@ -278,15 +279,10 @@ def _classify_parametrized(F, options):
     C0 = specialize_fiber(norm, 0)
     inv0 = invariants(C0)
 
-    samples = _generic_samples(options.seed)
-    assertions = F.generic_assertions
-    eps_gen = assertions.epsilon if assertions is not None and not assertions.reduced else 0
-    gen_invs = []
-    for s in samples:
-        raw = invariants(specialize_fiber(norm, s))
-        gen_invs.append(CurveInvariants(
-            m=raw.m, r=raw.r, delta_red=raw.delta_red, epsilon=eps_gen,
-            delta=raw.delta_red - eps_gen, mu_red=raw.mu_red, mu=raw.mu_red - 2 * eps_gen))
+    # The total space is the reduced image of the components, so the generic
+    # fiber is reduced: its epsilon is 0 and its delta and mu are delta_red, mu_red.
+    samples = _generic_samples(seed)
+    gen_invs = [invariants(specialize_fiber(norm, s)) for s in samples]
     if gen_invs[0] != gen_invs[1]:
         raise ComputationError(
             f"generic-fiber invariants disagree between samples {samples}: "
@@ -306,8 +302,9 @@ def _classify_parametrized(F, options):
             f"generic multiplicity from branch orders ({inv_t.m}) is below the sum "
             f"of the pullback multiplicities ({sum_e})"
         )
+    assertions = F.generic_assertions
     if assertions is not None:
-        for field in ("m", "r", "mu", "delta"):
+        for field in ("m", "r", "mu", "delta", "epsilon"):
             declared, computed = getattr(assertions, field), getattr(inv_t, field)
             if declared is not None and declared != computed:
                 raise HypothesisError(
@@ -315,7 +312,6 @@ def _classify_parametrized(F, options):
                     f"fiber of the components has {field} = {computed}"
                 )
 
-    b0 = connectivity(norm)
     hypotheses = {
         "flat family over a disc": "asserted",
         "section sigma(t) = (0,...,0,t) smooth": "verified (normal form)",
@@ -330,7 +326,8 @@ def _classify_parametrized(F, options):
     return _assemble(inv0, inv_t, samples, b0, cm_list, hypotheses, cm_computed=True)
 
 
-def _classify_declared(F, options):
+def _classify_declared(F):
+    b0 = connectivity(F)
     inv0 = invariants(F.declared_special)
     a = F.generic_assertions
     if a.delta is not None:
@@ -364,7 +361,6 @@ def _classify_declared(F, options):
         mu_red=mu_red,
         mu=a.mu,
     )
-    b0 = connectivity(F)
     hypotheses = {
         "flat family over a disc": "asserted",
         "section sigma(t) = (0,...,0,t) smooth": "asserted",
@@ -385,10 +381,14 @@ def _assemble(inv0, inv_t, samples, b0, cm_list, hypotheses, cm_computed):
     delta_const = inv0.delta == inv_t.delta
     r_const = inv0.r == inv_t.r
 
+    # With cm_computed both sides of each check are computed, and a contradiction
+    # is an internal error; in declared mode both are declared, and it is bad input.
+    contradiction = InternalCheckError if cm_computed else HypothesisError
+
     top_trivial = mu_const and b0 == 1
     route_dr = delta_const and r_const  # Theorem 4.3(2), equidimensionality asserted
     if route_dr != top_trivial:
-        raise InternalCheckError(
+        raise contradiction(
             f"topological-triviality criteria disagree: (delta, r) constancy gives "
             f"{route_dr}, (mu, connectivity) gives {top_trivial}"
         )
@@ -402,7 +402,7 @@ def _assemble(inv0, inv_t, samples, b0, cm_list, hypotheses, cm_computed):
                 f"Cohen-Macaulay route gives {whitney_cm}"
             )
     if m_const and b0 != 1:
-        raise InternalCheckError("constant multiplicity with a disconnected generic fiber")
+        raise contradiction("constant multiplicity with a disconnected generic fiber")
 
     ssr = whitney
     justification = [

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equicurve import gb
+from equicurve import corpus, gb
 from equicurve.cli import (
     EXIT_COMPUTE,
     EXIT_HYPOTHESIS,
@@ -229,13 +229,28 @@ class TestSchemaRejection:
         ],
     )
     def test_n_max_and_curve_options_are_unknown_fields(self, tmp_path, capsys, options):
-        # a curve entry takes no options; a family's only option is the seed
-        for entry, field in ((CUSP_CURVE_ENTRY, "'options'"), (CUSP_FAMILY_ENTRY, "'n_max'")):
+        # no entry takes options: the one seed is the command line's --seed
+        for entry in (CUSP_CURVE_ENTRY, CUSP_FAMILY_ENTRY):
             path = write_manifest(tmp_path, manifest(dict(entry, options=options)))
             assert main(["analyze", path]) == EXIT_PARSE
             err = capsys.readouterr().err
             assert err.startswith("parse error:") and err.count("\n") == 1
-            assert "unknown field" in err and field in err
+            assert "unknown field(s) ['options']" in err
+
+    @pytest.mark.parametrize("reduced", [True, False])
+    @pytest.mark.parametrize("mode", ["declared", "parametrized"])
+    def test_reduced_is_an_unknown_field(self, tmp_path, capsys, mode, reduced):
+        # the generic epsilon is set by `epsilon` alone
+        entry = DECLARED_FAMILY_ENTRY if mode == "declared" else CUSP_FAMILY_ENTRY
+        assertions = {"mu": 0, "m": 1, "r": 1, "reduced": reduced}
+        path = write_manifest(
+            tmp_path, manifest(dict(entry, generic_fiber_assertions=assertions))
+        )
+        assert main(["analyze", path]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"parse error: entry {entry['name']!r}.generic_fiber_assertions: "
+            "unknown field(s) ['reduced']\n"
+        )
 
     @pytest.mark.parametrize(
         "options", [{"jet_order": 24}, {"degree_bound": 12}, {"n_max": 32}]
@@ -334,7 +349,7 @@ class TestSchemaRejection:
     @pytest.mark.parametrize(
         "assertions, field",
         [
-            ({"mu": 0, "m": 1, "r": 1, "epsilon": -2, "reduced": False}, "epsilon"),
+            ({"mu": 0, "m": 1, "r": 1, "epsilon": -2}, "epsilon"),
             ({"mu": 0, "m": 0, "r": 1}, "m"),
             ({"mu": 0, "m": 1, "r": 0}, "r"),
             ({"mu": 2, "m": None, "r": 1}, "m"),
@@ -369,6 +384,45 @@ class TestSchemaRejection:
             "hypothesis failure: declared generic invariants are inconsistent: they give "
             f"delta_red = {delta_red} and mu_red = {mu_red}, and neither can be negative\n"
         )
+
+    @pytest.mark.parametrize("classes", [[0, 0], [0, 1], [0, 2]])
+    def test_declared_family_with_no_class_a_component(self, tmp_path, capsys, classes):
+        # no component contains the section, so the generic germ there is empty
+        fiber = dict(DECLARED_FAMILY_ENTRY["special_fiber"], classes=classes)
+        entry = dict(DECLARED_FAMILY_ENTRY, special_fiber=fiber,
+                     generic_fiber_assertions={"mu": 0, "m": 1, "r": 1})
+        path = write_manifest(tmp_path, manifest(entry))
+        assert main(["analyze", path]) == EXIT_HYPOTHESIS
+        assert capsys.readouterr().err == (
+            "hypothesis failure: no component contains the section: family outside scope\n"
+        )
+
+    @pytest.mark.parametrize(
+        "data, assertions, message",
+        [
+            # m = 5 at t = 0 and generically, with two generic connected components
+            (corpus.MANIFEST_5VARS, {"mu": 4, "m": 5, "r": 3},
+             "constant multiplicity with a disconnected generic fiber"),
+            # mu = 2 at t = 0 and generically on a connected fiber, while delta
+            # goes from 1 to 2 and r from 1 to 3
+            (manifest(dict(DECLARED_FAMILY_ENTRY, special_fiber=dict(
+                DECLARED_FAMILY_ENTRY["special_fiber"], classes=[1, 0]))),
+             {"mu": 2, "m": 2, "r": 3},
+             "topological-triviality criteria disagree: (delta, r) constancy gives False, "
+             "(mu, connectivity) gives True"),
+        ],
+        ids=["five-lines", "cusp"],
+    )
+    def test_declared_contradiction_is_a_hypothesis_failure(self, tmp_path, capsys, data,
+                                                             assertions, message):
+        # both sides of each check are declared values: bad input, not an internal error
+        data = json.loads(json.dumps(data))
+        entry = next(e for e in data["entries"] if e.get("mode") == "declared")
+        entry["generic_fiber_assertions"] = assertions
+        data["entries"] = [entry]
+        path = write_manifest(tmp_path, data)
+        assert main(["analyze", path]) == EXIT_HYPOTHESIS
+        assert capsys.readouterr().err == f"hypothesis failure: {message}\n"
 
     def test_rejected_decomposition_is_compute_error(self, tmp_path):
         entry = json.loads(json.dumps(CUSP_CURVE_ENTRY))
@@ -434,8 +488,8 @@ class TestSchemaRejection:
 
 class TestParametrizedAssertions:
     """In parametrized mode the declared generic invariants are checked against
-    the generic fiber computed from the components (m = r = 1, delta = mu = 0
-    for the cusp family, before the epsilon adjustment)."""
+    the generic fiber computed from the components (m = r = 1 and
+    delta = mu = epsilon = 0 for the cusp family)."""
 
     @pytest.mark.parametrize(
         "assertions, field, declared, computed",
@@ -444,7 +498,7 @@ class TestParametrizedAssertions:
             ({"mu": 0, "m": 1, "r": 2}, "r", 2, 1),
             ({"mu": 2, "m": 1, "r": 1}, "mu", 2, 0),
             ({"mu": 0, "m": 1, "r": 1, "delta": 1}, "delta", 1, 0),
-            ({"mu": 0, "m": 1, "r": 1, "epsilon": 1, "reduced": False}, "mu", 0, -2),
+            ({"mu": 0, "m": 1, "r": 1, "epsilon": 1}, "epsilon", 1, 0),
         ],
     )
     def test_mismatch_is_hypothesis_failure(self, tmp_path, capsys, assertions, field,
@@ -459,7 +513,7 @@ class TestParametrizedAssertions:
 
     @pytest.mark.parametrize(
         "assertions",
-        [{"mu": 0, "m": 1, "r": 1}, {"mu": 0, "m": 1, "r": 1, "delta": 0, "reduced": True}],
+        [{"mu": 0, "m": 1, "r": 1}, {"mu": 0, "m": 1, "r": 1, "delta": 0, "epsilon": 0}],
     )
     def test_matching_assertions_leave_the_report_unchanged(self, tmp_path, capsys, assertions):
         plain = write_manifest(tmp_path, manifest(CUSP_FAMILY_ENTRY), "plain.json")
@@ -473,13 +527,21 @@ class TestParametrizedAssertions:
         assert main(["analyze", asserted]) == EXIT_OK
         assert capsys.readouterr().out == expected
 
-    def test_assertions_match_after_the_epsilon_adjustment(self):
-        assertions = {"mu": -2, "m": 1, "r": 1, "delta": -1, "epsilon": 1, "reduced": False}
-        report = analyze_manifest(
-            manifest(dict(CUSP_FAMILY_ENTRY, generic_fiber_assertions=assertions))
+    def test_generic_fiber_is_reduced(self, tmp_path, capsys):
+        # the total space is the reduced image of the components: the generic
+        # fiber has epsilon 0, and a declared epsilon changes no computed value
+        generic = analyze_manifest(manifest(CUSP_FAMILY_ENTRY))["entries"][0]["generic"]
+        inv = generic["invariants"]
+        assert (inv["epsilon"], inv["delta"], inv["mu"]) == (0, inv["delta_red"], inv["mu_red"])
+        assertions = {"mu": -2, "m": 1, "r": 1, "delta": -1, "epsilon": 1}
+        path = write_manifest(
+            tmp_path, manifest(dict(CUSP_FAMILY_ENTRY, generic_fiber_assertions=assertions))
         )
-        generic = report["entries"][0]["generic"]["invariants"]
-        assert (generic["epsilon"], generic["delta"], generic["mu"]) == (1, -1, -2)
+        assert main(["analyze", path]) == EXIT_HYPOTHESIS
+        assert capsys.readouterr().err == (
+            "hypothesis failure: generic_fiber_assertions.mu = -2, but the generic fiber "
+            "of the components has mu = 0\n"
+        )
 
 
 class TestDeterminism:
@@ -492,8 +554,8 @@ class TestDeterminism:
         assert first == second
 
     def test_seed_changes_samples_not_values(self):
-        a = analyze_manifest(manifest(CUSP_FAMILY_ENTRY), seed_override=0)
-        b = analyze_manifest(manifest(CUSP_FAMILY_ENTRY), seed_override=9)
+        a = analyze_manifest(manifest(CUSP_FAMILY_ENTRY), seed=0)
+        b = analyze_manifest(manifest(CUSP_FAMILY_ENTRY), seed=9)
         ea, eb = a["entries"][0], b["entries"][0]
         assert ea["generic"]["t_samples"] != eb["generic"]["t_samples"]
         assert ea["generic"]["invariants"] == eb["generic"]["invariants"]
@@ -521,11 +583,11 @@ class TestCorpus:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         assert render_report(report, "json") == text + "\n"
 
-    def test_injected_wrong_expectation_is_flagged(self):
-        overrides = {
-            "space-cusp-with-embedded-point": {"invariants.epsilon": 99}
-        }
-        _, mismatches = run_paper_corpus(expectation_overrides=overrides)
+    def test_injected_wrong_expectation_is_flagged(self, monkeypatch):
+        monkeypatch.setitem(
+            corpus.EXPECTATIONS, "space-cusp-with-embedded-point", {"invariants.epsilon": 99}
+        )
+        _, mismatches = run_paper_corpus()
         assert mismatches == [
             ("space-cusp-with-embedded-point", "invariants.epsilon", 99, 3)
         ]

@@ -15,7 +15,6 @@ from equicurve.family import (
     RING_U,
     RING_UT,
     FamilyComponent,
-    FamilyOptions,
     FamilyPresentation,
     GenericAssertions,
     _generic_samples,
@@ -318,8 +317,8 @@ class TestClassify:
         assert not rep.verdict.whitney
 
     def test_seed_independence_of_invariants(self):
-        a = classify(cusp_family_b(), FamilyOptions(seed=0))
-        b = classify(cusp_family_b(), FamilyOptions(seed=7))
+        a = classify(cusp_family_b(), seed=0)
+        b = classify(cusp_family_b(), seed=7)
         assert a.generic.inv == b.generic.inv
         assert a.generic.t_samples_used != b.generic.t_samples_used
 

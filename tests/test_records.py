@@ -12,12 +12,14 @@ from equicurve.cli import EXIT_COMPUTE, main
 from equicurve.curveinv import BranchParam, CurveInvariants, CurvePresentation
 from equicurve.errors import ComputationError, InternalCheckError
 from equicurve.family import (
-    FamilyOptions,
+    RING_UT,
+    FamilyComponent,
     FamilyPresentation,
     FamilyReport,
     FiberInvariants,
     GenericAssertions,
     Verdict,
+    classify,
 )
 from equicurve.localdim import INFINITE, CMWitness, LengthValue
 from equicurve.poly import VarSet, parse_poly
@@ -52,7 +54,6 @@ def frozen_records():
         (LengthValue(3), "value"),
         (CMWitness(True, 2, 2), "is_cm"),
         (inv, "mu"),
-        (FamilyOptions(), "seed"),
         (GenericAssertions(mu=2, m=2, r=1), "epsilon"),
         (special, "inv"),
         (verdict(), "whitney"),
@@ -89,13 +90,17 @@ class TestCurveInvariants:
 
 
 class TestDefaults:
-    def test_family_options(self):
-        assert FamilyOptions().seed == 0 and FamilyOptions(seed=5).seed == 5
-        assert FamilyOptions() == FamilyOptions(seed=0)
+    def test_classify_seed_defaults_to_zero(self):
+        component = FamilyComponent([parse_poly(c, RING_UT) for c in ("u^2", "u^3 + t*u")])
+        F = FamilyPresentation(components=(component,))
+        samples = classify(F).generic.t_samples_used
+        assert samples == classify(F, seed=0).generic.t_samples_used
+        assert samples != classify(F, seed=1).generic.t_samples_used
 
     def test_generic_assertions(self):
         a = GenericAssertions(mu=2, m=2, r=1)
-        assert (a.reduced, a.delta, a.epsilon) == (True, None, 0)
+        assert (a.delta, a.epsilon) == (None, 0)
+        assert a._fields == ("mu", "m", "r", "delta", "epsilon")
 
     def test_fiber_invariants_samples(self):
         assert FiberInvariants("special", CurveInvariants(**CUSP)).t_samples_used == ()
