@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .curveinv import BranchParam, CurvePresentation, invariants
+from .curveinv import RING_U, BranchParam, CurvePresentation, invariants
 from .errors import (
     ComputationError,
     EquicurveError,
@@ -21,17 +21,11 @@ from .errors import (
     InternalCheckError,
     ParseError,
 )
-from .family import (
-    RING_U,
-    RING_UT,
-    FamilyComponent,
-    FamilyPresentation,
-    GenericAssertions,
-    classify,
-)
-from .gb import Ideal, std_basis
-from .localdim import PrimaryDecomposition
-from .poly import VarSet, order_by_name, parse_poly
+from .poly import IDENTIFIER_RE, Ideal, VarSet, order_by_name, parse_poly
+
+# localdim, family and gb are imported where an input first needs them (a
+# decomposition, a family entry, the std command), so a manifest of branches
+# only compiles none of them.
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -54,6 +48,16 @@ def _string_list(node, where):
     if not isinstance(node, list) or not all(isinstance(s, str) for s in node):
         raise ParseError(f"{where}: expected a list of strings")
     return node
+
+
+def _require_variable_names(names, where):
+    # a name the polynomial parser does not read as one token names no variable
+    for name in names:
+        if not IDENTIFIER_RE.fullmatch(name):
+            raise ParseError(
+                f"{where}: {name!r} is not a variable name "
+                "(a letter or '_', then letters, digits or '_')"
+            )
 
 
 def _parse_ideal(gens, ring, where):
@@ -88,6 +92,8 @@ def _parse_curve_data(node, ring, where):
     if "decomposition" in node:
         if ideal is None:
             raise ParseError(f"{where}: decomposition given without an ideal")
+        from .localdim import PrimaryDecomposition
+
         dec, dec_where = node["decomposition"], f"{where}.decomposition"
         _require_mapping(dec, ("primes", "embedded"), ("primes",), dec_where)
         if not isinstance(dec["primes"], list) or not dec["primes"]:
@@ -104,6 +110,8 @@ def _parse_curve_data(node, ring, where):
 
 
 def _parse_assertions(node, where):
+    from .family import GenericAssertions
+
     _require_mapping(node, ("mu", "m", "r", "delta", "epsilon"), ("mu", "m", "r"), where)
     # a null delta is not declared; a curve germ has m, r >= 1 and epsilon >= 0
     least = {"m": 1, "r": 1, "epsilon": 0}
@@ -159,6 +167,8 @@ def _analyze_curve(entry, ring, seed):
 
 
 def _analyze_family(entry, ring, seed):
+    from .family import RING_UT, FamilyComponent, FamilyPresentation, classify
+
     where = f"entry {entry.get('name', '?')!r}"
     _require_mapping(
         entry,
@@ -265,6 +275,7 @@ def analyze_manifest(data, seed=None) -> dict:
     names = _string_list(data["ring"], "manifest.ring")
     if not names or "u" in names or "t" in names or len(set(names)) != len(names):
         raise ParseError("manifest.ring: names must be nonempty, distinct and avoid 'u' and 't'")
+    _require_variable_names(names, "manifest.ring")
     ring = VarSet(tuple(names))
     if not isinstance(data["entries"], list):
         raise ParseError("manifest.entries: expected a list")
@@ -412,10 +423,13 @@ def run_paper_corpus(seed=None):
 
 
 def _load_json(path, what):
-    """Parsed JSON of a file; bad or too deeply nested JSON is a parse error."""
+    """Parsed JSON of a file; text that is not UTF-8, bad JSON and too deeply
+    nested JSON are parse errors."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{what} is not valid UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"{what} is not valid JSON: {exc}") from exc
         except RecursionError as exc:
@@ -444,11 +458,14 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_std(args) -> int:
+    from .gb import std_basis
+
     data = _load_json(args.file, "input")
     _require_mapping(data, ("ring", "generators"), ("ring", "generators"), "input")
     names = _string_list(data["ring"], "input.ring")
     if not names or len(set(names)) != len(names):
         raise ParseError("input.ring: expected a nonempty list of distinct names")
+    _require_variable_names(names, "input.ring")
     ring = VarSet(tuple(names))
     I = _parse_ideal(data["generators"], ring, "input.generators")
     order = order_by_name(args.order)

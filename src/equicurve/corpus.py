@@ -8,6 +8,10 @@ runner can list every mismatch as expected-versus-computed.
 
 from __future__ import annotations
 
+# The manifests below run every layer, so this module loads them all: their
+# compile falls in its import, not inside the first entry that needs each.
+from . import family, gb, localdim  # noqa: F401
+
 
 def _c1_family(k):
     s = 3 * k + 1

@@ -15,12 +15,13 @@ import math
 from collections import namedtuple
 
 from .errors import ComputationError, HypothesisError, InternalCheckError
-from .gb import Ideal
 from .linalg import RowSpace
-from .localdim import PrimaryDecomposition, epsilon_from_decomposition
-from .poly import _add_terms, _mul_terms, _power_terms
+from .poly import Ideal, VarSet, _add_terms, _mul_terms, _power_terms
 
 JET_ORDER_CAP = 256
+
+# The ring of a branch parametrization.
+RING_U = VarSet(("u",))
 
 
 class BranchParam:
@@ -107,7 +108,8 @@ def _not_vanishing(gens, jets):
 
 
 class CurvePresentation:
-    """A curve germ: branches of the reduced structure plus optional embedded data.
+    """A curve germ: branches of the reduced structure plus optional embedded data,
+    an ideal and a ``localdim.PrimaryDecomposition`` verified against it.
 
     Every generator of the ideal must vanish on every branch, or the ideal
     defines another curve; that is checked on construction.
@@ -116,7 +118,7 @@ class CurvePresentation:
     __slots__ = ("branches", "ideal", "decomposition")
 
     def __init__(self, branches, ideal: Ideal | None = None,
-                 decomposition: PrimaryDecomposition | None = None):
+                 decomposition=None):
         if not branches:
             raise ValueError("curve needs at least one branch")
         dims = {b.ambient_dim for b in branches}
@@ -365,6 +367,8 @@ def invariants(C: CurvePresentation) -> CurveInvariants:
     if C.decomposition is not None:
         if C.ideal is None:
             raise ComputationError("decomposition supplied without the decomposed ideal")
+        from .localdim import epsilon_from_decomposition
+
         eps = epsilon_from_decomposition(C.ideal, C.decomposition)
     else:
         eps = 0

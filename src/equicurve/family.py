@@ -19,19 +19,18 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .curveinv import (
+    RING_U,
     BranchParam,
     CurveInvariants,
     CurvePresentation,
     invariants,
 )
 from .errors import ComputationError, HypothesisError, InternalCheckError
-from .gb import Ideal
 from .gcd import recursive_form
 from .localdim import PrimaryDecomposition, is_cohen_macaulay
-from .poly import Polynomial, VarSet
+from .poly import Ideal, Polynomial, VarSet
 
 RING_UT = VarSet(("u", "t"))
-RING_U = VarSet(("u",))
 
 
 class FamilyComponent:

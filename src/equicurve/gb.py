@@ -105,34 +105,13 @@ from math import gcd, lcm
 from operator import le, mul
 
 from .errors import ComputationError, InternalCheckError, RingMismatchError
-from .poly import Elimination, MonomialOrder, Polynomial, VarSet
+from .poly import Elimination, Ideal, MonomialOrder, Polynomial, VarSet
 
 _REDUCTION_CAP = 200_000
 
 # Bits of one exponent field of a packed monomial, guard bit included: every
 # exponent in the core stays below 2^(_FIELD_BITS - 1).
 _FIELD_BITS = 32
-
-
-class Ideal:
-    """A generator list over a fixed ring; generators are stored as given."""
-
-    __slots__ = ("gens", "ring")
-
-    def __init__(self, gens, ring: VarSet | None = None):
-        gens = [g for g in gens if not g.is_zero()]
-        if ring is None:
-            if not gens:
-                raise ValueError("cannot infer ring of an empty ideal")
-            ring = gens[0].ring
-        for g in gens:
-            if g.ring != ring:
-                raise RingMismatchError("ideal generators over mixed rings")
-        self.gens = tuple(gens)
-        self.ring = ring
-
-    def __repr__(self):
-        return f"Ideal({', '.join(g.render() for g in self.gens)})"
 
 
 def _from_terms(ring: VarSet, terms: dict) -> Polynomial:

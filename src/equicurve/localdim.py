@@ -19,9 +19,12 @@ from collections import namedtuple
 from functools import reduce
 
 from .errors import ComputationError, HypothesisError, InternalCheckError
-from .gb import Ideal, ideal_intersect, ideal_sum, std_basis
 from .gcd import recursive_form, recursive_gcd
-from .poly import DEGREVLEX, NEGDEGREVLEX, Polynomial
+from .poly import DEGREVLEX, NEGDEGREVLEX, Ideal, Polynomial
+
+# gb is imported by the functions that build a standard basis, an ideal sum or
+# an intersection, so the Cohen-Macaulay witness of a parametrized family
+# never loads it.
 
 
 class LengthValue(namedtuple("LengthValue", "value")):
@@ -83,6 +86,8 @@ def vdim(I: Ideal) -> LengthValue:
     Computed as the count of standard monomials of the lead ideal under the local
     order; infinite when the ideal is not primary to the maximal ideal.
     """
+    from .gb import std_basis
+
     B = std_basis(I, NEGDEGREVLEX)
     return _staircase_count(B.lead_monomials, len(I.ring))
 
@@ -112,6 +117,8 @@ class PrimaryDecomposition:
     def intersection(self) -> Ideal:
         """The intersection of the primes, computed on the first call and kept."""
         if self._intersection is None:
+            from .gb import ideal_intersect
+
             self._intersection = reduce(ideal_intersect, self.primes)
         return self._intersection
 
@@ -125,6 +132,8 @@ class PrimaryDecomposition:
         which one Groebner basis of I decides: no basis of the intersection is
         needed.
         """
+        from .gb import ideal_intersect, std_basis
+
         for P in self.primes:
             B = std_basis(P, DEGREVLEX)
             if not any(B.lead_monomials[0]):  # 1 is the least monomial
@@ -152,6 +161,8 @@ def epsilon_from_decomposition(I: Ideal, D: PrimaryDecomposition) -> int:
     vdim of the embedded component minus vdim of (intersection of primes) + it."""
     if D.embedded is None:
         return 0
+    from .gb import ideal_sum
+
     q = vdim(D.embedded).expect_finite("embedded-component length")
     s = vdim(ideal_sum(D.intersection(), D.embedded)).expect_finite(
         "reduced-plus-embedded length"
@@ -219,6 +230,8 @@ def hs_multiplicity_of_param(
     20, 22, ..., so the differences read 3 five times before settling at 2, and
     the ladder returns 3. Compare against a late difference instead.
     """
+    from .gb import ideal_sum
+
     _verify_radical_is_axis(J, axis_var)
     ring = J.ring
     lengths = []

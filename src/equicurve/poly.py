@@ -321,6 +321,27 @@ class Polynomial:
         return f"Polynomial({self.render()!r})"
 
 
+class Ideal:
+    """A generator list over a fixed ring; generators are stored as given."""
+
+    __slots__ = ("gens", "ring")
+
+    def __init__(self, gens, ring: VarSet | None = None):
+        gens = [g for g in gens if not g.is_zero()]
+        if ring is None:
+            if not gens:
+                raise ValueError("cannot infer ring of an empty ideal")
+            ring = gens[0].ring
+        for g in gens:
+            if g.ring != ring:
+                raise RingMismatchError("ideal generators over mixed rings")
+        self.gens = tuple(gens)
+        self.ring = ring
+
+    def __repr__(self):
+        return f"Ideal({', '.join(g.render() for g in self.gens)})"
+
+
 def _number_text(x) -> str:
     """str(x); a number with more digits than the interpreter converts to text
     is a ComputationError that names that limit."""
@@ -335,8 +356,10 @@ def _number_text(x) -> str:
 
 # --- parser ----------------------------------------------------------------
 
+# A variable name the parser reads as one token; a ring name must match it.
+IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|(?P<bad>\S))"
+    rf"\s*(?:(?P<num>\d+)|(?P<ident>{IDENTIFIER_RE.pattern})|(?P<op>[-+*^()/])|(?P<bad>\S))"
 )
 
 

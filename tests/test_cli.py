@@ -280,6 +280,42 @@ class TestSchemaRejection:
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "std"])
+    def test_file_that_is_not_utf8(self, tmp_path, capsys, command):
+        # a name in Latin-1: the byte 0xff starts no UTF-8 sequence
+        path = tmp_path / "latin1.json"
+        if command == "analyze":
+            path.write_bytes(
+                b'{"ring": ["x"], "entries": [{"name": "\xff", "kind": "curve", "branches": [["u"]]}]}'
+            )
+            argv = ["analyze", str(path)]
+        else:
+            path.write_bytes(b'{"ring": ["x\xff"], "generators": ["x"]}')
+            argv = ["std", str(path), "--order", "local"]
+        what = "manifest" if command == "analyze" else "input"
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: {what} is not valid UTF-8:")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["", "x y", "x*y", "1x"])
+    @pytest.mark.parametrize("command", ["analyze", "std"])
+    def test_ring_name_the_parser_cannot_read(self, tmp_path, capsys, command, name):
+        if command == "analyze":
+            entry = {"name": "a", "kind": "curve", "branches": [["u^2", "u^3"]]}
+            path = write_manifest(tmp_path, {"ring": [name, "y"], "entries": [entry]})
+            argv = ["analyze", path]
+        else:
+            path = write_manifest(tmp_path, {"ring": [name, "y"], "generators": ["y"]})
+            argv = ["std", path, "--order", "degrevlex"]
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        where = "manifest.ring" if command == "analyze" else "input.ring"
+        assert captured.err == f"parse error: {where}: {name!r} is not a variable name " \
+            "(a letter or '_', then letters, digits or '_')\n"
+
     def test_infinite_delta_is_compute_error(self, tmp_path, capsys):
         # the cusp in two parametrizations: a repeated branch, delta infinite
         entry = {"name": "twice", "kind": "curve",
@@ -705,6 +741,12 @@ class TestStd:
         assert main(["std", str(path), "--order", "degrevlex"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "x"
 
+    def test_names_with_digits_and_underscores(self, tmp_path, capsys):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps({"ring": ["x_1", "_Y2"], "generators": ["x_1*_Y2"]}))
+        assert main(["std", str(path), "--order", "degrevlex"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "x_1*_Y2"
+
     def test_reduction_budget_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(gb, "_REDUCTION_CAP", 2)
         gb._STD_BASES.clear()
@@ -785,3 +827,31 @@ class TestStartup:
         added = _modules_added_by("import equicurve.cli")
         assert "equicurve.cli" in added
         assert "equicurve.corpus" not in added
+
+    def test_branches_only_analyze_loads_no_ideal_layer(self):
+        # the invariants of a germ given by branches need only curveinv and
+        # linalg; the import of cli itself loads no more
+        added = _modules_added_by(
+            "from equicurve.cli import analyze_manifest; analyze_manifest("
+            f"{manifest({'name': 'cusp', 'kind': 'curve', 'branches': [['u^2', 'u^3', '0']]})!r})"
+        )
+        assert {"equicurve.curveinv", "equicurve.linalg"} <= added
+        assert not added & {
+            "equicurve.gb", "equicurve.localdim", "equicurve.gcd", "equicurve.family"
+        }
+
+    def test_parametrized_family_leaves_gb_unloaded(self):
+        # the Cohen-Macaulay witness is read off the generators: no standard basis
+        entry = {"name": "tangent", "kind": "family", "components": [["u^2", "u^3", "t*u"]]}
+        added = _modules_added_by(
+            f"from equicurve.cli import analyze_manifest; analyze_manifest({manifest(entry)!r})"
+        )
+        assert {"equicurve.family", "equicurve.localdim", "equicurve.gcd"} <= added
+        assert "equicurve.gb" not in added
+
+    def test_corpus_loads_every_layer(self):
+        # its manifests run every layer; their compile belongs to its import
+        added = _modules_added_by("import equicurve.corpus")
+        assert {
+            "equicurve.gb", "equicurve.localdim", "equicurve.gcd", "equicurve.family"
+        } <= added

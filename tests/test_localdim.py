@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equicurve import localdim
+from equicurve import gb, localdim
 from equicurve.cli import run_paper_corpus
 from equicurve.errors import ComputationError, HypothesisError, InternalCheckError
 from equicurve.gb import Ideal, ideal_sum, std_basis
@@ -187,10 +187,8 @@ class TestPrimaryDecomposition:
         # two coordinate axes with an embedded point: verification and epsilon
         # share one intersection of the primes
         calls = []
-        real = localdim.ideal_intersect
-        monkeypatch.setattr(
-            localdim, "ideal_intersect", lambda a, b: calls.append(1) or real(a, b)
-        )
+        real = gb.ideal_intersect
+        monkeypatch.setattr(gb, "ideal_intersect", lambda a, b: calls.append(1) or real(a, b))
         J = I("x*y", "x*z", "y*z", "z^2")
         m2 = I("x^2", "y^2", "z^2", "x*y", "x*z", "y*z")
         D = PrimaryDecomposition.verified(J, [I("y", "z"), I("x", "z")], embedded=m2)
