@@ -23,9 +23,9 @@ from .errors import (
 )
 from .poly import IDENTIFIER_RE, Ideal, VarSet, order_by_name, parse_poly
 
-# localdim, family and gb are imported where an input first needs them (a
-# decomposition, a family entry, the std command), so a manifest of branches
-# only compiles none of them.
+# localdim, family and gb are imported where an input first needs them (an
+# ideal, a family entry, the std command), so a manifest of branches only
+# compiles none of them.
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -82,31 +82,14 @@ def _parse_branches(node, nvars, where):
 
 
 def _parse_curve_data(node, ring, where):
-    """The branches, ideal and verified decomposition of a curve entry or a
-    special fiber, each None when node does not give it."""
-    branches = ideal = decomposition = None
+    """The branches and ideal of a curve entry or a special fiber, each None
+    when node does not give it."""
+    branches = ideal = None
     if "branches" in node:
         branches = _parse_branches(node["branches"], len(ring), f"{where}.branches")
     if "ideal" in node:
         ideal = _parse_ideal(node["ideal"], ring, f"{where}.ideal")
-    if "decomposition" in node:
-        if ideal is None:
-            raise ParseError(f"{where}: decomposition given without an ideal")
-        from .localdim import PrimaryDecomposition
-
-        dec, dec_where = node["decomposition"], f"{where}.decomposition"
-        _require_mapping(dec, ("primes", "embedded"), ("primes",), dec_where)
-        if not isinstance(dec["primes"], list) or not dec["primes"]:
-            raise ParseError(f"{dec_where}.primes: expected a nonempty list of generator lists")
-        primes = [
-            _parse_ideal(gens, ring, f"{dec_where}.primes[{i}]")
-            for i, gens in enumerate(dec["primes"])
-        ]
-        embedded = None
-        if "embedded" in dec:
-            embedded = _parse_ideal(dec["embedded"], ring, f"{dec_where}.embedded")
-        decomposition = PrimaryDecomposition.verified(ideal, primes, embedded)
-    return branches, ideal, decomposition
+    return branches, ideal
 
 
 def _parse_assertions(node, where):
@@ -153,12 +136,12 @@ def _analyze_curve(entry, ring, seed):
     where = f"entry {entry.get('name', '?')!r}"
     _require_mapping(
         entry,
-        ("name", "kind", "branches", "ideal", "decomposition"),
+        ("name", "kind", "branches", "ideal"),
         ("name", "kind", "branches"),
         where,
     )
-    branches, ideal, decomposition = _parse_curve_data(entry, ring, where)
-    inv = invariants(CurvePresentation(branches, ideal=ideal, decomposition=decomposition))
+    branches, ideal = _parse_curve_data(entry, ring, where)
+    inv = invariants(CurvePresentation(branches, ideal=ideal))
     return {
         "name": entry["name"],
         "kind": "curve",
@@ -186,7 +169,7 @@ def _analyze_family(entry, ring, seed):
         )
     fiber = entry.get("special_fiber", {})
     fiber_where = f"{where}.special_fiber"
-    _require_mapping(fiber, ("branches", "ideal", "decomposition", "classes"), (), fiber_where)
+    _require_mapping(fiber, ("branches", "ideal", "classes"), (), fiber_where)
     classes = fiber.get("classes")
     if "classes" in fiber and not (
         isinstance(classes, list)
@@ -196,7 +179,7 @@ def _analyze_family(entry, ring, seed):
         raise ParseError(
             f"{fiber_where}.classes: expected [count_through_section, count_off_section]"
         )
-    branches, ideal, decomposition = _parse_curve_data(fiber, ring, fiber_where)
+    branches, ideal = _parse_curve_data(fiber, ring, fiber_where)
 
     if mode == "parametrized":
         if "components" not in entry:
@@ -220,7 +203,6 @@ def _analyze_family(entry, ring, seed):
         F = FamilyPresentation(
             components=tuple(components),
             special_ideal=ideal,
-            special_decomposition=decomposition,
             generic_assertions=assertions,
         )
     else:
@@ -233,7 +215,7 @@ def _analyze_family(entry, ring, seed):
             )
         F = FamilyPresentation(
             mode="declared",
-            declared_special=CurvePresentation(branches, ideal=ideal, decomposition=decomposition),
+            declared_special=CurvePresentation(branches, ideal=ideal),
             declared_classes=tuple(classes),
             generic_assertions=assertions,
         )

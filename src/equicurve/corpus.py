@@ -13,36 +13,15 @@ from __future__ import annotations
 from . import family, gb, localdim  # noqa: F401
 
 
-def _c1_family(k):
-    s = 3 * k + 1
-    return {
-        "name": f"space-cusp-3-{s}-moving-tangent",
-        "kind": "family",
-        "components": [["u^3", f"u^{s}", "t*u"]],
-        "special_fiber": {
-            "ideal": [f"x^{k}*z", f"y^3-x^{s}", "y*z^2", "z^3", "y^2*z"],
-            "decomposition": {
-                "primes": [["z", f"y^3-x^{s}"]],
-                "embedded": [f"x^{s}", f"x^{k}*z", "y^2", "y*z^2", "z^3"],
-            },
-        },
-    }
-
-
-def _c2_family(k):
-    s = 3 * k + 2
-    return {
-        "name": f"space-cusp-3-{s}-moving-tangent",
-        "kind": "family",
-        "components": [["u^3", f"u^{s}", "t*u"]],
-        "special_fiber": {
-            "ideal": ["y*z", "z^3", f"y^3-x^{s}", f"x^{2 * k + 1}*z", f"x^{k}*z^2"],
-            "decomposition": {
-                "primes": [["z", f"y^3-x^{s}"]],
-                "embedded": [f"x^{s}", f"x^{2 * k + 1}*z", f"x^{k}*z^2", "y", "z^3"],
-            },
-        },
-    }
+def _series_family(k, s):
+    """The deformation (u^3, u^s, t*u), s = 3k + 1 or 3k + 2, with the ideal of
+    its special fiber."""
+    if s == 3 * k + 1:
+        ideal = [f"x^{k}*z", f"y^3-x^{s}", "y*z^2", "z^3", "y^2*z"]
+    else:
+        ideal = ["y*z", "z^3", f"y^3-x^{s}", f"x^{2 * k + 1}*z", f"x^{k}*z^2"]
+    return {"name": f"space-cusp-3-{s}-moving-tangent", "kind": "family",
+            "components": [["u^3", f"u^{s}", "t*u"]], "special_fiber": {"ideal": ideal}}
 
 
 def _series_expectations(eps, mu_red):
@@ -70,10 +49,6 @@ MANIFEST_3VARS = {
             "kind": "curve",
             "branches": [["u^3", "u^4", "0"]],
             "ideal": ["x*z", "y^3-x^4", "y^2*z", "y*z^2", "z^3"],
-            "decomposition": {
-                "primes": [["z", "y^3-x^4"]],
-                "embedded": ["x^4", "x*z", "y^2", "y*z^2", "z^3"],
-            },
         },
         {
             "name": "space-cusp-moving-tangent",
@@ -81,10 +56,6 @@ MANIFEST_3VARS = {
             "components": [["u^3", "u^4", "t*u"]],
             "special_fiber": {
                 "ideal": ["x*z", "y^3-x^4", "y^2*z", "y*z^2", "z^3"],
-                "decomposition": {
-                    "primes": [["z", "y^3-x^4"]],
-                    "embedded": ["x^4", "x*z", "y^2", "y*z^2", "z^3"],
-                },
             },
         },
         {
@@ -93,18 +64,9 @@ MANIFEST_3VARS = {
             "components": [["u^3", "u^4", "t*u^5"]],
             "special_fiber": {
                 "ideal": ["x*z", "y*z", "z^2", "y^3-x^4"],
-                "decomposition": {
-                    "primes": [["z", "y^3-x^4"]],
-                    "embedded": ["x^4", "x*z", "y", "z^2"],
-                },
             },
         },
-        _c1_family(1),
-        _c2_family(1),
-        _c1_family(2),
-        _c2_family(2),
-        _c1_family(3),
-        _c2_family(3),
+        *[_series_family(k, s) for k in (1, 2, 3) for s in (3 * k + 1, 3 * k + 2)],
     ],
 }
 
@@ -127,16 +89,6 @@ MANIFEST_5VARS = {
                     "x*z", "y*z", "x*w", "y*w", "z*w", "w^2",
                     "x*v", "y*v", "z*v", "w*v", "x^2*y+x*y^2",
                 ],
-                "decomposition": {
-                    "primes": [
-                        ["y", "z", "w", "v"],
-                        ["x", "z", "w", "v"],
-                        ["x+y", "z", "w", "v"],
-                        ["x", "y", "w", "v"],
-                        ["x", "y", "z", "w"],
-                    ],
-                    "embedded": ["x", "y", "z", "v", "w^2"],
-                },
                 "classes": [2, 1],
             },
             "generic_fiber_assertions": {"mu": 4, "m": 3, "r": 3},

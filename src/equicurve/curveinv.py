@@ -108,17 +108,16 @@ def _not_vanishing(gens, jets):
 
 
 class CurvePresentation:
-    """A curve germ: branches of the reduced structure plus optional embedded data,
-    an ideal and a ``localdim.PrimaryDecomposition`` verified against it.
+    """A curve germ: the branches of its reduced structure and, optionally, its
+    ideal, whose embedded structure gives epsilon (``localdim.epsilon``).
 
     Every generator of the ideal must vanish on every branch, or the ideal
     defines another curve; that is checked on construction.
     """
 
-    __slots__ = ("branches", "ideal", "decomposition")
+    __slots__ = ("branches", "ideal")
 
-    def __init__(self, branches, ideal: Ideal | None = None,
-                 decomposition=None):
+    def __init__(self, branches, ideal: Ideal | None = None):
         if not branches:
             raise ValueError("curve needs at least one branch")
         dims = {b.ambient_dim for b in branches}
@@ -134,7 +133,6 @@ class CurvePresentation:
                 )
         self.branches = branches
         self.ideal = ideal
-        self.decomposition = decomposition
 
 
 def _times_coordinate(vec, jet_at, end_at):
@@ -359,19 +357,18 @@ class CurveInvariants(
 
 
 def invariants(C: CurvePresentation) -> CurveInvariants:
-    """All invariants of the germ; epsilon comes from the supplied decomposition
-    (zero when the curve is reduced, i.e. no embedded component declared)."""
+    """All invariants of the germ. epsilon is certified from the ideal and the
+    branches by ``localdim.epsilon``, after ``delta_reduced``, whose certificate
+    that argument needs; a curve given by its branches alone is reduced, with
+    epsilon = 0."""
     m = sum(b.u_order() for b in C.branches)  # blind to the embedded component
     r = len(C.branches)
     d_red = delta_reduced(C.branches)
-    if C.decomposition is not None:
-        if C.ideal is None:
-            raise ComputationError("decomposition supplied without the decomposed ideal")
-        from .localdim import epsilon_from_decomposition
+    eps = 0
+    if C.ideal is not None:
+        from .localdim import epsilon
 
-        eps = epsilon_from_decomposition(C.ideal, C.decomposition)
-    else:
-        eps = 0
+        eps = epsilon(C.ideal, C.branches)
     mu_red = 2 * d_red - r + 1
     return CurveInvariants(
         m=m,

@@ -27,7 +27,7 @@ from .curveinv import (
 )
 from .errors import ComputationError, HypothesisError, InternalCheckError
 from .gcd import recursive_form
-from .localdim import PrimaryDecomposition, is_cohen_macaulay
+from .localdim import is_cohen_macaulay
 from .poly import Ideal, Polynomial, VarSet
 
 RING_UT = VarSet(("u", "t"))
@@ -123,15 +123,14 @@ class FamilyPresentation:
     """A family given by its components ("parametrized" mode) or by its special
     fiber, component classes and generic-fiber assertions ("declared" mode)."""
 
-    __slots__ = ("mode", "components", "special_ideal", "special_decomposition",
-                 "declared_special", "declared_classes", "generic_assertions")
+    __slots__ = ("mode", "components", "special_ideal", "declared_special",
+                 "declared_classes", "generic_assertions")
 
     def __init__(
         self,
         mode: str = "parametrized",
         components: tuple = (),
         special_ideal: Ideal | None = None,
-        special_decomposition: PrimaryDecomposition | None = None,
         declared_special: CurvePresentation | None = None,
         declared_classes: tuple | None = None,  # (#class A, #class B)
         generic_assertions: GenericAssertions | None = None,
@@ -150,7 +149,6 @@ class FamilyPresentation:
         self.mode = mode
         self.components = components
         self.special_ideal = special_ideal
-        self.special_decomposition = special_decomposition
         self.declared_special = declared_special
         self.declared_classes = declared_classes
         self.generic_assertions = generic_assertions
@@ -184,8 +182,7 @@ def specialize_fiber(F: FamilyPresentation, t0) -> CurvePresentation:
         raise ComputationError("specialization needs a parametrized family")
     t0 = Fraction(t0)
     if t0 == 0:
-        return CurvePresentation([c.specialize(0) for c in F.components],
-                                 ideal=F.special_ideal, decomposition=F.special_decomposition)
+        return CurvePresentation([c.specialize(0) for c in F.components], ideal=F.special_ideal)
     comps = [c for c in F.components if c.component_class() == "A"]
     if not comps:
         raise HypothesisError("no component contains the section: empty generic germ")
@@ -253,10 +250,8 @@ def classify(F: FamilyPresentation, seed: int = 0) -> FamilyReport:
 
 def _classify_parametrized(F, seed):
     comps = _normalized_components(F)
-    norm = FamilyPresentation(
-        components=tuple(c for c, _ in comps), special_ideal=F.special_ideal,
-        special_decomposition=F.special_decomposition, generic_assertions=F.generic_assertions,
-    )
+    norm = FamilyPresentation(components=tuple(c for c, _ in comps),
+                              special_ideal=F.special_ideal, generic_assertions=F.generic_assertions)
     b0 = connectivity(norm)
 
     # Lemma 5.3 pipeline on each component through the section.
@@ -318,9 +313,8 @@ def _classify_parametrized(F, seed):
         "total space reduced and equidimensional": "asserted",
         "sqrt(pullback) = <u> on every class-A component": "verified",
         "special fiber generically reduced": "verified (exponent gcd)",
-        "minimal primes of supplied decompositions are prime": (
-            "asserted" if F.special_decomposition is not None else "not applicable"
-        ),
+        # no input gives a decomposition; the row stays so the report keeps its keys
+        "minimal primes of supplied decompositions are prime": "not applicable",
     }
     return _assemble(inv0, inv_t, samples, b0, cm_list, hypotheses, cm_computed=True)
 
@@ -367,9 +361,8 @@ def _classify_declared(F):
         "total space reduced and equidimensional": "asserted",
         "generic-fiber invariants": "asserted (declared mode)",
         "component classes": "asserted (declared mode)",
-        "minimal primes of supplied decompositions are prime": (
-            "asserted" if F.declared_special.decomposition is not None else "not applicable"
-        ),
+        # as in _classify_parametrized
+        "minimal primes of supplied decompositions are prime": "not applicable",
     }
     return _assemble(inv0, inv_t, (), b0, [], hypotheses, cm_computed=False)
 

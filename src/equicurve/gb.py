@@ -348,7 +348,7 @@ class StandardBasis:
             return not self._reduce(f)[0]
         if f.ring != self.ideal.ring:
             raise RingMismatchError("polynomial over a different ring than the basis")
-        bigger = _compute_std_basis(Ideal(self.ideal.gens + (f,), f.ring), self.order)
+        bigger = std_basis(Ideal(self.ideal.gens + (f,), f.ring), self.order)
         return all(any(map(_divides, self.lead_monomials, repeat(m))) for m in bigger.lead_monomials)
 
 
@@ -392,36 +392,13 @@ def _update_pairs(pairs: list, L: list, pk: _Packing) -> list:
     return kept
 
 
-# Bases kept by std_basis, least recently used first. 32 is more than twice the
-# most distinct bases one corpus entry asks for (14, five-lines), so every
-# repeat within an entry is a hit.
-_STD_BASES_SIZE = 32
-_STD_BASES = {}
-
-
 def std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
     """Buchberger's algorithm (module docstring): the reduced Groebner basis
     under a global order; under a local one, Lazard's standard basis from the
-    homogenized generators, minimalized, monic and sorted.
-
-    The last ``_STD_BASES_SIZE`` results are kept and returned again for the same
-    ring, generators (as term sets, in the same order) and order kind. The key
-    copies the generators' terms, so a later change to an input polynomial
-    cannot alias a kept basis. A ``StandardBasis`` builds its output
-    polynomials (``basis``) and its reducers on first read, and is never
-    changed otherwise.
+    homogenized generators, minimalized, monic and sorted. Each call computes
+    its basis afresh; the ``StandardBasis`` builds its output polynomials and
+    its reducers on first read, and is never changed otherwise.
     """
-    key = (I.ring, tuple(frozenset(g.terms.items()) for g in I.gens), order.kind)
-    B = _STD_BASES.pop(key, None)
-    if B is None:
-        B = _compute_std_basis(I, order)
-        if len(_STD_BASES) >= _STD_BASES_SIZE:
-            del _STD_BASES[next(iter(_STD_BASES))]
-    _STD_BASES[key] = B
-    return B
-
-
-def _compute_std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
     if not order.is_global:
         return _local_std_basis(I, order)
     pk = _Packing(len(I.ring), order)

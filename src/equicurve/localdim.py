@@ -1,6 +1,7 @@
-"""Length counting for local quotient rings, the epsilon invariant from a primary
-decomposition, and the Cohen-Macaulay test for the one-dimensional rings produced
-by family pullbacks.
+"""Length counting for local quotient rings, the epsilon invariant of a curve
+from its ideal and its branches (``epsilon``, a ladder of lengths certified by
+Nakayama's lemma), and the Cohen-Macaulay test for the one-dimensional rings
+produced by family pullbacks.
 
 For such a ring Q[u, t]_(u,t)/J the whole Cohen-Macaulay witness is read off
 the generators of J, with no standard basis. sqrt(J) = <u> is verified by
@@ -9,22 +10,29 @@ multiplicity of t is the least u-exponent e over the generators, by the
 associativity formula. The length of J + <t> is the least order in u of the
 generators at t = 0, and the ring is Cohen-Macaulay iff the two are equal
 (``is_cohen_macaulay`` returns both, with the arguments). The Hilbert-Samuel
-ladder ``hs_multiplicity_of_param`` computes the multiplicity from the lengths
-of J + <t^n>; it is kept as the tests' oracle and is on no production path.
+ladder ``hs_multiplicity_of_param`` and the verified ``PrimaryDecomposition``
+with ``epsilon_from_decomposition`` are the tests' oracles, on no production
+path.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import namedtuple
+from fractions import Fraction
 from functools import reduce
 
 from .errors import ComputationError, HypothesisError, InternalCheckError
 from .gcd import recursive_form, recursive_gcd
-from .poly import DEGREVLEX, NEGDEGREVLEX, Ideal, Polynomial
+from .poly import DEGREVLEX, NEGDEGREVLEX, Ideal, Polynomial, _add_terms, _mul_terms, _power_terms
 
 # gb is imported by the functions that build a standard basis, an ideal sum or
 # an intersection, so the Cohen-Macaulay witness of a parametrized family
 # never loads it.
+
+# The largest N of the epsilon ladder, which doubles N from 1 (see ``epsilon``).
+EPSILON_LADDER_BUDGET = 128
 
 
 class LengthValue(namedtuple("LengthValue", "value")):
@@ -90,6 +98,93 @@ def vdim(I: Ideal) -> LengthValue:
 
     B = std_basis(I, NEGDEGREVLEX)
     return _staircase_count(B.lead_monomials, len(I.ring))
+
+
+def _order_on(form, jets):
+    """ord_u l(x(u)) for the linear form l with coefficients ``form`` on a branch
+    with the integer ``BranchParam.jets``; None if l vanishes identically there."""
+    d = math.lcm(*[dk for dk, _ in jets])
+    total = {}
+    for c, (dk, pairs) in zip(form, jets):
+        for a, b in pairs if c else ():
+            total[a] = total.get(a, 0) + c * (d // dk) * b
+    return min((a for a, b in total.items() if b), default=None)
+
+
+def epsilon(I: Ideal, branches) -> int:
+    """The length epsilon of the nilradical of A = O/I, O the local ring at
+    the origin, for the ideal I of a curve with the given branches, every
+    generator vanishing on every branch (``CurvePresentation`` checks it).
+
+    Let H = H^0_m(A), the nilradical of a generically reduced A. The form l
+    is the first of x_1, ..., x_n, then sum_k k^s * x_k for s = 1, 2, ...,
+    that vanishes identically on no branch. Any n of these forms are
+    independent (a generalized Vandermonde with distinct positive nodes), and
+    those that vanish on one branch make a proper subspace, so one of the
+    first r(n - 1) + 1 vanishes on none of the r branches.
+
+    If vdim(I + <l>) is infinite, V(I) meets V(l) in a curve that is no
+    branch, and HypothesisError is raised. Otherwise A has dimension 1 and l
+    lies in no minimal prime, so l is a nonzerodivisor on A/H, which has no
+    embedded prime, and 0 -> H/l^N H -> A/l^N A -> (A/H)/l^N -> 0 is exact.
+    With e = sum_i ord_u l(x_i(u)) and D(N) = vdim(I + <l^N>) - N * e,
+
+        D(N) = length(H/l^N H) + N * (e(l; A) - e).
+
+    By the associativity formula (Matsumura, Commutative Ring Theory, section
+    14), e(l; A) = sum_p length(A_p) * e(l; A/p) over the minimal primes p,
+    and e(l; A/p_i) = ord_u l(x_i(u)) for the prime of a birational branch.
+    The certificate u^J O' c O of ``curveinv.delta_reduced``, which runs
+    first, proves the branches birational with distinct images. So
+    e(l; A) >= e, with equality iff V(I) has no component but the branches
+    and I is reduced along each.
+
+    N runs through 1, 2, 4, ..., and the first N with D(N) = D(2N) gives
+    epsilon = D(N): if e(l; A) = e, the equality gives l^N H = l^N (l^N H),
+    so l^N H = 0 by Nakayama's lemma (Matsumura, Thm 2.2); if e(l; A) > e,
+    then D(2N) - D(N) >= N and no two values are equal. Past
+    EPSILON_LADDER_BUDGET, ComputationError names the causes: e(l; A) > e,
+    or l^N H != 0 with N half the budget, and then the chain H > l H > ... >
+    l^N H is strict by Nakayama, so epsilon > N. The lengths are taken in
+    coordinates where l is the variable x_j, the last one it involves: a
+    linear change of coordinates is an automorphism of O, and l^N becomes a
+    monomial.
+    """
+    ring, r, n = I.ring, len(branches), len(I.ring)
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    powers = (tuple(k**s for k in range(1, n + 1)) for s in itertools.count(1))
+    for form in itertools.islice(itertools.chain(units, powers), r * (n - 1) + 1):
+        orders = [_order_on(form, b.jets) for b in branches]
+        if None not in orders:
+            break
+    else:
+        raise InternalCheckError("every candidate form vanishes on some branch")
+    e = sum(orders)
+    shown = Polynomial(ring, {units[k]: c for k, c in enumerate(form) if c}).render()
+    j = max(k for k, c in enumerate(form) if c)
+    # x_j = (l - sum_(k != j) c_k x_k) / c_j, with l the new x_j
+    x_j = {units[k]: Fraction(1 if k == j else -c, form[j]) for k, c in enumerate(form) if c}
+    gens = [Polynomial(ring, reduce(_add_terms, (
+        _mul_terms({m[:j] + (0,) + m[j + 1:]: c}, _power_terms(x_j, m[j], n))
+        for m, c in g.terms.items()), {})) for g in I.gens]
+    value, N = None, 1
+    while N <= EPSILON_LADDER_BUDGET:
+        length = vdim(Ideal(gens + [Polynomial.var(ring, ring.names[j], N)], ring))
+        if not length.finite:  # only at N = 1: every rung has the same support
+            raise HypothesisError(
+                f"V(I) has a component other than the branches: vdim(I + <{shown}>) is "
+                f"infinite, and {shown} vanishes on no branch"
+            )
+        previous, value = value, length.value - N * e
+        if value == previous:
+            return value
+        N *= 2
+    raise ComputationError(
+        f"epsilon not certified within EPSILON_LADDER_BUDGET = {EPSILON_LADDER_BUDGET}: "
+        f"vdim(I + <l^N>) - {e}*N, l = {shown}, never repeated for N = 1, 2, 4, ..., "
+        f"{EPSILON_LADDER_BUDGET}; V(I) has a component other than the branches, or I is "
+        f"not reduced along a branch, or epsilon is above {EPSILON_LADDER_BUDGET // 2}"
+    )
 
 
 class PrimaryDecomposition:

@@ -11,7 +11,8 @@ ecart, and ``gb.std_basis`` takes Lazard's route by homogenization: the two
 must have the same leading monomials and generate the same local ideal, but
 their tails may differ. Mora's weak normal form runs under a step budget, as
 it can stall; ``reference_local_member`` decides membership in the localized
-ideal from global reference bases instead.
+ideal from global reference bases instead, under a budget of its own, as the
+elimination it needs can take seconds.
 
 ``ideal_equal``, ``ideal_quotient`` and ``exact_divide`` are ideal operations
 that only tests use, built on ``gb.std_basis`` and ``gb.ideal_intersect``.
@@ -32,6 +33,13 @@ REDUCTION_CAP = 200_000
 # stall, its remainder growing past a thousand terms, and reaches this budget
 # in well under a second.
 MORA_STEP_BUDGET = 500
+
+# Reduction steps of the whole reference elimination in one
+# ``reference_local_member``. The tests need at most 81. The elimination for
+# a non-member of that two-generator ideal, g0 + x0*g1 + x0^5, took 14.2 s
+# to finish, its coefficients growing at every step; it reaches this budget
+# in about 0.25 s.
+LOCAL_MEMBER_STEP_BUDGET = 1_000
 
 
 def mon_divides(a, b) -> bool:
@@ -75,7 +83,9 @@ def _spoly(f: Polynomial, lf, g: Polynomial, lg) -> Polynomial:
     return _from_terms(f.ring, h)
 
 
-def _reduce_global(f: Polynomial, G, leads, order: MonomialOrder) -> Polynomial:
+def _reduce_global(f: Polynomial, G, leads, order: MonomialOrder, budget=None) -> Polynomial:
+    """The division remainder; ``budget``, a one-item list, holds the steps
+    left to the whole computation that shares it."""
     key = order.key
     remainder = {}
     h = dict(f.terms)
@@ -84,6 +94,14 @@ def _reduce_global(f: Polynomial, G, leads, order: MonomialOrder) -> Polynomial:
         steps += 1
         if steps > REDUCTION_CAP:
             raise ComputationError("reference reduction not finished")
+        if budget is not None:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise ComputationError(
+                    "local membership oracle (gb_reference.reference_local_member) not "
+                    f"finished within LOCAL_MEMBER_STEP_BUDGET = {LOCAL_MEMBER_STEP_BUDGET} "
+                    "reduction steps"
+                )
         lm = max(h, key=key)
         for g, lg in zip(G, leads):
             if mon_divides(lg, lm):
@@ -121,9 +139,9 @@ def _mora_weak_nf(f: Polynomial, G, leads, order: MonomialOrder) -> Polynomial:
     return _from_terms(f.ring, h)
 
 
-def _weak_nf(f, G, leads, order):
+def _weak_nf(f, G, leads, order, budget=None):
     if order.is_global:
-        return _reduce_global(f, G, leads, order)
+        return _reduce_global(f, G, leads, order, budget)
     return _mora_weak_nf(f, G, leads, order)
 
 
@@ -151,8 +169,10 @@ def _update_pairs(pairs: list, L: list, order: MonomialOrder) -> list:
     return kept
 
 
-def reference_std_basis(I: Ideal, order: MonomialOrder):
-    """(basis, leading monomials) as ``gb.std_basis`` returns them."""
+def reference_std_basis(I: Ideal, order: MonomialOrder, budget=None):
+    """(basis, leading monomials) as ``gb.std_basis`` returns them; under a
+    global order the reductions may share a ``budget`` of steps (see
+    ``_reduce_global``)."""
     G, L, pairs = [], [], []
     for g in I.gens:
         g = g.monic(order)
@@ -164,7 +184,7 @@ def reference_std_basis(I: Ideal, order: MonomialOrder):
         raise ValueError("standard basis of the zero ideal")
     while pairs:
         _, _, i, j, _ = heappop(pairs)
-        h = _weak_nf(_spoly(G[i], L[i], G[j], L[j]), G, L, order)
+        h = _weak_nf(_spoly(G[i], L[i], G[j], L[j]), G, L, order, budget)
         if not h.is_zero():
             lh = max(h.terms, key=order.key)
             G.append(h * (1 / h.terms[lh]))
@@ -185,7 +205,7 @@ def reference_std_basis(I: Ideal, order: MonomialOrder):
         if order.is_global and others:
             other_leads = [L[j] for j in minimal if j != i]
             lt = Polynomial.monomial(g.ring, L[i], g.terms[L[i]])
-            g = lt + _reduce_global(g - lt, others, other_leads, order)
+            g = lt + _reduce_global(g - lt, others, other_leads, order, budget)
         out.append((order.key(L[i]), L[i], g))
     out.sort(key=lambda kg: kg[0])
     return tuple(g for _, _, g in out), tuple(l for _, l, _ in out)
@@ -220,7 +240,8 @@ def reference_local_member(I: Ideal, f: Polynomial) -> bool:
     h = {(0,) + m: c for m, c in f.terms.items()}
     h.update({(1,) + m: -c for m, c in f.terms.items()})
     gens.append(Polynomial(big, h))
-    basis, leads = reference_std_basis(Ideal(gens, big), Elimination(1))
+    basis, leads = reference_std_basis(Ideal(gens, big), Elimination(1),
+                                       [LOCAL_MEMBER_STEP_BUDGET])
     origin = (0,) * len(ring)
     return any(
         origin in exact_divide(Polynomial(ring, {m[1:]: c for m, c in g.terms.items()}), f).terms

@@ -2,8 +2,9 @@
 invariant of a monomial branch counted as the gaps of its semigroup, the
 expression parser as it was before it carried plain term dicts, the gcds by
 Euclid over Q, the specialization of a family component term by term in
-Fractions, and the local length of an m-primary ideal from global bases of
-its truncations."""
+Fractions, the local length of an m-primary ideal from global bases of its
+truncations, and the primary decompositions of the corpus fibers, whose
+epsilon checks the ladder of ``localdim.epsilon``."""
 
 from __future__ import annotations
 
@@ -401,3 +402,82 @@ def specialize_by_terms(component, t0) -> BranchParam:
             f"component {component.label!r} specializes to the zero branch at t = {t0}"
         )
     return BranchParam(comps, label=component.label)
+
+
+# -- primary decompositions of the corpus fibers --------------------------------
+
+
+def _cusp_series_decomposition(k, s):
+    """The decomposition of the special fiber of (u^3, u^s, t*u), s = 3k + 1
+    or 3k + 2, as the corpus gives its ideal."""
+    if s == 3 * k + 1:
+        embedded = [f"x^{s}", f"x^{k}*z", "y^2", "y*z^2", "z^3"]
+    else:
+        embedded = [f"x^{s}", f"x^{2 * k + 1}*z", f"x^{k}*z^2", "y", "z^3"]
+    return {"primes": [["z", f"y^3-x^{s}"]], "embedded": embedded}
+
+
+# Minimal primes and the m-primary embedded component of the ideal of each
+# corpus curve and special fiber, by entry name: the input field they were
+# before epsilon came from the ideal and the branches alone.
+CORPUS_DECOMPOSITIONS = {
+    "space-cusp-with-embedded-point": {
+        "primes": [["z", "y^3-x^4"]],
+        "embedded": ["x^4", "x*z", "y^2", "y*z^2", "z^3"],
+    },
+    "space-cusp-moving-tangent": {
+        "primes": [["z", "y^3-x^4"]],
+        "embedded": ["x^4", "x*z", "y^2", "y*z^2", "z^3"],
+    },
+    "space-cusp-high-order-deformation": {
+        "primes": [["z", "y^3-x^4"]],
+        "embedded": ["x^4", "x*z", "y", "z^2"],
+    },
+    **{
+        f"space-cusp-3-{s}-moving-tangent": _cusp_series_decomposition(k, s)
+        for k in (1, 2, 3)
+        for s in (3 * k + 1, 3 * k + 2)
+    },
+    "five-lines-splitting-family": {
+        "primes": [
+            ["y", "z", "w", "v"],
+            ["x", "z", "w", "v"],
+            ["x+y", "z", "w", "v"],
+            ["x", "y", "w", "v"],
+            ["x", "y", "z", "w"],
+        ],
+        "embedded": ["x", "y", "z", "v", "w^2"],
+    },
+}
+
+
+def corpus_fibers():
+    """(name, branches, ideal, minimal primes, embedded component) of every
+    corpus curve and special fiber, the branches of a parametrized family
+    being its components at t = 0."""
+    from equicurve import corpus
+    from equicurve.family import RING_UT, FamilyComponent
+    from equicurve.poly import parse_poly
+
+    u = VarSet(("u",))
+    out = []
+    for manifest in corpus.MANIFESTS:
+        ring = VarSet(tuple(manifest["ring"]))
+
+        def ideal(gens):
+            return Ideal([parse_poly(g, ring) for g in gens], ring)
+
+        for entry in manifest["entries"]:
+            node = entry if entry["kind"] == "curve" else entry["special_fiber"]
+            if "branches" in node:
+                branches = [BranchParam([parse_poly(c, u) for c in b], label=f"{i}")
+                            for i, b in enumerate(node["branches"])]
+            else:
+                branches = [
+                    FamilyComponent([parse_poly(c, RING_UT) for c in comps]).specialize(0)
+                    for comps in entry["components"]
+                ]
+            dec = CORPUS_DECOMPOSITIONS[entry["name"]]
+            out.append((entry["name"], branches, ideal(node["ideal"]),
+                        [ideal(P) for P in dec["primes"]], ideal(dec["embedded"])))
+    return out

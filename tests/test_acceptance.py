@@ -21,6 +21,7 @@ from equicurve.family import (
 from equicurve.gb import Ideal
 from equicurve.localdim import (
     PrimaryDecomposition,
+    epsilon,
     epsilon_from_decomposition,
     hs_multiplicity_of_param,
     is_cohen_macaulay,
@@ -71,11 +72,11 @@ def test_criterion_1_space_cusp_exact_values(capsys):
         D = PrimaryDecomposition.verified(
             ideal, [I("z", "y^3-x^4")], embedded=I("x^4", "x*z", "y^2", "y*z^2", "z^3")
         )
-        assert epsilon_from_decomposition(ideal, D) == 3
-        inv = invariants(
-            CurvePresentation([branch("u^3", "u^4", "0")], ideal=ideal, decomposition=D)
-        )
-        assert (inv.delta_red, inv.mu_red, inv.delta, inv.mu) == (3, 6, 0, 0)
+        # the decomposition is the oracle of the ladder, which needs only the ideal
+        cusp = [branch("u^3", "u^4", "0")]
+        assert epsilon_from_decomposition(ideal, D) == epsilon(ideal, cusp) == 3
+        inv = invariants(CurvePresentation(cusp, ideal=ideal))
+        assert (inv.delta_red, inv.epsilon, inv.mu_red, inv.delta, inv.mu) == (3, 3, 6, 0, 0)
 
 
 def test_criterion_2_moving_tangent_family(capsys):

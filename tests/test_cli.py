@@ -9,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,13 +34,7 @@ CUSP_FAMILY_ENTRY = {
     "name": "cusp-family",
     "kind": "family",
     "components": [["u^3", "u^4", "t*u"]],
-    "special_fiber": {
-        "ideal": ["x*z", "y^3-x^4", "y^2*z", "y*z^2", "z^3"],
-        "decomposition": {
-            "primes": [["z", "y^3-x^4"]],
-            "embedded": ["x^4", "x*z", "y^2", "y*z^2", "z^3"],
-        },
-    },
+    "special_fiber": {"ideal": ["x*z", "y^3-x^4", "y^2*z", "y*z^2", "z^3"]},
 }
 
 CUSP_CURVE_ENTRY = {
@@ -47,10 +42,12 @@ CUSP_CURVE_ENTRY = {
     "kind": "curve",
     "branches": [["u^3", "u^4", "0"]],
     "ideal": ["x*z", "y^3-x^4", "y^2*z", "y*z^2", "z^3"],
-    "decomposition": {
-        "primes": [["z", "y^3-x^4"]],
-        "embedded": ["x^4", "x*z", "y^2", "y*z^2", "z^3"],
-    },
+}
+
+# A primary decomposition of the cusp's ideal, once an input field
+CUSP_DECOMPOSITION = {
+    "primes": [["z", "y^3-x^4"]],
+    "embedded": ["x^4", "x*z", "y^2", "y*z^2", "z^3"],
 }
 
 DECLARED_FAMILY_ENTRY = {
@@ -362,25 +359,29 @@ class TestSchemaRejection:
     @pytest.mark.parametrize("gens", [["0"], ["0*x"], []], ids=["zero", "zero-term", "empty"])
     @pytest.mark.parametrize("kind", ["curve", "family"])
     @pytest.mark.parametrize(
-        "position, field",
+        "field, message",
         [
-            (("ideal",), "ideal"),
-            (("decomposition", "primes", 0), "decomposition.primes[0]"),
-            (("decomposition", "embedded"), "decomposition.embedded"),
+            ("ideal", "ideal: the ideal is zero"),
+            # a decomposition is an unknown field, whatever ideals it lists
+            ("primes", "unknown field(s) ['decomposition']"),
+            ("embedded", "unknown field(s) ['decomposition']"),
         ],
         ids=["ideal", "prime", "embedded"],
     )
-    def test_zero_ideal_is_parse_error(self, tmp_path, capsys, gens, kind, position, field):
+    def test_zero_ideal_is_parse_error(self, tmp_path, capsys, gens, kind, field, message):
         entry = json.loads(json.dumps(CUSP_CURVE_ENTRY if kind == "curve" else CUSP_FAMILY_ENTRY))
         node = entry if kind == "curve" else entry["special_fiber"]
-        for step in position[:-1]:
-            node = node[step]
-        node[position[-1]] = gens
+        if field == "ideal":
+            node["ideal"] = gens
+        else:
+            node["decomposition"] = dict(
+                CUSP_DECOMPOSITION, **{field: [gens] if field == "primes" else gens}
+            )
         path = write_manifest(tmp_path, manifest(entry))
         assert main(["analyze", path]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and err.count("\n") == 1
-        assert f"{field}: the ideal is zero" in err
+        assert message in err
 
     @pytest.mark.parametrize(
         "assertions, field",
@@ -460,39 +461,51 @@ class TestSchemaRejection:
         assert main(["analyze", path]) == EXIT_HYPOTHESIS
         assert capsys.readouterr().err == f"hypothesis failure: {message}\n"
 
-    def test_rejected_decomposition_is_compute_error(self, tmp_path):
-        entry = json.loads(json.dumps(CUSP_CURVE_ENTRY))
-        entry["decomposition"]["embedded"] = ["x", "y", "z"]
+    @pytest.mark.parametrize("kind", ["curve", "parametrized", "declared"])
+    def test_decomposition_is_an_unknown_field(self, tmp_path, capsys, kind):
+        # epsilon comes from the ideal and the branches: a decomposition, right
+        # or wrong, is refused before anything is computed
+        entry = json.loads(json.dumps(
+            {"curve": CUSP_CURVE_ENTRY, "parametrized": CUSP_FAMILY_ENTRY,
+             "declared": DECLARED_FAMILY_ENTRY}[kind]
+        ))
+        node = entry if kind == "curve" else entry["special_fiber"]
+        node["decomposition"] = dict(CUSP_DECOMPOSITION, embedded=["x", "y", "z"])
         path = write_manifest(tmp_path, manifest(entry))
-        assert main(["analyze", path]) == EXIT_COMPUTE
+        assert main(["analyze", path]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        where = f"entry {entry['name']!r}" + ("" if kind == "curve" else ".special_fiber")
+        assert captured.err == (
+            f"parse error: {where}: unknown field(s) ['decomposition']\n"
+        )
 
     @pytest.mark.parametrize(
-        "ideal, decomposition, message",
+        "ideal, decomposition",
         [
-            (["1"], {"primes": [["1"]]}, "a listed prime is the unit ideal"),
-            (["y^2 - x^3", "z"], {"primes": [["y^2 - x^3", "z"]], "embedded": ["1"]},
-             "embedded component is the unit ideal at the origin"),
+            (["1"], {"primes": [["1"]]}),
+            (["y^2 - x^3", "z"], {"primes": [["y^2 - x^3", "z"]], "embedded": ["1"]}),
         ],
         ids=["prime", "embedded"],
     )
-    def test_unit_ideal_component_is_rejected(self, tmp_path, capsys, ideal, decomposition,
-                                              message):
+    def test_unit_ideal_component_is_rejected(self, tmp_path, capsys, ideal, decomposition):
+        # a decomposition with a unit component, once rejected when verified,
+        # is now an unknown field
         entry = {"name": "unit", "kind": "curve", "branches": [["u^2", "u^3", "0"]],
                  "ideal": ideal, "decomposition": decomposition}
         path = write_manifest(tmp_path, manifest(entry))
-        assert main(["analyze", path]) == EXIT_COMPUTE
+        assert main(["analyze", path]) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"computation error: decomposition rejected: {message}\n"
+        assert captured.err == "parse error: entry 'unit': unknown field(s) ['decomposition']\n"
 
     @pytest.mark.parametrize("kind", ["curve", "declared"])
     def test_ideal_of_another_curve_is_a_hypothesis_failure(self, tmp_path, capsys, kind):
-        # the y-axis with an embedded point, decomposed correctly, beside the
-        # cusp branch: its epsilon is not the cusp's
+        # the y-axis with an embedded point beside the cusp branch: its epsilon
+        # is not the cusp's
         fiber = {
             "branches": [["u^2", "u^3", "0"]],
             "ideal": ["x^2", "x*y", "z"],
-            "decomposition": {"primes": [["x", "z"]], "embedded": ["x^2", "y", "z"]},
         }
         if kind == "curve":
             entry = {"name": "other-curve", "kind": "curve", **fiber}
@@ -520,6 +533,72 @@ class TestSchemaRejection:
         }
         path = write_manifest(tmp_path, manifest(entry))
         assert main(["analyze", path]) == EXIT_HYPOTHESIS
+
+
+CUSP_IDEALS = {
+    # the corpus cusp (u^3, u^4, 0) with an embedded point of length 3
+    "embedded-point": ["x*z", "y^3-x^4", "y^2*z", "y*z^2", "z^3"],
+    # the cusp beside the z-axis: V(I) has a component that is no branch
+    "extra-component": ["x*z", "y*z", "y^3-x^4"],
+    # a double structure along the cusp: I is not reduced along the branch
+    "double-structure": ["z^2", "y^3-x^4"],
+}
+
+
+def cusp_with_ideal(kind, ideal):
+    """The cusp (u^3, u^4, 0) with the given ideal and no decomposition, as a
+    curve or as the special fiber of the moving-tangent family."""
+    if kind == "curve":
+        return {"name": "cusp", "kind": "curve", "branches": [["u^3", "u^4", "0"]],
+                "ideal": ideal}
+    return {"name": "cusp", "kind": "family", "components": [["u^3", "u^4", "t*u"]],
+            "special_fiber": {"ideal": ideal}}
+
+
+class TestEpsilonLadder:
+    """epsilon from the ideal and the branches alone (``localdim.epsilon``)."""
+
+    @pytest.mark.parametrize("kind", ["curve", "family"])
+    def test_cusp_with_its_ideal_and_no_decomposition(self, tmp_path, capsys, kind):
+        path = write_manifest(tmp_path, manifest(cusp_with_ideal(kind, CUSP_IDEALS["embedded-point"])))
+        assert main(["analyze", path]) == EXIT_OK
+        entry = json.loads(capsys.readouterr().out)["entries"][0]
+        inv = entry["invariants"] if kind == "curve" else entry["special"]["invariants"]
+        assert (inv["epsilon"], inv["delta"], inv["mu_red"], inv["mu"]) == (3, 0, 6, 0)
+
+    @pytest.mark.parametrize("kind", ["curve", "family"])
+    def test_extra_component_is_a_hypothesis_failure(self, tmp_path, capsys, kind):
+        path = write_manifest(tmp_path, manifest(cusp_with_ideal(kind, CUSP_IDEALS["extra-component"])))
+        assert main(["analyze", path]) == EXIT_HYPOTHESIS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "hypothesis failure: V(I) has a component other than the branches: "
+            "vdim(I + <x>) is infinite, and x vanishes on no branch\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["curve", "family"])
+    def test_double_structure_exits_3_at_the_budget(self, tmp_path, capsys, kind):
+        # vdim(I + <x^N>) - 3N = 3N for every N: the values never repeat
+        path = write_manifest(tmp_path, manifest(cusp_with_ideal(kind, CUSP_IDEALS["double-structure"])))
+        start = time.perf_counter()
+        assert main(["analyze", path]) == EXIT_COMPUTE
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "computation error: epsilon not certified within EPSILON_LADDER_BUDGET = 128"
+        )
+        assert captured.err.count("\n") == 1
+        assert "a component other than the branches" in captured.err
+        assert "not reduced along a branch" in captured.err
+
+    def test_reduced_ideal_gives_zero(self, tmp_path, capsys):
+        # the cusp's own prime: the ladder reads 0 twice and certifies epsilon = 0
+        path = write_manifest(tmp_path, manifest(cusp_with_ideal("curve", ["z", "y^3-x^4"])))
+        assert main(["analyze", path]) == EXIT_OK
+        inv = json.loads(capsys.readouterr().out)["entries"][0]["invariants"]
+        assert (inv["epsilon"], inv["mu"]) == (0, 6)
 
 
 class TestParametrizedAssertions:
@@ -608,9 +687,9 @@ class TestCorpus:
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            (None, "33c4ebe0ebffd027ce356f435c2b9691b6a51e92e785e0615a18441eb08c8800"),
-            (0, "33c4ebe0ebffd027ce356f435c2b9691b6a51e92e785e0615a18441eb08c8800"),
-            (7, "8599ba881842d50cc156cce9bd169b3d707f82a5af1ebb1ca9f9613b5b87ac34"),
+            (None, "0a2547cbf4a9217efdb778c9277b8a2d5200a86a99382fcd6d27261195a5d8cd"),
+            (0, "0a2547cbf4a9217efdb778c9277b8a2d5200a86a99382fcd6d27261195a5d8cd"),
+            (7, "b2a5f87e5f6c78cd827729aaf5427177c1d8be8b199ebb0f3b21ac66769fde5b"),
         ],
     )
     def test_report_bytes_are_pinned(self, seed, digest):
@@ -749,7 +828,6 @@ class TestStd:
 
     def test_reduction_budget_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(gb, "_REDUCTION_CAP", 2)
-        gb._STD_BASES.clear()
         path = tmp_path / "i.json"
         gens = ["x^2 + y*z", "y^3 - x*z", "z^2 + x*y^2 + x^3"]
         path.write_text(json.dumps({"ring": ["x", "y", "z"], "generators": gens}))
@@ -839,6 +917,15 @@ class TestStartup:
         assert not added & {
             "equicurve.gb", "equicurve.localdim", "equicurve.gcd", "equicurve.family"
         }
+
+    @pytest.mark.parametrize("kind", ["curve", "family"])
+    def test_an_ideal_loads_localdim_and_gb(self, kind):
+        # epsilon is certified from the ideal by a ladder of standard bases
+        entry = cusp_with_ideal(kind, CUSP_IDEALS["embedded-point"])
+        added = _modules_added_by(
+            f"from equicurve.cli import analyze_manifest; analyze_manifest({manifest(entry)!r})"
+        )
+        assert {"equicurve.localdim", "equicurve.gb"} <= added
 
     def test_parametrized_family_leaves_gb_unloaded(self):
         # the Cohen-Macaulay witness is read off the generators: no standard basis

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import re
@@ -24,7 +25,6 @@ from equicurve.curveinv import (
 from equicurve.errors import ComputationError, HypothesisError, InternalCheckError
 from equicurve.gb import Ideal
 from equicurve.linalg import RowSpace
-from equicurve.localdim import PrimaryDecomposition
 from equicurve.poly import VarSet, parse_poly
 from oracles import semigroup_delta_oracle
 
@@ -399,13 +399,9 @@ class TestInvariants:
             CurveInvariants(m=2, r=1, delta_red=1, epsilon=0, delta=1, mu_red=5, mu=5)
 
     def test_space_cusp_with_embedded_point(self):
+        # epsilon = 3 from the ideal and the branch alone
         ideal = I("x*z", "y^3 - x^4", "y^2*z", "y*z^2", "z^3")
-        D = PrimaryDecomposition.verified(
-            ideal,
-            [I("z", "y^3 - x^4")],
-            embedded=I("x^4", "x*z", "y^2", "y*z^2", "z^3"),
-        )
-        C = CurvePresentation([branch("u^3", "u^4", "0")], ideal=ideal, decomposition=D)
+        C = CurvePresentation([branch("u^3", "u^4", "0")], ideal=ideal)
         inv = invariants(C)
         assert inv == CurveInvariants(
             m=3, r=1, delta_red=3, epsilon=3, delta=0, mu_red=6, mu=0
@@ -420,9 +416,18 @@ class TestInvariants:
         inv = invariants(CurvePresentation([branch("u", "0"), branch("0", "u")]))
         assert (inv.delta_red, inv.r, inv.mu_red) == (1, 2, 1)
 
-    def test_decomposition_without_ideal_rejected(self):
-        ideal = I("z", "y^3 - x^4")
-        D = PrimaryDecomposition.verified(ideal, [ideal])
-        C = CurvePresentation([branch("u^3", "u^4", "0")], decomposition=D)
-        with pytest.raises(ComputationError):
-            invariants(C)
+    def test_decomposition_without_ideal_rejected(self, tmp_path, capsys):
+        # a decomposition is no input: with or without an ideal it is an
+        # unknown field, and a presentation has no place for one
+        from equicurve.cli import EXIT_PARSE, main
+
+        entry = {"name": "c", "kind": "curve", "branches": [["u^3", "u^4", "0"]],
+                 "decomposition": {"primes": [["z", "y^3 - x^4"]]}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"ring": ["x", "y", "z"], "entries": [entry]}))
+        assert main(["analyze", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "parse error: entry 'c': unknown field(s) ['decomposition']\n"
+        )
+        with pytest.raises(TypeError):
+            CurvePresentation([branch("u^3", "u^4", "0")], decomposition=I("z"))

@@ -24,7 +24,7 @@ from equicurve.family import (
     specialize_fiber,
 )
 from equicurve.gb import Ideal
-from equicurve.localdim import PrimaryDecomposition, is_cohen_macaulay
+from equicurve.localdim import is_cohen_macaulay
 from equicurve.poly import NEGDEGREVLEX, Polynomial, VarSet, parse_poly
 from gb_reference import ideal_equal
 from oracles import substitute
@@ -46,31 +46,17 @@ def xyz_ideal(*gens):
 
 def cusp_family_a():
     """Deformation (u^3, u^4, t*u) with the embedded point of its special fiber."""
-    ideal = xyz_ideal("x*z", "y^3 - x^4", "y^2*z", "y*z^2", "z^3")
-    D = PrimaryDecomposition.verified(
-        ideal,
-        [xyz_ideal("z", "y^3 - x^4")],
-        embedded=xyz_ideal("x^4", "x*z", "y^2", "y*z^2", "z^3"),
-    )
     return FamilyPresentation(
         components=(comp("u^3", "u^4", "t*u", label="X"),),
-        special_ideal=ideal,
-        special_decomposition=D,
+        special_ideal=xyz_ideal("x*z", "y^3 - x^4", "y^2*z", "y*z^2", "z^3"),
     )
 
 
 def cusp_family_b():
     """Deformation (u^3, u^4, t*u^5) with the embedded point of its special fiber."""
-    ideal = xyz_ideal("x*z", "y*z", "z^2", "y^3 - x^4")
-    D = PrimaryDecomposition.verified(
-        ideal,
-        [xyz_ideal("z", "y^3 - x^4")],
-        embedded=xyz_ideal("x^4", "x*z", "y", "z^2"),
-    )
     return FamilyPresentation(
         components=(comp("u^3", "u^4", "t*u^5", label="X"),),
-        special_ideal=ideal,
-        special_decomposition=D,
+        special_ideal=xyz_ideal("x*z", "y*z", "z^2", "y^3 - x^4"),
     )
 
 
@@ -151,7 +137,12 @@ class TestSpecialization:
     def test_special_fiber_merges_override(self):
         F = cusp_family_a()
         C0 = specialize_fiber(F, 0)
-        assert C0.decomposition is F.special_decomposition
+        # the special fiber carries the family's ideal, and with it its epsilon;
+        # a family takes no decomposition
+        assert C0.ideal is F.special_ideal
+        assert invariants(C0).epsilon == 3
+        with pytest.raises(TypeError):
+            FamilyPresentation(components=F.components, special_decomposition=F.special_ideal)
         assert [p.render() for p in C0.branches[0].components] == ["u^3", "u^4", "0"]
 
     def test_generic_fiber_substitutes(self):
@@ -231,17 +222,6 @@ class TestClassify:
             "x*z", "y*z", "x*w", "y*w", "z*w", "w^2",
             "x*v", "y*v", "z*v", "w*v", "x^2*y + x*y^2",
         )
-        D = PrimaryDecomposition.verified(
-            ideal,
-            [
-                i5("y", "z", "w", "v"),
-                i5("x", "z", "w", "v"),
-                i5("x+y", "z", "w", "v"),
-                i5("x", "y", "w", "v"),
-                i5("x", "y", "z", "w"),
-            ],
-            embedded=i5("x", "y", "z", "v", "w^2"),
-        )
         C = CurvePresentation(
             [
                 b("u", "0", "0", "0", "0"),
@@ -251,7 +231,6 @@ class TestClassify:
                 b("0", "0", "0", "0", "u"),
             ],
             ideal=ideal,
-            decomposition=D,
         )
         F = FamilyPresentation(
             mode="declared",

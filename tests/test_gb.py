@@ -108,11 +108,6 @@ MEMO_GENS = ("x^2 + y*z", "y^3 - x*z", "z^2 + x*y^2 + x^3")
 MEMO_ORDERS = (DEGREVLEX, NEGDEGREVLEX, Elimination(1), Elimination(2))
 
 
-def fresh_std_basis(J, order):
-    gb._STD_BASES.clear()
-    return std_basis(J, order)
-
-
 def same_basis(A, B):
     return A.order.kind == B.order.kind and A.basis == B.basis and (
         A.lead_monomials == B.lead_monomials
@@ -120,27 +115,28 @@ def same_basis(A, B):
 
 
 class TestMemo:
+    """A ``StandardBasis`` builds its output on first read; no basis is kept
+    between ``std_basis`` calls."""
+
     def test_each_order_gets_its_own_basis(self):
-        fresh = {o.kind: fresh_std_basis(I(*MEMO_GENS), o) for o in MEMO_ORDERS}
-        gb._STD_BASES.clear()
-        kept = [std_basis(I(*MEMO_GENS), o) for o in MEMO_ORDERS]
-        assert len({B.order.kind for B in kept}) == 4
-        assert len({B.basis for B in kept}) == 4
-        for B in kept:
-            assert same_basis(B, fresh[B.order.kind])
-            assert std_basis(I(*MEMO_GENS), B.order) is B
+        first = {o.kind: std_basis(I(*MEMO_GENS), o) for o in MEMO_ORDERS}
+        again = [std_basis(I(*MEMO_GENS), o) for o in MEMO_ORDERS]
+        assert len({B.order.kind for B in again}) == 4
+        assert len({B.basis for B in again}) == 4
+        for B in again:
+            assert same_basis(B, first[B.order.kind])
+            assert B is not first[B.order.kind]
 
     @pytest.mark.parametrize("order", MEMO_ORDERS, ids=lambda o: o.kind)
     def test_repeat_equals_fresh_after_normal_forms(self, order):
-        # a local basis has no normal form; its memberships build other bases
+        # reading a basis changes it in nothing a later read sees; a local
+        # basis has no normal form, and its memberships build other bases
         B = std_basis(I(*MEMO_GENS), order)
         for f in ("x^3*y + z^4", "x*y*z - y^5 + x", "(x + y + z)^4"):
             if order.is_global:
                 B.normal_form(B.normal_form(P(f)))
             B.contains(P(f))
-        again = std_basis(I(*MEMO_GENS), order)
-        assert again is B
-        assert same_basis(again, fresh_std_basis(I(*MEMO_GENS), order))
+        assert same_basis(B, std_basis(I(*MEMO_GENS), order))
 
     @pytest.mark.parametrize(
         "order, rendered",
@@ -157,21 +153,14 @@ class TestMemo:
     )
     def test_basis_built_on_first_read(self, order, rendered):
         # the basis is built when first read, before or after reductions, and
-        # is the one built with the result; the memo hands back that object
-        first = fresh_std_basis(I(*MEMO_GENS), order)
+        # is the one built with the result
+        first = std_basis(I(*MEMO_GENS), order)
         assert [g.render() for g in first.basis] == rendered
         assert first.basis is first.basis
-        later = fresh_std_basis(I(*MEMO_GENS), order)
+        later = std_basis(I(*MEMO_GENS), order)
         for f in ("x^3*y + z^4", "x*y*z - y^5 + x"):
             later.contains(P(f))
         assert same_basis(later, first)
-        assert std_basis(I(*MEMO_GENS), order) is later
-
-    def test_table_is_bounded(self):
-        gb._STD_BASES.clear()
-        for k in range(1, gb._STD_BASES_SIZE + 6):
-            std_basis(I(f"x^{k}", "y"), DEGREVLEX)
-        assert len(gb._STD_BASES) == gb._STD_BASES_SIZE
 
 
 class TestReductionBudget:
@@ -179,7 +168,7 @@ class TestReductionBudget:
     def test_budget_is_a_computation_error(self, monkeypatch, order):
         monkeypatch.setattr(gb, "_REDUCTION_CAP", 2)
         with pytest.raises(ComputationError, match="_REDUCTION_CAP = 2 steps"):
-            fresh_std_basis(I(*MEMO_GENS), order)
+            std_basis(I(*MEMO_GENS), order)
 
 
 class TestIdealOps:

@@ -39,11 +39,6 @@ ORDERS = (DEGREVLEX, NEGDEGREVLEX, Elimination(1), Elimination(2))
 GLOBAL_ORDERS = tuple(o for o in ORDERS if o.is_global)
 
 
-def fresh_std_basis(J, order):
-    gb._STD_BASES.clear()
-    return std_basis(J, order)
-
-
 def popped_pairs(module, mp):
     """The (i, j) of every pair ``module`` pops off its heap from now on."""
     pairs = []
@@ -61,7 +56,7 @@ def popped_pairs(module, mp):
 def assert_same_basis(J, order):
     with pytest.MonkeyPatch.context() as mp:
         packed, reference = popped_pairs(gb, mp), popped_pairs(gb_reference, mp)
-        B = fresh_std_basis(J, order)
+        B = std_basis(J, order)
         basis, leads = reference_std_basis(J, order)
     assert B.lead_monomials == leads
     if order.is_global:
@@ -134,11 +129,29 @@ def test_mora_oracle_gives_up_and_membership_does_not_need_it():
     with pytest.raises(ComputationError, match=r"Mora oracle .*MORA_STEP_BUDGET = \d+ steps"):
         reference_normal_form(basis, leads, NEGDEGREVLEX, f)
     assert time.perf_counter() - start < 10
-    B = fresh_std_basis(J, NEGDEGREVLEX)
+    B = std_basis(J, NEGDEGREVLEX)
     assert B.contains(f) and reference_local_member(J, f)
     for probe in ("x0", "x0*x2", "x0^2*x1^2*x2*x3^2 + x0^2*x2^2"):
         probe = parse_poly(probe, ring)
         assert not B.contains(probe) and not reference_local_member(J, probe)
+
+
+def test_local_member_oracle_gives_up_fast():
+    # the elimination behind reference_local_member for this non-member took
+    # 14.2 s to finish; the oracle stops at its budget and names itself, while
+    # StandardBasis.contains decides it in milliseconds
+    ring = VarSet(("x0", "x1", "x2", "x3"))
+    g0 = parse_poly("x0^2*x1^2*x2*x3^2 + x0^2*x2^2 - 3*x0*x1*x2", ring)
+    g1 = parse_poly("-3*x0^2*x1^2*x2*x3^2 + 5/3*x0*x1^2*x2^2 + x0*x1^2*x2", ring)
+    J = Ideal([g0, g1], ring)
+    f = g0 + parse_poly("x0", ring) * g1 + parse_poly("x0^5", ring)
+    start = time.perf_counter()
+    with pytest.raises(ComputationError, match=(
+            r"local membership oracle \(gb_reference.reference_local_member\) not finished "
+            r"within LOCAL_MEMBER_STEP_BUDGET = \d+ reduction steps")):
+        reference_local_member(J, f)
+    assert time.perf_counter() - start < 3
+    assert not std_basis(J, NEGDEGREVLEX).contains(f)
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
@@ -230,7 +243,7 @@ class TestGuardBits:
         ring = VarSet(("x", "y", "z"))
         J = Ideal([parse_poly(g, ring) for g in ("x^7 + y^7", "x*y + x^2*y")], ring)
         with pytest.raises(ComputationError, match="_FIELD_BITS = 4"):
-            fresh_std_basis(J, order)
+            std_basis(J, order)
 
     @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
     def test_narrow_field_reduction_step(self, monkeypatch, order):
@@ -239,14 +252,13 @@ class TestGuardBits:
         # x*h^6 of the homogenized y^7 + x*h^6 against x^7*y^7, forming y^14
         monkeypatch.setattr(gb, "_FIELD_BITS", 4)
         ring = VarSet(("x", "y"))
-        B = fresh_std_basis(Ideal([parse_poly("y^7 + x", ring)], ring), order)
+        B = std_basis(Ideal([parse_poly("y^7 + x", ring)], ring), order)
         reduce_ = B.normal_form if order.is_global else B.contains
         with pytest.raises(ComputationError, match="_FIELD_BITS = 4"):
             reduce_(parse_poly("x^7*y^7", ring))
 
     def test_narrow_field_input_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(gb, "_FIELD_BITS", 4)
-        gb._STD_BASES.clear()
         path = tmp_path / "i.json"
         path.write_text('{"ring": ["x", "y"], "generators": ["x^8 + y"]}')
         assert main(["std", str(path), "--order", "degrevlex"]) == EXIT_COMPUTE
@@ -259,25 +271,28 @@ class TestGuardBits:
         monkeypatch.setattr(gb, "_FIELD_BITS", 4)
         ring = VarSet(("x", "y"))
         J = Ideal([parse_poly("x^7 + y^7", ring)], ring)
-        assert [g.render() for g in fresh_std_basis(J, DEGREVLEX).basis] == ["x^7 + y^7"]
+        assert [g.render() for g in std_basis(J, DEGREVLEX).basis] == ["x^7 + y^7"]
 
 
 def test_corpus_bases_match_reference():
-    # every global basis a corpus pass asks for, eliminations included: the
-    # same S-pairs in the same order, and the same basis
-    from equicurve.cli import run_paper_corpus
+    # every global basis the decomposition oracle asks for on the corpus
+    # fibers, eliminations included: the same S-pairs in the same order, and
+    # the same basis
+    from equicurve.localdim import PrimaryDecomposition, epsilon_from_decomposition
+    from oracles import corpus_fibers
 
     asked = {}
-    compute = gb._compute_std_basis
+    compute = gb.std_basis
 
     def recording(J, order):
         asked[(J.ring, tuple(frozenset(g.terms.items()) for g in J.gens), order.kind)] = (J, order)
         return compute(J, order)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gb, "_compute_std_basis", recording)
-        gb._STD_BASES.clear()
-        run_paper_corpus(seed=0)
+        mp.setattr(gb, "std_basis", recording)
+        for _, _, ideal, primes, embedded in corpus_fibers():
+            D = PrimaryDecomposition.verified(ideal, primes, embedded)
+            epsilon_from_decomposition(ideal, D)
     cases = [(J, order) for J, order in asked.values() if order.is_global]
     assert len(cases) > 20
     with pytest.MonkeyPatch.context() as mp:

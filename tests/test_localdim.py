@@ -1,11 +1,13 @@
-"""Local quotient lengths, verified decompositions, the epsilon invariant,
+"""Local quotient lengths, the epsilon ladder against verified decompositions,
 Hilbert-Samuel multiplicity and the Cohen-Macaulay test."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +16,16 @@ from hypothesis import strategies as st
 from equicurve import gb, localdim
 from equicurve.cli import run_paper_corpus
 from equicurve.errors import ComputationError, HypothesisError, InternalCheckError
-from equicurve.gb import Ideal, ideal_sum, std_basis
+from equicurve.curveinv import BranchParam, CurvePresentation, invariants
+from equicurve.gb import Ideal, ideal_intersect, ideal_sum, std_basis
 from equicurve.localdim import (
     INFINITE,
     _staircase_count,
     CMWitness,
     LengthValue,
+    EPSILON_LADDER_BUDGET,
     PrimaryDecomposition,
+    epsilon,
     epsilon_from_decomposition,
     hs_multiplicity_of_param,
     is_cohen_macaulay,
@@ -28,7 +33,7 @@ from equicurve.localdim import (
 )
 from equicurve.poly import NEGDEGREVLEX, Polynomial, VarSet, parse_poly
 from gb_reference import ideal_equal, ideal_quotient, mon_divides
-from oracles import truncated_vdim
+from oracles import corpus_fibers, truncated_vdim
 
 XYZ = VarSet(("x", "y", "z"))
 UT = VarSet(("u", "t"))
@@ -57,8 +62,8 @@ class TestVdim:
             v.expect_finite("length")
 
     def test_truncation_oracle_on_a_corpus_pass(self, monkeypatch):
-        # every ideal whose local length a corpus pass reads: the embedded
-        # components and their sums with the intersections of the primes
+        # every ideal whose local length a corpus pass reads: the rungs
+        # I + <l^N> of the epsilon ladder, 31 in all, two of them asked twice
         seen = {}
         real = localdim.vdim
 
@@ -68,7 +73,7 @@ class TestVdim:
 
         monkeypatch.setattr(localdim, "vdim", spy)
         run_paper_corpus(seed=0)
-        assert len(seen) == 16
+        assert len(seen) == 29
         for Q in seen.values():
             assert vdim(Q).value == truncated_vdim(Q)
 
@@ -224,6 +229,162 @@ class TestEpsilon:
         D1 = PrimaryDecomposition.verified(J, [I(*PRIME)], embedded=I(*EMBEDDED))
         D2 = PrimaryDecomposition.verified(J, [I(*PRIME)], embedded=Q2)
         assert epsilon_from_decomposition(J, D1) == epsilon_from_decomposition(J, D2) == 3
+
+
+U = VarSet(("u",))
+
+
+def branch(*comps):
+    return BranchParam([parse_poly(c, U) for c in comps])
+
+
+def monomial_branch(rng):
+    """A branch u^a, u^b on two coordinates, 0 on the third, gcd(a, b) = 1,
+    and its prime."""
+    a = rng.randint(2, 4)
+    b = rng.choice([b for b in range(a + 1, 8) if math.gcd(a, b) == 1])
+    i, j, k = rng.sample(range(3), 3)
+    comps = ["0"] * 3
+    comps[i], comps[j] = f"u^{a}", f"u^{b}"
+    x = XYZ.names
+    return branch(*comps), I(x[k], f"{x[j]}^{a} - {x[i]}^{b}")
+
+
+def line_branch(rng):
+    """A line through the origin with a small integer direction, and its prime."""
+    d = [0, 0, 0]
+    while not any(d):
+        d = [rng.randint(-2, 2) for _ in range(3)]
+    x = XYZ.names
+    minors = [f"{d[j]}*{x[i]} - {d[i]}*{x[j]}" for i in range(3) for j in range(i + 1, 3)]
+    return branch(*[f"{c}*u" for c in d]), Ideal(
+        [g for g in (parse_poly(m, XYZ) for m in minors) if not g.is_zero()], XYZ)
+
+
+def _on(b, P):
+    """Whether every generator of P vanishes on the branch b."""
+    from equicurve.curveinv import _not_vanishing
+
+    return _not_vanishing(P.gens, b.jets) is None
+
+
+def seeded_fiber(seed):
+    """I = P meet Q: P the ideal of one or two monomial or line branches with
+    distinct images, Q an m-primary ideal; the branches, I, the primes and Q."""
+    rng = random.Random(seed)
+    branches, primes = [], []
+    for _ in range(rng.randint(1, 2)):
+        b, P = rng.choice((monomial_branch, line_branch))(rng)
+        while any(_on(b, earlier) for earlier in primes):  # the same image
+            b, P = rng.choice((monomial_branch, line_branch))(rng)
+        branches.append(b)
+        primes.append(P)
+    mixed = [0, 0, 0]
+    while not any(mixed):
+        mixed = [rng.randint(0, 2) for _ in range(3)]
+    Q = Ideal([Polynomial.var(XYZ, v, rng.randint(1, 4)) for v in XYZ.names]
+              + [Polynomial.monomial(XYZ, mixed)], XYZ)
+    return branches, ideal_intersect(reduce(ideal_intersect, primes), Q), primes, Q
+
+
+class TestEpsilonLadder:
+    """``localdim.epsilon`` against the decomposition route, its oracle."""
+
+    @pytest.mark.parametrize(
+        "fiber, expected",
+        zip(corpus_fibers(), [3, 3, 1, 3, 4, 6, 7, 9, 10, 1]),
+        ids=lambda f: f[0] if isinstance(f, tuple) else str(f),
+    )
+    def test_ladder_equals_decomposition_on_corpus_fibers(self, fiber, expected):
+        _, branches, ideal, primes, embedded = fiber
+        D = PrimaryDecomposition.verified(ideal, primes, embedded)
+        assert epsilon(ideal, branches) == epsilon_from_decomposition(ideal, D) == expected
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_ladder_equals_decomposition_on_seeded_ideals(self, seed):
+        branches, ideal, primes, Q = seeded_fiber(seed)
+        D = PrimaryDecomposition.verified(ideal, primes, Q)
+        # through the production path: delta_red first, then the ladder
+        inv = invariants(CurvePresentation(branches, ideal=ideal))
+        assert inv.epsilon == epsilon_from_decomposition(ideal, D)
+
+    def test_reduced_ideal_gives_zero(self):
+        assert epsilon(I("z", "y^3 - x^4"), [branch("u^3", "u^4", "0")]) == 0
+
+    def test_extra_component_is_a_hypothesis_failure(self):
+        # the z-axis beside the cusp: vdim(I + <x>) is infinite
+        with pytest.raises(HypothesisError, match=r"vdim\(I \+ <x>\) is infinite"):
+            epsilon(I("x*z", "y*z", "y^3 - x^4"), [branch("u^3", "u^4", "0")])
+
+    @pytest.mark.parametrize(
+        "gens, branches",
+        [
+            # a double structure along the cusp: vdim(I + <x^N>) - 3N = 3N
+            (("z^2", "y^3 - x^4"), [("u^3", "u^4", "0")]),
+            # the cusp and the x-axis, given the cusp alone: x vanishes on
+            # neither, so vdim(I + <x^N>) is finite and only the ladder sees
+            # the extra component, as vdim(I + <x^N>) - 3N = N
+            (("z", "y^4 - x^4*y"), [("u^3", "u^4", "0")]),
+        ],
+        ids=["double-structure", "extra-line-off-l"],
+    )
+    def test_never_repeating_ladder_stops_at_the_budget(self, gens, branches):
+        start = time.perf_counter()
+        with pytest.raises(ComputationError) as info:
+            epsilon(I(*gens), [branch(*b) for b in branches])
+        assert time.perf_counter() - start < 1
+        message = str(info.value)
+        assert f"EPSILON_LADDER_BUDGET = {EPSILON_LADDER_BUDGET}" in message
+        assert "a component other than the branches" in message
+        assert "not reduced along a branch" in message
+        assert "\n" not in message
+
+    def test_budget_bounds_the_ladder(self, monkeypatch):
+        # the cusp (u^3, u^11) with epsilon = 10: D(4) != D(8) = D(16)
+        ideal = I("y*z", "z^3", "y^3 - x^11", "x^7*z", "x^3*z^2")
+        cusp = [branch("u^3", "u^11", "0")]
+        monkeypatch.setattr(localdim, "EPSILON_LADDER_BUDGET", 8)
+        with pytest.raises(ComputationError, match="N = 1, 2, 4, ..., 8;.* epsilon is above 4"):
+            epsilon(ideal, cusp)
+        monkeypatch.setattr(localdim, "EPSILON_LADDER_BUDGET", 16)
+        assert epsilon(ideal, cusp) == 10
+
+    def test_form_vanishing_on_no_branch(self):
+        # five lines on the axes and x = -y: each coordinate vanishes on one of
+        # them, so l = x + 2y + 3z + 4w + 5v; a sixth line in the direction
+        # (2, -1, 0, 0, 0), on which l vanishes, is seen by vdim(I + <l>)
+        _, branches, _, primes, _ = corpus_fibers()[-1]
+        R5 = primes[0].ring
+        sixth = Ideal([parse_poly(g, R5) for g in ("x + 2*y", "z", "w", "v")], R5)
+        ideal = reduce(ideal_intersect, primes + [sixth])
+        with pytest.raises(HypothesisError, match=(
+                r"vdim\(I \+ <x \+ 2\*y \+ 3\*z \+ 4\*w \+ 5\*v>\) is infinite")):
+            epsilon(ideal, branches)
+
+    @pytest.mark.parametrize("case", ["five-lines", "three-axes"])
+    def test_lengths_in_the_coordinates_of_the_form(self, monkeypatch, case):
+        # l involves every variable and is made one by a change of coordinates:
+        # each rung is vdim(I + <l^N>) with l^N expanded
+        if case == "five-lines":
+            _, branches, ideal, primes, embedded = corpus_fibers()[-1]
+            l = parse_poly("x + 2*y + 3*z + 4*w + 5*v", ideal.ring)
+        else:
+            branches = [branch("u", "0", "0"), branch("0", "u", "0"), branch("0", "0", "u")]
+            primes = [I("y", "z"), I("x", "z"), I("x", "y")]
+            embedded = I("x^2", "y^2", "z^2")
+            ideal = ideal_intersect(I("x*y", "x*z", "y*z"), embedded)
+            l = parse_poly("x + 2*y + 3*z", XYZ)
+        rungs = []
+        real = localdim.vdim
+        monkeypatch.setattr(localdim, "vdim", lambda J: rungs.append((J, real(J))) or rungs[-1][1])
+        eps = epsilon(ideal, branches)
+        monkeypatch.undo()
+        D = PrimaryDecomposition.verified(ideal, primes, embedded)
+        assert eps == epsilon_from_decomposition(ideal, D)
+        assert len(rungs) >= 2
+        for J, value in rungs:
+            N = J.gens[-1].total_degree()
+            assert vdim(Ideal(list(ideal.gens) + [l ** N], ideal.ring)) == value
 
 
 # The lowering pullback: lengths of J + <t^n> are 3, 6, 9, 12, 15, 18, 20, 22, ...

@@ -6,9 +6,12 @@ The polynomials are small (degree at most 4, at most three terms), and a
 manifest holds at most two entries. Most fields are well formed and a few are
 not, so that draws get past the parser. In the ring (x, y, z) the curves and
 families of the corpus are drawn too, with and without their ideals, so that
-some draws reach a verdict. The draw includes fields that no entry accepts
-(`options`, `reduced`) and declared families whose classes put no component
-through the section."""
+some draws reach a verdict; their ideals, with extra generators that vanish
+on the branches, and two ideals that are not the curve's reduced structure
+plus an embedded point (an extra component, a double structure) run the
+epsilon ladder. The draw includes fields that no entry accepts (`options`,
+`reduced`, and `decomposition`, whose draws must exit 2) and declared
+families whose classes put no component through the section."""
 
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 
 from equicurve import corpus
 from equicurve.cli import EXIT_COMPUTE, EXIT_HYPOTHESIS, EXIT_OK, EXIT_PARSE, main
+from oracles import CORPUS_DECOMPOSITIONS
 
 XYZ = ["x", "y", "z"]
 
@@ -71,32 +75,59 @@ def branch_lists(ring):
     return st.lists(branch, min_size=1, max_size=2)
 
 
-def ideal_fields(ring):
-    decomposition = st.fixed_dictionaries(
+def decompositions(ring):
+    """A primary decomposition, which no entry accepts any more."""
+    return st.fixed_dictionaries(
         {"primes": st.lists(gens(ring), min_size=1, max_size=2)},
         optional={"embedded": gens(ring)},
     )
-    return st.fixed_dictionaries({}, optional={"ideal": gens(ring),
-                                               "decomposition": decomposition})
 
 
-def _variants(fiber):
-    """fiber, fiber without its decomposition, and fiber with branches only."""
-    bare = {k: v for k, v in fiber.items() if k != "decomposition"}
-    return [fiber, bare, {"branches": fiber["branches"]}]
+def ideal_fields(ring):
+    """Now and then an ideal; one draw in ten carries a decomposition too."""
+    return st.tuples(
+        st.fixed_dictionaries({}, optional={"ideal": gens(ring)}),
+        mostly(st.just({}), decompositions(ring).map(lambda d: {"decomposition": d})),
+    ).map(lambda p: {**p[0], **p[1]})
 
 
 # The corpus in the ring (x, y, z): each curve, and each family's special fiber
-# with the branches of its components at t = 0 (the third coordinate is t*u^k).
+# with the branches of its components at t = 0 (the third coordinate is t*u^k),
+# with the generators of their minimal primes.
 CORPUS_FAMILIES = [e for e in corpus.MANIFEST_3VARS["entries"] if e["kind"] == "family"]
 CORPUS_FIBERS = [
-    fiber
+    ({k: e[k] for k in ("branches", "ideal")} if e["kind"] == "curve"
+     else {"branches": [[*e["components"][0][:2], "0"]], **e["special_fiber"]},
+     [g for P in CORPUS_DECOMPOSITIONS[e["name"]]["primes"] for g in P])
     for e in corpus.MANIFEST_3VARS["entries"]
-    for fiber in _variants(
-        {k: e[k] for k in ("branches", "ideal", "decomposition")} if e["kind"] == "curve"
-        else {"branches": [[*e["components"][0][:2], "0"]], **e["special_fiber"]}
-    )
 ]
+# The cusp (u^3, u^4, 0) beside the z-axis (exit 4), and with a double
+# structure along it (exit 3 at the ladder's budget).
+NON_REDUCED_FIBERS = [
+    {"branches": [["u^3", "u^4", "0"]], "ideal": ["x*z", "y*z", "y^3-x^4"]},
+    {"branches": [["u^3", "u^4", "0"]], "ideal": ["z^2", "y^3-x^4"]},
+]
+
+
+def corpus_fibers():
+    """A corpus fiber: with branches only, with its ideal, with its ideal and
+    up to two multiples of a generator of its prime (which vanish on its
+    branch, so the ladder runs), or with its decomposition (exit 2)."""
+    def variants(pair):
+        fiber, prime = pair
+        bare = {"branches": fiber["branches"]}
+        extra = st.lists(
+            st.tuples(st.sampled_from(prime), polynomials(XYZ)).map(lambda p: f"({p[0]})*({p[1]})"),
+            min_size=1, max_size=2,
+        )
+        return st.one_of(
+            st.just(bare),
+            st.just(fiber),
+            extra.map(lambda gs: {**fiber, "ideal": fiber["ideal"] + gs}),
+            decompositions(XYZ).map(lambda d: {**fiber, "decomposition": d}),
+        )
+
+    return st.sampled_from(CORPUS_FIBERS).flatmap(variants)
 
 
 def fibers(ring):
@@ -105,7 +136,7 @@ def fibers(ring):
         lambda p: {"branches": p[0], **p[1]}
     )
     if ring == XYZ:
-        return st.one_of(drawn, st.sampled_from(CORPUS_FIBERS))
+        return st.one_of(drawn, corpus_fibers(), st.sampled_from(NON_REDUCED_FIBERS))
     return drawn
 
 
@@ -147,6 +178,8 @@ def parametrized_entries(ring):
             lambda e: st.sampled_from([
                 {"components": e["components"], "special_fiber": e["special_fiber"]},
                 {"components": e["components"]},
+                *[{"components": [["u^3", "u^4", "t*u"]],
+                   "special_fiber": {"ideal": f["ideal"]}} for f in NON_REDUCED_FIBERS],
             ])
         )
         drawn = st.one_of(drawn, corpus_entry)
@@ -191,6 +224,10 @@ def test_every_manifest_ends_in_an_exit_code(manifest_path, data, fmt):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["analyze", str(manifest_path), "--format", fmt])
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_COMPUTE, EXIT_HYPOTHESIS)
+    # entries run in order, and a decomposition is refused when its entry is read
+    first = data["entries"][0] if data["entries"] else {}
+    if "decomposition" in first or "decomposition" in first.get("special_fiber", {}):
+        assert code == EXIT_PARSE
     if code == EXIT_OK:
         assert err.getvalue() == ""
         if fmt == "json":
