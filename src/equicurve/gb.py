@@ -1,46 +1,39 @@
 """Groebner bases (global orders), standard bases (local orders, by Lazard's
-homogenization), and the ideal operations the invariant layer needs: sum,
-intersection and membership.
+homogenization), and ideal sum, intersection and membership.
 
 ``std_basis`` is Buchberger's algorithm with the normal selection strategy: the
 pending pair of least lcm degree is reduced next, ties broken by the monomial
-order on the lcm and then by the pair's indices. Pairs wait in a heap keyed that
-way, and the leading monomial of every basis element is computed once and kept
-next to it. When an element joins the basis the pair set is updated as Gebauer
-and Moeller ("On an installation of Buchberger's algorithm", JSC 1988) do: a new
-pair is dropped when another new pair's lcm properly divides its lcm, or when
-its leading monomials are coprime (product criterion), and of the new pairs
-that share an lcm at most one is kept; an old pair is dropped when the new
-leading monomial divides its lcm without giving either of its halves that same
-lcm (chain criterion).
-
-The criteria only skip pairs whose S-polynomial has a standard representation
-by the final basis, so the result is a Groebner basis of the same ideal. The
-output, which is minimalized, tail-reduced, monic and sorted, is the reduced
-Groebner basis: unique, hence the same whatever pairs were reduced on the way.
+order on the lcm and then by the pair's indices. The pairs are updated as
+Gebauer and Moeller ("On an installation of Buchberger's algorithm", JSC 1988)
+do: a new pair is dropped when another new pair's lcm properly divides its lcm,
+or when its leading monomials are coprime, and of the new pairs that share an
+lcm at most one is kept; an old pair is dropped when the new leading monomial
+divides its lcm without giving either of its halves that same lcm. These
+criteria only skip pairs whose S-polynomial has a standard representation by
+the final basis. The output, minimalized, tail-reduced, monic and sorted, is
+the reduced Groebner basis: unique, whatever pairs were reduced on the way.
 
 *Local orders* (Lazard, EUROCAL 1983; Greuel-Pfister, A Singular Introduction
 to Commutative Algebra, 1.7). Each generator f of degree d becomes h^d * f(x/h)
 in a fresh first variable h, and the core computes the reduced Groebner basis
-of these under ``Elimination(1)``. Every polynomial it meets is homogeneous, and
-within one degree ``Elimination(1)`` ranks h^a * x^m by a, i.e. by least deg m,
-then by revlex on m: the local order on x^m. So h = 1 maps each lead to the
-local lead of the image, and the images, minimalized by their leads, are a
-standard basis of the ideal in the local ring: for f in I, some h^k * f^h lies
-in the homogenized ideal, with the local lead of f times a power of h as its
-lead. Their tails are those of the dehomogenized basis. Consumers read only the
-leads (``vdim``) or membership in the localized ideal (``contains``), which
-the leading ideal decides (Greuel-Pfister 1.6).
+of these under the order that ranks h^a * x^m by degree, then by the local
+order on x^m: a global order, as the degree comes first. Every polynomial it
+meets is homogeneous, so for any local order h = 1 maps each lead to the local
+lead of the image, and the images, minimalized by their leads, are a standard
+basis of the ideal in the local ring: for f in I, some h^k * f^h lies in the
+homogenized ideal, with the local lead of f times a power of h as its lead.
+The leads decide membership in the localized ideal (Greuel-Pfister 1.6).
 
-*Packed monomials.* Inside the core a monomial x^e in n variables is one int,
-p = sum_i e_i << (w*i), with w = ``_FIELD_BITS`` bits per variable whose top bit,
-the guard bit, stays clear (Monagan and Pearce, "Sparse polynomial division using
-a heap", JSC 2011). With G the guard bits, x^a * x^b is a + b, and x^a divides
-x^b iff ((b | G) - a) & G == G: a field of b | G minus that of a keeps its guard
-bit iff b_i >= a_i, and never borrows from the next field. The lcm takes each
-field from a where that subtraction of b keeps the guard bit, and from b
-elsewhere; x^a and x^b are coprime iff their lcm is a + b. Terms are keyed by
-the order key of the monomial, the linear form
+*Packed monomials.* In the core a monomial x^e in n variables is one int,
+p = sum_i e_i << (w*i), with w = ``_FIELD_BITS`` bits per variable whose top
+bit, the guard bit, stays clear (Monagan and Pearce, "Sparse polynomial
+division using a heap", JSC 2011). With G the guard bits, x^a * x^b is a + b,
+and x^a divides x^b iff ((b | G) - a) & G == G: a field of b | G minus that of
+a keeps its guard bit iff b_i >= a_i, and never borrows from the next field.
+The lcm takes each field from a where that subtraction of b keeps the guard
+bit, and from b elsewhere; x^a and x^b are coprime iff their lcm is a + b.
+Terms are keyed by a linear form in the exponents, so the key of a product is
+the sum of the keys. Under a global order it is
 
     key = (d1 << A) - (p1 << B) + (d2 << C) - p2,
 
@@ -49,28 +42,33 @@ d1 and packed exponents p1, the rest d2 and p2; C is the width of p2, B = C + D
 with D bits that hold d2, and A = B + k*w. A block part (d << W) - p ranks by
 degree and then, as p compares its fields from the last variable down, by the
 reverse lexicographic tie-break, and the lower part spans less than one unit of
-the upper. So keys compare as ``MonomialOrder.key`` does, the key of a product
-is the sum of the keys, and the leading term of a term dict h is at max(h). p2
-is -key mod 2^C, and p1 is read the same way from (key + p2) >> B.
+the upper. p2 is -key mod 2^C, and p1 is read the same way from (key + p2) >> B.
+In Lazard's route (``_LocalPacking``, h in the first field) it is
 
-*Pair bookkeeping.* A pair waits under the degree and the order key of its
-packed lcm l, both read off l without unpacking it. The degree is the sum of
-the fields: with E the mask of the even fields, (l & E) + ((l >> w) & E) holds
-the sum of fields 2j and 2j + 1, below 2^w, in the 2w-bit slot j, and one
-multiplication by the sum of 1 << 2wj adds all slots into the top one; no
-partial sum reaches 2^(2w), so no slot carries into the next. The key is then
-the form above with p1 = l mod 2^(kw), p2 = l >> kw and d2 = d - d1, which is
-(d << C) - l under degrevlex. A proper divisor x^a of x^b is a smaller int, as
-b - a packs a nonzero monomial. So the new lcms are visited in increasing
-order and tested only against those before them for a proper divisor, and the
-minimalization of the basis visits the leads the same way.
+    key = (d << A) - (b << B) + (a << C) - p,
+
+with d the degree, a the power of h, p the packed fields of x, of width C, and
+B = C + w; b = 0 and A = B, or under ``LastFirst`` b is the last field, p packs
+the others and A = B + w. It ranks by degree, then by the least b, the
+greatest a (the least degree in x) and revlex on p: the local order on x. p is
+-key mod 2^C; with r = (key + p) >> C, a is r mod 2^w and b is -(r >> w) mod
+2^w. Keys compare as the orders do, and a term dict h leads at max(h).
+
+*Pair bookkeeping.* A pair waits under the degree and the key of its packed lcm
+l, both read off l without unpacking it. The degree is the sum of the fields:
+with E the mask of the even fields, (l & E) + ((l >> w) & E) holds the sum of
+fields 2j and 2j + 1, below 2^w, in the 2w-bit slot j, and one multiplication
+by the sum of 1 << 2wj adds all slots into the top one; no partial sum reaches
+2^(2w), so no slot carries into the next. The parts of the key are masked off
+l, and under degrevlex the key is (d << C) - l. A proper divisor x^a of x^b is
+a smaller int, as b - a packs a nonzero monomial, so the new lcms, and the
+leads when the basis is minimalized, are visited in increasing order and
+tested only against those before them.
 
 No exponent overflows silently: input exponents are checked when packed, the
-lcm of guard-free monomials is guard-free, and before a multiple x^q * g is
-formed, q plus the fieldwise maximum of g's exponents is checked. So every
-exponent met is below 2^(w-1) and every degree fits its width; an exponent that
-would reach a guard bit, the power of h included, is a ComputationError that
-names the width.
+lcm of guard-free monomials is guard-free, and q plus the fieldwise maximum of
+g is checked before x^q * g is formed. An exponent that would reach a guard
+bit, the power of h included, is a ComputationError that names the width.
 
 *Fraction-free coefficients.* Polynomials in the core have integer
 coefficients, and basis elements are primitive with a positive leading
@@ -78,21 +76,13 @@ coefficient. With a and b the leading coefficients of f and g divided by their
 gcd, the S-polynomial is b*x^(l-lf)*f - a*x^(l-lg)*g. A reduction step cancels
 the term c*x^m of h by g with leading coefficient a as
 h <- (a/d)*h - (c/d)*x^(m-lg)*g, d = gcd(a, c), and then divides out the
-content (Bareiss, Math. Comp. 1968). A basis element becomes monic
-``Fraction``s only on output.
-
-*Unchanged output.* Each of these steps is the one taken in rational arithmetic
-with monic basis elements, times a nonzero rational. So every polynomial met is
-a nonzero multiple of the one met in ``Fraction`` arithmetic, with the same terms.
-Every choice the algorithm makes reads terms only: the leading term, the first
-reducer whose lead divides it and the pair order. So the same steps are taken,
-and each monic output element is the same polynomial term for term. The tests
-keep the rational version as the oracle. ``normal_form`` keeps the factor
-between its integer remainder and the rational one and divides it out.
-
-Intersections are always computed in the polynomial ring with a global
-elimination order; local-order computations consume the results, which is
-valid here because localization is flat and all inputs are polynomial.
+content (Bareiss, Math. Comp. 1968). Each step is the one taken in rational
+arithmetic with monic basis elements, times a nonzero rational, and every
+choice reads terms only: the leading term, the first reducer whose lead
+divides it and the pair order. So the same steps are taken, and each output
+element, made monic in ``Fraction``s, is the rational one (the tests' oracle)
+term for term. ``normal_form`` divides out the factor between its integer
+remainder and the rational one.
 """
 
 from __future__ import annotations
@@ -105,7 +95,7 @@ from math import gcd, lcm
 from operator import le, mul
 
 from .errors import ComputationError, InternalCheckError, RingMismatchError
-from .poly import Elimination, Ideal, MonomialOrder, Polynomial, VarSet
+from .poly import Elimination, Ideal, LastFirst, MonomialOrder, Polynomial, VarSet
 
 _REDUCTION_CAP = 200_000
 
@@ -122,17 +112,14 @@ def _from_terms(ring: VarSet, terms: dict) -> Polynomial:
 
 def _overflow() -> ComputationError:
     w = _FIELD_BITS
-    return ComputationError(
-        f"an exponent reached 2^{w - 1}, the guard bit of the {w}-bit exponent "
-        f"field of a packed monomial (_FIELD_BITS = {w})"
-    )
+    return ComputationError(f"an exponent reached 2^{w - 1}, the guard bit of the {w}-bit exponent "
+                            f"field of a packed monomial (_FIELD_BITS = {w})")
 
 
 class _Packing:
-    """Packed monomials and order keys for one ring size and global order (see
-    the module docstring). A reducer is the tuple (packed lead, lead key,
-    leading coefficient, terms as (key, coefficient) pairs, fieldwise maximum
-    of the packed monomials)."""
+    """Packed monomials and order keys for one ring size and global order (module
+    docstring). A reducer is the tuple (packed lead, lead key, leading coefficient,
+    terms as (key, coefficient) pairs, fieldwise maximum of the packed monomials)."""
 
     __slots__ = ("width", "guard", "coeffs", "shifts", "split", "low", "high",
                  "A", "B", "C", "even", "ones", "top")
@@ -206,6 +193,33 @@ class _Packing:
         return _from_terms(ring, {self.exps(k)[skip:]: Fraction(h[k], lc) for k in sorted(h, reverse=True)})
 
 
+class _LocalPacking(_Packing):
+    """The packing of Lazard's route under a local order (module docstring)."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, nvars: int, order: MonomialOrder):
+        super().__init__(nvars, order)
+        w, k = self.width, int(isinstance(order, LastFirst))
+        C = self.C = (nvars - 1 - k) * w
+        B = self.B = C + w
+        A = self.A = B + k * w
+        x = tuple((1 << A) - (1 << (w * i)) for i in range(nvars - 1 - k))
+        self.coeffs = ((1 << A) + (1 << C), *x) + ((1 << A) - (1 << B),) * k
+        self.field, self.high, self.low = (1 << w) - 1, (1 << C) - 1, (1 << (k * w)) - 1
+        self.split = (nvars - k) * w  # the shift of b
+
+    def degree_key(self, p: int) -> tuple:
+        d, w = self.degree(p), self.width
+        b, a, x = p >> self.split, p & self.field, (p >> w) & self.high
+        return d, (d << self.A) - (b << self.B) + (a << self.C) - x
+
+    def packed(self, key: int) -> int:
+        x = -key & self.high
+        r = (key + x) >> self.C
+        return (r & self.field) | (x << self.width) | ((-(r >> self.width) & self.low) << self.split)
+
+
 def _primitive(h: dict) -> dict:
     """h divided by its content, with a positive leading coefficient."""
     c = gcd(*h.values())
@@ -255,9 +269,7 @@ def _reduce_global(h: dict, reducers, pk: _Packing):
     """Full division remainder of the term dict h, which it consumes, by the
     reducers, and the factor by which it exceeds the rational remainder."""
     guard, packed = pk.guard, pk.packed
-    rem = {}
-    scale = 1
-    steps = 0
+    rem, scale, steps = {}, 1, 0
     while h:
         steps += 1
         if steps > _REDUCTION_CAP:
@@ -302,12 +314,8 @@ class StandardBasis:
                  "_basis", "_reducers")
 
     def __init__(self, ideal, order, lead_monomials, packing, terms, skip=0):
-        self.ideal = ideal
-        self.order = order
-        self.lead_monomials = tuple(lead_monomials)
-        self._packing = packing
-        self._terms = terms
-        self._skip = skip
+        self.ideal, self.order, self.lead_monomials = ideal, order, tuple(lead_monomials)
+        self._packing, self._terms, self._skip = packing, terms, skip
         self._basis = self._reducers = None
 
     @property
@@ -349,12 +357,11 @@ class StandardBasis:
         if f.ring != self.ideal.ring:
             raise RingMismatchError("polynomial over a different ring than the basis")
         bigger = std_basis(Ideal(self.ideal.gens + (f,), f.ring), self.order)
-        return all(any(map(_divides, self.lead_monomials, repeat(m))) for m in bigger.lead_monomials)
+        return all(any(all(map(le, l, m)) for l in self.lead_monomials) for m in bigger.lead_monomials)
 
 
 def _update_pairs(pairs: list, L: list, pk: _Packing) -> list:
-    """The pair heap after the basis element with packed leading monomial L[-1]
-    joins.
+    """The pair heap after the basis element with packed lead L[-1] joins.
 
     A pair is (deg lcm, key of lcm, i, j, packed lcm). Old pairs go by the chain
     criterion. The new pairs (i, k) are grouped by lcm; a group is dropped when
@@ -394,11 +401,8 @@ def _update_pairs(pairs: list, L: list, pk: _Packing) -> list:
 
 def std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
     """Buchberger's algorithm (module docstring): the reduced Groebner basis
-    under a global order; under a local one, Lazard's standard basis from the
-    homogenized generators, minimalized, monic and sorted. Each call computes
-    its basis afresh; the ``StandardBasis`` builds its output polynomials and
-    its reducers on first read, and is never changed otherwise.
-    """
+    under a global order; under a local one, Lazard's standard basis,
+    minimalized, monic and sorted. Each call computes its basis afresh."""
     if not order.is_global:
         return _local_std_basis(I, order)
     pk = _Packing(len(I.ring), order)
@@ -432,21 +436,10 @@ def _reduced_basis(gens: list, pk: _Packing) -> list:
             L.append(G[-1][0])
             pairs = _update_pairs(pairs, L, pk)
 
-    # Minimalize: drop generators whose lead is divisible by another's, of
-    # equal leads all but the first. A divisor is a smaller int.
-    minimal = []
-    for i in sorted(range(len(L)), key=L.__getitem__):
-        lg = L[i] | guard
-        for j in minimal:
-            if (lg - L[j]) & guard == guard:
-                break
-        else:
-            minimal.append(i)
-    minimal.sort()
-
-    # Tail-reduce each element against the others: the reduced Groebner basis
-    # is unique. The lead, divisible by no other lead, passes to the remainder
-    # first.
+    # Minimalize, then tail-reduce each element against the others: the reduced
+    # Groebner basis is unique. The lead, divisible by no other lead, passes to
+    # the remainder first.
+    minimal = sorted(_minimal(L, guard))
     out = []
     for i in minimal:
         h = dict(G[i][3])
@@ -458,27 +451,30 @@ def _reduced_basis(gens: list, pk: _Packing) -> list:
     return out
 
 
-def _divides(a: tuple, b: tuple) -> bool:
-    return all(map(le, a, b))
+def _minimal(L: list, guard: int) -> list:
+    """The indices of the packed monomials L that no other divides, of equal
+    ones the first, in increasing order of L: a divisor is a smaller int."""
+    out = []
+    for i in sorted(range(len(L)), key=L.__getitem__):
+        lg = L[i] | guard
+        if all((lg - L[j]) & guard != guard for j in out):
+            out.append(i)
+    return out
 
 
 def _local_std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
     """Lazard's standard basis (module docstring): the reduced Groebner basis of
-    the homogenized generators under ``Elimination(1)``, with h = 1, minimalized
-    by the dehomogenized leads and sorted by the local order."""
-    pk = _Packing(len(I.ring) + 1, Elimination(1))
+    the homogenized generators under the packing of the order, with h = 1,
+    minimalized by the dehomogenized leads and sorted by the local order."""
+    pk = _LocalPacking(len(I.ring) + 1, order)
     gens = []
     for g in I.gens:
         d = max(map(sum, g.terms))
         gens.append(pk.integral({(d - sum(m),) + m: c for m, c in g.terms.items()})[0])
     out = _reduced_basis(gens, pk)
     leads = [pk.exps(k)[1:] for k, _ in out]
-    # A divisor of a lead is a larger monomial under a local order.
-    keep = []
-    for i in sorted(range(len(leads)), key=lambda i: order.key(leads[i]), reverse=True):
-        if not any(_divides(leads[j], leads[i]) for j in keep):
-            keep.append(i)
-    keep.reverse()
+    keep = _minimal([pk.packed(k) >> pk.width for k, _ in out], pk.guard >> pk.width)  # h = 1
+    keep.sort(key=lambda i: order.key(leads[i]))
     return StandardBasis(I, order, [leads[i] for i in keep], pk, [out[i][1] for i in keep], skip=1)
 
 
@@ -496,8 +492,9 @@ def _fresh_var(ring: VarSet) -> str:
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I and J intersected via one auxiliary elimination variable w on
-    w*I + (1-w)*J, whose generators w*g and g - w*g are built as term dicts."""
+    """I and J intersected in the polynomial ring, via one auxiliary elimination
+    variable w on w*I + (1-w)*J, whose generators w*g and g - w*g are built as
+    term dicts. Localization is flat, so the local ring sees the same ideal."""
     if I.ring != J.ring:
         raise RingMismatchError("ideal intersection over mixed rings")
     ring = I.ring
@@ -512,7 +509,6 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     monic = B._packing.monic
     result = [monic(h, ring, skip=1) for l, h in zip(B.lead_monomials, B._terms) if not l[0]]
     if not result:
-        # The intersection of nonzero ideals over a domain is nonzero; reaching this
-        # would mean the elimination lost everything.
+        # nonzero ideals of a domain meet in a nonzero ideal: the elimination lost it
         raise InternalCheckError("empty intersection of nonzero ideals")
     return Ideal(result, ring)

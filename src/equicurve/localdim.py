@@ -1,7 +1,7 @@
 """Length counting for local quotient rings, the epsilon invariant of a curve
-from its ideal and its branches (``epsilon``, a ladder of lengths certified by
-Nakayama's lemma), and the Cohen-Macaulay test for the one-dimensional rings
-produced by family pullbacks.
+from its ideal and its branches (``epsilon``, lengths read off one standard
+basis and certified by Nakayama's lemma), and the Cohen-Macaulay test for the
+one-dimensional rings produced by family pullbacks.
 
 For such a ring Q[u, t]_(u,t)/J the whole Cohen-Macaulay witness is read off
 the generators of J, with no standard basis. sqrt(J) = <u> is verified by
@@ -20,19 +20,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import reduce
 
 from .errors import ComputationError, HypothesisError, InternalCheckError
 from .gcd import recursive_form, recursive_gcd
-from .poly import DEGREVLEX, NEGDEGREVLEX, Ideal, Polynomial, _add_terms, _mul_terms, _power_terms
+from .poly import DEGREVLEX, LAST_FIRST, NEGDEGREVLEX, Ideal, Polynomial, _add_terms, _mul_terms, _power_terms
 
-# gb is imported by the functions that build a standard basis, an ideal sum or
-# an intersection, so the Cohen-Macaulay witness of a parametrized family
-# never loads it.
-
-# The largest N of the epsilon ladder, which doubles N from 1 (see ``epsilon``).
-EPSILON_LADDER_BUDGET = 128
+# gb is imported by the functions that build a standard basis, an ideal sum or an
+# intersection, so the Cohen-Macaulay witness of a parametrized family never loads it.
 
 
 class LengthValue(namedtuple("LengthValue", "value")):
@@ -89,11 +84,9 @@ def _count_below(leads, nvars) -> int:
 
 
 def vdim(I: Ideal) -> LengthValue:
-    """Dimension over the rationals of the local quotient ring at the origin.
-
-    Computed as the count of standard monomials of the lead ideal under the local
-    order; infinite when the ideal is not primary to the maximal ideal.
-    """
+    """Dimension over the rationals of the local quotient ring at the origin: the
+    count of monomials outside the leads of a standard basis under the local
+    order; infinite when the ideal is not primary to the maximal ideal."""
     from .gb import std_basis
 
     B = std_basis(I, NEGDEGREVLEX)
@@ -139,17 +132,23 @@ def epsilon(I: Ideal, branches) -> int:
     e(l; A) >= e, with equality iff V(I) has no component but the branches
     and I is reduced along each.
 
-    N runs through 1, 2, 4, ..., and the first N with D(N) = D(2N) gives
-    epsilon = D(N): if e(l; A) = e, the equality gives l^N H = l^N (l^N H),
-    so l^N H = 0 by Nakayama's lemma (Matsumura, Thm 2.2); if e(l; A) > e,
-    then D(2N) - D(N) >= N and no two values are equal. Past
-    EPSILON_LADDER_BUDGET, ComputationError names the causes: e(l; A) > e,
-    or l^N H != 0 with N half the budget, and then the chain H > l H > ... >
-    l^N H is strict by Nakayama, so epsilon > N. The lengths are taken in
-    coordinates where l is the variable x_j, the last one it involves: a
-    linear change of coordinates is an automorphism of O, and l^N becomes a
-    monomial.
+    A linear change of coordinates, an automorphism of O, makes l the last
+    variable x_n: with c_j * x_j the last term of l, each generator g becomes
+    c_j^(deg_j g) * g((l - sum_(k != j) c_k x_k) / c_j), in integers. Under
+    ``LastFirst`` the lead of g has the least l-exponent a of its terms, so
+    the S-pair of g and l^N is l^N times a polynomial (g itself if N <= a),
+    and with l^N added a standard basis of I is one of I + <l^N>
+    (Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.7): its
+    leads give every D(N) by a count (``_staircase_count``). With K = 1 + the
+    largest l-exponent of a lead, a monomial of l-exponent K - 1 or more lies
+    outside the leads iff its part free of l does, so D(N + 1) - D(N) is
+    e(l; A) - e for all N >= K, as l^N H = 0 for a large N. If
+    D(K + 1) = D(K), then l^K H = l^(K + 1) H, so l^K H = 0 by Nakayama's
+    lemma (Matsumura, Thm 2.2), and epsilon = D(K); a rise proves e(l; A) > e
+    (HypothesisError), and a fall would contradict the associativity formula.
     """
+    from .gb import std_basis
+
     ring, r, n = I.ring, len(branches), len(I.ring)
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     powers = (tuple(k**s for k in range(1, n + 1)) for s in itertools.count(1))
@@ -162,29 +161,28 @@ def epsilon(I: Ideal, branches) -> int:
     e = sum(orders)
     shown = Polynomial(ring, {units[k]: c for k, c in enumerate(form) if c}).render()
     j = max(k for k, c in enumerate(form) if c)
-    # x_j = (l - sum_(k != j) c_k x_k) / c_j, with l the new x_j
-    x_j = {units[k]: Fraction(1 if k == j else -c, form[j]) for k, c in enumerate(form) if c}
-    gens = [Polynomial(ring, reduce(_add_terms, (
-        _mul_terms({m[:j] + (0,) + m[j + 1:]: c}, _power_terms(x_j, m[j], n))
-        for m, c in g.terms.items()), {})) for g in I.gens]
-    value, N = None, 1
-    while N <= EPSILON_LADDER_BUDGET:
-        length = vdim(Ideal(gens + [Polynomial.var(ring, ring.names[j], N)], ring))
-        if not length.finite:  # only at N = 1: every rung has the same support
-            raise HypothesisError(
-                f"V(I) has a component other than the branches: vdim(I + <{shown}>) is "
-                f"infinite, and {shown} vanishes on no branch"
-            )
-        previous, value = value, length.value - N * e
-        if value == previous:
-            return value
-        N *= 2
-    raise ComputationError(
-        f"epsilon not certified within EPSILON_LADDER_BUDGET = {EPSILON_LADDER_BUDGET}: "
-        f"vdim(I + <l^N>) - {e}*N, l = {shown}, never repeated for N = 1, 2, 4, ..., "
-        f"{EPSILON_LADDER_BUDGET}; V(I) has a component other than the branches, or I is "
-        f"not reduced along a branch, or epsilon is above {EPSILON_LADDER_BUDGET // 2}"
-    )
+    line = {units[k]: 1 if k == j else -c for k, c in enumerate(form) if c}  # c_j * x_j, l in its place
+    gens = []
+    for g in I.gens:
+        top, den = max(m[j] for m in g.terms), math.lcm(*(c.denominator for c in g.terms.values()))
+        terms = reduce(_add_terms, (_mul_terms(
+            {m[:j] + (0,) + m[j + 1:]: c.numerator * (den // c.denominator) * form[j] ** (top - m[j])},
+            _power_terms(line, m[j], n)) for m, c in g.terms.items()), {})
+        gens.append(Polynomial(ring, {m[:j] + m[j + 1:] + (m[j],): c for m, c in terms.items()}))
+    leads = std_basis(Ideal(gens, ring), LAST_FIRST).lead_monomials
+    K = 1 + max(m[-1] for m in leads)
+    length = [_staircase_count([*leads, (0,) * (n - 1) + (N,)], n) for N in (K, K + 1)]
+    if not length[0].finite:  # at every N alike: the pure powers of the other variables decide
+        raise HypothesisError(f"V(I) has a component other than the branches: vdim(I + <{shown}>) "
+                              f"is infinite, and {shown} vanishes on no branch")
+    step = length[1].value - length[0].value - e  # D(K + 1) - D(K) = e(l; A) - e
+    if step < 0:
+        raise InternalCheckError(f"e({shown}; O/I) = {e + step} is below e = {e}, against associativity")
+    if step > 0:
+        raise HypothesisError(f"V(I) has a component other than the branches, or I is not reduced along "
+                              f"a branch: e({shown}; O/I) = {e + step}, above e = {e}, the sum of the "
+                              f"orders of {shown} on them")
+    return length[0].value - K * e
 
 
 class PrimaryDecomposition:
@@ -259,9 +257,7 @@ def epsilon_from_decomposition(I: Ideal, D: PrimaryDecomposition) -> int:
     from .gb import ideal_sum
 
     q = vdim(D.embedded).expect_finite("embedded-component length")
-    s = vdim(ideal_sum(D.intersection(), D.embedded)).expect_finite(
-        "reduced-plus-embedded length"
-    )
+    s = vdim(ideal_sum(D.intersection(), D.embedded)).expect_finite("reduced-plus-embedded length")
     eps = q - s
     if eps < 0:
         raise InternalCheckError("negative epsilon from a verified decomposition")
@@ -282,11 +278,11 @@ def _verify_radical_is_axis(J: Ideal, axis_var: str) -> int:
     - if one of them has a nonzero constant term, it is a unit and I O = O;
     - otherwise let h be the gcd in Q[u, t] of the generators of I. If
       h(0) = 0, then h is prime to u (u does not divide every generator of
-      I), so
-      V(h) is a curve germ other than u = 0 and contains V(I): the colength is
-      infinite and no power of u lies in J. If h(0) != 0, h is a unit in O and
-      I O is generated by the coprime quotients of the generators by h, which
-      have finitely many common zeros: the colength is finite.
+      I), so V(h) is a curve germ other than u = 0 and contains V(I): the
+      colength is infinite and no power of u lies in J. If h(0) != 0, h is a
+      unit in O and I O is generated by the coprime quotients of the
+      generators by h, which have finitely many common zeros: the colength is
+      finite.
 
     The gcd over Q is also the gcd over the algebraic closure. It is folded in
     integers, up to a rational factor, which leaves h(0) != 0 unchanged.

@@ -120,7 +120,6 @@ def _drl_key(m: Exponents):
 
 class Degrevlex(MonomialOrder):
     kind = "global-degrevlex"
-    is_global = True
 
     def key(self, m):
         return _drl_key(m)
@@ -136,10 +135,18 @@ class NegDegrevlex(MonomialOrder):
         return (-sum(m), tuple(-e for e in reversed(m)))
 
 
+class LastFirst(MonomialOrder):
+    """Local order: the smaller exponent of the last variable wins, then negdegrevlex."""
+
+    kind = "local-last-first"
+    is_global = False
+
+    def key(self, m):
+        return (-m[-1], NEGDEGREVLEX.key(m[:-1]))
+
+
 class Elimination(MonomialOrder):
     """Block order: the first ``block`` variables are eliminated (ranked strictly first)."""
-
-    is_global = True
 
     def __init__(self, block: int):
         if block < 1:
@@ -153,6 +160,7 @@ class Elimination(MonomialOrder):
 
 DEGREVLEX = Degrevlex()
 NEGDEGREVLEX = NegDegrevlex()
+LAST_FIRST = LastFirst()
 
 
 def order_by_name(name: str) -> MonomialOrder:

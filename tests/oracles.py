@@ -3,20 +3,27 @@ invariant of a monomial branch counted as the gaps of its semigroup, the
 expression parser as it was before it carried plain term dicts, the gcds by
 Euclid over Q, the specialization of a family component term by term in
 Fractions, the local length of an m-primary ideal from global bases of its
-truncations, and the primary decompositions of the corpus fibers, whose
-epsilon checks the ladder of ``localdim.epsilon``."""
+truncations, the doubling ladder of local lengths that ``localdim.epsilon``
+read epsilon off before it took every rung from one standard basis, seeded
+curve fibers with their primary decompositions, and the primary
+decompositions of the corpus fibers; the decompositions check both routes of
+epsilon."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 import re
 from fractions import Fraction
 
 from equicurve.curveinv import BranchParam
-from equicurve.errors import ComputationError, ParseError
+from equicurve.errors import ComputationError, HypothesisError, InternalCheckError, ParseError
 from equicurve.gb import Ideal, std_basis
-from equicurve.poly import DEGREVLEX, MAX_EXPONENT, MAX_NESTING, MAX_TERM_PRODUCTS, Polynomial, VarSet
+from equicurve.poly import (
+    DEGREVLEX, MAX_EXPONENT, MAX_NESTING, MAX_TERM_PRODUCTS, Polynomial, VarSet, _add_terms, _mul_terms,
+    _power_terms, parse_poly,
+)
 
 
 def substitute(f: Polynomial, mapping, target=None) -> Polynomial:
@@ -404,6 +411,143 @@ def specialize_by_terms(component, t0) -> BranchParam:
     return BranchParam(comps, label=component.label)
 
 
+# -- the doubling ladder of epsilon ---------------------------------------------
+
+# The largest N of the ladder, which doubles N from 1.
+LADDER_BUDGET = 128
+
+
+def ladder_coordinates(I: Ideal, branches):
+    """(l, e, J): the linear form l that ``localdim.epsilon`` takes, rendered,
+    the sum e of its orders on the branches, and I in coordinates where l is
+    the last variable: x_j, the last variable l involves, is replaced by
+    (l - sum_(k != j) c_k x_k) / c_j in ``Fraction`` arithmetic."""
+    from equicurve.localdim import _order_on
+
+    ring, r, n = I.ring, len(branches), len(I.ring)
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    powers = (tuple(k**s for k in range(1, n + 1)) for s in itertools.count(1))
+    for form in itertools.islice(itertools.chain(units, powers), r * (n - 1) + 1):
+        orders = [_order_on(form, b.jets) for b in branches]
+        if None not in orders:
+            break
+    else:
+        raise InternalCheckError("every candidate form vanishes on some branch")
+    shown = Polynomial(ring, {units[k]: c for k, c in enumerate(form) if c}).render()
+    j = max(k for k, c in enumerate(form) if c)
+    x_j = {units[k]: Fraction(1 if k == j else -c, form[j]) for k, c in enumerate(form) if c}
+    gens = []
+    for g in I.gens:
+        terms = {}
+        for m, c in g.terms.items():
+            _add_terms(terms, _mul_terms({m[:j] + (0,) + m[j + 1:]: c}, _power_terms(x_j, m[j], n)))
+        gens.append(Polynomial(ring, {m[:j] + m[j + 1:] + (m[j],): c for m, c in terms.items()}))
+    return shown, sum(orders), Ideal(gens, ring)
+
+
+def ladder_values(I: Ideal, branches, budget=LADDER_BUDGET):
+    """The rungs (N, D(N)) of the ladder, D(N) = vdim(I + <l^N>) - N*e with
+    ``ladder_coordinates``, for N = 1, 2, 4, ... until two consecutive values
+    are equal (the last two then are) or N passes ``budget``; each rung is a
+    standard basis of its own. HypothesisError if vdim(I + <l>) is infinite."""
+    from equicurve.localdim import vdim
+
+    shown, e, J = ladder_coordinates(I, branches)
+    ring, rungs, N = J.ring, [], 1
+    while N <= budget:
+        length = vdim(Ideal(J.gens + (Polynomial.var(ring, ring.names[-1], N),), ring))
+        if not length.finite:
+            raise HypothesisError(
+                f"V(I) has a component other than the branches: vdim(I + <{shown}>) is "
+                f"infinite, and {shown} vanishes on no branch"
+            )
+        rungs.append((N, length.value - N * e))
+        if len(rungs) > 1 and rungs[-1][1] == rungs[-2][1]:
+            break
+        N *= 2
+    return rungs
+
+
+def ladder_epsilon(I: Ideal, branches, budget=LADDER_BUDGET) -> int:
+    """epsilon by the doubling ladder: the first D(N) = D(2N) (``localdim.epsilon``
+    gives the argument), or ComputationError past ``budget``."""
+    rungs = ladder_values(I, branches, budget)
+    if len(rungs) < 2 or rungs[-1][1] != rungs[-2][1]:
+        raise ComputationError(
+            f"the epsilon ladder did not repeat for N = 1, 2, 4, ..., {rungs[-1][0]} "
+            f"(LADDER_BUDGET = {budget})"
+        )
+    return rungs[-1][1]
+
+
+# -- seeded curve fibers ------------------------------------------------------------
+
+_XYZ = VarSet(("x", "y", "z"))
+_U = VarSet(("u",))
+
+
+def _branch(*comps):
+    return BranchParam([parse_poly(c, _U) for c in comps])
+
+
+def _ideal(*gens):
+    return Ideal([parse_poly(g, _XYZ) for g in gens], _XYZ)
+
+
+def _monomial_branch(rng):
+    """A branch u^a, u^b on two coordinates, 0 on the third, gcd(a, b) = 1,
+    and its prime."""
+    a = rng.randint(2, 4)
+    b = rng.choice([b for b in range(a + 1, 8) if math.gcd(a, b) == 1])
+    i, j, k = rng.sample(range(3), 3)
+    comps = ["0"] * 3
+    comps[i], comps[j] = f"u^{a}", f"u^{b}"
+    x = _XYZ.names
+    return _branch(*comps), _ideal(x[k], f"{x[j]}^{a} - {x[i]}^{b}")
+
+
+def _line_branch(rng):
+    """A line through the origin with a small integer direction, and its prime."""
+    d = [0, 0, 0]
+    while not any(d):
+        d = [rng.randint(-2, 2) for _ in range(3)]
+    x = _XYZ.names
+    minors = [f"{d[j]}*{x[i]} - {d[i]}*{x[j]}" for i in range(3) for j in range(i + 1, 3)]
+    return _branch(*[f"{c}*u" for c in d]), Ideal(
+        [g for g in (parse_poly(m, _XYZ) for m in minors) if not g.is_zero()], _XYZ)
+
+
+def _on(b, P):
+    """Whether every generator of P vanishes on the branch b."""
+    from equicurve.curveinv import _not_vanishing
+
+    return _not_vanishing(P.gens, b.jets) is None
+
+
+def seeded_fiber(seed):
+    """I = P meet Q in (x, y, z): P the ideal of one or two monomial or line
+    branches with distinct images, Q an m-primary ideal; the branches, I, the
+    primes and Q."""
+    from functools import reduce
+
+    from equicurve.gb import ideal_intersect
+
+    rng = random.Random(seed)
+    branches, primes = [], []
+    for _ in range(rng.randint(1, 2)):
+        b, P = rng.choice((_monomial_branch, _line_branch))(rng)
+        while any(_on(b, earlier) for earlier in primes):  # the same image
+            b, P = rng.choice((_monomial_branch, _line_branch))(rng)
+        branches.append(b)
+        primes.append(P)
+    mixed = [0, 0, 0]
+    while not any(mixed):
+        mixed = [rng.randint(0, 2) for _ in range(3)]
+    Q = Ideal([Polynomial.var(_XYZ, v, rng.randint(1, 4)) for v in _XYZ.names]
+              + [Polynomial.monomial(_XYZ, mixed)], _XYZ)
+    return branches, ideal_intersect(reduce(ideal_intersect, primes), Q), primes, Q
+
+
 # -- primary decompositions of the corpus fibers --------------------------------
 
 
@@ -457,7 +601,6 @@ def corpus_fibers():
     being its components at t = 0."""
     from equicurve import corpus
     from equicurve.family import RING_UT, FamilyComponent
-    from equicurve.poly import parse_poly
 
     u = VarSet(("u",))
     out = []

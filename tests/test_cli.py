@@ -578,20 +578,20 @@ class TestEpsilonLadder:
         )
 
     @pytest.mark.parametrize("kind", ["curve", "family"])
-    def test_double_structure_exits_3_at_the_budget(self, tmp_path, capsys, kind):
-        # vdim(I + <x^N>) - 3N = 3N for every N: the values never repeat
+    def test_double_structure_exits_4(self, tmp_path, capsys, kind):
+        # vdim(I + <x^N>) - 3N = 3N for every N: the lengths read off one
+        # standard basis grow, so e(x; O/I) = 6 exceeds e = 3
         path = write_manifest(tmp_path, manifest(cusp_with_ideal(kind, CUSP_IDEALS["double-structure"])))
         start = time.perf_counter()
-        assert main(["analyze", path]) == EXIT_COMPUTE
+        assert main(["analyze", path]) == EXIT_HYPOTHESIS
         assert time.perf_counter() - start < 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(
-            "computation error: epsilon not certified within EPSILON_LADDER_BUDGET = 128"
+        assert captured.err == (
+            "hypothesis failure: V(I) has a component other than the branches, or I is not "
+            "reduced along a branch: e(x; O/I) = 6, above e = 3, the sum of the orders of x "
+            "on them\n"
         )
-        assert captured.err.count("\n") == 1
-        assert "a component other than the branches" in captured.err
-        assert "not reduced along a branch" in captured.err
 
     def test_reduced_ideal_gives_zero(self, tmp_path, capsys):
         # the cusp's own prime: the ladder reads 0 twice and certifies epsilon = 0
@@ -920,7 +920,7 @@ class TestStartup:
 
     @pytest.mark.parametrize("kind", ["curve", "family"])
     def test_an_ideal_loads_localdim_and_gb(self, kind):
-        # epsilon is certified from the ideal by a ladder of standard bases
+        # epsilon is certified from the ideal by one local standard basis
         entry = cusp_with_ideal(kind, CUSP_IDEALS["embedded-point"])
         added = _modules_added_by(
             f"from equicurve.cli import analyze_manifest; analyze_manifest({manifest(entry)!r})"

@@ -25,6 +25,7 @@ from equicurve.errors import ComputationError
 from equicurve.gb import Ideal, std_basis
 from equicurve.poly import (
     DEGREVLEX,
+    LAST_FIRST,
     MAX_EXPONENT,
     NEGDEGREVLEX,
     Elimination,
@@ -37,6 +38,20 @@ from gb_reference import reference_local_member, reference_normal_form, referenc
 
 ORDERS = (DEGREVLEX, NEGDEGREVLEX, Elimination(1), Elimination(2))
 GLOBAL_ORDERS = tuple(o for o in ORDERS if o.is_global)
+# with the order that epsilon reads its lengths under
+PACKED_ORDERS = ORDERS + (LAST_FIRST,)
+LOCAL_ORDERS = tuple(o for o in PACKED_ORDERS if not o.is_global)
+
+
+def packing(nvars, order):
+    """The packing of the core under the order; a local one packs h first."""
+    return gb._Packing(nvars, order) if order.is_global else gb._LocalPacking(nvars, order)
+
+
+def packed_order(order):
+    """The order that packed keys follow: a local order's packing ranks h^a * x^m
+    by degree, then by the local order on x^m."""
+    return order.key if order.is_global else (lambda m: (sum(m), order.key(m[1:])))
 
 
 def popped_pairs(module, mp):
@@ -86,9 +101,9 @@ def _polys(nvars, max_terms):
 
 
 @st.composite
-def cases(draw):
-    """An ideal in 2-5 variables, an order, and probes: sums of multiples of
-    the generators (members) plus an optional stray term."""
+def cases(draw, orders=ORDERS):
+    """An ideal in 2-5 variables, one of the orders, and probes: sums of
+    multiples of the generators (members) plus an optional stray term."""
     nvars = draw(st.integers(2, 5))
     ring = VarSet(tuple(f"x{i}" for i in range(nvars)))
     gens = [Polynomial(ring, t) for t in draw(st.lists(_polys(nvars, 3), min_size=1, max_size=3))]
@@ -101,7 +116,7 @@ def cases(draw):
         if draw(st.booleans()):
             f = f + Polynomial(ring, draw(_polys(nvars, 1)))
         probes.append(f)
-    return Ideal(gens, ring), draw(st.sampled_from(ORDERS)), probes
+    return Ideal(gens, ring), draw(st.sampled_from(orders)), probes
 
 
 @given(cases())
@@ -113,6 +128,20 @@ def test_packed_core_matches_reference(case):
     B, basis, leads = assert_same_basis(J, order)
     for f in probes + list(J.gens):
         assert_same_normal_form(B, basis, leads, order, f)
+
+
+@given(cases(orders=(LAST_FIRST,)))
+@settings(max_examples=60, deadline=timedelta(seconds=5), derandomize=True)
+def test_last_first_core_matches_reference(case):
+    # Mora's leads under the order epsilon reads its lengths under (Mora's
+    # weak normal forms of one basis by the other can take minutes here), and
+    # the membership that NEGDEGREVLEX decides: both see the localized ideal
+    J, order, probes = case
+    B = std_basis(J, order)
+    assert B.lead_monomials == reference_std_basis(J, order)[1]
+    other = std_basis(J, NEGDEGREVLEX)
+    for f in probes + list(J.gens):
+        assert B.contains(f) == other.contains(f)
 
 
 def test_mora_oracle_gives_up_and_membership_does_not_need_it():
@@ -168,21 +197,24 @@ def test_normal_form_divides_out_the_scale(order, gen, f):
 @st.composite
 def monomial_sets(draw):
     """Exponent tuples in 1-5 variables, small or up to the widest exponent
-    a 32-bit field holds, with a global order (only those are packed)."""
-    nvars = draw(st.integers(1, 5))
+    a 32-bit field holds, with an order; under a local one the first of 2-5
+    variables is h of Lazard's route."""
+    order = draw(st.sampled_from(PACKED_ORDERS + (Elimination(5),)))
+    nvars = draw(st.integers(1 if order.is_global else 2, 5))
     exponent = st.one_of(st.integers(0, 3), st.integers(0, 2**31 - 1))
     monos = draw(st.lists(st.tuples(*[exponent] * nvars), min_size=2, max_size=8, unique=True))
-    return nvars, monos, draw(st.sampled_from(GLOBAL_ORDERS + (Elimination(5),)))
+    return nvars, monos, order
 
 
 @given(monomial_sets())
-@settings(max_examples=200, deadline=timedelta(seconds=5), derandomize=True)
+@settings(max_examples=300, deadline=timedelta(seconds=5), derandomize=True)
 def test_packed_keys_follow_the_order(case):
-    # keys sort as MonomialOrder.key does and read back to the exponents;
-    # divisibility and lcm on packed monomials are the tuple ones
+    # keys sort as MonomialOrder.key does (for Lazard's route, by degree and
+    # then the local order) and read back to the exponents; divisibility and
+    # lcm on packed monomials are the tuple ones
     nvars, monos, order = case
-    pk = gb._Packing(nvars, order)
-    assert sorted(monos, key=pk.key) == sorted(monos, key=order.key)
+    pk = packing(nvars, order)
+    assert sorted(monos, key=pk.key) == sorted(monos, key=packed_order(order))
     G = pk.guard
     for a in monos:
         assert pk.exps(pk.key(a)) == a
@@ -195,20 +227,21 @@ def test_packed_keys_follow_the_order(case):
 @st.composite
 def monomials_to_read(draw):
     """Exponent tuples in 1-6 variables up to the widest exponent a 32-bit
-    field holds, under DEGREVLEX or Elimination(k), k up to past the ring."""
-    nvars = draw(st.integers(1, 6))
+    field holds, under DEGREVLEX, Elimination(k), k up to past the ring, or
+    a local order (2-6 variables, h first)."""
+    order = draw(st.sampled_from((DEGREVLEX,) + tuple(Elimination(k) for k in range(1, 8)) + LOCAL_ORDERS))
+    nvars = draw(st.integers(1 if order.is_global else 2, 6))
     exponent = st.one_of(st.integers(0, 3), st.integers(0, 2**31 - 1))
     monos = draw(st.lists(st.tuples(*[exponent] * nvars), min_size=1, max_size=4))
-    order = draw(st.sampled_from((DEGREVLEX,) + tuple(Elimination(k) for k in range(1, 8))))
     return nvars, monos, order
 
 
 @given(monomials_to_read())
-@settings(max_examples=300, deadline=timedelta(seconds=5), derandomize=True)
+@settings(max_examples=400, deadline=timedelta(seconds=5), derandomize=True)
 def test_degree_and_key_read_off_the_packed_monomial(case):
     # what the pair update reads off a packed lcm is what the exponents give
     nvars, monos, order = case
-    pk = gb._Packing(nvars, order)
+    pk = packing(nvars, order)
     lcm = pk.packed(pk.key(monos[0]))
     for e in monos:
         p = pk.packed(pk.key(e))
@@ -235,7 +268,7 @@ def test_max_exponent_rows(order, gens):
 
 
 class TestGuardBits:
-    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
+    @pytest.mark.parametrize("order", PACKED_ORDERS, ids=lambda o: o.kind)
     def test_narrow_field_is_a_computation_error(self, monkeypatch, order):
         # 4-bit fields hold exponents up to 7: both generators pack, but under
         # every order the S-polynomial multiplies x^7 + y^7 by y
@@ -245,7 +278,7 @@ class TestGuardBits:
         with pytest.raises(ComputationError, match="_FIELD_BITS = 4"):
             std_basis(J, order)
 
-    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
+    @pytest.mark.parametrize("order", PACKED_ORDERS, ids=lambda o: o.kind)
     def test_narrow_field_reduction_step(self, monkeypatch, order):
         # one generator, so no S-polynomial: reducing x^7*y^7 by y^7 + x would
         # form x^8 or y^14; under the local order membership cancels the lead
@@ -300,3 +333,15 @@ def test_corpus_bases_match_reference():
         for J, order in cases:
             assert_same_basis(J, order)
     assert len(popped) > 300
+
+
+def test_last_first_leads_match_the_mora_oracle():
+    # the order epsilon reads its lengths under, on the corpus fibers and on
+    # seeded fibers, each with its form made the last variable: the leads of
+    # Lazard's route are Mora's
+    from oracles import corpus_fibers, ladder_coordinates, seeded_fiber
+
+    fibers = [f[1:3] for f in corpus_fibers()] + [seeded_fiber(s)[:2] for s in range(20)]
+    for branches, ideal in fibers:
+        _, _, J = ladder_coordinates(ideal, branches)
+        assert std_basis(J, LAST_FIRST).lead_monomials == reference_std_basis(J, LAST_FIRST)[1]

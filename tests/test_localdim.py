@@ -1,10 +1,9 @@
-"""Local quotient lengths, the epsilon ladder against verified decompositions,
-Hilbert-Samuel multiplicity and the Cohen-Macaulay test."""
+"""Local quotient lengths, epsilon against the doubling ladder and verified
+decompositions, Hilbert-Samuel multiplicity and the Cohen-Macaulay test."""
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import time
 from functools import reduce
@@ -23,7 +22,6 @@ from equicurve.localdim import (
     _staircase_count,
     CMWitness,
     LengthValue,
-    EPSILON_LADDER_BUDGET,
     PrimaryDecomposition,
     epsilon,
     epsilon_from_decomposition,
@@ -31,9 +29,12 @@ from equicurve.localdim import (
     is_cohen_macaulay,
     vdim,
 )
-from equicurve.poly import NEGDEGREVLEX, Polynomial, VarSet, parse_poly
+from equicurve.poly import LAST_FIRST, NEGDEGREVLEX, Polynomial, VarSet, parse_poly
 from gb_reference import ideal_equal, ideal_quotient, mon_divides
-from oracles import corpus_fibers, truncated_vdim
+from oracles import (
+    LADDER_BUDGET, corpus_fibers, ladder_coordinates, ladder_epsilon, ladder_values, seeded_fiber,
+    truncated_vdim,
+)
 
 XYZ = VarSet(("x", "y", "z"))
 UT = VarSet(("u", "t"))
@@ -62,8 +63,10 @@ class TestVdim:
             v.expect_finite("length")
 
     def test_truncation_oracle_on_a_corpus_pass(self, monkeypatch):
-        # every ideal whose local length a corpus pass reads: the rungs
-        # I + <l^N> of the epsilon ladder, 31 in all, two of them asked twice
+        # a corpus pass reads no length through vdim: epsilon counts the
+        # monomials outside one set of leads per fiber. The lengths the
+        # doubling ladder reads on the corpus fibers instead, its rungs
+        # I + <l^N>, 31 in all, two of them asked twice
         seen = {}
         real = localdim.vdim
 
@@ -73,6 +76,9 @@ class TestVdim:
 
         monkeypatch.setattr(localdim, "vdim", spy)
         run_paper_corpus(seed=0)
+        assert not seen
+        for _, branches, ideal, _, _ in corpus_fibers():
+            ladder_epsilon(ideal, branches)
         assert len(seen) == 29
         for Q in seen.values():
             assert vdim(Q).value == truncated_vdim(Q)
@@ -238,57 +244,9 @@ def branch(*comps):
     return BranchParam([parse_poly(c, U) for c in comps])
 
 
-def monomial_branch(rng):
-    """A branch u^a, u^b on two coordinates, 0 on the third, gcd(a, b) = 1,
-    and its prime."""
-    a = rng.randint(2, 4)
-    b = rng.choice([b for b in range(a + 1, 8) if math.gcd(a, b) == 1])
-    i, j, k = rng.sample(range(3), 3)
-    comps = ["0"] * 3
-    comps[i], comps[j] = f"u^{a}", f"u^{b}"
-    x = XYZ.names
-    return branch(*comps), I(x[k], f"{x[j]}^{a} - {x[i]}^{b}")
-
-
-def line_branch(rng):
-    """A line through the origin with a small integer direction, and its prime."""
-    d = [0, 0, 0]
-    while not any(d):
-        d = [rng.randint(-2, 2) for _ in range(3)]
-    x = XYZ.names
-    minors = [f"{d[j]}*{x[i]} - {d[i]}*{x[j]}" for i in range(3) for j in range(i + 1, 3)]
-    return branch(*[f"{c}*u" for c in d]), Ideal(
-        [g for g in (parse_poly(m, XYZ) for m in minors) if not g.is_zero()], XYZ)
-
-
-def _on(b, P):
-    """Whether every generator of P vanishes on the branch b."""
-    from equicurve.curveinv import _not_vanishing
-
-    return _not_vanishing(P.gens, b.jets) is None
-
-
-def seeded_fiber(seed):
-    """I = P meet Q: P the ideal of one or two monomial or line branches with
-    distinct images, Q an m-primary ideal; the branches, I, the primes and Q."""
-    rng = random.Random(seed)
-    branches, primes = [], []
-    for _ in range(rng.randint(1, 2)):
-        b, P = rng.choice((monomial_branch, line_branch))(rng)
-        while any(_on(b, earlier) for earlier in primes):  # the same image
-            b, P = rng.choice((monomial_branch, line_branch))(rng)
-        branches.append(b)
-        primes.append(P)
-    mixed = [0, 0, 0]
-    while not any(mixed):
-        mixed = [rng.randint(0, 2) for _ in range(3)]
-    Q = Ideal([Polynomial.var(XYZ, v, rng.randint(1, 4)) for v in XYZ.names]
-              + [Polynomial.monomial(XYZ, mixed)], XYZ)
-    return branches, ideal_intersect(reduce(ideal_intersect, primes), Q), primes, Q
-
-
 class TestEpsilonLadder:
-    """``localdim.epsilon`` against the decomposition route, its oracle."""
+    """``localdim.epsilon``, read off one standard basis, against the doubling
+    ladder of lengths it replaced and against the decomposition route."""
 
     @pytest.mark.parametrize(
         "fiber, expected",
@@ -299,14 +257,37 @@ class TestEpsilonLadder:
         _, branches, ideal, primes, embedded = fiber
         D = PrimaryDecomposition.verified(ideal, primes, embedded)
         assert epsilon(ideal, branches) == epsilon_from_decomposition(ideal, D) == expected
+        assert ladder_epsilon(ideal, branches) == expected
 
     @pytest.mark.parametrize("seed", range(16))
     def test_ladder_equals_decomposition_on_seeded_ideals(self, seed):
         branches, ideal, primes, Q = seeded_fiber(seed)
         D = PrimaryDecomposition.verified(ideal, primes, Q)
-        # through the production path: delta_red first, then the ladder
+        # through the production path: delta_red first, then epsilon
         inv = invariants(CurvePresentation(branches, ideal=ideal))
         assert inv.epsilon == epsilon_from_decomposition(ideal, D)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_one_basis_equals_the_doubling_ladder(self, seed):
+        branches, ideal, _, _ = seeded_fiber(seed)
+        assert epsilon(ideal, branches) == ladder_epsilon(ideal, branches)
+
+    @pytest.mark.parametrize(
+        "fiber", [f[:3] for f in corpus_fibers()] + [seeded_fiber(s)[:2] for s in range(20)],
+        ids=[f[0] for f in corpus_fibers()] + [f"seed-{s}" for s in range(20)],
+    )
+    def test_staircase_counts_are_the_rungs(self, fiber):
+        # with l the last variable, the leads L of one standard basis under
+        # LastFirst give in(I + <l^N>) = L + <l^N> for every N
+        *_, branches, ideal = fiber
+        _, _, J = ladder_coordinates(ideal, branches)
+        n = len(J.ring)
+        leads = std_basis(J, LAST_FIRST).lead_monomials
+        K = 1 + max(m[-1] for m in leads)
+        for N in range(1, K + 3):
+            power = Polynomial.var(J.ring, J.ring.names[-1], N)
+            expected = vdim(Ideal(J.gens + (power,), J.ring))
+            assert _staircase_count([*leads, (0,) * (n - 1) + (N,)], n) == expected
 
     def test_reduced_ideal_gives_zero(self):
         assert epsilon(I("z", "y^3 - x^4"), [branch("u^3", "u^4", "0")]) == 0
@@ -316,38 +297,57 @@ class TestEpsilonLadder:
         with pytest.raises(HypothesisError, match=r"vdim\(I \+ <x>\) is infinite"):
             epsilon(I("x*z", "y*z", "y^3 - x^4"), [branch("u^3", "u^4", "0")])
 
-    @pytest.mark.parametrize(
-        "gens, branches",
-        [
-            # a double structure along the cusp: vdim(I + <x^N>) - 3N = 3N
-            (("z^2", "y^3 - x^4"), [("u^3", "u^4", "0")]),
-            # the cusp and the x-axis, given the cusp alone: x vanishes on
-            # neither, so vdim(I + <x^N>) is finite and only the ladder sees
-            # the extra component, as vdim(I + <x^N>) - 3N = N
-            (("z", "y^4 - x^4*y"), [("u^3", "u^4", "0")]),
-        ],
-        ids=["double-structure", "extra-line-off-l"],
-    )
-    def test_never_repeating_ladder_stops_at_the_budget(self, gens, branches):
+    NON_REDUCED = [
+        # a double structure along the cusp: vdim(I + <x^N>) - 3N = 3N
+        (("z^2", "y^3 - x^4"), [("u^3", "u^4", "0")], 6),
+        # the cusp and the x-axis, given the cusp alone: x vanishes on
+        # neither, so vdim(I + <x^N>) is finite and only the growth of the
+        # lengths sees the extra component, as vdim(I + <x^N>) - 3N = N
+        (("z", "y^4 - x^4*y"), [("u^3", "u^4", "0")], 4),
+    ]
+
+    @pytest.mark.parametrize("gens, branches, multiplicity", NON_REDUCED,
+                             ids=["double-structure", "extra-line-off-l"])
+    def test_never_repeating_ladder_stops_at_the_budget(self, gens, branches, multiplicity):
+        # the doubling ladder, now the oracle, runs to its budget; its rungs
+        # grow by N * (e(x; O/I) - e), the multiplicity that epsilon names
+        ideal, branches = I(*gens), [branch(*b) for b in branches]
         start = time.perf_counter()
-        with pytest.raises(ComputationError) as info:
+        with pytest.raises(ComputationError, match=f"LADDER_BUDGET = {LADDER_BUDGET}"):
+            ladder_epsilon(ideal, branches)
+        assert time.perf_counter() - start < 1
+        rungs = ladder_values(ideal, branches)
+        assert rungs[-1][0] == LADDER_BUDGET
+        assert all(b - a == N * (multiplicity - 3) for (N, a), (_, b) in zip(rungs, rungs[1:]))
+
+    @pytest.mark.parametrize("gens, branches, multiplicity", NON_REDUCED,
+                             ids=["double-structure", "extra-line-off-l"])
+    def test_non_reduced_structure_names_its_multiplicity(self, gens, branches, multiplicity):
+        start = time.perf_counter()
+        with pytest.raises(HypothesisError) as info:
             epsilon(I(*gens), [branch(*b) for b in branches])
         assert time.perf_counter() - start < 1
-        message = str(info.value)
-        assert f"EPSILON_LADDER_BUDGET = {EPSILON_LADDER_BUDGET}" in message
-        assert "a component other than the branches" in message
-        assert "not reduced along a branch" in message
-        assert "\n" not in message
+        assert str(info.value) == (
+            "V(I) has a component other than the branches, or I is not reduced along a "
+            f"branch: e(x; O/I) = {multiplicity}, above e = 3, the sum of the orders of x on them"
+        )
 
-    def test_budget_bounds_the_ladder(self, monkeypatch):
-        # the cusp (u^3, u^11) with epsilon = 10: D(4) != D(8) = D(16)
+    def test_budget_bounds_the_ladder(self):
+        # the cusp (u^3, u^11) with epsilon = 10: the oracle's D(4) != D(8) =
+        # D(16); one standard basis needs no budget
         ideal = I("y*z", "z^3", "y^3 - x^11", "x^7*z", "x^3*z^2")
         cusp = [branch("u^3", "u^11", "0")]
-        monkeypatch.setattr(localdim, "EPSILON_LADDER_BUDGET", 8)
-        with pytest.raises(ComputationError, match="N = 1, 2, 4, ..., 8;.* epsilon is above 4"):
-            epsilon(ideal, cusp)
-        monkeypatch.setattr(localdim, "EPSILON_LADDER_BUDGET", 16)
-        assert epsilon(ideal, cusp) == 10
+        with pytest.raises(ComputationError, match=r"N = 1, 2, 4, ..., 8 \(LADDER_BUDGET = 8\)"):
+            ladder_epsilon(ideal, cusp, budget=8)
+        assert ladder_epsilon(ideal, cusp, budget=16) == epsilon(ideal, cusp) == 10
+
+    def test_falling_lengths_are_an_internal_error(self, monkeypatch):
+        # e(l; O/I) >= e by the associativity formula: a count that falls
+        # means two routes disagree (here: a branch order reported too large)
+        real = localdim._order_on
+        monkeypatch.setattr(localdim, "_order_on", lambda form, jets: real(form, jets) + 1)
+        with pytest.raises(InternalCheckError, match=r"e\(x; O/I\) = 3 is below e = 4"):
+            epsilon(I("z", "y^3 - x^4"), [branch("u^3", "u^4", "0")])
 
     def test_form_vanishing_on_no_branch(self):
         # five lines on the axes and x = -y: each coordinate vanishes on one of
@@ -363,8 +363,9 @@ class TestEpsilonLadder:
 
     @pytest.mark.parametrize("case", ["five-lines", "three-axes"])
     def test_lengths_in_the_coordinates_of_the_form(self, monkeypatch, case):
-        # l involves every variable and is made one by a change of coordinates:
-        # each rung is vdim(I + <l^N>) with l^N expanded
+        # l involves every variable and is made the last one by an integer
+        # change of coordinates: the count for each N up to K + 2 read off the
+        # one standard basis is vdim(I + <l^N>) with l^N expanded
         if case == "five-lines":
             _, branches, ideal, primes, embedded = corpus_fibers()[-1]
             l = parse_poly("x + 2*y + 3*z + 4*w + 5*v", ideal.ring)
@@ -374,16 +375,20 @@ class TestEpsilonLadder:
             embedded = I("x^2", "y^2", "z^2")
             ideal = ideal_intersect(I("x*y", "x*z", "y*z"), embedded)
             l = parse_poly("x + 2*y + 3*z", XYZ)
-        rungs = []
-        real = localdim.vdim
-        monkeypatch.setattr(localdim, "vdim", lambda J: rungs.append((J, real(J))) or rungs[-1][1])
+        bases = []
+        real = gb.std_basis
+        monkeypatch.setattr(gb, "std_basis", lambda J, order: bases.append(real(J, order)) or bases[-1])
         eps = epsilon(ideal, branches)
         monkeypatch.undo()
         D = PrimaryDecomposition.verified(ideal, primes, embedded)
         assert eps == epsilon_from_decomposition(ideal, D)
-        assert len(rungs) >= 2
-        for J, value in rungs:
-            N = J.gens[-1].total_degree()
+        (B,) = bases
+        assert B.order is LAST_FIRST
+        assert all(isinstance(c, int) or c.denominator == 1 for g in B.ideal.gens for c in g.terms.values())
+        n, leads = len(ideal.ring), B.lead_monomials
+        K = 1 + max(m[-1] for m in leads)
+        for N in range(1, K + 3):
+            value = _staircase_count([*leads, (0,) * (n - 1) + (N,)], n)
             assert vdim(Ideal(list(ideal.gens) + [l ** N], ideal.ring)) == value
 
 

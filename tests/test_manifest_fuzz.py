@@ -8,10 +8,11 @@ not, so that draws get past the parser. In the ring (x, y, z) the curves and
 families of the corpus are drawn too, with and without their ideals, so that
 some draws reach a verdict; their ideals, with extra generators that vanish
 on the branches, and two ideals that are not the curve's reduced structure
-plus an embedded point (an extra component, a double structure) run the
-epsilon ladder. The draw includes fields that no entry accepts (`options`,
-`reduced`, and `decomposition`, whose draws must exit 2) and declared
-families whose classes put no component through the section."""
+plus an embedded point (an extra component, a double structure, each of
+which exits 4 as a curve) run the epsilon certificate. The draw includes
+fields that no entry accepts (`options`, `reduced`, and `decomposition`,
+whose draws must exit 2) and declared families whose classes put no
+component through the section."""
 
 from __future__ import annotations
 
@@ -101,8 +102,9 @@ CORPUS_FIBERS = [
      [g for P in CORPUS_DECOMPOSITIONS[e["name"]]["primes"] for g in P])
     for e in corpus.MANIFEST_3VARS["entries"]
 ]
-# The cusp (u^3, u^4, 0) beside the z-axis (exit 4), and with a double
-# structure along it (exit 3 at the ladder's budget).
+# The cusp (u^3, u^4, 0) beside the z-axis (exit 4: vdim(I + <x>) is
+# infinite), and with a double structure along it (exit 4: e(x; O/I) = 6 is
+# above e = 3).
 NON_REDUCED_FIBERS = [
     {"branches": [["u^3", "u^4", "0"]], "ideal": ["x*z", "y*z", "y^3-x^4"]},
     {"branches": [["u^3", "u^4", "0"]], "ideal": ["z^2", "y^3-x^4"]},
@@ -228,6 +230,10 @@ def test_every_manifest_ends_in_an_exit_code(manifest_path, data, fmt):
     first = data["entries"][0] if data["entries"] else {}
     if "decomposition" in first or "decomposition" in first.get("special_fiber", {}):
         assert code == EXIT_PARSE
+    # a curve with no other field than a non-reduced ideal of the cusp
+    if first.get("kind") == "curve" and {k: v for k, v in first.items()
+                                         if k not in ("name", "kind")} in NON_REDUCED_FIBERS:
+        assert code == EXIT_HYPOTHESIS
     if code == EXIT_OK:
         assert err.getvalue() == ""
         if fmt == "json":
