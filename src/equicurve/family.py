@@ -9,6 +9,10 @@ Each class-A component's pullback ring is tested once by ``is_cohen_macaulay``,
 which reads its witness off the generators and verifies sqrt(J) = <u>. The sum
 of the pullback multiplicities is the exact generic multiplicity, and it is
 checked against the multiplicity of the sampled generic fibers.
+
+A family is a ``Parametrized`` or a ``Declared`` record, and ``classify``
+picks the route by its type. It returns the report's fields of the family
+entry as plain dicts, in report order, so the layout is known here alone.
 """
 
 from __future__ import annotations
@@ -119,39 +123,21 @@ class GenericAssertions(
     __slots__ = ()
 
 
-class FamilyPresentation:
-    """A family given by its components ("parametrized" mode) or by its special
-    fiber, component classes and generic-fiber assertions ("declared" mode)."""
+class Parametrized(
+    namedtuple("Parametrized", "components special_ideal assertions", defaults=(None, None))
+):
+    """A family given by its ``FamilyComponent``s, with the ideal of its special
+    fiber when known and ``GenericAssertions`` its generic fiber must match."""
 
-    __slots__ = ("mode", "components", "special_ideal", "declared_special",
-                 "declared_classes", "generic_assertions")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        mode: str = "parametrized",
-        components: tuple = (),
-        special_ideal: Ideal | None = None,
-        declared_special: CurvePresentation | None = None,
-        declared_classes: tuple | None = None,  # (#class A, #class B)
-        generic_assertions: GenericAssertions | None = None,
-    ):
-        if mode == "parametrized":
-            if not components:
-                raise ComputationError("parametrized family needs at least one component")
-        elif mode == "declared":
-            if declared_special is None or declared_classes is None or generic_assertions is None:
-                raise ComputationError(
-                    "declared family needs special fiber, component classes and "
-                    "generic-fiber assertions"
-                )
-        else:
-            raise ComputationError(f"unknown family mode {mode!r}")
-        self.mode = mode
-        self.components = components
-        self.special_ideal = special_ideal
-        self.declared_special = declared_special
-        self.declared_classes = declared_classes
-        self.generic_assertions = generic_assertions
+
+class Declared(namedtuple("Declared", "special classes assertions")):
+    """A family given by its special fiber (a ``CurvePresentation``), its
+    component classes (#class A, #class B) and the ``GenericAssertions`` of its
+    generic fiber."""
+
+    __slots__ = ()
 
 
 def pullback_ideal(c: FamilyComponent) -> Ideal:
@@ -160,26 +146,20 @@ def pullback_ideal(c: FamilyComponent) -> Ideal:
     return Ideal([p for p in c.param if not p.is_zero()], RING_UT)
 
 
-def connectivity(F: FamilyPresentation) -> int:
-    """Number of connected components of the generic fiber: one for the class-A
-    block (all containing the section) plus one per class-B component. A family
-    with no class-A component has an empty generic germ at the section and is
-    outside scope."""
-    if F.mode == "declared":
-        n_a, n_b = F.declared_classes
-    else:
-        n_b = sum(c.component_class() == "B" for c in F.components)
-        n_a = len(F.components) - n_b
+def connectivity(n_a: int, n_b: int) -> int:
+    """Number of connected components of the generic fiber of a family with n_a
+    class-A and n_b class-B components: one for the class-A block (all
+    containing the section) plus one per class-B component. A family with no
+    class-A component has an empty generic germ at the section and is outside
+    scope."""
     if not n_a:
         raise HypothesisError("no component contains the section: family outside scope")
     return 1 + n_b
 
 
-def specialize_fiber(F: FamilyPresentation, t0) -> CurvePresentation:
+def specialize_fiber(F: Parametrized, t0) -> CurvePresentation:
     """The fiber germ at the section for parameter value t0; only class-A
     components pass through the section when t0 is nonzero."""
-    if F.mode != "parametrized":
-        raise ComputationError("specialization needs a parametrized family")
     t0 = Fraction(t0)
     if t0 == 0:
         return CurvePresentation([c.specialize(0) for c in F.components], ideal=F.special_ideal)
@@ -187,21 +167,6 @@ def specialize_fiber(F: FamilyPresentation, t0) -> CurvePresentation:
     if not comps:
         raise HypothesisError("no component contains the section: empty generic germ")
     return CurvePresentation([c.specialize(t0) for c in comps])
-
-
-# at is "special" or "generic"; inv a CurveInvariants
-FiberInvariants = namedtuple("FiberInvariants", "at inv t_samples_used", defaults=((),))
-
-# cm_by_component holds (label, is_cm, length, multiplicity) tuples and
-# justification (claim, theorem tag, inputs) tuples
-Verdict = namedtuple(
-    "Verdict",
-    "topologically_trivial whitney strong_simultaneous_resolution cm_by_component "
-    "b0_generic_fiber justification",
-)
-
-# special and generic are FiberInvariants; hypotheses and constancy are dicts
-FamilyReport = namedtuple("FamilyReport", "special generic verdict hypotheses constancy")
 
 
 # The generic samples of each seed seen, drawn once: seeding a random.Random
@@ -223,7 +188,7 @@ def _generic_samples(seed: int):
     return samples
 
 
-def _normalized_components(F: FamilyPresentation):
+def _normalized_components(F: Parametrized):
     """Reparametrize class-A components by the gcd of their u-exponents and reject
     families whose special fiber would be generically non-reduced."""
     out = []
@@ -240,19 +205,20 @@ def _normalized_components(F: FamilyPresentation):
     return out
 
 
-def classify(F: FamilyPresentation, seed: int = 0) -> FamilyReport:
-    """Evaluate the three equisingularity verdicts with full justification; a
-    parametrized family's generic samples are drawn from ``seed``."""
-    if F.mode == "declared":
+def classify(F: Parametrized | Declared, seed: int = 0) -> dict:
+    """The three equisingularity verdicts with full justification, as the
+    report's fields of a family entry; a parametrized family's generic samples
+    are drawn from ``seed``."""
+    if isinstance(F, Declared):
         return _classify_declared(F)
     return _classify_parametrized(F, seed)
 
 
 def _classify_parametrized(F, seed):
     comps = _normalized_components(F)
-    norm = FamilyPresentation(components=tuple(c for c, _ in comps),
-                              special_ideal=F.special_ideal, generic_assertions=F.generic_assertions)
-    b0 = connectivity(norm)
+    norm = F._replace(components=tuple(c for c, _ in comps))
+    n_b = sum(cls == "B" for _, cls in comps)
+    b0 = connectivity(len(comps) - n_b, n_b)
 
     # Lemma 5.3 pipeline on each component through the section.
     cm_list = []
@@ -266,7 +232,7 @@ def _classify_parametrized(F, seed):
             raise HypothesisError(
                 f"component {c.label!r} violates the pullback radical condition: {exc}"
             ) from exc
-        cm_list.append((c.label, witness.is_cm, witness.length, witness.multiplicity))
+        cm_list.append({"label": c.label, **witness._asdict()})
         sum_e += witness.multiplicity
 
     # Fiber invariants.
@@ -296,7 +262,7 @@ def _classify_parametrized(F, seed):
             f"generic multiplicity from branch orders ({inv_t.m}) is below the sum "
             f"of the pullback multiplicities ({sum_e})"
         )
-    assertions = F.generic_assertions
+    assertions = F.assertions
     if assertions is not None:
         for field in ("m", "r", "mu", "delta", "epsilon"):
             declared, computed = getattr(assertions, field), getattr(inv_t, field)
@@ -316,13 +282,13 @@ def _classify_parametrized(F, seed):
         # no input gives a decomposition; the row stays so the report keeps its keys
         "minimal primes of supplied decompositions are prime": "not applicable",
     }
-    return _assemble(inv0, inv_t, samples, b0, cm_list, hypotheses, cm_computed=True)
+    return _assemble(inv0, inv_t, samples, b0, cm_list, hypotheses)
 
 
 def _classify_declared(F):
-    b0 = connectivity(F)
-    inv0 = invariants(F.declared_special)
-    a = F.generic_assertions
+    b0 = connectivity(*F.classes)
+    inv0 = invariants(F.special)
+    a = F.assertions
     if a.delta is not None:
         delta_t = a.delta
         if a.mu != 2 * delta_t - a.r + 1:
@@ -364,18 +330,21 @@ def _classify_declared(F):
         # as in _classify_parametrized
         "minimal primes of supplied decompositions are prime": "not applicable",
     }
-    return _assemble(inv0, inv_t, (), b0, [], hypotheses, cm_computed=False)
+    return _assemble(inv0, inv_t, (), b0, None, hypotheses)
 
 
-def _assemble(inv0, inv_t, samples, b0, cm_list, hypotheses, cm_computed):
+def _assemble(inv0, inv_t, samples, b0, cm_list, hypotheses):
+    """The report's fields of a family entry. cm_list holds the Cohen-Macaulay
+    witness of each class-A component, or is None in declared mode, where the
+    pullbacks are unknown."""
     mu_const = inv0.mu == inv_t.mu
     m_const = inv0.m == inv_t.m
     delta_const = inv0.delta == inv_t.delta
     r_const = inv0.r == inv_t.r
 
-    # With cm_computed both sides of each check are computed, and a contradiction
+    # With a cm_list both sides of each check are computed, and a contradiction
     # is an internal error; in declared mode both are declared, and it is bad input.
-    contradiction = InternalCheckError if cm_computed else HypothesisError
+    contradiction = HypothesisError if cm_list is None else InternalCheckError
 
     top_trivial = mu_const and b0 == 1
     route_dr = delta_const and r_const  # Theorem 4.3(2), equidimensionality asserted
@@ -386,8 +355,8 @@ def _assemble(inv0, inv_t, samples, b0, cm_list, hypotheses, cm_computed):
         )
 
     whitney = mu_const and m_const
-    if cm_computed:
-        whitney_cm = top_trivial and all(is_cm for _, is_cm, _, _ in cm_list)
+    if cm_list is not None:
+        whitney_cm = top_trivial and all(w["is_cm"] for w in cm_list)
         if whitney != whitney_cm:
             raise InternalCheckError(
                 f"Whitney routes disagree: (mu, m) constancy gives {whitney}, "
@@ -427,13 +396,14 @@ def _assemble(inv0, inv_t, samples, b0, cm_list, hypotheses, cm_computed):
             f"mu_const={mu_const}, m_const={m_const}",
         ),
     ]
-    if cm_computed:
+    if cm_list is not None:
         justification.append(
             (
                 "Cohen-Macaulay route agrees: "
                 + "; ".join(
-                    f"component {lbl or '#'}: CM={cm} (l={l}, e={e})"
-                    for lbl, cm, l, e in cm_list
+                    f"component {w['label'] or '#'}: CM={w['is_cm']} "
+                    f"(l={w['length']}, e={w['multiplicity']})"
+                    for w in cm_list
                 ),
                 "CM characterization of Whitney equisingularity",
                 f"{len(cm_list)} component(s)",
@@ -466,24 +436,19 @@ def _assemble(inv0, inv_t, samples, b0, cm_list, hypotheses, cm_computed):
             )
         )
 
-    verdict = Verdict(
-        topologically_trivial=top_trivial,
-        whitney=whitney,
-        strong_simultaneous_resolution=ssr,
-        cm_by_component=tuple(cm_list),
-        b0_generic_fiber=b0,
-        justification=tuple(justification),
-    )
-    constancy = {
-        "mu": mu_const,
-        "m": m_const,
-        "delta": delta_const,
-        "r": r_const,
+    return {
+        "special": {"invariants": inv0._asdict()},
+        "generic": {"invariants": inv_t._asdict(), "t_samples": [str(t) for t in samples]},
+        "verdict": {
+            "topologically_trivial": top_trivial,
+            "whitney": whitney,
+            "strong_simultaneous_resolution": ssr,
+            "cm_by_component": cm_list or [],
+            "b0_generic_fiber": b0,
+        },
+        "constancy": {"mu": mu_const, "m": m_const, "delta": delta_const, "r": r_const},
+        "hypotheses": hypotheses,
+        "justification": [
+            {"claim": claim, "rule": rule, "inputs": inputs} for claim, rule, inputs in justification
+        ],
     }
-    return FamilyReport(
-        special=FiberInvariants("special", inv0),
-        generic=FiberInvariants("generic", inv_t, samples),
-        verdict=verdict,
-        hypotheses=hypotheses,
-        constancy=constancy,
-    )

@@ -9,10 +9,11 @@ divisibility by u and one polynomial gcd (``_verify_radical_is_axis``). The
 multiplicity of t is the least u-exponent e over the generators, by the
 associativity formula. The length of J + <t> is the least order in u of the
 generators at t = 0, and the ring is Cohen-Macaulay iff the two are equal
-(``is_cohen_macaulay`` returns both, with the arguments). The Hilbert-Samuel
-ladder ``hs_multiplicity_of_param`` and the verified ``PrimaryDecomposition``
-with ``epsilon_from_decomposition`` are the tests' oracles, on no production
-path.
+(``is_cohen_macaulay`` returns both, with the arguments). The ring is always
+(u, t), and it is checked, not passed. The Hilbert-Samuel multiplicity
+``hs_multiplicity_of_param``, read exactly off one standard basis, and the
+verified ``PrimaryDecomposition`` with ``epsilon_from_decomposition`` are the
+tests' oracles, on no production path.
 """
 
 from __future__ import annotations
@@ -264,16 +265,16 @@ def epsilon_from_decomposition(I: Ideal, D: PrimaryDecomposition) -> int:
     return eps
 
 
-def _verify_radical_is_axis(J: Ideal, axis_var: str) -> int:
-    """Verify sqrt(J) = <axis_var> locally at the origin and return the least
-    axis_var-exponent e over the generators; raises HypothesisError when the
-    radical is another ideal.
+def _verify_radical_is_axis(J: Ideal) -> int:
+    """Verify that J lives in the ring (u, t) and that sqrt(J) = <u> locally at
+    the origin, and return the least u-exponent e over the generators; raises
+    HypothesisError when the radical is another ideal.
 
-    The ring of J has two variables (every caller's is (u, t)), so the local
-    ring O is a two-dimensional regular local ring, a UFD. Write u = axis_var
-    and J = u^e * I, with I generated by the generators divided by u^e and some
-    generator of I not divisible by u. The radical needs e >= 1, and then it is
-    <u> iff I has finite colength in O. That is read off the generators of I:
+    The local ring O of (u, t) at the origin is a two-dimensional regular local
+    ring, a UFD. Write J = u^e * I, with I generated by the generators divided
+    by u^e and some generator of I not divisible by u. The radical needs
+    e >= 1, and then it is <u> iff I has finite colength in O. That is read
+    off the generators of I:
 
     - if one of them has a nonzero constant term, it is a unit and I O = O;
     - otherwise let h be the gcd in Q[u, t] of the generators of I. If
@@ -287,57 +288,42 @@ def _verify_radical_is_axis(J: Ideal, axis_var: str) -> int:
     The gcd over Q is also the gcd over the algebraic closure. It is folded in
     integers, up to a rational factor, which leaves h(0) != 0 unchanged.
     """
-    idx = J.ring.index[axis_var]
-    e = min(m[idx] for g in J.gens for m in g.terms)
+    if J.ring.names != ("u", "t"):
+        raise ComputationError(f"multiplicity of t needs the ring (u, t), got {J.ring!r}")
+    e = min(a for g in J.gens for a, _ in g.terms)
     if e == 0:
-        g = next(g for g in J.gens if any(m[idx] == 0 for m in g.terms))
-        raise HypothesisError(
-            f"radical check failed: generator {g.render()!r} not divisible by {axis_var}"
-        )
-    unit = tuple(e if i == idx else 0 for i in range(len(J.ring)))
-    if any(unit in g.terms for g in J.gens):
+        g = next(g for g in J.gens if any(a == 0 for a, _ in g.terms))
+        raise HypothesisError(f"radical check failed: generator {g.render()!r} not divisible by u")
+    if any((e, 0) in g.terms for g in J.gens):
         return e
     h = []  # the gcd so far, in the integer form of ``recursive_gcd``
     for g in J.gens:
-        cofactor = {m[:idx] + (m[idx] - e,) + m[idx + 1:]: c for m, c in g.terms.items()}
-        h = recursive_gcd(h, recursive_form(cofactor)[1])
+        h = recursive_gcd(h, recursive_form({(a - e, b): c for (a, b), c in g.terms.items()})[1])
         if h[0] and h[0][0]:  # h(0) != 0, and so for every divisor of h
             return e
-    raise HypothesisError(f"radical check failed: no power of {axis_var} lies in the ideal")
+    raise HypothesisError("radical check failed: no power of u lies in the ideal")
 
 
-def hs_multiplicity_of_param(
-    J: Ideal, param: str = "t", axis_var: str = "u", n_max: int = 32
-) -> int:
-    """Hilbert-Samuel multiplicity of the parameter in the quotient by J, via the
-    stabilized first difference of n -> vdim(J + <param^n>).
+def hs_multiplicity_of_param(J: Ideal) -> int:
+    """Hilbert-Samuel multiplicity e(t; O/J) of t, O the local ring of (u, t) at
+    the origin and sqrt(J) = <u> (``_verify_radical_is_axis``): the tests'
+    oracle for ``is_cohen_macaulay(J).multiplicity``, on no production path.
 
-    The tests' oracle for ``is_cohen_macaulay(J).multiplicity``; no production
-    path calls it.
-    It stops at the first three equal differences, which is not a proof of
-    stability: the differences fall to e and stay there once param^(n-1) kills
-    the finite-length part of the ring, and before that they can repeat. Known
-    failure: for J = <u^3 + t^2*u^2, u^7, t^2*u^4> the lengths are 3, 6, ..., 18,
-    20, 22, ..., so the differences read 3 five times before settling at 2, and
-    the ladder returns 3. Compare against a late difference instead.
+    As in ``epsilon``, t is the last variable, so with t^N added a standard
+    basis of J under ``LAST_FIRST`` is one of J + <t^N>, and each rung
+    vdim(J + <t^N>) is a count of the monomials outside its leads, finite as a
+    power of u lies in J. With K = 1 + the largest t-exponent of a lead, a
+    monomial u^a * t^N with N >= K - 1 lies outside the leads iff u^a does, so
+    the rungs rise by one constant from N = K - 1 on. For large N the rise is
+    e(t; O/J), so it is e(t; O/J) from there on.
     """
-    from .gb import ideal_sum
+    from .gb import std_basis
 
-    _verify_radical_is_axis(J, axis_var)
-    ring = J.ring
-    lengths = []
-    diffs = []
-    for n in range(1, n_max + 1):
-        tn = Polynomial.var(ring, param, n)
-        l = vdim(ideal_sum(J, Ideal([tn], ring)))
-        if not l.finite:
-            raise ComputationError("length not finite: parameter power does not cut to dimension zero")
-        lengths.append(l.value)
-        if len(lengths) >= 2:
-            diffs.append(lengths[-1] - lengths[-2])
-        if len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]:
-            return diffs[-1]
-    raise ComputationError(f"multiplicity differences did not stabilize within n = {n_max}")
+    _verify_radical_is_axis(J)
+    leads = std_basis(J, LAST_FIRST).lead_monomials
+    K = 1 + max(m[-1] for m in leads)
+    count = [_staircase_count([*leads, (0, N)], 2).value for N in (K, K + 1)]
+    return count[1] - count[0]
 
 
 class CMWitness(namedtuple("CMWitness", "is_cm length multiplicity")):
@@ -346,13 +332,13 @@ class CMWitness(namedtuple("CMWitness", "is_cm length multiplicity")):
     __slots__ = ()
 
 
-def is_cohen_macaulay(J: Ideal, param: str = "t", axis_var: str = "u") -> CMWitness:
+def is_cohen_macaulay(J: Ideal) -> CMWitness:
     """Whether the quotient by J is Cohen-Macaulay, read off the generators of J:
     it is iff l = e, iff some generator has a nonzero u^e * t^0 term.
 
-    Write u = axis_var, t = param and O = Q[u, t] localized at the origin; the
-    ring of J must be exactly (u, t). sqrt(J) = <u> is verified first
-    (``_verify_radical_is_axis``), so (u) is the only minimal prime of O/J.
+    Write O = Q[u, t] localized at the origin; the ring of J must be exactly
+    (u, t). sqrt(J) = <u> is verified first (``_verify_radical_is_axis``), so
+    (u) is the only minimal prime of O/J.
 
     - The multiplicity e = e(t; O/J) is the least u-exponent over the
       generators of J, by the associativity formula (Matsumura, Commutative
@@ -372,10 +358,6 @@ def is_cohen_macaulay(J: Ideal, param: str = "t", axis_var: str = "u") -> CMWitn
       nonzero u^e * t^0 term, iff l = e. Both readings are the same support
       read, so nothing is cross-checked here.
     """
-    if J.ring.names != (axis_var, param):
-        raise ComputationError(
-            f"multiplicity of {param} needs the ring ({axis_var}, {param}), got {J.ring!r}"
-        )
-    e = _verify_radical_is_axis(J, axis_var)
+    e = _verify_radical_is_axis(J)
     l = min(a for g in J.gens for a, b in g.terms if b == 0)
     return CMWitness(l == e, l, e)

@@ -14,9 +14,10 @@ from equicurve.errors import ComputationError, HypothesisError
 from equicurve.family import (
     RING_U,
     RING_UT,
+    Declared,
     FamilyComponent,
-    FamilyPresentation,
     GenericAssertions,
+    Parametrized,
     _generic_samples,
     classify,
     connectivity,
@@ -46,7 +47,7 @@ def xyz_ideal(*gens):
 
 def cusp_family_a():
     """Deformation (u^3, u^4, t*u) with the embedded point of its special fiber."""
-    return FamilyPresentation(
+    return Parametrized(
         components=(comp("u^3", "u^4", "t*u", label="X"),),
         special_ideal=xyz_ideal("x*z", "y^3 - x^4", "y^2*z", "y*z^2", "z^3"),
     )
@@ -54,7 +55,7 @@ def cusp_family_a():
 
 def cusp_family_b():
     """Deformation (u^3, u^4, t*u^5) with the embedded point of its special fiber."""
-    return FamilyPresentation(
+    return Parametrized(
         components=(comp("u^3", "u^4", "t*u^5", label="X"),),
         special_ideal=xyz_ideal("x*z", "y*z", "z^2", "y^3 - x^4"),
     )
@@ -142,7 +143,7 @@ class TestSpecialization:
         assert C0.ideal is F.special_ideal
         assert invariants(C0).epsilon == 3
         with pytest.raises(TypeError):
-            FamilyPresentation(components=F.components, special_decomposition=F.special_ideal)
+            Parametrized(components=F.components, special_decomposition=F.special_ideal)
         assert [p.render() for p in C0.branches[0].components] == ["u^3", "u^4", "0"]
 
     def test_generic_fiber_substitutes(self):
@@ -150,63 +151,68 @@ class TestSpecialization:
         assert [p.render() for p in C.branches[0].components] == ["u^3", "u^4", "u^5"]
 
     def test_generic_fiber_drops_class_b(self):
-        F = FamilyPresentation(
+        F = Parametrized(
             components=(comp("u^2", "u^3", "0"), comp("u + t", "u", "0")),
         )
         assert len(specialize_fiber(F, 0).branches) == 2
         assert len(specialize_fiber(F, Fraction(1, 2)).branches) == 1
 
     def test_product_family_constant(self):
-        F = FamilyPresentation(components=(comp("u^2", "u^3"),))
+        F = Parametrized(components=(comp("u^2", "u^3"),))
         for t0 in (0, 1, Fraction(-5, 9)):
             C = specialize_fiber(F, t0)
             assert [p.render() for p in C.branches[0].components] == ["u^2", "u^3"]
 
     def test_zero_specialization_rejected(self):
-        F = FamilyPresentation(components=(comp("t*u", "t*u^2"),))
+        F = Parametrized(components=(comp("t*u", "t*u^2"),))
         with pytest.raises(ComputationError):
             specialize_fiber(F, 0)
 
 
+def classes(F):
+    """(#class A, #class B) over the components of F."""
+    n_b = sum(c.component_class() == "B" for c in F.components)
+    return len(F.components) - n_b, n_b
+
+
 class TestConnectivity:
     def test_irreducible(self):
-        assert connectivity(cusp_family_a()) == 1
+        assert connectivity(*classes(cusp_family_a())) == 1
 
     def test_two_class_a_components_stay_connected(self):
-        F = FamilyPresentation(
+        F = Parametrized(
             components=(comp("u^2", "u^3", "t*u^4"), comp("0", "0", "u")),
         )
-        assert connectivity(F) == 1
+        assert connectivity(*classes(F)) == 1
 
     def test_class_b_components_disconnect(self):
-        F = FamilyPresentation(
+        F = Parametrized(
             components=(comp("u^2", "u^3", "0"), comp("u + t", "u", "0")),
         )
-        assert connectivity(F) == 2
+        assert connectivity(*classes(F)) == 2
 
 
 class TestClassify:
     def test_moving_tangent_family(self):
         rep = classify(cusp_family_a())
-        v = rep.verdict
-        assert rep.special.inv.m == 3 and rep.generic.inv.m == 1
-        assert rep.special.inv.mu == 0 and rep.generic.inv.mu == 0
-        assert v.topologically_trivial and not v.whitney
-        assert not v.strong_simultaneous_resolution
-        assert v.cm_by_component == (("X", False, 3, 1),)
+        v, inv0, inv_t = rep["verdict"], rep["special"]["invariants"], rep["generic"]["invariants"]
+        assert inv0["m"] == 3 and inv_t["m"] == 1
+        assert inv0["mu"] == 0 and inv_t["mu"] == 0
+        assert v["topologically_trivial"] and not v["whitney"]
+        assert not v["strong_simultaneous_resolution"]
+        assert v["cm_by_component"] == [{"label": "X", "is_cm": False, "length": 3, "multiplicity": 1}]
 
     def test_high_order_deformation_family(self):
         rep = classify(cusp_family_b())
-        v = rep.verdict
-        assert rep.special.inv.mu == rep.generic.inv.mu == 4
-        assert rep.special.inv.m == rep.generic.inv.m == 3
-        assert v.topologically_trivial and v.whitney and v.strong_simultaneous_resolution
-        assert v.cm_by_component == (("X", True, 3, 3),)
+        v, inv0, inv_t = rep["verdict"], rep["special"]["invariants"], rep["generic"]["invariants"]
+        assert inv0["mu"] == inv_t["mu"] == 4
+        assert inv0["m"] == inv_t["m"] == 3
+        assert v["topologically_trivial"] and v["whitney"] and v["strong_simultaneous_resolution"]
+        assert v["cm_by_component"] == [{"label": "X", "is_cm": True, "length": 3, "multiplicity": 3}]
 
     def test_constant_product_family_all_true(self):
-        rep = classify(FamilyPresentation(components=(comp("u^2", "u^3"),)))
-        v = rep.verdict
-        assert v.topologically_trivial and v.whitney and v.strong_simultaneous_resolution
+        v = classify(Parametrized(components=(comp("u^2", "u^3"),)))["verdict"]
+        assert v["topologically_trivial"] and v["whitney"] and v["strong_simultaneous_resolution"]
 
     def test_declared_mode_five_lines(self):
         R5 = VarSet(("x", "y", "z", "w", "v"))
@@ -232,53 +238,47 @@ class TestClassify:
             ],
             ideal=ideal,
         )
-        F = FamilyPresentation(
-            mode="declared",
-            declared_special=C,
-            declared_classes=(2, 1),
-            generic_assertions=GenericAssertions(mu=4, m=3, r=3),
-        )
-        rep = classify(F)
-        inv0 = rep.special.inv
-        assert (inv0.epsilon, inv0.delta_red, inv0.mu_red, inv0.mu, inv0.m) == (1, 5, 6, 4, 5)
-        assert rep.verdict.b0_generic_fiber == 2
-        assert not rep.verdict.topologically_trivial and not rep.verdict.whitney
+        rep = classify(Declared(C, (2, 1), GenericAssertions(mu=4, m=3, r=3)))
+        inv0, v = rep["special"]["invariants"], rep["verdict"]
+        assert [inv0[k] for k in ("epsilon", "delta_red", "mu_red", "mu", "m")] == [1, 5, 6, 4, 5]
+        assert v["b0_generic_fiber"] == 2 and v["cm_by_component"] == []
+        assert not v["topologically_trivial"] and not v["whitney"]
+        assert rep["generic"]["t_samples"] == []
 
     def test_declared_mode_inconsistent_assertions(self):
-        F = FamilyPresentation(
-            mode="declared",
-            declared_special=CurvePresentation(
+        F = Declared(
+            CurvePresentation(
                 [BranchParam([parse_poly("u^2", VarSet(("u",))),
                               parse_poly("u^3", VarSet(("u",)))])]
             ),
-            declared_classes=(1, 0),
-            generic_assertions=GenericAssertions(mu=2, m=2, r=2),  # mu + r - 1 odd
+            (1, 0),
+            GenericAssertions(mu=2, m=2, r=2),  # mu + r - 1 odd
         )
         with pytest.raises(HypothesisError):
             classify(F)
 
     def test_reparametrized_family(self):
-        rep = classify(FamilyPresentation(components=(comp("u^2", "u^6", "t*u^2"),)))
-        assert rep.special.inv.m == 1 and rep.generic.inv.m == 1
-        assert rep.verdict.whitney
+        rep = classify(Parametrized(components=(comp("u^2", "u^6", "t*u^2"),)))
+        assert rep["special"]["invariants"]["m"] == rep["generic"]["invariants"]["m"] == 1
+        assert rep["verdict"]["whitney"]
 
     def test_rejects_generically_nonreduced_special_fiber(self):
         with pytest.raises(HypothesisError):
-            classify(FamilyPresentation(components=(comp("u^2", "u^4", "t*u"),)))
+            classify(Parametrized(components=(comp("u^2", "u^4", "t*u"),)))
 
     def test_radical_check_rejects_section_not_contracted(self):
         # J = <u*(u - t)>: the component's pullback also vanishes on u = t
-        F = FamilyPresentation(components=(comp("u^2 - t*u", "u^3 - t*u^2", label="0"),))
+        F = Parametrized(components=(comp("u^2 - t*u", "u^3 - t*u^2", label="0"),))
         with pytest.raises(HypothesisError, match="component '0' violates the pullback radical"):
             classify(F)
 
     def test_rejects_family_missing_section(self):
         with pytest.raises(HypothesisError):
-            classify(FamilyPresentation(components=(comp("u + t", "u"),)))
+            classify(Parametrized(components=(comp("u + t", "u"),)))
 
     def test_sample_sensitive_family_fails_loudly(self):
         # the branch collapses at t = 1, one of the deterministic sample points
-        F = FamilyPresentation(components=(comp("u^2", "u^3 - t*u^3"),))
+        F = Parametrized(components=(comp("u^2", "u^3 - t*u^3"),))
         with pytest.raises(ComputationError):
             classify(F)
 
@@ -286,20 +286,22 @@ class TestClassify:
         # the cofactors of J by u generate the maximal ideal, whose local
         # standard basis Mora's weak normal form did not finish in minutes;
         # the witness is read off the generators, with no standard basis
-        F = FamilyPresentation(components=(comp(
+        F = Parametrized(components=(comp(
             "-u^2*t^3 - u^5 + 2*u^6*t^2", "2*u^2*t^2 - 3*u^4*t^3 + u*t",
             "2*u^3*t^3 - u^2 - 3*u^7", label="0"),))
         start = time.perf_counter()
         rep = classify(F)
         assert time.perf_counter() - start < 5
-        assert rep.verdict.cm_by_component == (("0", False, 2, 1),)
-        assert not rep.verdict.whitney
+        assert rep["verdict"]["cm_by_component"] == [
+            {"label": "0", "is_cm": False, "length": 2, "multiplicity": 1}
+        ]
+        assert not rep["verdict"]["whitney"]
 
     def test_seed_independence_of_invariants(self):
         a = classify(cusp_family_b(), seed=0)
         b = classify(cusp_family_b(), seed=7)
-        assert a.generic.inv == b.generic.inv
-        assert a.generic.t_samples_used != b.generic.t_samples_used
+        assert a["generic"]["invariants"] == b["generic"]["invariants"]
+        assert a["generic"]["t_samples"] != b["generic"]["t_samples"]
 
     def test_generic_samples_are_drawn_once_per_seed(self):
         def fresh_draw(seed):
@@ -322,28 +324,26 @@ class TestClassify:
         line = comp("0", "0", "u", label="b")
         for first, expected in ((a_true, True), (a_false, False)):
             parts = [
-                classify(FamilyPresentation(components=(c,))).verdict.whitney
+                classify(Parametrized(components=(c,)))["verdict"]["whitney"]
                 for c in (first, line)
             ]
-            combined = classify(
-                FamilyPresentation(components=(first, line))
-            ).verdict.whitney
+            combined = classify(Parametrized(components=(first, line)))["verdict"]["whitney"]
             assert combined == all(parts) == expected
 
     def test_whitney_implies_topologically_trivial(self):
         for F in (
             cusp_family_a(),
             cusp_family_b(),
-            FamilyPresentation(components=(comp("u^2", "u^3"),)),
-            FamilyPresentation(components=(comp("u^2", "u^3", "t*u^4"),)),
+            Parametrized(components=(comp("u^2", "u^3"),)),
+            Parametrized(components=(comp("u^2", "u^3", "t*u^4"),)),
         ):
-            v = classify(F).verdict
-            if v.whitney:
-                assert v.topologically_trivial
-            assert v.strong_simultaneous_resolution == v.whitney
+            v = classify(F)["verdict"]
+            if v["whitney"]:
+                assert v["topologically_trivial"]
+            assert v["strong_simultaneous_resolution"] == v["whitney"]
 
     def test_hypothesis_checklist_present(self):
         rep = classify(cusp_family_a())
-        assert rep.hypotheses["sqrt(pullback) = <u> on every class-A component"] == "verified"
-        assert rep.hypotheses["flat family over a disc"] == "asserted"
-        assert rep.constancy == {"mu": True, "m": False, "delta": True, "r": True}
+        assert rep["hypotheses"]["sqrt(pullback) = <u> on every class-A component"] == "verified"
+        assert rep["hypotheses"]["flat family over a disc"] == "asserted"
+        assert rep["constancy"] == {"mu": True, "m": False, "delta": True, "r": True}

@@ -1,5 +1,6 @@
 """Behaviour of the result records and presentations: construction checks,
-equality, immutability and the reprs that error lines print."""
+equality, immutability, the layout of a family's report fields and the reprs
+that error lines print."""
 
 from __future__ import annotations
 
@@ -8,17 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from equicurve.cli import EXIT_COMPUTE, main
+from equicurve.cli import EXIT_COMPUTE, analyze_manifest, main
 from equicurve.curveinv import BranchParam, CurveInvariants, CurvePresentation
-from equicurve.errors import ComputationError, InternalCheckError
+from equicurve.errors import ComputationError, InternalCheckError, ParseError
 from equicurve.family import (
     RING_UT,
+    Declared,
     FamilyComponent,
-    FamilyPresentation,
-    FamilyReport,
-    FiberInvariants,
     GenericAssertions,
-    Verdict,
+    Parametrized,
     classify,
 )
 from equicurve.localdim import INFINITE, CMWitness, LengthValue
@@ -34,30 +33,26 @@ def branch(*comps):
     return BranchParam([parse_poly(c, RING_U) for c in comps])
 
 
-def verdict():
-    return Verdict(
-        topologically_trivial=True,
-        whitney=True,
-        strong_simultaneous_resolution=True,
-        cm_by_component=(("0", True, 1, 1),),
-        b0_generic_fiber=1,
-        justification=(("claim", "rule", "inputs"),),
-    )
+def cusp_family():
+    """The product family of the cusp, parametrized."""
+    return Parametrized((FamilyComponent([parse_poly(c, RING_UT) for c in ("u^2", "u^3")]),))
+
+
+def declared_cusp_family():
+    """The product family of the cusp, declared."""
+    return Declared(CurvePresentation([branch("u^2", "u^3")]), (1, 0),
+                    GenericAssertions(mu=2, m=2, r=1))
 
 
 def frozen_records():
     """Each frozen record, with the name of one of its fields."""
-    inv = CurveInvariants(**CUSP)
-    special = FiberInvariants("special", inv)
-    generic = FiberInvariants("generic", inv, (1,))
     return [
         (LengthValue(3), "value"),
         (CMWitness(True, 2, 2), "is_cm"),
-        (inv, "mu"),
+        (CurveInvariants(**CUSP), "mu"),
         (GenericAssertions(mu=2, m=2, r=1), "epsilon"),
-        (special, "inv"),
-        (verdict(), "whitney"),
-        (FamilyReport(special, generic, verdict(), {}, {}), "verdict"),
+        (cusp_family(), "components"),
+        (declared_cusp_family(), "classes"),
     ]
 
 
@@ -92,10 +87,10 @@ class TestCurveInvariants:
 class TestDefaults:
     def test_classify_seed_defaults_to_zero(self):
         component = FamilyComponent([parse_poly(c, RING_UT) for c in ("u^2", "u^3 + t*u")])
-        F = FamilyPresentation(components=(component,))
-        samples = classify(F).generic.t_samples_used
-        assert samples == classify(F, seed=0).generic.t_samples_used
-        assert samples != classify(F, seed=1).generic.t_samples_used
+        F = Parametrized((component,))
+        samples = classify(F)["generic"]["t_samples"]
+        assert samples == classify(F, seed=0)["generic"]["t_samples"]
+        assert samples != classify(F, seed=1)["generic"]["t_samples"]
 
     def test_generic_assertions(self):
         a = GenericAssertions(mu=2, m=2, r=1)
@@ -103,7 +98,12 @@ class TestDefaults:
         assert a._fields == ("mu", "m", "r", "delta", "epsilon")
 
     def test_fiber_invariants_samples(self):
-        assert FiberInvariants("special", CurveInvariants(**CUSP)).t_samples_used == ()
+        # a parametrized family lists its two samples as fractions in lowest
+        # terms, a declared one none; the special fiber lists no samples
+        parametrized, declared = classify(cusp_family()), classify(declared_cusp_family())
+        assert parametrized["generic"]["t_samples"] == ["1", "-5/9"]
+        assert declared["generic"]["t_samples"] == []
+        assert list(parametrized["special"]) == list(declared["special"]) == ["invariants"]
 
     def test_length_value(self):
         assert LengthValue(4).finite and LengthValue(4).expect_finite("it") == 4
@@ -138,25 +138,46 @@ class TestPresentations:
         assert len(C.branches) == 1 and C.ideal is None
         assert not hasattr(C, "decomposition")
 
+    # a family is checked once, where the manifest is read: the records take
+    # what they are given
+    @staticmethod
+    def family_error(**fields):
+        entry = {"name": "f", "kind": "family", **fields}
+        with pytest.raises(ParseError) as info:
+            analyze_manifest({"ring": ["x", "y"], "entries": [entry]})
+        return str(info.value)
+
     def test_parametrized_family_needs_a_component(self):
-        with pytest.raises(ComputationError, match="at least one component"):
-            FamilyPresentation()
+        assert self.family_error() == "entry 'f': parametrized family needs components"
+        assert self.family_error(components=[]) == "entry 'f'.components: expected a nonempty list"
 
     @pytest.mark.parametrize("missing", ["declared_special", "declared_classes",
                                          "generic_assertions"])
     def test_incomplete_declared_family(self, missing):
-        fields = dict(
-            declared_special=CurvePresentation([branch("u^2", "u^3")]),
-            declared_classes=(1, 0),
-            generic_assertions=GenericAssertions(mu=2, m=2, r=1),
-        )
-        del fields[missing]
-        with pytest.raises(ComputationError, match="declared family needs"):
-            FamilyPresentation(mode="declared", **fields)
+        fiber = {"branches": [["u^2", "u^3"]], "classes": [1, 0]}
+        fields = dict(mode="declared", special_fiber=fiber,
+                      generic_fiber_assertions={"mu": 2, "m": 2, "r": 1})
+        if missing == "generic_assertions":
+            del fields["generic_fiber_assertions"]
+        else:
+            del fiber[{"declared_special": "branches", "declared_classes": "classes"}[missing]]
+        assert "declared mode needs special_fiber branches, classes and" in self.family_error(**fields)
 
     def test_unknown_mode(self):
-        with pytest.raises(ComputationError, match="unknown family mode 'sampled'"):
-            FamilyPresentation(mode="sampled")
+        assert self.family_error(mode="sampled") == (
+            "entry 'f'.mode: expected 'parametrized' or 'declared'"
+        )
+
+
+@pytest.mark.parametrize("family", [cusp_family, declared_cusp_family])
+def test_classify_returns_the_report_fields_in_order(family):
+    rep = classify(family())
+    assert list(rep) == ["special", "generic", "verdict", "constancy", "hypotheses", "justification"]
+    assert list(rep["verdict"]) == ["topologically_trivial", "whitney",
+                                    "strong_simultaneous_resolution", "cm_by_component",
+                                    "b0_generic_fiber"]
+    assert list(rep["special"]["invariants"]) == list(CUSP)
+    assert all(list(j) == ["claim", "rule", "inputs"] for j in rep["justification"])
 
 
 def test_error_line_prints_invariant_reprs(tmp_path, capsys):
