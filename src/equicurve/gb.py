@@ -33,34 +33,30 @@ a keeps its guard bit iff b_i >= a_i, and never borrows from the next field.
 The lcm takes each field from a where that subtraction of b keeps the guard
 bit, and from b elsewhere; x^a and x^b are coprime iff their lcm is a + b.
 Terms are keyed by a linear form in the exponents, so the key of a product is
-the sum of the keys. Under a global order it is
+the sum of the keys. An order (``poly.MonomialOrder``) ranks by the signed
+degrees s_j * d_j of x^e on slices of the variables, one row j after another,
+and then by the reverse lexicographic tie-break. With the rows counted from the
+last, C = n*w the width of p and R = w plus the bit length of n, the key is
 
-    key = (d1 << A) - (p1 << B) + (d2 << C) - p2,
+    key = sum_j (s_j * d_j << (C + R*j)) - p,
 
-where the first k variables (k = 0 except under ``Elimination(k)``) have degree
-d1 and packed exponents p1, the rest d2 and p2; C is the width of p2, B = C + D
-with D bits that hold d2, and A = B + k*w. A block part (d << W) - p ranks by
-degree and then, as p compares its fields from the last variable down, by the
-reverse lexicographic tie-break, and the lower part spans less than one unit of
-the upper. p2 is -key mod 2^C, and p1 is read the same way from (key + p2) >> B.
-In Lazard's route (``_LocalPacking``, h in the first field) it is
-
-    key = (d << A) - (b << B) + (a << C) - p,
-
-with d the degree, a the power of h, p the packed fields of x, of width C, and
-B = C + w; b = 0 and A = B, or under ``LastFirst`` b is the last field, p packs
-the others and A = B + w. It ranks by degree, then by the least b, the
-greatest a (the least degree in x) and revlex on p: the local order on x. p is
--key mod 2^C; with r = (key + p) >> C, a is r mod 2^w and b is -(r >> w) mod
-2^w. Keys compare as the orders do, and a term dict h leads at max(h).
+so row j adds s_j << (C + R*j) to the coefficient of each variable in its
+slice. Every exponent is below 2^(w-1), so each d_j is below n * 2^(w-1) <=
+2^(R-1), and two keys differ below row j by at most 2^R - 2 in each lower row
+and by less than 2^C in p: less than 2^(C + R*j), one unit of row j. So the
+first row that differs decides, and then p, which compares its fields from the
+last variable down, as the tie-break does. Keys compare as the order does, a
+term dict h leads at max(h), and p is -key mod 2^C. Lazard's route puts h in
+the first field and packs the order ``_homogenized``: the degree, then the
+local order's rows on x.
 
 *Pair bookkeeping.* A pair waits under the degree and the key of its packed lcm
 l, both read off l without unpacking it. The degree is the sum of the fields:
 with E the mask of the even fields, (l & E) + ((l >> w) & E) holds the sum of
 fields 2j and 2j + 1, below 2^w, in the 2w-bit slot j, and one multiplication
 by the sum of 1 << 2wj adds all slots into the top one; no partial sum reaches
-2^(2w), so no slot carries into the next. The parts of the key are masked off
-l, and under degrevlex the key is (d << C) - l. A proper divisor x^a of x^b is
+2^(2w), so no slot carries into the next. Each d_j of the key is the degree of
+l masked to the fields of row j's slice. A proper divisor x^a of x^b is
 a smaller int, as b - a packs a nonzero monomial, so the new lcms, and the
 leads when the basis is minimalized, are visited in increasing order and
 tested only against those before them.
@@ -95,7 +91,7 @@ from math import gcd, lcm
 from operator import le, mul
 
 from .errors import ComputationError, InternalCheckError, RingMismatchError
-from .poly import Elimination, Ideal, LastFirst, MonomialOrder, Polynomial, VarSet
+from .poly import Elimination, Ideal, MonomialOrder, Polynomial, VarSet
 
 _REDUCTION_CAP = 200_000
 
@@ -121,25 +117,21 @@ class _Packing:
     docstring). A reducer is the tuple (packed lead, lead key, leading coefficient,
     terms as (key, coefficient) pairs, fieldwise maximum of the packed monomials)."""
 
-    __slots__ = ("width", "guard", "coeffs", "shifts", "split", "low", "high",
-                 "A", "B", "C", "even", "ones", "top")
+    __slots__ = ("width", "guard", "coeffs", "shifts", "rows", "low", "even", "ones", "top")
 
     def __init__(self, nvars: int, order: MonomialOrder):
         w = self.width = _FIELD_BITS
-        k = min(order.block, nvars) if isinstance(order, Elimination) else 0
-        C = self.C = (nvars - k) * w
-        B = self.B = C + w + nvars.bit_length()
-        A = self.A = B + k * w
-        self.coeffs = tuple((1 << A) - (1 << (B + w * i)) for i in range(k)) + tuple(
-            (1 << C) - (1 << (w * i)) for i in range(nvars - k)
-        )
-        self.shifts = tuple(range(0, nvars * w, w))
+        C, R = nvars * w, w + nvars.bit_length()
+        self.shifts = tuple(range(0, C, w))
         self.guard = sum(1 << (i + w - 1) for i in self.shifts)
-        self.split = k * w
-        self.low = (1 << self.split) - 1
-        self.high = (1 << C) - 1
-        slots = range(0, nvars * w, 2 * w)
-        self.even = sum(((1 << w) - 1) << s for s in slots)
+        self.low = (1 << C) - 1
+        field = (1 << w) - 1
+        # (coefficient, mask of the fields in its slice) of each row, the last first
+        self.rows = tuple((s << (C + R * j), sum(field << self.shifts[i] for i in range(nvars)[sl]))
+                          for j, (s, sl) in enumerate(reversed(order.rows)))
+        self.coeffs = tuple(sum(c for c, mask in self.rows if mask >> i & 1) - (1 << i) for i in self.shifts)
+        slots = range(0, C, 2 * w)
+        self.even = sum(field << s for s in slots)
         self.ones = sum(1 << s for s in slots)
         self.top = slots[-1]
 
@@ -156,13 +148,11 @@ class _Packing:
 
     def degree_key(self, p: int) -> tuple:
         """The degree and the order key of the packed monomial p."""
-        p1 = p & self.low
-        d, d1 = self.degree(p), self.degree(p1)
-        return d, (d1 << self.A) - (p1 << self.B) + ((d - d1) << self.C) - (p >> self.split)
+        degree = self.degree
+        return degree(p), sum([c * degree(p & mask) for c, mask in self.rows]) - p
 
     def packed(self, key: int) -> int:
-        p2 = -key & self.high
-        return (-((key + p2) >> self.B) & self.low) | (p2 << self.split)
+        return -key & self.low
 
     def fields(self, p: int) -> tuple:
         mask = (1 << self.width) - 1
@@ -193,31 +183,11 @@ class _Packing:
         return _from_terms(ring, {self.exps(k)[skip:]: Fraction(h[k], lc) for k in sorted(h, reverse=True)})
 
 
-class _LocalPacking(_Packing):
-    """The packing of Lazard's route under a local order (module docstring)."""
-
-    __slots__ = ("field",)
-
-    def __init__(self, nvars: int, order: MonomialOrder):
-        super().__init__(nvars, order)
-        w, k = self.width, int(isinstance(order, LastFirst))
-        C = self.C = (nvars - 1 - k) * w
-        B = self.B = C + w
-        A = self.A = B + k * w
-        x = tuple((1 << A) - (1 << (w * i)) for i in range(nvars - 1 - k))
-        self.coeffs = ((1 << A) + (1 << C), *x) + ((1 << A) - (1 << B),) * k
-        self.field, self.high, self.low = (1 << w) - 1, (1 << C) - 1, (1 << (k * w)) - 1
-        self.split = (nvars - k) * w  # the shift of b
-
-    def degree_key(self, p: int) -> tuple:
-        d, w = self.degree(p), self.width
-        b, a, x = p >> self.split, p & self.field, (p >> w) & self.high
-        return d, (d << self.A) - (b << self.B) + (a << self.C) - x
-
-    def packed(self, key: int) -> int:
-        x = -key & self.high
-        r = (key + x) >> self.C
-        return (r & self.field) | (x << self.width) | ((-(r >> self.width) & self.low) << self.split)
+def _homogenized(order: MonomialOrder, nvars: int) -> MonomialOrder:
+    """The order of Lazard's route on h^a * x^m, h before the ``nvars``
+    variables of x: by degree, then by the rows of ``order`` on x^m."""
+    rows = ((s, slice(*(1 + i for i in sl.indices(nvars)[:2]))) for s, sl in order.rows)
+    return MonomialOrder(f"homogenized({order.kind})", ((1, slice(None)), *rows), True)
 
 
 def _primitive(h: dict) -> dict:
@@ -466,7 +436,7 @@ def _local_std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
     """Lazard's standard basis (module docstring): the reduced Groebner basis of
     the homogenized generators under the packing of the order, with h = 1,
     minimalized by the dehomogenized leads and sorted by the local order."""
-    pk = _LocalPacking(len(I.ring) + 1, order)
+    pk = _Packing(len(I.ring) + 1, _homogenized(order, len(I.ring)))
     gens = []
     for g in I.gens:
         d = max(map(sum, g.terms))

@@ -136,7 +136,7 @@ def epsilon(I: Ideal, branches) -> int:
     A linear change of coordinates, an automorphism of O, makes l the last
     variable x_n: with c_j * x_j the last term of l, each generator g becomes
     c_j^(deg_j g) * g((l - sum_(k != j) c_k x_k) / c_j), in integers. Under
-    ``LastFirst`` the lead of g has the least l-exponent a of its terms, so
+    ``LAST_FIRST`` the lead of g has the least l-exponent a of its terms, so
     the S-pair of g and l^N is l^N times a polynomial (g itself if N <= a),
     and with l^N added a standard basis of I is one of I + <l^N>
     (Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.7): its

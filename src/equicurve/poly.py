@@ -100,67 +100,40 @@ def _power_terms(p, n, nvars, multiply=_mul_terms):
 
 
 class MonomialOrder:
-    """Total order on monomials given by a sort key (larger key = greater monomial)."""
+    """A total order on monomials, as a weight matrix (Greuel-Pfister, A Singular
+    Introduction to Commutative Algebra, 1.2): monomials compare by the signed
+    degree ``s * sum(m[sl])`` of each row ``(s, sl)`` of ``rows`` in turn, and
+    then by the reverse lexicographic tie-break, in which the last variable with
+    a difference decides and the smaller exponent wins. A larger key is a
+    greater monomial; the order is global when 1 is the least monomial."""
 
-    kind = "abstract"
-    is_global = True
+    __slots__ = ("kind", "rows", "is_global")
+
+    def __init__(self, kind: str, rows: tuple, is_global: bool):
+        self.kind, self.rows, self.is_global = kind, rows, is_global
 
     def key(self, m: Exponents):
-        raise NotImplementedError
+        return (*[s * sum(m[sl]) for s, sl in self.rows], tuple(-e for e in reversed(m)))
 
     def __repr__(self):
         return f"<order {self.kind}>"
 
 
-def _drl_key(m: Exponents):
-    # Degree first; revlex tie-break: the last variable with a difference decides,
-    # with the smaller exponent winning.
-    return (sum(m), tuple(-e for e in reversed(m)))
+DEGREVLEX = MonomialOrder("global-degrevlex", ((1, slice(None)),), True)
+# Local: 1 is the greatest monomial, which realizes the localization at the origin.
+NEGDEGREVLEX = MonomialOrder("local-negdegrevlex", ((-1, slice(None)),), False)
+# Local: the smaller exponent of the last variable wins, then negdegrevlex.
+LAST_FIRST = MonomialOrder("local-last-first", ((-1, slice(-1, None)), (-1, slice(None, -1))), False)
 
 
-class Degrevlex(MonomialOrder):
-    kind = "global-degrevlex"
-
-    def key(self, m):
-        return _drl_key(m)
-
-
-class NegDegrevlex(MonomialOrder):
-    """Local order: 1 is the largest monomial; realizes the localization at the origin."""
-
-    kind = "local-negdegrevlex"
-    is_global = False
-
-    def key(self, m):
-        return (-sum(m), tuple(-e for e in reversed(m)))
-
-
-class LastFirst(MonomialOrder):
-    """Local order: the smaller exponent of the last variable wins, then negdegrevlex."""
-
-    kind = "local-last-first"
-    is_global = False
-
-    def key(self, m):
-        return (-m[-1], NEGDEGREVLEX.key(m[:-1]))
-
-
-class Elimination(MonomialOrder):
-    """Block order: the first ``block`` variables are eliminated (ranked strictly first)."""
-
-    def __init__(self, block: int):
-        if block < 1:
-            raise ValueError("elimination block must contain at least one variable")
-        self.block = block
-        self.kind = f"elimination({block})"
-
-    def key(self, m):
-        return (_drl_key(m[: self.block]), _drl_key(m[self.block :]))
-
-
-DEGREVLEX = Degrevlex()
-NEGDEGREVLEX = NegDegrevlex()
-LAST_FIRST = LastFirst()
+def Elimination(block: int) -> MonomialOrder:
+    """The block order that eliminates the first ``block`` variables: degrevlex
+    on them, ranked strictly first, then degrevlex on the rest."""
+    if block < 1:
+        raise ValueError("elimination block must contain at least one variable")
+    # the block's own tie-break: the smaller exponent of x_(block-1), ..., x_1 wins
+    revlex = tuple((-1, slice(i, i + 1)) for i in range(block - 1, 0, -1))
+    return MonomialOrder(f"elimination({block})", ((1, slice(block)), *revlex, (1, slice(block, None))), True)
 
 
 def order_by_name(name: str) -> MonomialOrder:
@@ -291,20 +264,17 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def leading_coeff(self, order: MonomialOrder) -> Fraction:
-        return self.terms[self.leading_monomial(order)]
-
     def monic(self, order: MonomialOrder):
         if not self.terms:
             return self
-        return self * (1 / self.leading_coeff(order))
+        return self * (1 / self.terms[self.leading_monomial(order)])
 
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> str:
         if not self.terms:
             return "0"
-        items = sorted(self.terms.items(), key=lambda kv: _drl_key(kv[0]), reverse=True)
+        items = sorted(self.terms.items(), key=lambda kv: DEGREVLEX.key(kv[0]), reverse=True)
         pieces = []
         for i, (m, c) in enumerate(items):
             mono = "*".join(

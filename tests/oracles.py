@@ -1,13 +1,14 @@
-"""Independent routes that only tests use: polynomial substitution, the delta
-invariant of a monomial branch counted as the gaps of its semigroup, the
-expression parser as it was before it carried plain term dicts, the gcds by
-Euclid over Q, the specialization of a family component term by term in
-Fractions, the local length of an m-primary ideal from global bases of its
-truncations, the doubling ladder of local lengths that ``localdim.epsilon``
-read epsilon off before it took every rung from one standard basis, seeded
-curve fibers with their primary decompositions, and the primary
-decompositions of the corpus fibers; the decompositions check both routes of
-epsilon."""
+"""Independent routes that only tests use: polynomial substitution, the sort
+keys of the monomial orders as the hand-written tuples they were before the
+orders became rows of signed degrees, the delta invariant of a monomial branch
+counted as the gaps of its semigroup, the expression parser as it was before
+it carried plain term dicts, the gcds by Euclid over Q, the specialization of
+a family component term by term in Fractions, the local length of an
+m-primary ideal from global bases of its truncations, the doubling ladder of
+local lengths that ``localdim.epsilon`` read epsilon off before it took every
+rung from one standard basis, seeded curve fibers with their primary
+decompositions, and the primary decompositions of the corpus fibers; the
+decompositions check both routes of epsilon."""
 
 from __future__ import annotations
 
@@ -54,6 +55,31 @@ def substitute(f: Polynomial, mapping, target=None) -> Polynomial:
             part = part * pow_cache[i][e]
         result = result + part
     return result
+
+
+# -- monomial orders as hand-written tuple keys --------------------------------------
+
+
+def _drl_key(m):
+    # Degree first; revlex tie-break: the last variable with a difference decides,
+    # with the smaller exponent winning.
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def degrevlex_key(m):
+    return _drl_key(m)
+
+
+def negdegrevlex_key(m):
+    return (-sum(m), tuple(-e for e in reversed(m)))
+
+
+def last_first_key(m):
+    return (-m[-1], negdegrevlex_key(m[:-1]))
+
+
+def elimination_key(block):
+    return lambda m: (_drl_key(m[:block]), _drl_key(m[block:]))
 
 
 def semigroup_delta_oracle(b) -> int:

@@ -824,6 +824,35 @@ class TestStd:
         leads = [parse_poly(g, VarSet(("u", "t"))).leading_monomial(NEGDEGREVLEX) for g in out]
         assert leads == [(0, 1), (1, 0)]
 
+    @pytest.mark.parametrize(
+        "ring, gens, global_digest, local_digest",
+        [
+            (["u", "t"], ["u*t^3 + u^4 - 2*u^5*t^2", "t + 2*u*t^2 - 3*u^3*t^3", "u - 2*u^2*t^3 + 3*u^6"],
+             "69d031b3092ac2ec7bbd83d4a0ba632b907702dff416b48fddc0fa5f84ee9b08",
+             "6a523036cd86cb577564f0daa42ff06761a907c10adf104c003ac8de43a14ebe"),
+            (["x", "y", "z"], ["x*z", "y^3-x^4", "y^2*z", "y*z^2", "z^3"],
+             "98d77ecb7537c49136518592d7ad497fcfe856eca100ee8824f7b0943cdaa314",
+             "7e93f4d2481ae181e61bb18006582956b9997d5cb1b37b6bea9ab20c7c899449"),
+            (["x", "y", "z"], ["x^3 + y^3 + z^3 - 3*x*y*z", "x^2*y - z^2 + 1/2*x*y*z", "y^4 - x*z^3"],
+             "0bfe56d53eb5d279c76505804974ee9348756c74e35bec06349e3d1741a51e3f",
+             "24627a42eb02f94fd22cbc89254a207668054d07c3572d9db1ac12f170965c23"),
+            (["x", "y", "z", "w", "v"],
+             ["x*z", "y*z", "x*w", "y*w", "z*w", "w^2", "x*v", "y*v", "z*v", "w*v", "x^2*y+x*y^2"],
+             "dbcd4cecc5f965a2095eb9dc7fff6e99ade91e9437037d562c0f615eea9c1656",
+             "78ef8b24e5ccd3b58b11e73bb70678228be340c6a5d6fd4bc7d8784652eaadbd"),
+        ],
+        ids=["maximal", "space-cusp", "rational", "five-lines"],
+    )
+    def test_printout_bytes_are_pinned(self, tmp_path, capsys, ring, gens, global_digest, local_digest):
+        # the printed bases, global and local, of the maximal ideal of the CI
+        # step, the space cusp with its embedded point, an ideal with rational
+        # coefficients and the five lines
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps({"ring": ring, "generators": gens}))
+        for order, digest in (("global", global_digest), ("local", local_digest)):
+            assert main(["std", str(path), "--order", order]) == EXIT_OK
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_principal(self, tmp_path, capsys):
         path = tmp_path / "i.json"
         path.write_text(json.dumps({"ring": ["x"], "generators": ["x"]}))

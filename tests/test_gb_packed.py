@@ -45,7 +45,7 @@ LOCAL_ORDERS = tuple(o for o in PACKED_ORDERS if not o.is_global)
 
 def packing(nvars, order):
     """The packing of the core under the order; a local one packs h first."""
-    return gb._Packing(nvars, order) if order.is_global else gb._LocalPacking(nvars, order)
+    return gb._Packing(nvars, order if order.is_global else gb._homogenized(order, nvars - 1))
 
 
 def packed_order(order):

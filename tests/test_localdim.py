@@ -278,7 +278,7 @@ class TestEpsilonLadder:
     )
     def test_staircase_counts_are_the_rungs(self, fiber):
         # with l the last variable, the leads L of one standard basis under
-        # LastFirst give in(I + <l^N>) = L + <l^N> for every N
+        # LAST_FIRST give in(I + <l^N>) = L + <l^N> for every N
         *_, branches, ideal = fiber
         _, _, J = ladder_coordinates(ideal, branches)
         n = len(J.ring)

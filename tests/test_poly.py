@@ -12,6 +12,7 @@ from equicurve import gb
 from equicurve.errors import ParseError, RingMismatchError
 from equicurve.poly import (
     DEGREVLEX,
+    LAST_FIRST,
     MAX_EXPONENT,
     MAX_NESTING,
     MAX_TERM_PRODUCTS,
@@ -23,7 +24,13 @@ from equicurve.poly import (
     order_by_name,
     parse_poly,
 )
-from oracles import substitute
+from oracles import (
+    degrevlex_key,
+    elimination_key,
+    last_first_key,
+    negdegrevlex_key,
+    substitute,
+)
 
 XYZ = VarSet(("x", "y", "z"))
 UT = VarSet(("u", "t"))
@@ -107,6 +114,40 @@ class TestOrders:
 
     def test_global_flags(self):
         assert DEGREVLEX.is_global and not NEGDEGREVLEX.is_global
+
+
+# each order beside its sort key as a hand-written tuple (tests/oracles.py)
+ORDERS_AND_TUPLE_KEYS = (
+    (DEGREVLEX, degrevlex_key),
+    (NEGDEGREVLEX, negdegrevlex_key),
+    (LAST_FIRST, last_first_key),
+    *((Elimination(k), elimination_key(k)) for k in range(1, 8)),
+)
+
+
+@st.composite
+def monomials_under_an_order(draw):
+    """Distinct exponent tuples in 1-6 variables, small or up to the widest
+    exponent a 32-bit packed field holds, and an order with its tuple key;
+    Elimination(k) runs up to past the ring."""
+    order, tuple_key = draw(st.sampled_from(ORDERS_AND_TUPLE_KEYS))
+    nvars = draw(st.integers(1, 6))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, 2**31 - 1))
+    monos = draw(st.lists(st.tuples(*[exponent] * nvars), min_size=2, max_size=8, unique=True))
+    return monos, order, tuple_key
+
+
+@given(monomials_under_an_order())
+@settings(max_examples=400, derandomize=True)
+def test_orders_sort_as_their_tuple_keys(case):
+    # the rows of signed degrees and the revlex tie-break sort as the tuple
+    # key does; so does the order of Lazard's route, h first, as the degree
+    # and then the tuple key on the other variables
+    monos, order, tuple_key = case
+    assert sorted(monos, key=order.key) == sorted(monos, key=tuple_key)
+    if len(monos[0]) > 1:
+        homogenized = gb._homogenized(order, len(monos[0]) - 1)
+        assert sorted(monos, key=homogenized.key) == sorted(monos, key=lambda m: (sum(m), tuple_key(m[1:])))
 
 
 class TestArithmetic:
