@@ -49,14 +49,21 @@ def _string_list(node, where):
     return node
 
 
-def _require_variable_names(names, where):
-    # a name the polynomial parser does not read as one token names no variable
+def _parse_ring(node, where, reserved=()):
+    """The ring named by node: a nonempty list of distinct names, none of them
+    in reserved, each read by the polynomial parser as one token."""
+    names = _string_list(node, where)
+    if not names or len(set(names)) != len(names):
+        raise ParseError(f"{where}: expected a nonempty list of distinct names")
     for name in names:
+        if name in reserved:
+            raise ParseError(f"{where}: {name!r} is the parameter of a branch or a family")
         if not IDENTIFIER_RE.fullmatch(name):
             raise ParseError(
                 f"{where}: {name!r} is not a variable name "
                 "(a letter or '_', then letters, digits or '_')"
             )
+    return VarSet(tuple(names))
 
 
 def _parse_ideal(gens, ring, where):
@@ -66,18 +73,19 @@ def _parse_ideal(gens, ring, where):
     return I
 
 
-def _parse_branches(node, nvars, where):
+def _parse_parametrizations(node, ring, where, make, param_ring):
+    """The parametrizations listed in node, a nonempty list of lists of one
+    polynomial over param_ring per variable of ring; the i-th is
+    make(polynomials, label=str(i)), a ``BranchParam`` or a ``FamilyComponent``."""
     if not isinstance(node, list) or not node:
-        raise ParseError(f"{where}: expected a nonempty list of branches")
-    branches = []
+        raise ParseError(f"{where}: expected a nonempty list")
+    out = []
     for i, comps in enumerate(node):
         comps = _string_list(comps, f"{where}[{i}]")
-        if len(comps) != nvars:
-            raise ParseError(
-                f"{where}[{i}]: branch has {len(comps)} components, ring has {nvars}"
-            )
-        branches.append(BranchParam([parse_poly(c, RING_U) for c in comps], label=f"{i}"))
-    return branches
+        if len(comps) != len(ring):
+            raise ParseError(f"{where}[{i}]: {len(comps)} coordinates, ring has {len(ring)}")
+        out.append(make([parse_poly(c, param_ring) for c in comps], label=f"{i}"))
+    return out
 
 
 def _parse_curve_data(node, ring, where):
@@ -85,7 +93,8 @@ def _parse_curve_data(node, ring, where):
     when node does not give it."""
     branches = ideal = None
     if "branches" in node:
-        branches = _parse_branches(node["branches"], len(ring), f"{where}.branches")
+        branches = _parse_parametrizations(node["branches"], ring, f"{where}.branches",
+                                           BranchParam, RING_U)
     if "ideal" in node:
         ideal = _parse_ideal(node["ideal"], ring, f"{where}.ideal")
     return branches, ideal
@@ -169,20 +178,8 @@ def _analyze_family(entry, ring, seed):
             raise ParseError(f"{where}: parametrized family needs components")
         if branches is not None or classes is not None:
             raise ParseError(f"{fiber_where}: branches/classes are only for declared mode")
-        comps_node = entry["components"]
-        if not isinstance(comps_node, list) or not comps_node:
-            raise ParseError(f"{where}.components: expected a nonempty list")
-        components = []
-        for i, comps in enumerate(comps_node):
-            comps = _string_list(comps, f"{where}.components[{i}]")
-            if len(comps) != len(ring):
-                raise ParseError(
-                    f"{where}.components[{i}]: component has {len(comps)} coordinates, "
-                    f"ring has {len(ring)}"
-                )
-            components.append(
-                FamilyComponent([parse_poly(c, RING_UT) for c in comps], label=f"{i}")
-            )
+        components = _parse_parametrizations(entry["components"], ring, f"{where}.components",
+                                             FamilyComponent, RING_UT)
         F = Parametrized(tuple(components), ideal, assertions)
     else:
         if "components" in entry:
@@ -201,11 +198,7 @@ def analyze_manifest(data, seed=0) -> dict:
     """Full report for parsed manifest data; entries in manifest order. Family
     entries draw their generic samples from seed."""
     _require_mapping(data, ("ring", "entries"), ("ring", "entries"), "manifest")
-    names = _string_list(data["ring"], "manifest.ring")
-    if not names or "u" in names or "t" in names or len(set(names)) != len(names):
-        raise ParseError("manifest.ring: names must be nonempty, distinct and avoid 'u' and 't'")
-    _require_variable_names(names, "manifest.ring")
-    ring = VarSet(tuple(names))
+    ring = _parse_ring(data["ring"], "manifest.ring", reserved=("u", "t"))
     if not isinstance(data["entries"], list):
         raise ParseError("manifest.entries: expected a list")
     entries = []
@@ -229,7 +222,7 @@ def analyze_manifest(data, seed=0) -> dict:
             entries.append(_analyze_family(entry, ring, seed))
         else:
             raise ParseError(f"entry {entry['name']!r}: unknown kind {kind!r}")
-    return {"ring": list(names), "entries": entries}
+    return {"ring": list(ring.names), "entries": entries}
 
 
 def _render_text(report) -> str:
@@ -391,11 +384,7 @@ def _cmd_std(args) -> int:
 
     data = _load_json(args.file, "input")
     _require_mapping(data, ("ring", "generators"), ("ring", "generators"), "input")
-    names = _string_list(data["ring"], "input.ring")
-    if not names or len(set(names)) != len(names):
-        raise ParseError("input.ring: expected a nonempty list of distinct names")
-    _require_variable_names(names, "input.ring")
-    ring = VarSet(tuple(names))
+    ring = _parse_ring(data["ring"], "input.ring")
     I = _parse_ideal(data["generators"], ring, "input.generators")
     order = order_by_name(args.order)
     # render every generator before printing any, so a failure prints nothing

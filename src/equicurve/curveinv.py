@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from .errors import ComputationError, HypothesisError, InternalCheckError
 from .linalg import RowSpace
-from .poly import Ideal, VarSet, _add_terms, _mul_terms, _power_terms
+from .poly import Ideal, VarSet, _add_terms, _mul_terms, _power_terms, integral
 
 JET_ORDER_CAP = 256
 
@@ -38,13 +38,10 @@ class BranchParam:
         components = tuple(components)
         if not components:
             raise ValueError("branch needs at least one component")
-        # *args from lists, here and in gcd: CPython resizes the tuple made from a
-        # generator, and the small free lists that keep such tuples raise peak RSS
         jets = []
         for comp in components:
-            d = math.lcm(*[c.denominator for c in comp.terms.values()])
-            jets.append((d, tuple(sorted(
-                (sum(m), c.numerator * (d // c.denominator)) for m, c in comp.terms.items()))))
+            d, terms = integral(comp.terms)
+            jets.append((d, tuple(sorted((sum(m), c) for m, c in terms.items()))))
         if not any(pairs for _, pairs in jets):
             raise ComputationError("all-zero branch")
         if any(pairs and pairs[0][0] == 0 for _, pairs in jets):
@@ -71,29 +68,30 @@ class BranchParam:
         return f"BranchParam({body})"
 
 
-def _not_vanishing(gens, jets):
-    """The first of the polynomials gens that does not vanish on the branch
-    x(u) with the given integer jets, or None.
+def orders_on(gens, jets):
+    """Yield ord_u g(x(u)) for each of the polynomials gens, on the branch x(u)
+    with the given integer ``BranchParam.jets``, or None where g vanishes on it.
 
     With x_k = P_k / d_k, D_k the largest x_k-exponent of g and a_m the
     coefficients of g times their least common denominator, g(x(u)) is a
-    nonzero multiple of the sum of a_m * prod_k d_k^(D_k - m_k) * P_k^(m_k).
-    A term with a factor P_k = 0 is skipped.
+    nonzero multiple of the sum of a_m * prod_k d_k^(D_k - m_k) * P_k^(m_k),
+    which has the same order in u and is summed in integers. A term with a
+    factor P_k = 0 is skipped.
     """
     dens = [d for d, _ in jets]
-    scaled = any(d != 1 for d in dens)
-    powers = {(k, 1): {(x,): b for x, b in pairs} for k, (_, pairs) in enumerate(jets)}
+    scaled = max(dens) > 1
+    powers = {}  # (k, e): P_k^e, built when first needed
     for g in gens:
         top = [max(col) for col in zip(*g.terms)] if scaled else None
-        den = math.lcm(*[c.denominator for c in g.terms.values()])
         total = {}
-        for m, c in g.terms.items():
-            term = {(0,): c.numerator * (den // c.denominator)}
+        for m, c in integral(g.terms)[1].items():
+            term = {(0,): c}
             for k, e in enumerate(m):
                 if e:
                     P = powers.get((k, e))
                     if P is None:
-                        P = powers[k, e] = _power_terms(powers[k, 1], e, 1)
+                        P = {(x,): b for x, b in jets[k][1]}
+                        P = powers[k, e] = P if e == 1 else _power_terms(P, e, 1)
                     if not P:
                         break
                     term = _mul_terms(term, P)
@@ -102,9 +100,7 @@ def _not_vanishing(gens, jets):
                     a = math.prod([d ** (t - e) for d, t, e in zip(dens, top, m)])
                     term = {x: a * b for x, b in term.items()}
                 _add_terms(total, term)
-        if total:
-            return g
-    return None
+        yield min(total)[0] if total else None
 
 
 class CurvePresentation:
@@ -126,11 +122,11 @@ class CurvePresentation:
         if len(dims) != 1:
             raise ComputationError("branches or ideal with mismatched ambient dimensions")
         for b in branches if ideal is not None else ():
-            g = _not_vanishing(ideal.gens, b.jets)
-            if g is not None:
-                raise HypothesisError(
-                    f"ideal generator {g.render()!r} does not vanish on branch {b.label!r}"
-                )
+            for g, order in zip(ideal.gens, orders_on(ideal.gens, b.jets)):
+                if order is not None:
+                    raise HypothesisError(
+                        f"ideal generator {g.render()!r} does not vanish on branch {b.label!r}"
+                    )
         self.branches = branches
         self.ideal = ideal
 
@@ -355,6 +351,14 @@ class CurveInvariants(
             raise InternalCheckError("negative invariant")
         return super().__new__(cls, m, r, delta_red, epsilon, delta, mu_red, mu)
 
+    @classmethod
+    def derived(cls, m, r, delta_red, epsilon) -> "CurveInvariants":
+        """The record with these four fields and the three that follow from them
+        by the paper's identities: delta = delta_red - epsilon,
+        mu_red = 2 * delta_red - r + 1 and mu = mu_red - 2 * epsilon."""
+        mu_red = 2 * delta_red - r + 1
+        return cls(m, r, delta_red, epsilon, delta_red - epsilon, mu_red, mu_red - 2 * epsilon)
+
 
 def invariants(C: CurvePresentation) -> CurveInvariants:
     """All invariants of the germ. epsilon is certified from the ideal and the
@@ -362,20 +366,10 @@ def invariants(C: CurvePresentation) -> CurveInvariants:
     that argument needs; a curve given by its branches alone is reduced, with
     epsilon = 0."""
     m = sum(b.u_order() for b in C.branches)  # blind to the embedded component
-    r = len(C.branches)
     d_red = delta_reduced(C.branches)
     eps = 0
     if C.ideal is not None:
         from .localdim import epsilon
 
         eps = epsilon(C.ideal, C.branches)
-    mu_red = 2 * d_red - r + 1
-    return CurveInvariants(
-        m=m,
-        r=r,
-        delta_red=d_red,
-        epsilon=eps,
-        delta=d_red - eps,
-        mu_red=mu_red,
-        mu=mu_red - 2 * eps,
-    )
+    return CurveInvariants.derived(m, len(C.branches), d_red, eps)

@@ -189,19 +189,18 @@ def _generic_samples(seed: int):
 
 
 def _normalized_components(F: Parametrized):
-    """Reparametrize class-A components by the gcd of their u-exponents and reject
+    """Reparametrize every component, of either class, by the gcd of its
+    u-exponents (u^0 keeps its exponent, so the class is kept), and reject
     families whose special fiber would be generically non-reduced."""
     out = []
     for c in F.components:
-        cls = c.component_class()
-        if cls == "A":
-            c = c.reparametrized(c.u_exponent_gcd())
-            if c.specialize(0).exponent_gcd() > 1:
-                raise HypothesisError(
-                    f"component {c.label!r}: special fiber parametrization factors "
-                    "through a power of u; the special fiber is not generically reduced"
-                )
-        out.append((c, cls))
+        c = c.reparametrized(c.u_exponent_gcd())
+        if c.specialize(0).exponent_gcd() > 1:
+            raise HypothesisError(
+                f"component {c.label!r}: special fiber parametrization factors "
+                "through a power of u; the special fiber is not generically reduced"
+            )
+        out.append((c, c.component_class()))
     return out
 
 
@@ -311,15 +310,7 @@ def _classify_declared(F):
             "declared generic invariants are inconsistent: they give "
             f"delta_red = {delta_red} and mu_red = {mu_red}, and neither can be negative"
         )
-    inv_t = CurveInvariants(
-        m=a.m,
-        r=a.r,
-        delta_red=delta_red,
-        epsilon=a.epsilon,
-        delta=delta_t,
-        mu_red=mu_red,
-        mu=a.mu,
-    )
+    inv_t = CurveInvariants.derived(a.m, a.r, delta_red, a.epsilon)
     hypotheses = {
         "flat family over a disc": "asserted",
         "section sigma(t) = (0,...,0,t) smooth": "asserted",

@@ -87,11 +87,11 @@ from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd
 from operator import le, mul
 
 from .errors import ComputationError, InternalCheckError, RingMismatchError
-from .poly import Elimination, Ideal, MonomialOrder, Polynomial, VarSet
+from .poly import Elimination, Ideal, MonomialOrder, Polynomial, VarSet, integral
 
 _REDUCTION_CAP = 200_000
 
@@ -166,11 +166,10 @@ class _Packing:
         return b ^ ((a ^ b) & (d - (d >> (self.width - 1))))
 
     def integral(self, terms: dict):
-        """The terms (exponents to ``Fraction``) times their least common
-        denominator d, keyed by order key, and d."""
-        d = lcm(*(c.denominator for c in terms.values()))
+        """``poly.integral`` of the terms, (d, terms times d), keyed by order key."""
+        d, h = integral(terms)
         key = self.key
-        return {key(m): c.numerator * (d // c.denominator) for m, c in terms.items()}, d
+        return d, {key(m): c for m, c in h.items()}
 
     def reducer(self, h: dict) -> tuple:
         lk = max(h)
@@ -301,7 +300,7 @@ class StandardBasis:
         pk = self._packing
         if self._reducers is None:
             self._reducers = tuple(map(pk.reducer, self._terms))
-        h, d = pk.integral(f.terms)
+        d, h = pk.integral(f.terms)
         r, scale = _reduce_global(h, self._reducers, pk)
         return r, scale * d
 
@@ -376,7 +375,7 @@ def std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
     if not order.is_global:
         return _local_std_basis(I, order)
     pk = _Packing(len(I.ring), order)
-    out = _reduced_basis([pk.integral(g.terms)[0] for g in I.gens], pk)
+    out = _reduced_basis([pk.integral(g.terms)[1] for g in I.gens], pk)
     return StandardBasis(I, order, [pk.exps(k) for k, _ in out], pk, [h for _, h in out])
 
 
@@ -440,7 +439,7 @@ def _local_std_basis(I: Ideal, order: MonomialOrder) -> StandardBasis:
     gens = []
     for g in I.gens:
         d = max(map(sum, g.terms))
-        gens.append(pk.integral({(d - sum(m),) + m: c for m, c in g.terms.items()})[0])
+        gens.append(pk.integral({(d - sum(m),) + m: c for m, c in g.terms.items()})[1])
     out = _reduced_basis(gens, pk)
     leads = [pk.exps(k)[1:] for k, _ in out]
     keep = _minimal([pk.packed(k) >> pk.width for k, _ in out], pk.guard >> pk.width)  # h = 1

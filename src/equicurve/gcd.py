@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd
 
-from .poly import Polynomial
+from .poly import Polynomial, integral
 
 
 def _mul(a, b):
@@ -88,12 +88,12 @@ def recursive_form(terms):
     """(d, A): d is the lcm of the denominators of the rational coefficients
     {(a, b): coefficient of u^a t^b}, and A is d times that polynomial, in
     Z[t][u]."""
-    d = lcm(*[c.denominator for c in terms.values()])
+    d, terms = integral(terms)
     A = []
     for (a, b), c in terms.items():
         A.extend([] for _ in range(a + 1 - len(A)))
         A[a].extend([0] * (b + 1 - len(A[a])))
-        A[a][b] = c.numerator * (d // c.denominator)
+        A[a][b] = c
     return d, A
 
 
@@ -120,11 +120,8 @@ def recursive_gcd(A, B):
 def uni_gcd(a, b):
     """Monic gcd in Q[t] of a and b, lists of rationals lowest degree first with
     no trailing zero; [] when both are zero."""
-    def scaled(p):
-        d = lcm(*[c.denominator for c in p])
-        return [c.numerator * (d // c.denominator) for c in p]
-
-    h = _uni_gcd(scaled(a), scaled(b))
+    # each list read as the term dict {degree: coefficient}
+    h = _uni_gcd(*[list(integral(dict(enumerate(p)))[1].values()) for p in (a, b)])
     return [Fraction(c, h[-1]) for c in h]
 
 

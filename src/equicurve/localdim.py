@@ -19,49 +19,28 @@ tests' oracles, on no production path.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import namedtuple
 from functools import reduce
 
+from .curveinv import orders_on
 from .errors import ComputationError, HypothesisError, InternalCheckError
 from .gcd import recursive_form, recursive_gcd
-from .poly import DEGREVLEX, LAST_FIRST, NEGDEGREVLEX, Ideal, Polynomial, _add_terms, _mul_terms, _power_terms
+from .poly import DEGREVLEX, LAST_FIRST, NEGDEGREVLEX, Ideal, Polynomial, _add_terms, _mul_terms, _power_terms, integral
 
 # gb is imported by the functions that build a standard basis, an ideal sum or an
 # intersection, so the Cohen-Macaulay witness of a parametrized family never loads it.
 
 
-class LengthValue(namedtuple("LengthValue", "value")):
-    """A vector-space dimension over the rationals; None encodes infinity."""
-
-    __slots__ = ()
-
-    @property
-    def finite(self) -> bool:
-        return self.value is not None
-
-    def expect_finite(self, what: str) -> int:
-        if self.value is None:
-            raise ComputationError(f"{what} is infinite")
-        return self.value
-
-    def __repr__(self):
-        return "LengthValue(inf)" if self.value is None else f"LengthValue({self.value})"
-
-
-INFINITE = LengthValue(None)
-
-
-def _staircase_count(leads, nvars) -> LengthValue:
+def _staircase_count(leads, nvars) -> int | None:
     """Number of monomials outside the staircase of the given lead monomials.
 
     Finite iff every variable has a pure power among the leads; counted by
-    ``_count_below``.
+    ``_count_below``. None stands for infinity.
     """
     for i in range(nvars):
         if not any(all(e == 0 for j, e in enumerate(m) if j != i) for m in leads):
-            return INFINITE
-    return LengthValue(_count_below(leads, nvars))
+            return None
+    return _count_below(leads, nvars)
 
 
 def _count_below(leads, nvars) -> int:
@@ -84,25 +63,14 @@ def _count_below(leads, nvars) -> int:
     return total
 
 
-def vdim(I: Ideal) -> LengthValue:
+def vdim(I: Ideal) -> int | None:
     """Dimension over the rationals of the local quotient ring at the origin: the
     count of monomials outside the leads of a standard basis under the local
-    order; infinite when the ideal is not primary to the maximal ideal."""
+    order; None, for infinite, when the ideal is not primary to the maximal ideal."""
     from .gb import std_basis
 
     B = std_basis(I, NEGDEGREVLEX)
     return _staircase_count(B.lead_monomials, len(I.ring))
-
-
-def _order_on(form, jets):
-    """ord_u l(x(u)) for the linear form l with coefficients ``form`` on a branch
-    with the integer ``BranchParam.jets``; None if l vanishes identically there."""
-    d = math.lcm(*[dk for dk, _ in jets])
-    total = {}
-    for c, (dk, pairs) in zip(form, jets):
-        for a, b in pairs if c else ():
-            total[a] = total.get(a, 0) + c * (d // dk) * b
-    return min((a for a, b in total.items() if b), default=None)
 
 
 def epsilon(I: Ideal, branches) -> int:
@@ -154,36 +122,37 @@ def epsilon(I: Ideal, branches) -> int:
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     powers = (tuple(k**s for k in range(1, n + 1)) for s in itertools.count(1))
     for form in itertools.islice(itertools.chain(units, powers), r * (n - 1) + 1):
-        orders = [_order_on(form, b.jets) for b in branches]
-        if None not in orders:
+        l = Polynomial(ring, {units[k]: c for k, c in enumerate(form) if c})
+        orders = list(itertools.takewhile(  # up to the first branch l vanishes on
+            lambda o: o is not None, (next(orders_on([l], b.jets)) for b in branches)))
+        if len(orders) == r:
             break
     else:
         raise InternalCheckError("every candidate form vanishes on some branch")
-    e = sum(orders)
-    shown = Polynomial(ring, {units[k]: c for k, c in enumerate(form) if c}).render()
+    e, shown = sum(orders), l.render()
     j = max(k for k, c in enumerate(form) if c)
     line = {units[k]: 1 if k == j else -c for k, c in enumerate(form) if c}  # c_j * x_j, l in its place
     gens = []
     for g in I.gens:
-        top, den = max(m[j] for m in g.terms), math.lcm(*(c.denominator for c in g.terms.values()))
+        top = max(m[j] for m in g.terms)
         terms = reduce(_add_terms, (_mul_terms(
-            {m[:j] + (0,) + m[j + 1:]: c.numerator * (den // c.denominator) * form[j] ** (top - m[j])},
-            _power_terms(line, m[j], n)) for m, c in g.terms.items()), {})
+            {m[:j] + (0,) + m[j + 1:]: c * form[j] ** (top - m[j])},
+            _power_terms(line, m[j], n)) for m, c in integral(g.terms)[1].items()), {})
         gens.append(Polynomial(ring, {m[:j] + m[j + 1:] + (m[j],): c for m, c in terms.items()}))
     leads = std_basis(Ideal(gens, ring), LAST_FIRST).lead_monomials
     K = 1 + max(m[-1] for m in leads)
     length = [_staircase_count([*leads, (0,) * (n - 1) + (N,)], n) for N in (K, K + 1)]
-    if not length[0].finite:  # at every N alike: the pure powers of the other variables decide
+    if length[0] is None:  # at every N alike: the pure powers of the other variables decide
         raise HypothesisError(f"V(I) has a component other than the branches: vdim(I + <{shown}>) "
                               f"is infinite, and {shown} vanishes on no branch")
-    step = length[1].value - length[0].value - e  # D(K + 1) - D(K) = e(l; A) - e
+    step = length[1] - length[0] - e  # D(K + 1) - D(K) = e(l; A) - e
     if step < 0:
         raise InternalCheckError(f"e({shown}; O/I) = {e + step} is below e = {e}, against associativity")
     if step > 0:
         raise HypothesisError(f"V(I) has a component other than the branches, or I is not reduced along "
                               f"a branch: e({shown}; O/I) = {e + step}, above e = {e}, the sum of the "
                               f"orders of {shown} on them")
-    return length[0].value - K * e
+    return length[0] - K * e
 
 
 class PrimaryDecomposition:
@@ -240,9 +209,9 @@ class PrimaryDecomposition:
             if not all(BQ.contains(g) for g in I.gens):
                 raise ComputationError("decomposition rejected: ideal not contained in the embedded component")
             length = vdim(self.embedded)
-            if not length.finite:
+            if length is None:
                 raise ComputationError("decomposition rejected: embedded component is not m-primary")
-            if length.value == 0:
+            if length == 0:
                 raise ComputationError("decomposition rejected: embedded component is the unit ideal at the origin")
             parts = ideal_intersect(parts, self.embedded)
         BI = std_basis(I, DEGREVLEX)
@@ -257,9 +226,10 @@ def epsilon_from_decomposition(I: Ideal, D: PrimaryDecomposition) -> int:
         return 0
     from .gb import ideal_sum
 
-    q = vdim(D.embedded).expect_finite("embedded-component length")
-    s = vdim(ideal_sum(D.intersection(), D.embedded)).expect_finite("reduced-plus-embedded length")
-    eps = q - s
+    q = vdim(D.embedded)
+    if q is None:
+        raise ComputationError("embedded-component length is infinite")
+    eps = q - vdim(ideal_sum(D.intersection(), D.embedded))  # finite: the sum holds D.embedded
     if eps < 0:
         raise InternalCheckError("negative epsilon from a verified decomposition")
     return eps
@@ -322,7 +292,7 @@ def hs_multiplicity_of_param(J: Ideal) -> int:
     _verify_radical_is_axis(J)
     leads = std_basis(J, LAST_FIRST).lead_monomials
     K = 1 + max(m[-1] for m in leads)
-    count = [_staircase_count([*leads, (0, N)], 2).value for N in (K, K + 1)]
+    count = [_staircase_count([*leads, (0, N)], 2) for N in (K, K + 1)]
     return count[1] - count[0]
 
 

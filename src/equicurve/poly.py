@@ -10,6 +10,7 @@ The parser works on such dicts with int coefficients, a Fraction only from an
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -82,6 +83,15 @@ def _mul_terms(p, q):
             else:
                 del out[m]
     return out
+
+
+def integral(terms):
+    """(d, {m: int}): d is the lcm of the denominators of the rational (or int)
+    coefficients of terms, and the dict is terms times d, in the same order."""
+    # *args from a list: CPython resizes the tuple made from a generator, and the
+    # small free lists that keep such tuples raise peak RSS
+    d = math.lcm(*[c.denominator for c in terms.values()])
+    return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
 
 
 def _power_terms(p, n, nvars, multiply=_mul_terms):

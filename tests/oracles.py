@@ -57,6 +57,14 @@ def substitute(f: Polynomial, mapping, target=None) -> Polynomial:
     return result
 
 
+def order_on_branch(g: Polynomial, b) -> int | None:
+    """ord_u g(x(u)) on the branch b, by ``substitute`` in ``Fraction``
+    arithmetic, or None when g vanishes on b; the reference for
+    ``curveinv.orders_on``."""
+    h = substitute(g, dict(zip(g.ring.names, b.components)), b.components[0].ring)
+    return h.min_degree() if h else None
+
+
 # -- monomial orders as hand-written tuple keys --------------------------------------
 
 
@@ -448,18 +456,17 @@ def ladder_coordinates(I: Ideal, branches):
     the sum e of its orders on the branches, and I in coordinates where l is
     the last variable: x_j, the last variable l involves, is replaced by
     (l - sum_(k != j) c_k x_k) / c_j in ``Fraction`` arithmetic."""
-    from equicurve.localdim import _order_on
-
     ring, r, n = I.ring, len(branches), len(I.ring)
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     powers = (tuple(k**s for k in range(1, n + 1)) for s in itertools.count(1))
     for form in itertools.islice(itertools.chain(units, powers), r * (n - 1) + 1):
-        orders = [_order_on(form, b.jets) for b in branches]
+        l = Polynomial(ring, {units[k]: c for k, c in enumerate(form) if c})
+        orders = [order_on_branch(l, b) for b in branches]
         if None not in orders:
             break
     else:
         raise InternalCheckError("every candidate form vanishes on some branch")
-    shown = Polynomial(ring, {units[k]: c for k, c in enumerate(form) if c}).render()
+    shown = l.render()
     j = max(k for k, c in enumerate(form) if c)
     x_j = {units[k]: Fraction(1 if k == j else -c, form[j]) for k, c in enumerate(form) if c}
     gens = []
@@ -482,12 +489,12 @@ def ladder_values(I: Ideal, branches, budget=LADDER_BUDGET):
     ring, rungs, N = J.ring, [], 1
     while N <= budget:
         length = vdim(Ideal(J.gens + (Polynomial.var(ring, ring.names[-1], N),), ring))
-        if not length.finite:
+        if length is None:
             raise HypothesisError(
                 f"V(I) has a component other than the branches: vdim(I + <{shown}>) is "
                 f"infinite, and {shown} vanishes on no branch"
             )
-        rungs.append((N, length.value - N * e))
+        rungs.append((N, length - N * e))
         if len(rungs) > 1 and rungs[-1][1] == rungs[-2][1]:
             break
         N *= 2
@@ -545,9 +552,7 @@ def _line_branch(rng):
 
 def _on(b, P):
     """Whether every generator of P vanishes on the branch b."""
-    from equicurve.curveinv import _not_vanishing
-
-    return _not_vanishing(P.gens, b.jets) is None
+    return all(order_on_branch(g, b) is None for g in P.gens)
 
 
 def seeded_fiber(seed):

@@ -66,8 +66,8 @@ def _corpus_entry(name):
 
 def test_criterion_1_space_cusp_exact_values(capsys):
     with capsys.disabled(), criterion("1 space cusp with embedded point"):
-        assert vdim(I("x^4", "x*z", "y^2", "y*z^2", "z^3")).value == 11
-        assert vdim(I("x^4", "x*z", "y^2", "y*z^2", "z^3", "z", "y^3-x^4")).value == 8
+        assert vdim(I("x^4", "x*z", "y^2", "y*z^2", "z^3")) == 11
+        assert vdim(I("x^4", "x*z", "y^2", "y*z^2", "z^3", "z", "y^3-x^4")) == 8
         ideal = I("x*z", "y^3-x^4", "y^2*z", "y*z^2", "z^3")
         D = PrimaryDecomposition.verified(
             ideal, [I("z", "y^3-x^4")], embedded=I("x^4", "x*z", "y^2", "y*z^2", "z^3")
@@ -213,14 +213,14 @@ def test_criterion_6d_vdim_brute_force(capsys):
                 for i in range(3)
             )
             if not finite:
-                assert not v.finite
+                assert v is None
                 continue
             count = sum(
                 1
                 for cands in itertools.product(range(box), repeat=3)
                 if not any(all(cands[i] >= m[i] for i in range(3)) for m in monos)
             )
-            assert v.value == count
+            assert v == count
 
 
 def test_criterion_6e_multiplicity_of_monomial_powers(capsys):

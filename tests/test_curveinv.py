@@ -20,13 +20,14 @@ from equicurve.curveinv import (
     CurvePresentation,
     delta_reduced,
     invariants,
+    orders_on,
     semigroup_conductor,
 )
 from equicurve.errors import ComputationError, HypothesisError, InternalCheckError
 from equicurve.gb import Ideal
 from equicurve.linalg import RowSpace
-from equicurve.poly import VarSet, parse_poly
-from oracles import semigroup_delta_oracle
+from equicurve.poly import Polynomial, VarSet, parse_poly
+from oracles import order_on_branch, semigroup_delta_oracle
 
 U = VarSet(("u",))
 XYZ = VarSet(("x", "y", "z"))
@@ -391,6 +392,56 @@ class TestFirstJetOrder:
         # semigroup is <2, 5>, but no estimate is made, and J = 4 fails before 8
         assert delta_reduced([branch("u^2 + u^3", "u^4 + u^7")]) == 2
         assert spans_built[0] == 2
+
+
+COEFFICIENTS = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 6))
+
+
+@st.composite
+def branch_and_polys(draw):
+    """A branch with rational coefficients in one to three coordinates, and
+    polynomials on them; a polynomial is often made to vanish on the branch,
+    by a factor x_k where x_k(u) = 0 or c_j^a * x_i^b - c_i^b * x_j^a where
+    x_i(u) = c_i * u^a and x_j(u) = c_j * u^b, so that its terms cancel only
+    with their denominators counted."""
+    n = draw(st.integers(1, 3))
+    comps = []
+    for k in range(n):
+        size = draw(st.sampled_from([1, 1, 1, 2, 3] + [0] * bool(k)))
+        comps.append(Polynomial(U, {(draw(st.integers(1, 5)),): draw(COEFFICIENTS)
+                                    for _ in range(size)}))
+    ring = VarSet(("x", "y", "z")[:n])
+    x = [Polynomial.var(ring, name) for name in ring.names]
+    vanishing = [x[k] for k, c in enumerate(comps) if not c]
+    single = [(k, *next(iter(c.terms.items()))) for k, c in enumerate(comps) if len(c.terms) == 1]
+    for (i, (a,), ci), (j, (b,), cj) in itertools.combinations(single, 2):
+        vanishing.append(cj**a * x[i] ** b - ci**b * x[j] ** a)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {tuple(draw(st.integers(0, 3)) for _ in range(n)): draw(COEFFICIENTS)
+                 for _ in range(draw(st.integers(1, 4)))}
+        g = Polynomial(ring, terms)
+        if vanishing and draw(st.booleans()):
+            g = g * draw(st.sampled_from(vanishing))
+            if draw(st.booleans()):  # a vanishing part plus higher terms
+                g = g + Polynomial(ring, {tuple(4 * e for e in m): c for m, c in terms.items()})
+        if g:
+            gens.append(g)
+    return BranchParam(comps), gens
+
+
+class TestOrdersOn:
+    @given(branch_and_polys())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_rational_substitution(self, case):
+        b, gens = case
+        assert list(orders_on(gens, b.jets)) == [order_on_branch(g, b) for g in gens]
+
+    def test_orders_and_vanishing(self):
+        # x = u^2, y = u^3/2: 4y^2 - x^3 vanishes only with the 1/2 counted
+        b = branch("u^2", "1/2*u^3")
+        gens = [parse_poly(g, VarSet(("x", "y"))) for g in ("4*y^2 - x^3", "y^2 - x^3", "x + y")]
+        assert list(orders_on(gens, b.jets)) == [None, 6, 2]
 
 
 class TestInvariants:

@@ -262,6 +262,14 @@ class TestClassify:
         assert rep["special"]["invariants"]["m"] == rep["generic"]["invariants"]["m"] == 1
         assert rep["verdict"]["whitney"]
 
+    def test_class_b_component_is_normalized_as_class_a_is(self):
+        # the second component meets the section only at the origin (class B)
+        # and factors through u^2; it reports as its reparametrized twin
+        def report(*second):
+            return classify(Parametrized(components=(comp("u^2", "u^3", "t*u"), comp(*second))))
+
+        assert report("t + u^2", "u^4", "t*u^2") == report("t + u", "u^2", "t*u")
+
     def test_rejects_generically_nonreduced_special_fiber(self):
         with pytest.raises(HypothesisError):
             classify(Parametrized(components=(comp("u^2", "u^4", "t*u"),)))

@@ -20,6 +20,7 @@ from equicurve.poly import (
     Elimination,
     Polynomial,
     VarSet,
+    integral,
     mon_mul,
     order_by_name,
     parse_poly,
@@ -148,6 +149,20 @@ def test_orders_sort_as_their_tuple_keys(case):
     if len(monos[0]) > 1:
         homogenized = gb._homogenized(order, len(monos[0]) - 1)
         assert sorted(monos, key=homogenized.key) == sorted(monos, key=lambda m: (sum(m), tuple_key(m[1:])))
+
+
+class TestIntegral:
+    def test_fractions_are_scaled_by_the_lcm_of_their_denominators(self):
+        terms = {(1, 0): Fraction(1, 2), (0, 2): Fraction(-2, 3), (0, 0): Fraction(5)}
+        d, scaled = integral(terms)
+        assert (d, scaled) == (6, {(1, 0): 3, (0, 2): -4, (0, 0): 30})
+        assert list(scaled) == list(terms) and all(type(c) is int for c in scaled.values())
+
+    def test_ints_are_kept(self):
+        assert integral({(2,): 3, (0,): -1}) == (1, {(2,): 3, (0,): -1})
+
+    def test_empty(self):
+        assert integral({}) == (1, {})
 
 
 class TestArithmetic:

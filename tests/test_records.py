@@ -20,7 +20,7 @@ from equicurve.family import (
     Parametrized,
     classify,
 )
-from equicurve.localdim import INFINITE, CMWitness, LengthValue
+from equicurve.localdim import CMWitness
 from equicurve.poly import VarSet, parse_poly
 
 RING_U = VarSet(("u",))
@@ -47,7 +47,6 @@ def declared_cusp_family():
 def frozen_records():
     """Each frozen record, with the name of one of its fields."""
     return [
-        (LengthValue(3), "value"),
         (CMWitness(True, 2, 2), "is_cm"),
         (CurveInvariants(**CUSP), "mu"),
         (GenericAssertions(mu=2, m=2, r=1), "epsilon"),
@@ -104,13 +103,6 @@ class TestDefaults:
         assert parametrized["generic"]["t_samples"] == ["1", "-5/9"]
         assert declared["generic"]["t_samples"] == []
         assert list(parametrized["special"]) == list(declared["special"]) == ["invariants"]
-
-    def test_length_value(self):
-        assert LengthValue(4).finite and LengthValue(4).expect_finite("it") == 4
-        assert not INFINITE.finite and INFINITE == LengthValue(None)
-        assert repr(INFINITE) == "LengthValue(inf)" and repr(LengthValue(4)) == "LengthValue(4)"
-        with pytest.raises(ComputationError, match="it is infinite"):
-            INFINITE.expect_finite("it")
 
     def test_cm_witness(self):
         w = CMWitness(is_cm=False, length=3, multiplicity=2)
