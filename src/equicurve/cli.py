@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
 from .curveinv import RING_U, BranchParam, CurvePresentation, invariants
@@ -30,6 +31,10 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_COMPUTE = 3
 EXIT_HYPOTHESIS = 4
+
+# What the entries of one manifest share: its ring, and the map (text, ring) ->
+# Polynomial of the texts read so far (``_read_poly``).
+_Manifest = namedtuple("_Manifest", "ring parsed")
 
 
 def _require_mapping(node, allowed, required, where):
@@ -66,17 +71,27 @@ def _parse_ring(node, where, reserved=()):
     return VarSet(tuple(names))
 
 
-def _parse_ideal(gens, ring, where):
-    I = Ideal([parse_poly(g, ring) for g in _string_list(gens, where)], ring)
+def _read_poly(text, ring, parsed):
+    """parse_poly(text, ring), read once per map parsed: nothing changes a
+    parsed Polynomial's terms, so every use of a text can share one."""
+    poly = parsed.get((text, ring))
+    if poly is None:
+        poly = parsed[text, ring] = parse_poly(text, ring)
+    return poly
+
+
+def _parse_ideal(gens, ring, where, parsed):
+    I = Ideal([_read_poly(g, ring, parsed) for g in _string_list(gens, where)], ring)
     if not I.gens:
         raise ParseError(f"{where}: the ideal is zero; give a nonzero generator")
     return I
 
 
-def _parse_parametrizations(node, ring, where, make, param_ring):
+def _parse_parametrizations(node, ring, where, make, param_ring, parsed):
     """The parametrizations listed in node, a nonempty list of lists of one
     polynomial over param_ring per variable of ring; the i-th is
-    make(polynomials, label=str(i)), a ``BranchParam`` or a ``FamilyComponent``."""
+    make(polynomials, label=str(i)), a ``BranchParam`` or a ``FamilyComponent``.
+    Texts are read through the map parsed (``_read_poly``)."""
     if not isinstance(node, list) or not node:
         raise ParseError(f"{where}: expected a nonempty list")
     out = []
@@ -84,19 +99,19 @@ def _parse_parametrizations(node, ring, where, make, param_ring):
         comps = _string_list(comps, f"{where}[{i}]")
         if len(comps) != len(ring):
             raise ParseError(f"{where}[{i}]: {len(comps)} coordinates, ring has {len(ring)}")
-        out.append(make([parse_poly(c, param_ring) for c in comps], label=f"{i}"))
+        out.append(make([_read_poly(c, param_ring, parsed) for c in comps], label=f"{i}"))
     return out
 
 
-def _parse_curve_data(node, ring, where):
+def _parse_curve_data(node, manifest, where):
     """The branches and ideal of a curve entry or a special fiber, each None
     when node does not give it."""
     branches = ideal = None
     if "branches" in node:
-        branches = _parse_parametrizations(node["branches"], ring, f"{where}.branches",
-                                           BranchParam, RING_U)
+        branches = _parse_parametrizations(node["branches"], manifest.ring, f"{where}.branches",
+                                           BranchParam, RING_U, manifest.parsed)
     if "ideal" in node:
-        ideal = _parse_ideal(node["ideal"], ring, f"{where}.ideal")
+        ideal = _parse_ideal(node["ideal"], manifest.ring, f"{where}.ideal", manifest.parsed)
     return branches, ideal
 
 
@@ -122,7 +137,7 @@ def _parse_assertions(node, where):
     )
 
 
-def _analyze_curve(entry, ring, seed):
+def _analyze_curve(entry, manifest, seed):
     # seed is unused: a curve entry draws no samples; both entry kinds take the
     # same arguments.
     where = f"entry {entry.get('name', '?')!r}"
@@ -132,7 +147,7 @@ def _analyze_curve(entry, ring, seed):
         ("name", "kind", "branches"),
         where,
     )
-    branches, ideal = _parse_curve_data(entry, ring, where)
+    branches, ideal = _parse_curve_data(entry, manifest, where)
     inv = invariants(CurvePresentation(branches, ideal=ideal))
     return {
         "name": entry["name"],
@@ -141,7 +156,7 @@ def _analyze_curve(entry, ring, seed):
     }
 
 
-def _analyze_family(entry, ring, seed):
+def _analyze_family(entry, manifest, seed):
     from .family import RING_UT, Declared, FamilyComponent, Parametrized, classify
 
     where = f"entry {entry.get('name', '?')!r}"
@@ -171,15 +186,16 @@ def _analyze_family(entry, ring, seed):
         raise ParseError(
             f"{fiber_where}.classes: expected [count_through_section, count_off_section]"
         )
-    branches, ideal = _parse_curve_data(fiber, ring, fiber_where)
+    branches, ideal = _parse_curve_data(fiber, manifest, fiber_where)
 
     if mode == "parametrized":
         if "components" not in entry:
             raise ParseError(f"{where}: parametrized family needs components")
         if branches is not None or classes is not None:
             raise ParseError(f"{fiber_where}: branches/classes are only for declared mode")
-        components = _parse_parametrizations(entry["components"], ring, f"{where}.components",
-                                             FamilyComponent, RING_UT)
+        components = _parse_parametrizations(entry["components"], manifest.ring,
+                                             f"{where}.components", FamilyComponent, RING_UT,
+                                             manifest.parsed)
         F = Parametrized(tuple(components), ideal, assertions)
     else:
         if "components" in entry:
@@ -196,11 +212,13 @@ def _analyze_family(entry, ring, seed):
 
 def analyze_manifest(data, seed=0) -> dict:
     """Full report for parsed manifest data; entries in manifest order. Family
-    entries draw their generic samples from seed."""
+    entries draw their generic samples from seed. Each polynomial text is parsed
+    once per call, however often the manifest repeats it."""
     _require_mapping(data, ("ring", "entries"), ("ring", "entries"), "manifest")
     ring = _parse_ring(data["ring"], "manifest.ring", reserved=("u", "t"))
     if not isinstance(data["entries"], list):
         raise ParseError("manifest.entries: expected a list")
+    manifest = _Manifest(ring, {})
     entries = []
     for entry in data["entries"]:
         if not isinstance(entry, dict) or "kind" not in entry or "name" not in entry:
@@ -217,9 +235,9 @@ def analyze_manifest(data, seed=0) -> dict:
             ) from None
         kind = entry["kind"]
         if kind == "curve":
-            entries.append(_analyze_curve(entry, ring, seed))
+            entries.append(_analyze_curve(entry, manifest, seed))
         elif kind == "family":
-            entries.append(_analyze_family(entry, ring, seed))
+            entries.append(_analyze_family(entry, manifest, seed))
         else:
             raise ParseError(f"entry {entry['name']!r}: unknown kind {kind!r}")
     return {"ring": list(ring.names), "entries": entries}
@@ -385,7 +403,7 @@ def _cmd_std(args) -> int:
     data = _load_json(args.file, "input")
     _require_mapping(data, ("ring", "generators"), ("ring", "generators"), "input")
     ring = _parse_ring(data["ring"], "input.ring")
-    I = _parse_ideal(data["generators"], ring, "input.generators")
+    I = _parse_ideal(data["generators"], ring, "input.generators", {})
     order = order_by_name(args.order)
     # render every generator before printing any, so a failure prints nothing
     sys.stdout.write("".join(f"{g.render()}\n" for g in std_basis(I, order).basis))

@@ -40,8 +40,10 @@ class BranchParam:
             raise ValueError("branch needs at least one component")
         jets = []
         for comp in components:
-            d, terms = integral(comp.terms)
-            jets.append((d, tuple(sorted((sum(m), c) for m, c in terms.items()))))
+            # ``integral`` of the terms, read straight into the pairs
+            d = math.lcm(*[c.denominator for c in comp.terms.values()])
+            jets.append((d, tuple(sorted(
+                (e, c.numerator * (d // c.denominator)) for (e,), c in comp.terms.items()))))
         if not any(pairs for _, pairs in jets):
             raise ComputationError("all-zero branch")
         if any(pairs and pairs[0][0] == 0 for _, pairs in jets):
@@ -68,39 +70,43 @@ class BranchParam:
         return f"BranchParam({body})"
 
 
-def orders_on(gens, jets):
-    """Yield ord_u g(x(u)) for each of the polynomials gens, on the branch x(u)
-    with the given integer ``BranchParam.jets``, or None where g vanishes on it.
+def orders_on(gens, branches):
+    """Yield, for each of the branches (``BranchParam``), the list of
+    ord_u g(x(u)) on it for the polynomials g in gens, None where g vanishes.
 
-    With x_k = P_k / d_k, D_k the largest x_k-exponent of g and a_m the
-    coefficients of g times their least common denominator, g(x(u)) is a
-    nonzero multiple of the sum of a_m * prod_k d_k^(D_k - m_k) * P_k^(m_k),
+    With x_k = P_k / d_k on a branch, D_k the largest x_k-exponent of g and
+    a_m the coefficients of g times their least common denominator, g(x(u)) is
+    a nonzero multiple of the sum of a_m * prod_k d_k^(D_k - m_k) * P_k^(m_k),
     which has the same order in u and is summed in integers. A term with a
-    factor P_k = 0 is skipped.
+    factor P_k = 0 is skipped. The a_m and D_k of each g are read once, for
+    every branch.
     """
-    dens = [d for d, _ in jets]
-    scaled = max(dens) > 1
-    powers = {}  # (k, e): P_k^e, built when first needed
-    for g in gens:
-        top = [max(col) for col in zip(*g.terms)] if scaled else None
-        total = {}
-        for m, c in integral(g.terms)[1].items():
-            term = {(0,): c}
-            for k, e in enumerate(m):
-                if e:
-                    P = powers.get((k, e))
-                    if P is None:
-                        P = {(x,): b for x, b in jets[k][1]}
-                        P = powers[k, e] = P if e == 1 else _power_terms(P, e, 1)
-                    if not P:
-                        break
-                    term = _mul_terms(term, P)
-            else:
-                if scaled:
-                    a = math.prod([d ** (t - e) for d, t, e in zip(dens, top, m)])
-                    term = {x: a * b for x, b in term.items()}
-                _add_terms(total, term)
-        yield min(total)[0] if total else None
+    forms = [(integral(g.terms)[1], [max(col) for col in zip(*g.terms)]) for g in gens]
+    for b in branches:
+        dens = [d for d, _ in b.jets]
+        scaled = max(dens) > 1
+        powers = {}  # (k, e): P_k^e, built when first needed
+        orders = []
+        for terms, top in forms:
+            total = {}
+            for m, c in terms.items():
+                term = {(0,): c}
+                for k, e in enumerate(m):
+                    if e:
+                        P = powers.get((k, e))
+                        if P is None:
+                            P = {(x,): y for x, y in b.jets[k][1]}
+                            P = powers[k, e] = P if e == 1 else _power_terms(P, e, 1)
+                        if not P:
+                            break
+                        term = _mul_terms(term, P)
+                else:
+                    if scaled:
+                        a = math.prod([d ** (t - e) for d, t, e in zip(dens, top, m)])
+                        term = {x: a * v for x, v in term.items()}
+                    _add_terms(total, term)
+            orders.append(min(total)[0] if total else None)
+        yield orders
 
 
 class CurvePresentation:
@@ -121,12 +127,14 @@ class CurvePresentation:
             dims.add(len(ideal.ring))
         if len(dims) != 1:
             raise ComputationError("branches or ideal with mismatched ambient dimensions")
-        for b in branches if ideal is not None else ():
-            for g, order in zip(ideal.gens, orders_on(ideal.gens, b.jets)):
-                if order is not None:
-                    raise HypothesisError(
-                        f"ideal generator {g.render()!r} does not vanish on branch {b.label!r}"
-                    )
+        if ideal is not None:
+            for b, orders in zip(branches, orders_on(ideal.gens, branches)):
+                for g, order in zip(ideal.gens, orders):
+                    if order is not None:
+                        raise HypothesisError(
+                            f"ideal generator {g.render()!r} does not vanish on branch "
+                            f"{b.label!r}"
+                        )
         self.branches = branches
         self.ideal = ideal
 
@@ -208,6 +216,29 @@ def _first_jet_order(coordinates, orders):
     return max(c + m + plane * m * (total - m) for c, m in zip(conductors, orders))
 
 
+def _jet_span(coordinates, r, J):
+    """The image S of O in the direct sum of r copies of Q[u]/u^J, as a
+    ``RowSpace``: the closure of the diagonal 1 under multiplication by the
+    coordinates, each given by its jets on the branches (see ``delta_reduced``)."""
+    # per column: each coordinate's jet on its branch, and the branch's end
+    jet_at = [[] for _ in coordinates]
+    end_at = []
+    for i in range(r):
+        for on_columns, coordinate in zip(jet_at, coordinates):
+            on_columns += [coordinate[i]] * J
+        end_at += [(i + 1) * J] * J
+    span = RowSpace()
+    queue = [{i * J: 1 for i in range(r)}]
+    span.add(queue[0])
+    while queue:
+        vec = queue.pop()
+        for on_columns in jet_at:
+            prod = _times_coordinate(vec, on_columns, end_at)
+            if prod and span.add(prod):
+                queue.append(prod)
+    return span
+
+
 def delta_reduced(branches) -> int:
     """Delta invariant of the reduced curve with the given branches, exactly.
 
@@ -254,9 +285,12 @@ def delta_reduced(branches) -> int:
     u^(m_i)) span at most a plane. As c(G'_i) bounds c(G_i) from above and
     m_i m_j bounds (B_i . B_j) from below, J_i is only an estimate: the
     certificate alone decides. J starts at the largest J_i, at most
-    JET_ORDER_CAP, or at twice the largest branch order if that is larger or
-    some gcd(G'_i) is above 1, and doubles up to JET_ORDER_CAP while the
-    certificate fails.
+    JET_ORDER_CAP, or at twice the largest branch order M if that is larger
+    or some gcd(G'_i) is above 1. A failed certificate at J says only that
+    the conductor estimate J - M was too small, so the next J is 2J - M, at
+    most JET_ORDER_CAP: J - M doubles per span, and as J >= 2M the next J is
+    at least J + M. J - M starts at M or more, so the cap is reached within
+    ceil(log2 JET_ORDER_CAP) + 1 spans.
 
     The certificate can still fail at the cap: for two branches on
     the same image (delta infinite), for a map that is not a normalization,
@@ -298,22 +332,7 @@ def delta_reduced(branches) -> int:
     if first is not None:
         J = max(J, min(JET_ORDER_CAP, first))
     while J <= JET_ORDER_CAP:
-        # per column: each coordinate's jet on its branch, and the branch's end
-        jet_at = [[] for _ in coordinates]
-        end_at = []
-        for i in range(r):
-            for on_columns, coordinate in zip(jet_at, coordinates):
-                on_columns += [coordinate[i]] * J
-            end_at += [(i + 1) * J] * J
-        span = RowSpace()
-        queue = [{i * J: 1 for i in range(r)}]
-        span.add(queue[0])
-        while queue:
-            vec = queue.pop()
-            for on_columns in jet_at:
-                prod = _times_coordinate(vec, on_columns, end_at)
-                if prod and span.add(prod):
-                    queue.append(prod)
+        span = _jet_span(coordinates, r, J)
         if all(
             span.contains({i * J + j: 1})
             for i, m in enumerate(orders)
@@ -326,7 +345,7 @@ def delta_reduced(branches) -> int:
                 f"last jet order tried, J = {J}, the unit jets u^j e_i with "
                 "J - m_i <= j < J are not all in the span"
             )
-        J = min(2 * J, JET_ORDER_CAP)
+        J = min(2 * J - max(orders), JET_ORDER_CAP)
     raise ComputationError(
         f"delta not certified within JET_ORDER_CAP = {JET_ORDER_CAP}: branch order "
         f"{max(orders)} needs jet order {J} for the certificate"

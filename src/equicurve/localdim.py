@@ -124,7 +124,7 @@ def epsilon(I: Ideal, branches) -> int:
     for form in itertools.islice(itertools.chain(units, powers), r * (n - 1) + 1):
         l = Polynomial(ring, {units[k]: c for k, c in enumerate(form) if c})
         orders = list(itertools.takewhile(  # up to the first branch l vanishes on
-            lambda o: o is not None, (next(orders_on([l], b.jets)) for b in branches)))
+            lambda o: o is not None, (o for o, in orders_on([l], branches))))
         if len(orders) == r:
             break
     else:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equicurve import corpus, gb
+from equicurve import cli, corpus, gb
 from equicurve.cli import (
     EXIT_COMPUTE,
     EXIT_HYPOTHESIS,
@@ -667,6 +667,35 @@ class TestDeterminism:
         main(["analyze", path, "--seed", "3"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_each_text_is_parsed_once_per_manifest(self, monkeypatch):
+        # the two curve entries repeat every text; the family repeats the ideal,
+        # and its coordinates u^3 and u^4 are read again over the ring (u, t)
+        from equicurve.curveinv import RING_U
+        from equicurve.family import RING_UT
+
+        data = manifest(CUSP_CURVE_ENTRY, dict(CUSP_CURVE_ENTRY, name="again"),
+                        CUSP_FAMILY_ENTRY)
+        alone = [analyze_manifest(manifest(e))["entries"][0] for e in data["entries"]]
+        calls = []
+        real = cli.parse_poly
+
+        def counting(text, ring):
+            calls.append((text, ring))
+            return real(text, ring)
+
+        monkeypatch.setattr(cli, "parse_poly", counting)
+        report = analyze_manifest(data)
+        xyz = VarSet(("x", "y", "z"))
+        assert len(calls) == len(set(calls)) == 11
+        assert set(calls) == (
+            {(c, RING_U) for c in CUSP_CURVE_ENTRY["branches"][0]}
+            | {(g, xyz) for g in CUSP_CURVE_ENTRY["ideal"]}
+            | {(c, RING_UT) for c in CUSP_FAMILY_ENTRY["components"][0]}
+        )
+        expected = {"ring": data["ring"], "entries": alone}
+        for fmt in ("json", "text"):
+            assert render_report(report, fmt) == render_report(expected, fmt)
 
     def test_seed_changes_samples_not_values(self):
         a = analyze_manifest(manifest(CUSP_FAMILY_ENTRY), seed=0)

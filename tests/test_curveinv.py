@@ -330,15 +330,16 @@ PERTURBATIONS = [(c, k) for c in (-3, -2, -1, 1, 2, 3) for k in (1, 2, 3)]
 
 @pytest.fixture
 def spans_built(monkeypatch):
-    """The number of RowSpace objects delta_reduced has built, as a one-item list."""
-    built = [0]
+    """The spans delta_reduced has built, in order, as (J, rank) pairs."""
+    built = []
+    real = curveinv._jet_span
 
-    class CountingRowSpace(RowSpace):
-        def __init__(self):
-            built[0] += 1
-            super().__init__()
+    def recording(coordinates, r, J):
+        span = real(coordinates, r, J)
+        built.append((J, span.rank))
+        return span
 
-    monkeypatch.setattr(curveinv, "RowSpace", CountingRowSpace)
+    monkeypatch.setattr(curveinv, "_jet_span", recording)
     return built
 
 
@@ -349,25 +350,25 @@ class TestFirstJetOrder:
     def test_plane_branches_take_one_span(self, spans_built):
         for a, b in PLANE_PAIRS:
             for c, k in PERTURBATIONS:
-                spans_built[0] = 0
+                spans_built.clear()
                 br = branch(f"u^{a}", f"u^{b} + {c}*u^{b + k}", "0")
                 assert delta_reduced([br]) == _plane_delta(a, b)
-                assert spans_built[0] == 1, (a, b, c, k)
+                assert len(spans_built) == 1, (a, b, c, k)
 
     def test_branch_plus_transversal_line_takes_one_span(self, spans_built):
         for a, b in BRANCH_LINE_PAIRS:
             for n, (c, k) in enumerate(PERTURBATIONS):
                 d = n % 7 - 3
-                spans_built[0] = 0
+                spans_built.clear()
                 br = branch(f"u^{a}", f"u^{b} + {c}*u^{b + k}", "0")
                 line = branch(f"{d}*u", "u", "0")
                 assert delta_reduced([br, line]) == _plane_delta(a, b) + a
-                assert spans_built[0] == 1, (a, b, c, k, d)
+                assert len(spans_built) == 1, (a, b, c, k, d)
 
     def test_conductor_past_the_cap_fails_with_one_span(self, spans_built):
         with pytest.raises(ComputationError, match="J = 256"):
             delta_reduced([branch("u^17", "u^19")])
-        assert spans_built[0] == 1
+        assert len(spans_built) == 1
 
     def test_coordinate_zero_on_every_branch_changes_nothing(self, spans_built):
         # the same germs, embedded with a zero coordinate in each position
@@ -380,18 +381,69 @@ class TestFirstJetOrder:
         for germ in germs:
             counts = set()
             for where in range(3):
-                spans_built[0] = 0
+                spans_built.clear()
                 branches = [branch(*(b[:where] + ("0",) + b[where:])) for b in germ]
-                counts.add((delta_reduced(branches), spans_built[0]))
-            spans_built[0] = 0
-            counts.add((delta_reduced([branch(*b) for b in germ]), spans_built[0]))
+                counts.add((delta_reduced(branches), tuple(spans_built)))
+            spans_built.clear()
+            counts.add((delta_reduced([branch(*b) for b in germ]), tuple(spans_built)))
             assert len(counts) == 1, (germ, counts)
 
-    def test_pivot_gcd_above_one_keeps_the_doubling(self, spans_built):
+    def test_pivot_gcd_above_one_doubles_the_conductor_estimate(self, spans_built):
         # the coordinate jets have orders 2 and 4, yet y - x^2 has order 5: the
-        # semigroup is <2, 5>, but no estimate is made, and J = 4 fails before 8
+        # semigroup is <2, 5>, but no estimate is made, so J starts at 2 * 2 = 4;
+        # it fails there, and J - 2 doubles to 4, at J = 6 = c + m, which certifies
         assert delta_reduced([branch("u^2 + u^3", "u^4 + u^7")]) == 2
-        assert spans_built[0] == 2
+        assert [J for J, _ in spans_built] == [4, 6]
+
+
+class TestEscalation:
+    """After a failed certificate at J the next jet order is 2J - max m_i: the
+    conductor estimate J - max m_i doubles, not J."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_general_lines_certify_at_three(self, spans_built, n):
+        # r lines through 0 in general position: J = 2 fails, 2 * 2 - 1 = 3
+        # certifies, with rank 3r - delta
+        dirs = LINE_DIRECTIONS[:n]
+        delta = delta_reduced([branch(*(f"{c}*u" for c in v)) for v in dirs])
+        assert delta == hilbert_delta(dirs)
+        assert [J for J, _ in spans_built] == [2, 3]
+        assert spans_built[-1][1] == 3 * n - delta
+
+    def test_corpus_five_lines_certify_at_three(self, spans_built):
+        from equicurve import corpus
+
+        entry, = [e for m in corpus.MANIFESTS for e in m["entries"]
+                  if e["name"] == "five-lines-splitting-family"]
+        branches = [branch(*comps) for comps in entry["special_fiber"]["branches"]]
+        delta = delta_reduced(branches)
+        assert delta == 5
+        assert [J for J, _ in spans_built] == [2, 3]
+        assert spans_built[-1][1] == 3 * len(branches) - delta
+
+    @pytest.mark.parametrize(
+        "comps",
+        [
+            # one cusp in two parametrizations: delta is infinite
+            (("u^2", "u^3"), ("u^2", "-u^3")),
+            # factors through v = u^2 + u^3, yet its exponent gcd is 1
+            (("u^2 + u^3", "u^4 + 2*u^5 + u^6"),),
+        ],
+    )
+    def test_failures_double_the_estimate_up_to_the_cap(self, spans_built, comps):
+        branches = [branch(*c) for c in comps]
+        M = max(b.u_order() for b in branches)
+        with pytest.raises(ComputationError) as exc:
+            delta_reduced(branches)
+        assert str(exc.value) == (
+            "delta not certified within JET_ORDER_CAP = 256: at the last jet order tried, "
+            "J = 256, the unit jets u^j e_i with J - m_i <= j < J are not all in the span"
+        )
+        orders = [J for J, _ in spans_built]
+        assert orders[-1] == curveinv.JET_ORDER_CAP
+        assert all(a < b for a, b in zip(orders, orders[1:]))
+        assert all(b - M == 2 * (a - M) for a, b in zip(orders, orders[1:-1]))
+        assert len(orders) <= math.ceil(math.log2(curveinv.JET_ORDER_CAP)) + 1
 
 
 COEFFICIENTS = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 6))
@@ -435,13 +487,19 @@ class TestOrdersOn:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_matches_rational_substitution(self, case):
         b, gens = case
-        assert list(orders_on(gens, b.jets)) == [order_on_branch(g, b) for g in gens]
+        assert list(orders_on(gens, [b])) == [[order_on_branch(g, b) for g in gens]]
 
     def test_orders_and_vanishing(self):
         # x = u^2, y = u^3/2: 4y^2 - x^3 vanishes only with the 1/2 counted
         b = branch("u^2", "1/2*u^3")
         gens = [parse_poly(g, VarSet(("x", "y"))) for g in ("4*y^2 - x^3", "y^2 - x^3", "x + y")]
-        assert list(orders_on(gens, b.jets)) == [None, 6, 2]
+        assert list(orders_on(gens, [b])) == [[None, 6, 2]]
+
+    def test_one_list_per_branch(self):
+        # x, y, x - y on the lines x = 0, y = 0 and x = y, read in one call
+        lines = [branch("0", "u"), branch("u", "0"), branch("2*u", "2*u")]
+        gens = [parse_poly(g, VarSet(("x", "y"))) for g in ("x", "y", "x - y")]
+        assert list(orders_on(gens, lines)) == [[None, 1, 1], [1, None, 1], [1, 1, None]]
 
 
 class TestInvariants:

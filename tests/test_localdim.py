@@ -345,7 +345,8 @@ class TestEpsilonLadder:
         # e(l; O/I) >= e by the associativity formula: a count that falls
         # means two routes disagree (here: a branch order reported too large)
         real = localdim.orders_on
-        monkeypatch.setattr(localdim, "orders_on", lambda gens, jets: (o + 1 for o in real(gens, jets)))
+        monkeypatch.setattr(localdim, "orders_on", lambda gens, branches: (
+            [o + 1 for o in orders] for orders in real(gens, branches)))
         with pytest.raises(InternalCheckError, match=r"e\(x; O/I\) = 3 is below e = 4"):
             epsilon(I("z", "y^3 - x^4"), [branch("u^3", "u^4", "0")])
 
