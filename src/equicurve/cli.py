@@ -363,8 +363,8 @@ def run_paper_corpus(seed=0):
 
 
 def _load_json(path, what):
-    """Parsed JSON of a file; text that is not UTF-8, bad JSON and too deeply
-    nested JSON are parse errors."""
+    """Parsed JSON of a file; text that is not UTF-8, bad JSON, too deeply
+    nested JSON and an integer past the int-to-str limit are parse errors."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -374,12 +374,20 @@ def _load_json(path, what):
             raise ParseError(f"{what} is not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise ParseError(f"{what} is nested too deeply to parse") from exc
+        except ValueError:  # what json raises for an integer literal past the limit
+            raise ParseError(f"{what} holds an integer with more digits than the interpreter's "
+                             f"int-to-str limit of {sys.get_int_max_str_digits()}") from None
 
 
 def _cmd_analyze(args) -> int:
     data = _load_json(args.manifest, "manifest")
     report = analyze_manifest(data, args.seed)
-    sys.stdout.write(render_report(report, args.format))
+    try:
+        text = render_report(report, args.format)
+    except ValueError:  # a report holds ints, strs, bools and None: an int past the limit
+        raise ComputationError("the report holds a number with more digits than the interpreter's "
+                               f"int-to-str limit of {sys.get_int_max_str_digits()}") from None
+    sys.stdout.write(text)
     return EXIT_OK
 
 

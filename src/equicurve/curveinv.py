@@ -10,12 +10,11 @@ by Nakayama's lemma makes the truncation exact (see ``delta_reduced``).
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import namedtuple
 
 from .errors import ComputationError, HypothesisError, InternalCheckError
-from .linalg import RowSpace
+from .linalg import RowSpace, pivots
 from .poly import Ideal, VarSet, _add_terms, _mul_terms, _power_terms, integral
 
 JET_ORDER_CAP = 256
@@ -158,23 +157,6 @@ def _times_coordinate(vec, jet_at, end_at):
     return out
 
 
-def _pivots(vectors):
-    """Yield, for each integer vector {column: value} independent of those before
-    it, the pivot (least column) it takes in an echelon form."""
-    rows = {}
-    for vec in vectors:
-        vec = {col: v for col, v in vec.items() if v}
-        while vec and min(vec) in rows:
-            p = min(vec)
-            row, c = rows[p], vec[p]
-            vec = {col: s for col in vec.keys() | row.keys()
-                   if (s := row[p] * vec.get(col, 0) - c * row.get(col, 0))}
-        if vec:
-            p = min(vec)
-            rows[p] = vec
-            yield p
-
-
 def semigroup_conductor(gens):
     """Conductor of the numerical semigroup generated by the positive integers
     gens (the least c with c + N inside it), or None when their gcd is above 1.
@@ -206,12 +188,13 @@ def _first_jet_order(coordinates, orders):
     conductors, tangents = [], []
     for i, m in enumerate(orders):
         jets = [dict(coordinate[i]) for coordinate in coordinates]
-        c = 0 if m == 1 else semigroup_conductor(list(_pivots(jets)))  # smooth: G = N
+        c = 0 if m == 1 else semigroup_conductor(pivots(jets))  # smooth: G = N
         if c is None:
             return None
         conductors.append(c)
-        tangents.append({k: jet.get(m, 0) for k, jet in enumerate(jets)})
-    plane = len(list(itertools.islice(_pivots(tangents), 3))) <= 2
+        # the coefficient vector of u^m, zero entries left out
+        tangents.append({k: jet[m] for k, jet in enumerate(jets) if m in jet})
+    plane = len(pivots(tangents)) <= 2
     total = sum(orders)
     return max(c + m + plane * m * (total - m) for c, m in zip(conductors, orders))
 

@@ -32,7 +32,7 @@ from .curveinv import (
 from .errors import ComputationError, HypothesisError, InternalCheckError
 from .gcd import recursive_form
 from .localdim import is_cohen_macaulay
-from .poly import Ideal, Polynomial, VarSet
+from .poly import Ideal, Polynomial, VarSet, _number_text
 
 RING_UT = VarSet(("u", "t"))
 
@@ -45,7 +45,7 @@ class FamilyComponent:
     them: for each, (d, A) with A in Z[t][u] equal to d times the coordinate.
     """
 
-    __slots__ = ("param", "label", "table", "_special")
+    __slots__ = ("param", "label", "table")
 
     def __init__(self, param, label=""):
         param = tuple(param)
@@ -59,7 +59,6 @@ class FamilyComponent:
         self.param = param
         self.label = label
         self.table = [recursive_form(p.terms) for p in param]
-        self._special = None
 
     def component_class(self) -> str:
         """'A' when the section {u = 0} lies in the component, 'B' when the
@@ -79,16 +78,13 @@ class FamilyComponent:
         )
 
     def specialize(self, t0) -> BranchParam:
-        """The branch of the fiber at t = t0 contributed by this component; the
-        one at t0 = 0 is built once and kept.
+        """The branch of the fiber at t = t0 contributed by this component.
 
         For t0 = p/q in lowest terms, the coefficient n(t)/d of u^a, n of
         degree D, is n^h(p, q) / (q^D * d), where the homogenization
         n^h(p, q) = sum_b n_b p^b q^(D - b) is evaluated in integers.
         """
         t0 = Fraction(t0)
-        if not t0 and self._special is not None:
-            return self._special
         p, q = t0.numerator, t0.denominator
         comps = []
         for d, A in self.table:
@@ -104,10 +100,7 @@ class FamilyComponent:
             raise ComputationError(
                 f"component {self.label!r} specializes to the zero branch at t = {t0}"
             )
-        branch = BranchParam(comps, label=self.label)
-        if not t0:
-            self._special = branch
-        return branch
+        return BranchParam(comps, label=self.label)
 
     def __repr__(self):
         return f"FamilyComponent({', '.join(p.render() for p in self.param)})"
@@ -195,7 +188,11 @@ def _normalized_components(F: Parametrized):
     out = []
     for c in F.components:
         c = c.reparametrized(c.u_exponent_gcd())
-        if c.specialize(0).exponent_gcd() > 1:
+        # the exponent gcd of the branch at t = 0, whose exponents are the a with A[a](0) != 0
+        g = math.gcd(*[a for _, A in c.table for a, row in enumerate(A) if row and row[0]])
+        if not g:
+            c.specialize(0)  # the zero branch: its error comes before the pullback checks
+        if g > 1:
             raise HypothesisError(
                 f"component {c.label!r}: special fiber parametrization factors "
                 "through a power of u; the special fiber is not generically reduced"
@@ -293,13 +290,13 @@ def _classify_declared(F):
         if a.mu != 2 * delta_t - a.r + 1:
             raise HypothesisError(
                 "declared generic invariants are inconsistent: "
-                f"mu={a.mu} but 2*delta - r + 1 = {2 * delta_t - a.r + 1}"
+                f"mu={a.mu} but 2*delta - r + 1 = {_number_text(2 * delta_t - a.r + 1)}"
             )
     else:
         if (a.mu + a.r - 1) % 2:
             raise HypothesisError(
                 f"declared generic invariants are inconsistent: mu + r - 1 = "
-                f"{a.mu + a.r - 1} is odd"
+                f"{_number_text(a.mu + a.r - 1)} is odd"
             )
         delta_t = (a.mu + a.r - 1) // 2
     # mu_red = 2*delta_red - r + 1 with r >= 1, so a negative delta_red makes
@@ -309,6 +306,16 @@ def _classify_declared(F):
         raise HypothesisError(
             "declared generic invariants are inconsistent: they give "
             f"delta_red = {delta_red} and mu_red = {mu_red}, and neither can be negative"
+        )
+    # A reduced germ with branches of multiplicities m_i has m = sum m_i >= r.
+    # With O' its normalization, dim O'/mO' = m, and (O + mO')/mO' is a
+    # quotient of O/m, so it has dimension at most 1 and
+    # delta_red >= dim O'/(O + mO') >= m - 1. m = 1 means one smooth branch.
+    if a.r > a.m or delta_red < a.m - 1 or (a.m == 1 and delta_red > 0):
+        raise HypothesisError(
+            f"declared generic invariants fit no reduced germ: m = {a.m}, r = {a.r} and "
+            f"delta_red = {_number_text(delta_red)}, but r <= m, delta_red >= m - 1, "
+            "and delta_red = 0 if m = 1"
         )
     inv_t = CurveInvariants.derived(a.m, a.r, delta_red, a.epsilon)
     hypotheses = {

@@ -77,8 +77,7 @@ arithmetic with monic basis elements, times a nonzero rational, and every
 choice reads terms only: the leading term, the first reducer whose lead
 divides it and the pair order. So the same steps are taken, and each output
 element, made monic in ``Fraction``s, is the rational one (the tests' oracle)
-term for term. ``normal_form`` divides out the factor between its integer
-remainder and the rational one.
+term for term.
 """
 
 from __future__ import annotations
@@ -199,8 +198,7 @@ def _primitive(h: dict) -> dict:
 
 def _cancel(h: dict, lm: int, lp: int, r: tuple, guard: int, rem: dict):
     """Cancel the term of h at key lm (packed lp) by the reducer r, fraction-free
-    and in place; ``rem``, the remainder split off h so far, is scaled with it.
-    Returns the factor by which h and rem were multiplied."""
+    and in place; ``rem``, the remainder split off h so far, is scaled with it."""
     rp, rk, a, items, top = r
     c = h[lm]
     d = gcd(a, c)
@@ -223,22 +221,20 @@ def _cancel(h: dict, lm: int, lp: int, r: tuple, guard: int, rem: dict):
             h[m] = s
         else:
             del h[m]
-    if a == 1:
-        return 1
-    k = gcd(*h.values(), *rem.values()) or 1
-    if k > 1:
-        for m in h:
-            h[m] //= k
-        for m in rem:
-            rem[m] //= k
-    return Fraction(a, k)
+    if a != 1:
+        k = gcd(*h.values(), *rem.values())
+        if k > 1:
+            for m in h:
+                h[m] //= k
+            for m in rem:
+                rem[m] //= k
 
 
-def _reduce_global(h: dict, reducers, pk: _Packing):
+def _reduce_global(h: dict, reducers, pk: _Packing) -> dict:
     """Full division remainder of the term dict h, which it consumes, by the
-    reducers, and the factor by which it exceeds the rational remainder."""
+    reducers: a nonzero multiple of the rational remainder."""
     guard, packed = pk.guard, pk.packed
-    rem, scale, steps = {}, 1, 0
+    rem, steps = {}, 0
     while h:
         steps += 1
         if steps > _REDUCTION_CAP:
@@ -249,11 +245,11 @@ def _reduce_global(h: dict, reducers, pk: _Packing):
         lp = packed(lm)
         for r in reducers:
             if ((lp | guard) - r[0]) & guard == guard:
-                scale *= _cancel(h, lm, lp, r, guard, rem)
+                _cancel(h, lm, lp, r, guard, rem)
                 break
         else:
             rem[lm] = h.pop(lm)
-    return rem, scale
+    return rem
 
 
 def _spoly(f: tuple, g: tuple, l: int, lk: int, guard: int) -> dict:
@@ -275,7 +271,7 @@ class StandardBasis:
     first ``_skip`` exponents (h, under a local order) to be dropped.
 
     ``basis``, the monic ``Fraction`` polynomials, is built on its first read,
-    and the reducers of a Groebner basis on its first reduction; only a
+    and the reducers of a Groebner basis on its first membership test; only a
     Groebner basis is ever reduced by.
     """
 
@@ -294,37 +290,22 @@ class StandardBasis:
             self._basis = tuple(monic(h, ring, self._skip) for h in self._terms)
         return self._basis
 
-    def _reduce(self, f: Polynomial):
-        if f.ring != self.ideal.ring:
-            raise RingMismatchError("polynomial over a different ring than the basis")
-        pk = self._packing
-        if self._reducers is None:
-            self._reducers = tuple(map(pk.reducer, self._terms))
-        d, h = pk.integral(f.terms)
-        r, scale = _reduce_global(h, self._reducers, pk)
-        return r, scale * d
-
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        """The division remainder under a global order; zero iff f lies in the
-        ideal. A local order has no unique normal form, so it is refused."""
-        if not self.order.is_global:
-            raise ValueError("normal_form needs a global order")
-        r, scale = self._reduce(f)
-        exps = self._packing.exps
-        return _from_terms(f.ring, {exps(k): Fraction(r[k]) / scale for k in sorted(r, reverse=True)})
-
     def contains(self, f: Polynomial) -> bool:
         """Whether f lies in the ideal, localized under a local order.
 
-        Under a local order f lies in I*O iff every lead of a standard basis of
-        I + <f> is divisible by a lead of this one: I lies in I + <f>, and two
-        nested ideals of the local ring with one leading ideal are equal
-        (Greuel-Pfister 1.6).
+        Under a global order f lies in I iff its division remainder by the
+        Groebner basis is zero. Under a local order f lies in I*O iff every
+        lead of a standard basis of I + <f> is divisible by a lead of this one:
+        I lies in I + <f>, and two nested ideals of the local ring with one
+        leading ideal are equal (Greuel-Pfister 1.6).
         """
-        if self.order.is_global:
-            return not self._reduce(f)[0]
         if f.ring != self.ideal.ring:
             raise RingMismatchError("polynomial over a different ring than the basis")
+        if self.order.is_global:
+            pk = self._packing
+            if self._reducers is None:
+                self._reducers = tuple(map(pk.reducer, self._terms))
+            return not _reduce_global(pk.integral(f.terms)[1], self._reducers, pk)
         bigger = std_basis(Ideal(self.ideal.gens + (f,), f.ring), self.order)
         return all(any(all(map(le, l, m)) for l in self.lead_monomials) for m in bigger.lead_monomials)
 
@@ -399,7 +380,7 @@ def _reduced_basis(gens: list, pk: _Packing) -> list:
 
     while pairs:
         _, lk, i, j, l = heappop(pairs)
-        h, _ = _reduce_global(_spoly(G[i], G[j], l, lk, guard), G, pk)
+        h = _reduce_global(_spoly(G[i], G[j], l, lk, guard), G, pk)
         if h:
             G.append(pk.reducer(_primitive(h)))
             L.append(G[-1][0])
@@ -414,7 +395,7 @@ def _reduced_basis(gens: list, pk: _Packing) -> list:
         h = dict(G[i][3])
         others = [G[j] for j in minimal if j != i]
         if others:
-            h = _primitive(_reduce_global(h, others, pk)[0])
+            h = _primitive(_reduce_global(h, others, pk))
         out.append((G[i][1], h))
     out.sort(key=lambda kh: kh[0])
     return out

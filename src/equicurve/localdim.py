@@ -73,6 +73,27 @@ def vdim(I: Ideal) -> int | None:
     return _staircase_count(B.lead_monomials, len(I.ring))
 
 
+def _rungs(I: Ideal):
+    """(K, [D(K), D(K + 1)]) for the ideal I of Q[x_1, ..., x_n]: D(N) is the
+    length of the local ring of I + <x_n^N> at the origin (None for infinite),
+    and K = 1 + the largest x_n-exponent of a lead of I under ``LAST_FIRST``.
+
+    Under ``LAST_FIRST`` the lead of g has the least x_n-exponent a of its
+    terms, so the S-pair of g and x_n^N is x_n^N times a polynomial (g itself
+    if N <= a), and with x_n^N added a standard basis of I is one of
+    I + <x_n^N> (Greuel-Pfister, A Singular Introduction to Commutative
+    Algebra, 1.7): its leads give every D(N) by a count (``_staircase_count``).
+    A monomial of x_n-exponent K - 1 or more lies outside the leads iff its
+    part free of x_n does, so the rungs rise by one constant from K - 1 on.
+    """
+    from .gb import std_basis
+
+    n = len(I.ring)
+    leads = std_basis(I, LAST_FIRST).lead_monomials
+    K = 1 + max(m[-1] for m in leads)
+    return K, [_staircase_count([*leads, (0,) * (n - 1) + (N,)], n) for N in (K, K + 1)]
+
+
 def epsilon(I: Ideal, branches) -> int:
     """The length epsilon of the nilradical of A = O/I, O the local ring at
     the origin, for the ideal I of a curve with the given branches, every
@@ -103,21 +124,14 @@ def epsilon(I: Ideal, branches) -> int:
 
     A linear change of coordinates, an automorphism of O, makes l the last
     variable x_n: with c_j * x_j the last term of l, each generator g becomes
-    c_j^(deg_j g) * g((l - sum_(k != j) c_k x_k) / c_j), in integers. Under
-    ``LAST_FIRST`` the lead of g has the least l-exponent a of its terms, so
-    the S-pair of g and l^N is l^N times a polynomial (g itself if N <= a),
-    and with l^N added a standard basis of I is one of I + <l^N>
-    (Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.7): its
-    leads give every D(N) by a count (``_staircase_count``). With K = 1 + the
-    largest l-exponent of a lead, a monomial of l-exponent K - 1 or more lies
-    outside the leads iff its part free of l does, so D(N + 1) - D(N) is
-    e(l; A) - e for all N >= K, as l^N H = 0 for a large N. If
-    D(K + 1) = D(K), then l^K H = l^(K + 1) H, so l^K H = 0 by Nakayama's
-    lemma (Matsumura, Thm 2.2), and epsilon = D(K); a rise proves e(l; A) > e
-    (HypothesisError), and a fall would contradict the associativity formula.
+    c_j^(deg_j g) * g((l - sum_(k != j) c_k x_k) / c_j), in integers. Then
+    ``_rungs`` gives K and the lengths at K and K + 1, and as they rise by one
+    constant from K - 1 on, D(N + 1) - D(N) is e(l; A) - e for all N >= K,
+    as l^N H = 0 for a large N. If D(K + 1) = D(K), then l^K H = l^(K + 1) H,
+    so l^K H = 0 by Nakayama's lemma (Matsumura, Thm 2.2), and epsilon = D(K);
+    a rise proves e(l; A) > e (HypothesisError), and a fall would contradict
+    the associativity formula.
     """
-    from .gb import std_basis
-
     ring, r, n = I.ring, len(branches), len(I.ring)
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     powers = (tuple(k**s for k in range(1, n + 1)) for s in itertools.count(1))
@@ -139,9 +153,7 @@ def epsilon(I: Ideal, branches) -> int:
             {m[:j] + (0,) + m[j + 1:]: c * form[j] ** (top - m[j])},
             _power_terms(line, m[j], n)) for m, c in integral(g.terms)[1].items()), {})
         gens.append(Polynomial(ring, {m[:j] + m[j + 1:] + (m[j],): c for m, c in terms.items()}))
-    leads = std_basis(Ideal(gens, ring), LAST_FIRST).lead_monomials
-    K = 1 + max(m[-1] for m in leads)
-    length = [_staircase_count([*leads, (0,) * (n - 1) + (N,)], n) for N in (K, K + 1)]
+    K, length = _rungs(Ideal(gens, ring))
     if length[0] is None:  # at every N alike: the pure powers of the other variables decide
         raise HypothesisError(f"V(I) has a component other than the branches: vdim(I + <{shown}>) "
                               f"is infinite, and {shown} vanishes on no branch")
@@ -279,20 +291,12 @@ def hs_multiplicity_of_param(J: Ideal) -> int:
     the origin and sqrt(J) = <u> (``_verify_radical_is_axis``): the tests'
     oracle for ``is_cohen_macaulay(J).multiplicity``, on no production path.
 
-    As in ``epsilon``, t is the last variable, so with t^N added a standard
-    basis of J under ``LAST_FIRST`` is one of J + <t^N>, and each rung
-    vdim(J + <t^N>) is a count of the monomials outside its leads, finite as a
-    power of u lies in J. With K = 1 + the largest t-exponent of a lead, a
-    monomial u^a * t^N with N >= K - 1 lies outside the leads iff u^a does, so
-    the rungs rise by one constant from N = K - 1 on. For large N the rise is
-    e(t; O/J), so it is e(t; O/J) from there on.
+    With t last, ``_rungs`` gives vdim(J + <t^N>) at N = K and K + 1, finite as
+    a power of u lies in J; the rise from K - 1 on is one constant, and for
+    large N it is e(t; O/J).
     """
-    from .gb import std_basis
-
     _verify_radical_is_axis(J)
-    leads = std_basis(J, LAST_FIRST).lead_monomials
-    K = 1 + max(m[-1] for m in leads)
-    count = [_staircase_count([*leads, (0, N)], 2) for N in (K, K + 1)]
+    _, count = _rungs(J)
     return count[1] - count[0]
 
 

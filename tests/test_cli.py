@@ -438,13 +438,13 @@ class TestSchemaRejection:
         "data, assertions, message",
         [
             # m = 5 at t = 0 and generically, with two generic connected components
-            (corpus.MANIFEST_5VARS, {"mu": 4, "m": 5, "r": 3},
+            (corpus.MANIFEST_5VARS, {"mu": 6, "m": 5, "r": 3},
              "constant multiplicity with a disconnected generic fiber"),
             # mu = 2 at t = 0 and generically on a connected fiber, while delta
             # goes from 1 to 2 and r from 1 to 3
             (manifest(dict(DECLARED_FAMILY_ENTRY, special_fiber=dict(
                 DECLARED_FAMILY_ENTRY["special_fiber"], classes=[1, 0]))),
-             {"mu": 2, "m": 2, "r": 3},
+             {"mu": 2, "m": 3, "r": 3},
              "topological-triviality criteria disagree: (delta, r) constancy gives False, "
              "(mu, connectivity) gives True"),
         ],
@@ -779,6 +779,90 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
     max_leaves=30,
 )
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this interpreter has no int-to-str digit limit")
+
+
+def assert_one_error_line(capsys, prefix):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    return captured.err
+
+
+class TestOneLineFailures:
+    """Numbers past the int-to-str limit, declared generic invariants that no
+    reduced germ has, and a family with a zero special branch: each exits with
+    one stderr line and prints nothing."""
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("command", ["analyze", "std"])
+    def test_integer_past_the_digit_limit_is_a_parse_error(self, tmp_path, capsys, command):
+        path = tmp_path / "big.json"
+        path.write_text('{"ring": ["x"], "n": ' + "1" * (DIGIT_LIMIT + 700) + "}")
+        args = [command, str(path)] + (["--order", "degrevlex"] if command == "std" else [])
+        assert main(args) == EXIT_PARSE
+        err = assert_one_error_line(capsys, "parse error:")
+        assert f"int-to-str limit of {DIGIT_LIMIT}" in err
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_report_number_past_the_digit_limit_exits_3(self, tmp_path, capsys, fmt):
+        # mu = epsilon = 10^4300 - 1 pass every check, and mu_red = mu + 2*epsilon
+        # has one digit more than the limit
+        nines = "9" * DIGIT_LIMIT
+        entry = dict(DECLARED_FAMILY_ENTRY, special_fiber=dict(
+            DECLARED_FAMILY_ENTRY["special_fiber"], branches=[["u", "0", "0"], ["0", "u", "0"]]))
+        entry["generic_fiber_assertions"] = {"mu": "MU", "m": 2, "r": 2, "epsilon": "MU"}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest(entry)).replace('"MU"', nines))
+        assert main(["analyze", str(path), "--format", fmt]) == EXIT_COMPUTE
+        err = assert_one_error_line(capsys, "computation error:")
+        assert f"int-to-str limit of {DIGIT_LIMIT}" in err
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("assertions", [
+        {"mu": "NINES", "m": 3, "r": 3},  # mu + r - 1 = 10^4300 + 1 is odd
+        {"mu": 1, "m": 1, "r": 1, "delta": "NINES"},  # 2*delta - r + 1 != mu
+    ], ids=["odd", "delta"])
+    def test_declared_message_number_past_the_digit_limit_exits_3(self, tmp_path, capsys, assertions):
+        entry = dict(DECLARED_FAMILY_ENTRY, generic_fiber_assertions=assertions)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest(entry)).replace('"NINES"', "9" * DIGIT_LIMIT))
+        assert main(["analyze", str(path)]) == EXIT_COMPUTE
+        err = assert_one_error_line(capsys, "computation error:")
+        assert f"int-to-str limit of {DIGIT_LIMIT}" in err
+
+    @pytest.mark.parametrize(
+        "assertions, delta_red",
+        [
+            ({"mu": 4, "m": 1, "r": 1}, 2),  # a smooth germ has delta_red = 0
+            ({"mu": 2, "m": 2, "r": 3}, 2),  # three branches need m >= 3
+            ({"mu": 0, "m": 3, "r": 1}, 0),  # m = 3 needs delta_red >= 2
+            ({"mu": 1, "m": 3, "r": 2, "delta": 1, "epsilon": 0}, 1),
+        ],
+        ids=["smooth-with-delta", "r-above-m", "delta-below-m-1", "declared-delta"],
+    )
+    def test_declared_invariants_no_reduced_germ_has(self, tmp_path, capsys, assertions, delta_red):
+        entry = dict(DECLARED_FAMILY_ENTRY, generic_fiber_assertions=assertions)
+        assert main(["analyze", write_manifest(tmp_path, manifest(entry))]) == EXIT_HYPOTHESIS
+        err = assert_one_error_line(capsys, "hypothesis failure:")
+        assert err == (
+            "hypothesis failure: declared generic invariants fit no reduced germ: "
+            f"m = {assertions['m']}, r = {assertions['r']} and delta_red = {delta_red}, "
+            "but r <= m, delta_red >= m - 1, and delta_red = 0 if m = 1\n"
+        )
+
+    def test_zero_special_branch_precedes_the_cohen_macaulay_witness(self, tmp_path, capsys):
+        # the pullback <t*u, t*u^2> fails the radical check (exit 4), but the
+        # component's branch at t = 0 is zero, and that is named first
+        entry = {"name": "vanishing", "kind": "family", "components": [["t*u", "t*u^2", "0"]]}
+        assert main(["analyze", write_manifest(tmp_path, manifest(entry))]) == EXIT_COMPUTE
+        err = assert_one_error_line(capsys, "computation error:")
+        assert err == "computation error: component '0' specializes to the zero branch at t = 0\n"
 
 
 class TestJsonWriter:

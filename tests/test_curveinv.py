@@ -388,6 +388,13 @@ class TestFirstJetOrder:
             counts.add((delta_reduced([branch(*b) for b in germ]), tuple(spans_built)))
             assert len(counts) == 1, (germ, counts)
 
+    def test_tangents_of_mixed_support(self, spans_built):
+        # the tangent of (u, 0, u^2) is (1, 0, 0) and that of (0, u, u^3) is
+        # (0, 1, 0): read only where a coordinate has order 1, with no zero
+        # entry, they span a plane, and J = 2 certifies two transverse branches
+        assert delta_reduced([branch("u", "0", "u^2"), branch("0", "u", "u^3")]) == 1
+        assert [J for J, _ in spans_built] == [2]
+
     def test_pivot_gcd_above_one_doubles_the_conductor_estimate(self, spans_built):
         # the coordinate jets have orders 2 and 4, yet y - x^2 has order 5: the
         # semigroup is <2, 5>, but no estimate is made, so J starts at 2 * 2 = 4;

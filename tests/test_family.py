@@ -8,7 +8,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from equicurve.cli import run_paper_corpus
 from equicurve.curveinv import BranchParam, CurvePresentation, invariants
 from equicurve.errors import ComputationError, HypothesisError
 from equicurve.family import (
@@ -355,3 +358,67 @@ class TestClassify:
         assert rep["hypotheses"]["sqrt(pullback) = <u> on every class-A component"] == "verified"
         assert rep["hypotheses"]["flat family over a disc"] == "asserted"
         assert rep["constancy"] == {"mu": True, "m": False, "delta": True, "r": True}
+
+
+def assert_fits_a_reduced_germ(inv):
+    m, r, delta_red = inv["m"], inv["r"], inv["delta_red"]
+    assert r <= m and delta_red >= m - 1 and (m > 1 or delta_red == 0), inv
+
+
+@st.composite
+def germs(draw):
+    """One to three branches (u^a, f(u), g(u)) of distinct orders a, f and g of
+    order a or more: branches of distinct images."""
+    return [BranchParam([Polynomial(RING_U, {(a,): Fraction(1)})] + [
+        Polynomial(RING_U, {(a + e,): Fraction(c) for e, c in draw(SHIFTED_TERMS).items()})
+        for _ in range(2)]) for a in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))]
+
+
+SHIFTED_TERMS = st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool), max_size=2)
+UT_TERMS = st.dictionaries(st.tuples(st.integers(1, 6), st.integers(0, 1)),
+                           st.integers(-2, 2).filter(bool), max_size=3)
+
+
+@st.composite
+def families(draw):
+    """One or two components (u^a, f(u, t), g(u, t)) of distinct a, through the section."""
+    return Parametrized(components=tuple(FamilyComponent(
+        [Polynomial(RING_UT, {(a, 0): Fraction(1)})]
+        + [Polynomial(RING_UT, {m: Fraction(c) for m, c in draw(UT_TERMS).items()}) for _ in range(2)])
+        for a in draw(st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True))))
+
+
+class TestDeclaredInequalities:
+    """r <= m, delta_red >= m - 1, and delta_red = 0 if m = 1, which declared
+    generic invariants must satisfy, hold for the computed invariants of
+    every corpus entry and of drawn germs and families. A draw the program
+    rejects as outside its hypotheses or its budgets is skipped."""
+
+    def test_corpus(self):
+        report, mismatches = run_paper_corpus()
+        assert not mismatches
+        for entry in report["entries"]:
+            if entry["kind"] == "curve":
+                assert_fits_a_reduced_germ(entry["invariants"])
+            else:
+                assert_fits_a_reduced_germ(entry["special"]["invariants"])
+                assert_fits_a_reduced_germ(entry["generic"]["invariants"])
+
+    @given(germs())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_germs(self, branches):
+        try:
+            inv = invariants(CurvePresentation(branches))
+        except ComputationError:  # a branch whose exponents have a gcd above 1
+            return
+        assert_fits_a_reduced_germ(inv._asdict())
+
+    @given(families())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_families(self, family):
+        try:
+            report = classify(family)
+        except (ComputationError, HypothesisError):
+            return
+        assert_fits_a_reduced_germ(report["special"]["invariants"])
+        assert_fits_a_reduced_germ(report["generic"]["invariants"])

@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equicurve.linalg import RowSpace
+from equicurve.linalg import RowSpace, pivots
 
 COLUMNS = 7
 
@@ -83,3 +83,17 @@ def test_rank_and_membership_match_fraction_elimination(case):
     for row in span.rows.values():
         assert all(type(x) is int for x in row.values())
         assert row[min(row)] > 0 and math.gcd(*row.values()) == 1
+
+
+integers = st.integers(-12, 12).filter(bool)
+
+
+@given(st.lists(st.dictionaries(st.integers(0, COLUMNS - 1), integers, max_size=5), max_size=9))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_pivots_are_those_of_a_row_space(vectors):
+    # the same elimination with unnormalized rows: the same pivot columns, in
+    # the order their vectors come
+    span = RowSpace()
+    for v in vectors:
+        span.add(v)
+    assert pivots(vectors) == list(span.rows)

@@ -5,6 +5,7 @@ with the same text."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicurve.errors import ComputationError
-from equicurve.family import RING_UT, FamilyComponent
+from equicurve.family import RING_UT, FamilyComponent, Parametrized, classify
 from equicurve.poly import Polynomial, parse_poly
 from oracles import specialize_by_terms
 
@@ -50,8 +51,6 @@ def test_specialize_matches_the_term_by_term_oracle(param, t0):
     c = FamilyComponent(param, label="X")
     want = outcome(specialize_by_terms, c, t0)
     assert outcome(FamilyComponent.specialize, c, t0) == want
-    # again, from the branch kept at t0 = 0
-    assert outcome(FamilyComponent.specialize, c, t0) == want
     if isinstance(want[0], list):
         branch = c.specialize(t0)
         assert all(type(x) is Fraction for f in branch.components for x in f.terms.values())
@@ -68,7 +67,19 @@ def test_zero_branch_error_text():
     assert str(ours.value) == message
 
 
-def test_special_branch_is_built_once():
-    c = FamilyComponent([parse_poly(s, RING_UT) for s in ("u^2 + t*u", "u^3")])
-    assert c.specialize(0) is c.specialize(Fraction(0))
-    assert c.specialize(1) is not c.specialize(1)
+def test_classify_specializes_each_component_at_zero_once(monkeypatch):
+    # the special branch's exponent gcd is read off the table, so the branch
+    # at t = 0 is built for the special fiber alone: once per component, the
+    # reparametrized one and the class-B one included
+    calls = Counter()
+    specialize = FamilyComponent.specialize
+
+    def counted(c, t0):
+        calls[c.label, Fraction(t0)] += 1
+        return specialize(c, t0)
+
+    monkeypatch.setattr(FamilyComponent, "specialize", counted)
+    parts = (("u^2", "u^3", "t*u"), ("u^2", "u^6", "t*u^2"), ("t + u^4", "u^2", "t*u^2"))
+    classify(Parametrized(components=tuple(
+        FamilyComponent([parse_poly(s, RING_UT) for s in p], label=str(i)) for i, p in enumerate(parts))))
+    assert {key: n for key, n in calls.items() if not key[1]} == {("0", 0): 1, ("1", 0): 1, ("2", 0): 1}
