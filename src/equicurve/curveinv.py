@@ -12,10 +12,11 @@ from __future__ import annotations
 import heapq
 import math
 from collections import namedtuple
+from fractions import Fraction
 
 from .errors import ComputationError, HypothesisError, InternalCheckError
 from .linalg import RowSpace, pivots
-from .poly import Ideal, VarSet, _add_terms, _mul_terms, _power_terms, integral
+from .poly import Ideal, Polynomial, VarSet, _add_terms, _mul_terms, _power_terms, integral
 
 JET_ORDER_CAP = 256
 
@@ -24,14 +25,18 @@ RING_U = VarSet(("u",))
 
 
 class BranchParam:
-    """One branch of a curve germ: a tuple of polynomials in u vanishing at u = 0.
+    """One branch of a curve germ, a record of its jets: one polynomial in u per
+    coordinate, vanishing at u = 0.
 
-    ``jets`` holds the terms of each component, read once, as a pair
-    (d, pairs): d is the lcm of the denominators of its coefficients, and pairs
-    are (exponent, coefficient times d) in increasing exponent order.
+    ``jets`` holds each coordinate as a pair (d, pairs): d is the lcm of the
+    denominators of its coefficients, and pairs are (exponent, coefficient
+    times d) in increasing exponent order. The invariants read nothing else.
+    A parsed branch is read once from its ``Polynomial``s; a fiber of a family
+    enters with its jets (``from_jets``). Either way ``components`` is rendered
+    from the jets.
     """
 
-    __slots__ = ("components", "label", "jets")
+    __slots__ = ("jets", "label")
 
     def __init__(self, components, label=""):
         components = tuple(components)
@@ -43,17 +48,32 @@ class BranchParam:
             d = math.lcm(*[c.denominator for c in comp.terms.values()])
             jets.append((d, tuple(sorted(
                 (e, c.numerator * (d // c.denominator)) for (e,), c in comp.terms.items()))))
+        self._record(tuple(jets), label)
+
+    @classmethod
+    def from_jets(cls, jets, label="") -> "BranchParam":
+        """The branch whose coordinates have the given jets, each a pair
+        (d, pairs) in the form of ``jets``."""
+        branch = cls.__new__(cls)
+        branch._record(tuple(jets), label)
+        return branch
+
+    def _record(self, jets, label):
         if not any(pairs for _, pairs in jets):
             raise ComputationError("all-zero branch")
         if any(pairs and pairs[0][0] == 0 for _, pairs in jets):
             raise ComputationError("branch does not pass through the origin")
-        self.components = components
+        self.jets = jets
         self.label = label
-        self.jets = tuple(jets)
+
+    @property
+    def components(self):
+        """The coordinates as ``Polynomial``s in u, rendered from the jets."""
+        return tuple(Polynomial(RING_U, {(e,): Fraction(c, d) for e, c in pairs}) for d, pairs in self.jets)
 
     @property
     def ambient_dim(self):
-        return len(self.components)
+        return len(self.jets)
 
     def u_order(self) -> int:
         """The least u-exponent of a term, the multiplicity of the branch germ."""

@@ -23,7 +23,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .curveinv import (
-    RING_U,
     BranchParam,
     CurveInvariants,
     CurvePresentation,
@@ -78,29 +77,44 @@ class FamilyComponent:
         )
 
     def specialize(self, t0) -> BranchParam:
-        """The branch of the fiber at t = t0 contributed by this component.
+        """The branch of the fiber at t = t0 contributed by this component,
+        built straight into its jets (``BranchParam.jets``).
 
-        For t0 = p/q in lowest terms, the coefficient n(t)/d of u^a, n of
-        degree D, is n^h(p, q) / (q^D * d), where the homogenization
-        n^h(p, q) = sum_b n_b p^b q^(D - b) is evaluated in integers.
+        For t0 = p/q in lowest terms and a coordinate (d, A), let D be the
+        largest t-degree in A and D_a that of its row n_a, the coefficient of
+        u^a. At t0 that coefficient is N_a / L, with L = d * q^D and
+        N_a = n_a^h(p, q) * q^(D - D_a), where the homogenization
+        n_a^h(p, q) = sum_b n_a,b p^b q^(D_a - b) is evaluated in integers by
+        Horner's rule, its power of q starting at q^(D - D_a).
+
+        Let g = gcd(L, N_a, ...). For each prime, its exponent in the lcm of
+        the reduced denominators of the N_a / L is its exponent in L less the
+        least of those in L and in the N_a. So that lcm is L / g, and each
+        coefficient times it is N_a / g: the jets (L / g, (a, N_a / g)) are
+        the ones read from the rational coefficients. Only t0 is read into a
+        Fraction.
         """
         t0 = Fraction(t0)
         p, q = t0.numerator, t0.denominator
-        comps = []
+        jets = []
         for d, A in self.table:
-            f = Polynomial(RING_U)
+            top = max(map(len, A), default=1)  # D + 1
+            pairs = []
             for a, row in enumerate(A):
-                h, qk = 0, 1
-                for n in reversed(row):  # Horner's rule; qk ends at q^(D + 1)
-                    h, qk = h * p + n * qk, qk * q
-                if h:
-                    f.terms[(a,)] = Fraction(h, qk // q * d)
-            comps.append(f)
-        if all(f.is_zero() for f in comps):
+                if row:
+                    h, qk = 0, q ** (top - len(row))
+                    for n in reversed(row):  # Horner's rule; qk ends at q^(D + 1)
+                        h, qk = h * p + n * qk, qk * q
+                    if h:
+                        pairs.append((a, h))
+            L = d * q ** (top - 1)
+            g = math.gcd(L, *[n for _, n in pairs])
+            jets.append((L // g, tuple((a, n // g) for a, n in pairs)))
+        if not any(pairs for _, pairs in jets):
             raise ComputationError(
                 f"component {self.label!r} specializes to the zero branch at t = {t0}"
             )
-        return BranchParam(comps, label=self.label)
+        return BranchParam.from_jets(jets, label=self.label)
 
     def __repr__(self):
         return f"FamilyComponent({', '.join(p.render() for p in self.param)})"

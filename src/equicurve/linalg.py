@@ -1,27 +1,20 @@
 """Exact linear algebra over the rationals: incremental echelon spans.
 
-Vectors are sparse dicts mapping column index to a nonzero rational (an int or
-a Fraction). A span stores each row as a primitive integer vector: integer
-entries with gcd 1 and a positive pivot. Elimination is fraction-free (Bareiss,
-Math. Comp. 1968): a vector is scaled by an integer before a row is subtracted
-and divided by its content afterwards, so it only changes by nonzero rational
-factors. Ranks and memberships over Q are therefore decided exactly; no
-numerical tolerance enters anywhere. ``_reduce`` is the one elimination, for
-``RowSpace`` and for ``pivots``.
+Vectors are sparse dicts mapping column index to a nonzero integer: a vector
+over Q is a rational multiple of an integer one, and scaling it changes no
+span, so callers scale their vectors to integers. A span stores each row as a
+primitive integer vector: integer entries with gcd 1 and a positive pivot.
+Elimination is fraction-free (Bareiss, Math. Comp. 1968): a vector is scaled
+by an integer before a row is subtracted and divided by its content
+afterwards, so it only changes by nonzero rational factors. Ranks and
+memberships over Q are therefore decided exactly; no numerical tolerance
+enters anywhere. ``_reduce`` is the one elimination, for ``RowSpace`` and for
+``pivots``.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
-
-
-def _integral(vec):
-    """A new dict holding vec times the lcm of its denominators: integer entries."""
-    vals = vec.values()
-    if type(sum(vals)) is int:  # a sum with a Fraction in it is a Fraction
-        return dict(vec)
-    d = lcm(*(v.denominator for v in vals))
-    return {col: v.numerator * (d // v.denominator) for col, v in vec.items()}
+from math import gcd
 
 
 def _reduce(rows, vec):
@@ -60,19 +53,22 @@ def _reduce(rows, vec):
 
 
 def pivots(vectors) -> list:
-    """The pivot columns of an echelon form of the vectors: the least column of
-    each vector independent of those before it, once reduced. A row kept here
-    need not be primitive, as ``_reduce`` only needs its pivot to be nonzero."""
+    """The pivot columns of an echelon form of the integer vectors: the least
+    column of each vector independent of those before it, once reduced. A row
+    kept here need not be primitive, as ``_reduce`` only needs its pivot to be
+    nonzero."""
     rows = {}
     for vec in vectors:
-        red = _reduce(rows, _integral(vec))
+        red = _reduce(rows, dict(vec))
         if red:
             rows[min(red)] = red
     return list(rows)
 
 
 class RowSpace:
-    """Incrementally built row space in echelon form, for rank and membership queries."""
+    """Incrementally built row space of integer vectors in echelon form, for rank
+    and membership queries. Neither ``add`` nor ``contains`` changes the
+    vector it is given: ``_reduce`` works on a copy."""
 
     def __init__(self):
         self.rows = {}  # pivot column -> primitive integer row, positive pivot
@@ -83,7 +79,7 @@ class RowSpace:
 
     def add(self, vec) -> bool:
         """Add a vector to the span; True if it was independent of the current span."""
-        red = _reduce(self.rows, _integral(vec))
+        red = _reduce(self.rows, dict(vec))
         if not red:
             return False
         p = min(red)
@@ -94,4 +90,4 @@ class RowSpace:
         return True
 
     def contains(self, vec) -> bool:
-        return not _reduce(self.rows, _integral(vec))
+        return not _reduce(self.rows, dict(vec))

@@ -42,6 +42,11 @@ MORA_STEP_BUDGET = 500
 LOCAL_MEMBER_STEP_BUDGET = 1_000
 
 
+class OracleBudgetError(ComputationError):
+    """The reference gave up at ``MORA_STEP_BUDGET`` or
+    ``LOCAL_MEMBER_STEP_BUDGET``: it has no answer, which is no mismatch."""
+
+
 def mon_divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
@@ -97,7 +102,7 @@ def _reduce_global(f: Polynomial, G, leads, order: MonomialOrder, budget=None) -
         if budget is not None:
             budget[0] -= 1
             if budget[0] < 0:
-                raise ComputationError(
+                raise OracleBudgetError(
                     "local membership oracle (gb_reference.reference_local_member) not "
                     f"finished within LOCAL_MEMBER_STEP_BUDGET = {LOCAL_MEMBER_STEP_BUDGET} "
                     "reduction steps"
@@ -120,7 +125,7 @@ def _mora_weak_nf(f: Polynomial, G, leads, order: MonomialOrder) -> Polynomial:
     while h:
         steps += 1
         if steps > MORA_STEP_BUDGET:
-            raise ComputationError(
+            raise OracleBudgetError(
                 f"Mora oracle (gb_reference._mora_weak_nf) not finished within "
                 f"MORA_STEP_BUDGET = {MORA_STEP_BUDGET} steps"
             )

@@ -57,10 +57,7 @@ def hilbert_delta(dirs):
         values = RowSpace()
         for mono in itertools.product(range(k + 1), repeat=3):
             if sum(mono) == k:
-                values.add({
-                    i: Fraction(math.prod(c**e for c, e in zip(v, mono)))
-                    for i, v in enumerate(dirs)
-                })
+                values.add({i: math.prod(c**e for c, e in zip(v, mono)) for i, v in enumerate(dirs)})
         if values.rank == len(dirs):
             return total
         total += len(dirs) - values.rank

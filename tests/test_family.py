@@ -12,10 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicurve.cli import run_paper_corpus
-from equicurve.curveinv import BranchParam, CurvePresentation, invariants
+from equicurve.curveinv import RING_U, BranchParam, CurvePresentation, invariants
 from equicurve.errors import ComputationError, HypothesisError
 from equicurve.family import (
-    RING_U,
     RING_UT,
     Declared,
     FamilyComponent,

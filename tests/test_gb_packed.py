@@ -16,7 +16,7 @@ from datetime import timedelta
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from equicurve import gb
@@ -34,7 +34,7 @@ from equicurve.poly import (
     parse_poly,
 )
 import gb_reference
-from gb_reference import reference_local_member, reference_normal_form, reference_std_basis
+from gb_reference import OracleBudgetError, reference_local_member, reference_normal_form, reference_std_basis
 
 ORDERS = (DEGREVLEX, NEGDEGREVLEX, Elimination(1), Elimination(2))
 GLOBAL_ORDERS = tuple(o for o in ORDERS if o.is_global)
@@ -68,18 +68,27 @@ def popped_pairs(module, mp):
     return pairs
 
 
+def oracle(reference, *args):
+    """The reference's answer. A drawn example on which it gives up at its step
+    budget is rejected: the oracle has no answer there, which is no mismatch."""
+    try:
+        return reference(*args)
+    except OracleBudgetError:
+        reject()
+
+
 def assert_same_basis(J, order):
     with pytest.MonkeyPatch.context() as mp:
         packed, reference = popped_pairs(gb, mp), popped_pairs(gb_reference, mp)
         B = std_basis(J, order)
-        basis, leads = reference_std_basis(J, order)
+        basis, leads = oracle(reference_std_basis, J, order)
     assert B.lead_monomials == leads
     if order.is_global:
         assert packed == reference
         assert [g.terms for g in B.basis] == [g.terms for g in basis]
     else:
-        assert all(reference_normal_form(basis, leads, order, g).is_zero() for g in B.basis)
-        assert all(reference_normal_form(B.basis, leads, order, g).is_zero() for g in basis)
+        assert all(oracle(reference_normal_form, basis, leads, order, g).is_zero() for g in B.basis)
+        assert all(oracle(reference_normal_form, B.basis, leads, order, g).is_zero() for g in basis)
     return B, basis, leads
 
 
@@ -87,9 +96,9 @@ def assert_same_normal_form(B, basis, leads, order, f):
     """f is a member iff the reference's normal form of f is zero, or, under a
     local order, iff the reference's local membership says so."""
     if order.is_global:
-        assert B.contains(f) == reference_normal_form(basis, leads, order, f).is_zero()
+        assert B.contains(f) == oracle(reference_normal_form, basis, leads, order, f).is_zero()
     else:
-        assert B.contains(f) == reference_local_member(B.ideal, f)
+        assert B.contains(f) == oracle(reference_local_member, B.ideal, f)
 
 
 def _polys(nvars, max_terms):
@@ -138,7 +147,7 @@ def test_last_first_core_matches_reference(case):
     # the membership that NEGDEGREVLEX decides: both see the localized ideal
     J, order, probes = case
     B = std_basis(J, order)
-    assert B.lead_monomials == reference_std_basis(J, order)[1]
+    assert B.lead_monomials == oracle(reference_std_basis, J, order)[1]
     other = std_basis(J, NEGDEGREVLEX)
     for f in probes + list(J.gens):
         assert B.contains(f) == other.contains(f)
@@ -155,7 +164,7 @@ def test_mora_oracle_gives_up_and_membership_does_not_need_it():
     f = parse_poly("x0^2*x2", ring) * g0 + parse_poly("x0*x2*x3", ring) * g1
     basis, leads = reference_std_basis(J, NEGDEGREVLEX)
     start = time.perf_counter()
-    with pytest.raises(ComputationError, match=r"Mora oracle .*MORA_STEP_BUDGET = \d+ steps"):
+    with pytest.raises(OracleBudgetError, match=r"Mora oracle .*MORA_STEP_BUDGET = \d+ steps"):
         reference_normal_form(basis, leads, NEGDEGREVLEX, f)
     assert time.perf_counter() - start < 10
     B = std_basis(J, NEGDEGREVLEX)
@@ -175,7 +184,7 @@ def test_local_member_oracle_gives_up_fast():
     J = Ideal([g0, g1], ring)
     f = g0 + parse_poly("x0", ring) * g1 + parse_poly("x0^5", ring)
     start = time.perf_counter()
-    with pytest.raises(ComputationError, match=(
+    with pytest.raises(OracleBudgetError, match=(
             r"local membership oracle \(gb_reference.reference_local_member\) not finished "
             r"within LOCAL_MEMBER_STEP_BUDGET = \d+ reduction steps")):
         reference_local_member(J, f)

@@ -278,16 +278,19 @@ class TestEpsilonLadder:
     )
     def test_staircase_counts_are_the_rungs(self, fiber):
         # with l the last variable, the leads L of one standard basis under
-        # LAST_FIRST give in(I + <l^N>) = L + <l^N> for every N
+        # LAST_FIRST give in(I + <l^N>) = L + <l^N> for every N, and
+        # ``_rungs`` reads the two at K and K + 1
         *_, branches, ideal = fiber
         _, _, J = ladder_coordinates(ideal, branches)
         n = len(J.ring)
         leads = std_basis(J, LAST_FIRST).lead_monomials
         K = 1 + max(m[-1] for m in leads)
+        expected = {}
         for N in range(1, K + 3):
             power = Polynomial.var(J.ring, J.ring.names[-1], N)
-            expected = vdim(Ideal(J.gens + (power,), J.ring))
-            assert _staircase_count([*leads, (0,) * (n - 1) + (N,)], n) == expected
+            expected[N] = vdim(Ideal(J.gens + (power,), J.ring))
+            assert _staircase_count([*leads, (0,) * (n - 1) + (N,)], n) == expected[N]
+        assert localdim._rungs(J) == (K, [expected[K], expected[K + 1]])
 
     def test_reduced_ideal_gives_zero(self):
         assert epsilon(I("z", "y^3 - x^4"), [branch("u^3", "u^4", "0")]) == 0

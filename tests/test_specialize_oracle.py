@@ -1,7 +1,7 @@
 """``FamilyComponent.specialize``, which evaluates the integer table of a
-component, against the term-by-term evaluation in Fractions
-(``oracles.specialize_by_terms``): the same branch terms, or the same error
-with the same text."""
+component straight into jets, against the term-by-term evaluation in Fractions
+(``oracles.specialize_by_terms``): the same jets and the same branch terms,
+rendered from the jets, or the same error with the same text."""
 
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equicurve import curveinv, family
+from equicurve.curveinv import RING_U, BranchParam
 from equicurve.errors import ComputationError
 from equicurve.family import RING_UT, FamilyComponent, Parametrized, classify
 from equicurve.poly import Polynomial, parse_poly
@@ -42,7 +44,7 @@ def outcome(specialize, component, t0):
         branch = specialize(component, t0)
     except ComputationError as exc:
         return type(exc), str(exc)
-    return [sorted(f.terms.items()) for f in branch.components], branch.label
+    return [sorted(f.terms.items()) for f in branch.components], branch.jets, branch.label
 
 
 @given(components, points)
@@ -83,3 +85,38 @@ def test_classify_specializes_each_component_at_zero_once(monkeypatch):
     classify(Parametrized(components=tuple(
         FamilyComponent([parse_poly(s, RING_UT) for s in p], label=str(i)) for i, p in enumerate(parts))))
     assert {key: n for key, n in calls.items() if not key[1]} == {("0", 0): 1, ("1", 0): 1, ("2", 0): 1}
+
+
+def test_specialize_reads_only_t0_into_a_fraction(monkeypatch):
+    # the jets come from the integer table alone: one Fraction, for t0, and
+    # no Polynomial, per call
+    calls = Counter()
+
+    def counted(name, make):
+        def call(*args):
+            calls[name] += 1
+            return make(*args)
+        return call
+
+    for module in (family, curveinv):
+        monkeypatch.setattr(module, "Fraction", counted("Fraction", Fraction))
+        monkeypatch.setattr(module, "Polynomial", counted("Polynomial", Polynomial))
+    c = FamilyComponent([parse_poly(s, RING_UT) for s in ("u^2 - 2/3*t*u^3", "1/5*u^3 + t^2*u", "t*u^4")])
+    points = (0, 1, Fraction(-5, 9), Fraction(7, 4))
+    for t0 in points:
+        assert c.specialize(t0).jets
+    assert calls == {"Fraction": len(points)}
+
+
+u_polys = st.dictionaries(st.tuples(st.integers(1, 6)), coefficients, max_size=4).map(
+    lambda d: Polynomial(RING_U, d))
+
+
+@given(st.lists(u_polys, min_size=1, max_size=3).filter(lambda ps: any(p.terms for p in ps)))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_components_round_trip_through_the_jets(polys):
+    # a parsed branch renders from its jets the Polynomials it was read from,
+    # and so does a branch built from those jets
+    parsed = BranchParam(polys)
+    assert parsed.components == BranchParam.from_jets(parsed.jets).components == tuple(polys)
+    assert all(type(x) is Fraction for p in parsed.components for x in p.terms.values())
