@@ -159,9 +159,10 @@ class CurvePresentation:
 
 
 def _times_coordinate(vec, jet_at, end_at):
-    """vec in the direct sum of Q[u]/u^J (column i*J + j is u^j on branch i)
+    """vec in the direct sum of the Q[u]/u^(J_i), laid out by ``_jet_span``,
     times one coordinate: jet_at[col] is its jet on the branch of column col,
-    and end_at[col] the first column past that branch."""
+    exponents scaled to column steps, and end_at[col] the first column past
+    that branch's cells."""
     out = {}
     for col, c in vec.items():
         end = end_at[col]
@@ -201,37 +202,53 @@ def semigroup_conductor(gens):
     return max(apery) - a + 1
 
 
-def _first_jet_order(coordinates, orders):
-    """The jet order the value semigroups predict for the certificate, or None
-    when the coordinate jets of some branch have orders with gcd above 1 (see
-    ``delta_reduced``)."""
+def _first_jet_orders(coordinates, orders):
+    """The jet order the value semigroups predict for each branch's
+    certificate, None for a branch whose coordinate jets have orders with gcd
+    above 1 (see ``delta_reduced``). The jets have their exponents times r,
+    the number of branches, as ``_jet_span`` takes them."""
+    r = len(orders)
     conductors, tangents = [], []
     for i, m in enumerate(orders):
         jets = [dict(coordinate[i]) for coordinate in coordinates]
-        c = 0 if m == 1 else semigroup_conductor(pivots(jets))  # smooth: G = N
-        if c is None:
-            return None
+        c = 0 if m == 1 else semigroup_conductor([e // r for e in pivots(jets)])  # smooth: G = N
         conductors.append(c)
         # the coefficient vector of u^m, zero entries left out
-        tangents.append({k: jet[m] for k, jet in enumerate(jets) if m in jet})
-    plane = len(pivots(tangents)) <= 2
+        tangents.append({k: jet[m * r] for k, jet in enumerate(jets) if m * r in jet})
     total = sum(orders)
-    return max(c + m + plane * m * (total - m) for c, m in zip(conductors, orders))
+    plane = r > 1 and len(pivots(tangents)) <= 2
+    return [None if c is None else c + m + plane * m * (total - m)
+            for c, m in zip(conductors, orders)]
 
 
-def _jet_span(coordinates, r, J):
-    """The image S of O in the direct sum of r copies of Q[u]/u^J, as a
+def _jet_span(coordinates, orders, Js):
+    """The image S of O in the direct sum of the Q[u]/u^(J_i), as a
     ``RowSpace``: the closure of the diagonal 1 under multiplication by the
-    coordinates, each given by its jets on the branches (see ``delta_reduced``)."""
-    # per column: each coordinate's jet on its branch, and the branch's end
-    jet_at = [[] for _ in coordinates]
-    end_at = []
-    for i in range(r):
+    coordinates, each given by its jets on the branches with every exponent
+    times r, the number of branches (see ``delta_reduced``).
+
+    With K = max(J_i - m_i), the cell u^j on branch i is column
+    (K + j - J_i + m_i) * r + i. The columns of a branch are r apart, so u^e
+    moves a column by e * r, the scaled exponent. The window cells,
+    J_i - m_i <= j < J_i on each branch i, are exactly the columns from K * r
+    on.
+    """
+    r = len(Js)
+    K = max(J - m for J, m in zip(Js, orders))
+    size = (K + max(orders)) * r
+    # per column: each coordinate's jet on its branch, and the first column
+    # past that branch's cells
+    jet_at = [[()] * size for _ in coordinates]
+    end_at = [0] * size
+    ones = []
+    for i, (m, J) in enumerate(zip(orders, Js)):
+        start, end = (K + m - J) * r + i, (K + m) * r
+        ones.append(start)
         for on_columns, coordinate in zip(jet_at, coordinates):
-            on_columns += [coordinate[i]] * J
-        end_at += [(i + 1) * J] * J
+            on_columns[start:end:r] = [coordinate[i]] * J
+        end_at[start:end:r] = [end] * J
     span = RowSpace()
-    queue = [{i * J: 1 for i in range(r)}]
+    queue = [dict.fromkeys(ones, 1)]
     span.add(queue[0])
     while queue:
         vec = queue.pop()
@@ -247,60 +264,70 @@ def delta_reduced(branches) -> int:
 
     Let O be the local ring of the curve and O' = Q[[u]]^r the ring of its
     normalization, branch i having order m_i (the least u-order of its
-    coordinates). For a jet order J the image S of O in O'/u^J O', the direct
-    sum of r copies of Q[u]/u^J, is the closure of the diagonal 1 under
-    multiplication by each coordinate's jet: every coordinate has positive
-    order on every branch, so a monomial of degree J or more vanishes there.
-    Only products independent of the span so far are multiplied further, so
-    the work is at most rank(S) times the number of coordinates products. The
-    codimension r*J - rank(S) = dim O'/(O + u^J O') is at most delta.
+    coordinates) and its own jet order J_i. With T the ideal of the
+    u^(J_i) O' on the branches, the image S of O in O'/T, the direct sum of
+    the Q[u]/u^(J_i), is the closure of the diagonal 1 under multiplication by
+    each coordinate's jet: every coordinate has positive order on every
+    branch, so a monomial of degree J_i or more vanishes on branch i. Only
+    products independent of the span so far are multiplied further, so the
+    work is at most rank(S) times the number of coordinates products. The
+    codimension J_1 + ... + J_r - rank(S) = dim O'/(O + T) is at most delta.
 
-    Certificate: every unit jet u^j e_i with J - m_i <= j < J lies in S.
-    Then the ideal M = (u^(J - m_1), ..., u^(J - m_r)) O' of O', which these
-    jets span modulo u^J O', satisfies M c O + u^J O'. The coordinates
-    generate the maximal ideal m_O of O and have least order m_i on branch i,
-    so m_O O' = (u^(m_1), ..., u^(m_r)) O' and u^J O' = m_O M. Hence the
-    finitely generated O-module N = (O + M)/O satisfies N = m_O N, and
-    Nakayama's lemma (Matsumura, Commutative Ring Theory, Thm 2.2) gives
-    N = 0, i.e. M c O. So u^J O' c O and delta is the codimension, exactly.
+    Certificate: every unit jet u^j e_i of the window, J_i - m_i <= j < J_i
+    on each branch i, lies in S. Then the O'-ideal M of the u^(J_i - m_i) O'
+    on the branches, which the window spans modulo T, satisfies M c O + T.
+    The coordinates generate the maximal ideal m_O of O and have least order
+    m_i on branch i, so m_O O' is the ideal of the u^(m_i) O' and T = m_O M.
+    Hence the finitely generated O-module N = (O + M)/O satisfies N = m_O N,
+    and Nakayama's lemma (Matsumura, Commutative Ring Theory, Thm 2.2) gives
+    N = 0, i.e. M c O. So T c O and delta is the codimension, exactly. The
+    certificate is a count: ``_jet_span`` lays the window out last, as the
+    columns from K * r on, K = max(J_i - m_i), and a row's pivot is its least
+    column, so the rows with a pivot there are a basis of the intersection of
+    S with the span W of the window. W lies in S exactly when they number
+    m_1 + ... + m_r.
 
     The closure runs on integers. Each coordinate's jets, on all branches at
-    once, are scaled by the lcm of their denominators. A coordinate times a
-    nonzero constant generates the same algebra, so S, its rank and the
-    certificate are unchanged; every vector the closure meets is a nonzero
-    multiple of the one it meets with the unscaled coordinates, so the same
-    vectors are independent, in the same order.
+    once, are scaled by the lcm of their denominators (and their exponents
+    by r, for the layout). A coordinate times a nonzero constant generates
+    the same algebra, so S, its rank and the certificate are unchanged;
+    every vector the closure meets is a nonzero multiple of the one it meets
+    with the unscaled coordinates, so the same vectors are independent, in
+    the same order.
 
-    The certificate holds at J exactly when J - m_i >= c_i for every i, where
-    (u^(c_1), ..., u^(c_r)) O' is the conductor of O in O': a certificate puts
-    the O'-ideal M in O, hence in the conductor, and the conductor holds every
-    unit jet of the range. So the least certifying J is max(c_i + m_i), and
-    the first J tried estimates it from the value semigroups; it decides only
-    how much work is done. On branch i, the orders of the coordinate jets in
-    echelon form (pivots by least exponent) generate a semigroup G'_i inside
-    the value semigroup G_i. If gcd(G'_i) = 1 then gcd(G_i) = 1, so the branch
-    map is birational, and G'_i c G_i gives c(G_i) <= c(G'_i): one branch
-    certifies at J = c(G'_1) + m_1. For r > 1 branches of a plane curve,
+    The certificate holds exactly when J_i - m_i >= c_i for every i, where
+    (u^(c_1), ..., u^(c_r)) O' is the conductor of O in O': a certificate
+    puts the O'-ideal M in O, hence in the conductor, and the conductor
+    holds every unit jet of the window. So each branch has its own least
+    jet order c_i + m_i, and its first J_i estimates it from the value
+    semigroups; that decides only how much work is done. On branch i, the
+    orders of the coordinate jets in echelon form (pivots by least exponent)
+    generate a semigroup G'_i inside the value semigroup G_i. If
+    gcd(G'_i) = 1 then gcd(G_i) = 1, so the branch map is birational, and
+    G'_i c G_i gives c(G_i) <= c(G'_i): one branch certifies at
+    J_1 = c(G'_1) + m_1. For r > 1 branches of a plane curve,
     c_i = c(G_i) + the sum over j != i of (B_i . B_j) (Casas-Alvero,
     Singularities of Plane Curves), each intersection number being at least
-    m_i m_j, with equality for distinct tangents. So J_i = c(G'_i) + m_i, plus
-    m_i (m_1 + ... + m_r - m_i) when the tangents (the coefficient vectors of
-    u^(m_i)) span at most a plane. As c(G'_i) bounds c(G_i) from above and
-    m_i m_j bounds (B_i . B_j) from below, J_i is only an estimate: the
-    certificate alone decides. J starts at the largest J_i, at most
-    JET_ORDER_CAP, or at twice the largest branch order M if that is larger
-    or some gcd(G'_i) is above 1. A failed certificate at J says only that
-    the conductor estimate J - M was too small, so the next J is 2J - M, at
-    most JET_ORDER_CAP: J - M doubles per span, and as J >= 2M the next J is
-    at least J + M. J - M starts at M or more, so the cap is reached within
+    m_i m_j, with equality for distinct tangents. So the estimate is
+    c(G'_i) + m_i, plus m_i (m_1 + ... + m_r - m_i) when the tangents (the
+    coefficient vectors of u^(m_i)) span at most a plane. J_i starts there,
+    at most JET_ORDER_CAP, or at 2 m_i if that is larger or gcd(G'_i) is
+    above 1. A failed count says only that some estimate J_i - m_i was too
+    small, so every J_i becomes 2 J_i - m_i, at most JET_ORDER_CAP: J_i - m_i
+    doubles from m_i or more, so every branch reaches the cap within
     ceil(log2 JET_ORDER_CAP) + 1 spans.
 
-    The certificate can still fail at the cap: for two branches on
-    the same image (delta infinite), for a map that is not a normalization,
-    or for a finite delta whose conductor lies past the cap, such as that of
-    (u^17, u^19). A branch of order above JET_ORDER_CAP / 2 leaves no jet
-    order to try. The error then states the jet order that was not certified
-    and names no cause.
+    A larger J_k, k != i, only refines the truncation, so a unit jet of
+    branch i's window that is not in S stays out at every larger J_k. So
+    when a count fails with every J_i at the cap, or with a capped branch
+    whose window ``RowSpace.contains`` finds incomplete, no jet orders within
+    the cap certify; otherwise a branch below the cap lacks its window, and
+    the ladder goes on. This fails for two branches on the same image (delta
+    infinite), for a map that is not a normalization, or for a finite delta
+    whose conductor lies past the cap, such as that of (u^17, u^19). A
+    branch of order above JET_ORDER_CAP / 2 leaves no jet order to try. The
+    error then states the jet order that was not certified and names no
+    cause.
     """
     for b in branches:
         g = b.exponent_gcd()
@@ -310,14 +337,15 @@ def delta_reduced(branches) -> int:
             )
     r = len(branches)
     # coordinates[k][i]: the u-jet of coordinate k on branch i, times the lcm D
-    # of its denominators on all branches. A coordinate that vanishes on every
-    # branch is left out: it takes every vector to 0.
+    # of its denominators on all branches, with each exponent times r for the
+    # layout of ``_jet_span``. A coordinate that vanishes on every branch is
+    # left out: it takes every vector to 0.
     coordinates = []
     for on_branches in zip(*[b.jets for b in branches]):
         if any(pairs for _, pairs in on_branches):
             D = math.lcm(*[d for d, _ in on_branches])
             coordinates.append([
-                pairs if d == D else tuple((e, c * (D // d)) for e, c in pairs)
+                pairs if d == D and r == 1 else tuple([(e * r, c * (D // d)) for e, c in pairs])
                 for d, pairs in on_branches
             ])
     # two branches have the same parametrization exactly when their scaled
@@ -330,29 +358,30 @@ def delta_reduced(branches) -> int:
             )
         seen[branch_jets] = i
     orders = [b.u_order() for b in branches]
-    J = 2 * max(orders)
-    first = _first_jet_order(coordinates, orders)
-    if first is not None:
-        J = max(J, min(JET_ORDER_CAP, first))
-    while J <= JET_ORDER_CAP:
-        span = _jet_span(coordinates, r, J)
-        if all(
-            span.contains({i * J + j: 1})
-            for i, m in enumerate(orders)
-            for j in range(J - m, J)
+    M = max(orders)
+    if 2 * M > JET_ORDER_CAP:
+        raise ComputationError(
+            f"delta not certified within JET_ORDER_CAP = {JET_ORDER_CAP}: branch order "
+            f"{M} needs jet order {2 * M} for the certificate"
+        )
+    Js = [2 * m if J is None else max(2 * m, min(JET_ORDER_CAP, J))
+          for m, J in zip(orders, _first_jet_orders(coordinates, orders))]
+    while True:
+        span = _jet_span(coordinates, orders, Js)
+        window = max(J - m for J, m in zip(Js, orders)) * r
+        if len([p for p in span.rows if p >= window]) == sum(orders):
+            return sum(Js) - span.rank
+        if min(Js) == JET_ORDER_CAP or not all(
+            span.contains({window + t * r + i: 1})
+            for i, (m, J) in enumerate(zip(orders, Js)) if J == JET_ORDER_CAP
+            for t in range(m)
         ):
-            return r * J - span.rank
-        if J == JET_ORDER_CAP:
             raise ComputationError(
                 f"delta not certified within JET_ORDER_CAP = {JET_ORDER_CAP}: at the "
-                f"last jet order tried, J = {J}, the unit jets u^j e_i with "
+                f"last jet order tried, J = {JET_ORDER_CAP}, the unit jets u^j e_i with "
                 "J - m_i <= j < J are not all in the span"
             )
-        J = min(2 * J - max(orders), JET_ORDER_CAP)
-    raise ComputationError(
-        f"delta not certified within JET_ORDER_CAP = {JET_ORDER_CAP}: branch order "
-        f"{max(orders)} needs jet order {J} for the certificate"
-    )
+        Js = [min(2 * J - m, JET_ORDER_CAP) for J, m in zip(Js, orders)]
 
 
 class CurveInvariants(

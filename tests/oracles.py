@@ -1,7 +1,8 @@
 """Independent routes that only tests use: polynomial substitution, the sort
 keys of the monomial orders as the hand-written tuples they were before the
 orders became rows of signed degrees, the delta invariant of a monomial branch
-counted as the gaps of its semigroup, the expression parser as it was before
+counted as the gaps of its semigroup, the delta invariant with one jet order
+for every branch, the expression parser as it was before
 it carried plain term dicts, the gcds by Euclid over Q, the specialization of
 a family component term by term in Fractions, the local length of an
 m-primary ideal from global bases of its truncations, the doubling ladder of
@@ -21,10 +22,13 @@ from fractions import Fraction
 from equicurve.curveinv import BranchParam
 from equicurve.errors import ComputationError, HypothesisError, InternalCheckError, ParseError
 from equicurve.gb import Ideal, std_basis
+from equicurve.linalg import RowSpace
 from equicurve.poly import (
     DEGREVLEX, MAX_EXPONENT, MAX_NESTING, MAX_TERM_PRODUCTS, Polynomial, VarSet, _add_terms, _mul_terms,
     _power_terms, parse_poly,
 )
+
+from gb_reference import OracleBudgetError
 
 
 def substitute(f: Polynomial, mapping, target=None) -> Polynomial:
@@ -120,6 +124,45 @@ def semigroup_delta_oracle(b) -> int:
             else:
                 break
         limit *= 2
+
+
+def uniform_delta_oracle(branches, cap=48) -> int:
+    """delta_red of distinct branches with one jet order J for every branch:
+    r * J minus the rank of the closure of 1 under the coordinates in r copies
+    of Q[u]/u^J, column i * J + j standing for u^j on branch i, once every
+    unit jet u^j e_i with J - m_i <= j < J lies in the span. J starts at twice
+    the largest branch order and doubles; past cap, as for two branches with
+    one image, it raises ``OracleBudgetError``."""
+    r = len(branches)
+    coordinates = [
+        [{e: c for (e,), c in comp.terms.items()} for comp in on_branches]
+        for on_branches in zip(*[b.components for b in branches])
+    ]
+    orders = [b.u_order() for b in branches]
+    J = 2 * max(orders)
+    while J <= cap:
+        span = RowSpace()
+        queue = [{i * J: 1 for i in range(r)}]
+        span.add(queue[0])
+        while queue:
+            vec = queue.pop()
+            for coordinate in coordinates:
+                prod = {}
+                for col, v in vec.items():
+                    i, j = divmod(col, J)
+                    for e, c in coordinate[i].items():
+                        if j + e < J:
+                            prod[col + e] = prod.get(col + e, 0) + v * c
+                prod = {col: v for col, v in prod.items() if v}
+                if prod:
+                    d = math.lcm(*[Fraction(v).denominator for v in prod.values()])
+                    prod = {col: int(v * d) for col, v in prod.items()}
+                    if span.add(prod):
+                        queue.append(prod)
+        if all(span.contains({i * J + j: 1}) for i, m in enumerate(orders) for j in range(J - m, J)):
+            return r * J - span.rank
+        J *= 2
+    raise OracleBudgetError(f"delta not certified at J <= {cap}")
 
 
 _TOKEN_RE = re.compile(

@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from equicurve import curveinv
@@ -27,7 +27,8 @@ from equicurve.errors import ComputationError, HypothesisError, InternalCheckErr
 from equicurve.gb import Ideal
 from equicurve.linalg import RowSpace
 from equicurve.poly import Polynomial, VarSet, parse_poly
-from oracles import order_on_branch, semigroup_delta_oracle
+from gb_reference import OracleBudgetError
+from oracles import order_on_branch, semigroup_delta_oracle, uniform_delta_oracle
 
 U = VarSet(("u",))
 XYZ = VarSet(("x", "y", "z"))
@@ -327,13 +328,14 @@ PERTURBATIONS = [(c, k) for c in (-3, -2, -1, 1, 2, 3) for k in (1, 2, 3)]
 
 @pytest.fixture
 def spans_built(monkeypatch):
-    """The spans delta_reduced has built, in order, as (J, rank) pairs."""
+    """The spans delta_reduced has built, in order, as pairs of the jet orders
+    (J_1, ..., J_r) of the branches and the rank."""
     built = []
     real = curveinv._jet_span
 
-    def recording(coordinates, r, J):
-        span = real(coordinates, r, J)
-        built.append((J, span.rank))
+    def recording(coordinates, orders, Js):
+        span = real(coordinates, orders, Js)
+        built.append((tuple(Js), span.rank))
         return span
 
     monkeypatch.setattr(curveinv, "_jet_span", recording)
@@ -363,9 +365,14 @@ class TestFirstJetOrder:
                 assert len(spans_built) == 1, (a, b, c, k, d)
 
     def test_conductor_past_the_cap_fails_with_one_span(self, spans_built):
-        with pytest.raises(ComputationError, match="J = 256"):
-            delta_reduced([branch("u^17", "u^19")])
-        assert len(spans_built) == 1
+        # with the line (u, 2u), which starts at 0 + 1 + 1 * 17 = 18, the
+        # capped branch's window is missing, and no larger J_i for the line
+        # could bring it in
+        for germ in ([("u^17", "u^19")], [("u^17", "u^19"), ("u", "2*u")]):
+            spans_built.clear()
+            with pytest.raises(ComputationError, match="J = 256"):
+                delta_reduced([branch(*b) for b in germ])
+            assert [J for J, _ in spans_built] == [(256, 18)[:len(germ)]]
 
     def test_coordinate_zero_on_every_branch_changes_nothing(self, spans_built):
         # the same germs, embedded with a zero coordinate in each position
@@ -388,30 +395,30 @@ class TestFirstJetOrder:
     def test_tangents_of_mixed_support(self, spans_built):
         # the tangent of (u, 0, u^2) is (1, 0, 0) and that of (0, u, u^3) is
         # (0, 1, 0): read only where a coordinate has order 1, with no zero
-        # entry, they span a plane, and J = 2 certifies two transverse branches
+        # entry, they span a plane, and J_i = 2 certifies two transverse branches
         assert delta_reduced([branch("u", "0", "u^2"), branch("0", "u", "u^3")]) == 1
-        assert [J for J, _ in spans_built] == [2]
+        assert [J for J, _ in spans_built] == [(2, 2)]
 
     def test_pivot_gcd_above_one_doubles_the_conductor_estimate(self, spans_built):
         # the coordinate jets have orders 2 and 4, yet y - x^2 has order 5: the
         # semigroup is <2, 5>, but no estimate is made, so J starts at 2 * 2 = 4;
         # it fails there, and J - 2 doubles to 4, at J = 6 = c + m, which certifies
         assert delta_reduced([branch("u^2 + u^3", "u^4 + u^7")]) == 2
-        assert [J for J, _ in spans_built] == [4, 6]
+        assert [J for J, _ in spans_built] == [(4,), (6,)]
 
 
 class TestEscalation:
-    """After a failed certificate at J the next jet order is 2J - max m_i: the
-    conductor estimate J - max m_i doubles, not J."""
+    """After a failed certificate every branch's jet order J_i becomes
+    2 J_i - m_i: each conductor estimate J_i - m_i doubles, not J_i."""
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_general_lines_certify_at_three(self, spans_built, n):
-        # r lines through 0 in general position: J = 2 fails, 2 * 2 - 1 = 3
+        # r lines through 0 in general position: J_i = 2 fails, 2 * 2 - 1 = 3
         # certifies, with rank 3r - delta
         dirs = LINE_DIRECTIONS[:n]
         delta = delta_reduced([branch(*(f"{c}*u" for c in v)) for v in dirs])
         assert delta == hilbert_delta(dirs)
-        assert [J for J, _ in spans_built] == [2, 3]
+        assert [J for J, _ in spans_built] == [(2,) * n, (3,) * n]
         assert spans_built[-1][1] == 3 * n - delta
 
     def test_corpus_five_lines_certify_at_three(self, spans_built):
@@ -422,8 +429,29 @@ class TestEscalation:
         branches = [branch(*comps) for comps in entry["special_fiber"]["branches"]]
         delta = delta_reduced(branches)
         assert delta == 5
-        assert [J for J, _ in spans_built] == [2, 3]
+        assert [J for J, _ in spans_built] == [(2,) * 5, (3,) * 5]
         assert spans_built[-1][1] == 3 * len(branches) - delta
+
+    def test_each_branch_starts_at_its_own_estimate(self, spans_built):
+        # the cusp's estimate is c + m + m * 1 = 8 + 3 + 3 = 14, the
+        # transversal line's 0 + 1 + 1 * 3 = 4: one span of rank 18 - 7
+        assert delta_reduced([branch("u^3", "u^5"), branch("2*u", "u")]) == 7
+        assert spans_built == [((14, 4), 11)]
+
+    def test_tangent_line_escalates_every_branch(self, spans_built):
+        # y = 0 meets the cusp y^3 = x^5 with multiplicity 5, not 3: the
+        # conductor exponents are 8 + 5 and 0 + 5, both past the estimates
+        # 14 - 3 and 4 - 1, so both jet orders go to 2 J_i - m_i
+        assert delta_reduced([branch("u^3", "u^5"), branch("u", "0")]) == 4 + 5
+        assert [J for J, _ in spans_built] == [(14, 4), (25, 7)]
+
+    def test_capped_branch_with_its_window_lets_the_others_escalate(self, spans_built):
+        # (u^16, u^17, 0) starts at its conductor estimate 240 + 16 = 256, the
+        # cap, and its window is in the span; the lines off its plane start at
+        # 2 and miss theirs, so only their jet orders move
+        germ = [branch("u^16", "u^17", "0"), branch("0", "0", "u"), branch("0", "u", "u")]
+        assert delta_reduced(germ) == uniform_delta_oracle(germ, cap=256) == 123
+        assert [J for J, _ in spans_built] == [(256, 2, 2), (256, 3, 3)]
 
     @pytest.mark.parametrize(
         "comps",
@@ -436,18 +464,53 @@ class TestEscalation:
     )
     def test_failures_double_the_estimate_up_to_the_cap(self, spans_built, comps):
         branches = [branch(*c) for c in comps]
-        M = max(b.u_order() for b in branches)
+        orders = [b.u_order() for b in branches]
         with pytest.raises(ComputationError) as exc:
             delta_reduced(branches)
         assert str(exc.value) == (
             "delta not certified within JET_ORDER_CAP = 256: at the last jet order tried, "
             "J = 256, the unit jets u^j e_i with J - m_i <= j < J are not all in the span"
         )
-        orders = [J for J, _ in spans_built]
-        assert orders[-1] == curveinv.JET_ORDER_CAP
-        assert all(a < b for a, b in zip(orders, orders[1:]))
-        assert all(b - M == 2 * (a - M) for a, b in zip(orders, orders[1:-1]))
-        assert len(orders) <= math.ceil(math.log2(curveinv.JET_ORDER_CAP)) + 1
+        ladder = [J for J, _ in spans_built]
+        assert ladder[-1] == (curveinv.JET_ORDER_CAP,) * len(branches)
+        for a, b in zip(ladder, ladder[1:]):
+            assert all(x < y for x, y in zip(a, b))
+        for a, b in zip(ladder, ladder[1:-1]):
+            assert all(y - m == 2 * (x - m) for x, y, m in zip(a, b, orders))
+        assert len(ladder) <= math.ceil(math.log2(curveinv.JET_ORDER_CAP)) + 1
+
+
+@st.composite
+def germs_with_lines(draw):
+    """Two to four branches in C^3, at least one of them a line: plane or space
+    branches (u^a, c u^a + u^b + e u^(b + 1), f u^g), whose tangent is
+    (1, c, 0), and lines along small integer directions, which are often
+    tangent to such a branch or to each other."""
+    small = st.sampled_from([-1, 0, 1, 2])
+    n = draw(st.integers(2, 4))
+    lines = draw(st.integers(1, n))
+    comps = []
+    for _ in range(n - lines):
+        a = draw(st.integers(2, 3))
+        b = draw(st.integers(a + 1, 7).filter(lambda b: math.gcd(a, b) == 1))
+        c, e, f = draw(small), draw(small), draw(small)
+        g = draw(st.integers(a + 1, 8))
+        comps.append((f"u^{a}", f"{c}*u^{a} + u^{b} + {e}*u^{b + 1}", f"{f}*u^{g}"))
+    for _ in range(lines):
+        direction = draw(st.tuples(small, small, small).filter(any))
+        comps.append(tuple(f"{x}*u" for x in direction))
+    return [branch(*c) for c in comps]
+
+
+class TestPerBranchJetOrders:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(germs_with_lines())
+    def test_matches_one_jet_order_for_every_branch(self, branches):
+        try:
+            expected = uniform_delta_oracle(branches)
+        except OracleBudgetError:
+            reject()  # two branches with one image, or a conductor past the oracle's budget
+        assert delta_reduced(branches) == expected
 
 
 COEFFICIENTS = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 6))
