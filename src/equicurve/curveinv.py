@@ -158,18 +158,20 @@ class CurvePresentation:
         self.ideal = ideal
 
 
-def _times_coordinate(vec, jet_at, end_at):
-    """vec in the direct sum of the Q[u]/u^(J_i), laid out by ``_jet_span``,
-    times one coordinate: jet_at[col] is its jet on the branch of column col,
-    exponents scaled to column steps, and end_at[col] the first column past
-    that branch's cells."""
+def _times_coordinate(vec, jet_at, bounds_at):
+    """vec, laid out by ``_jet_span``, times one coordinate, whose jet on the
+    branch of column col is jet_at[col]. With bounds_at[col] = (run, end,
+    jump), the cell u^e further on from col is column col + e if that is
+    below run, col + e + jump if it is below end, and truncated otherwise."""
     out = {}
     for col, c in vec.items():
-        end = end_at[col]
+        run, end, jump = bounds_at[col]
         for e, a in jet_at[col]:
             k = col + e
-            if k >= end:
-                break
+            if k >= run:
+                if k >= end:
+                    break
+                k += jump
             s = out.get(k, 0) + c * a
             if s:
                 out[k] = s
@@ -205,18 +207,16 @@ def semigroup_conductor(gens):
 def _first_jet_orders(coordinates, orders):
     """The jet order the value semigroups predict for each branch's
     certificate, None for a branch whose coordinate jets have orders with gcd
-    above 1 (see ``delta_reduced``). The jets have their exponents times r,
-    the number of branches, as ``_jet_span`` takes them."""
-    r = len(orders)
+    above 1 (see ``delta_reduced``)."""
     conductors, tangents = [], []
     for i, m in enumerate(orders):
         jets = [dict(coordinate[i]) for coordinate in coordinates]
-        c = 0 if m == 1 else semigroup_conductor([e // r for e in pivots(jets)])  # smooth: G = N
+        c = 0 if m == 1 else semigroup_conductor(pivots(jets))  # smooth: G = N
         conductors.append(c)
         # the coefficient vector of u^m, zero entries left out
-        tangents.append({k: jet[m * r] for k, jet in enumerate(jets) if m * r in jet})
+        tangents.append({k: jet[m] for k, jet in enumerate(jets) if m in jet})
     total = sum(orders)
-    plane = r > 1 and len(pivots(tangents)) <= 2
+    plane = len(orders) > 1 and len(pivots(tangents)) <= 2
     return [None if c is None else c + m + plane * m * (total - m)
             for c, m in zip(conductors, orders)]
 
@@ -224,36 +224,40 @@ def _first_jet_orders(coordinates, orders):
 def _jet_span(coordinates, orders, Js):
     """The image S of O in the direct sum of the Q[u]/u^(J_i), as a
     ``RowSpace``: the closure of the diagonal 1 under multiplication by the
-    coordinates, each given by its jets on the branches with every exponent
-    times r, the number of branches (see ``delta_reduced``).
+    coordinates, each given by its jets on the branches (see ``delta_reduced``).
 
-    With K = max(J_i - m_i), the cell u^j on branch i is column
-    (K + j - J_i + m_i) * r + i. The columns of a branch are r apart, so u^e
-    moves a column by e * r, the scaled exponent. The window cells,
-    J_i - m_i <= j < J_i on each branch i, are exactly the columns from K * r
-    on.
+    The cells u^j of branch i with j < J_i - m_i are a run of columns from
+    s_i on, branch after branch; its window cells, J_i - m_i <= j < J_i, are
+    the columns from w_i on, where the windows follow all runs, from
+    W = sum(J_i - m_i) on. So u^e moves a cell e columns on, plus
+    w_i - s_i - (J_i - m_i) from the run into the window. Each branch's run
+    is one block, so a row with its pivot on a later branch is zero on the
+    earlier ones: with the cells ordered by j across the branches, the rows
+    are longer and their entries larger.
     """
-    r = len(Js)
-    K = max(J - m for J, m in zip(Js, orders))
-    size = (K + max(orders)) * r
-    # per column: each coordinate's jet on its branch, and the first column
-    # past that branch's cells
-    jet_at = [[()] * size for _ in coordinates]
-    end_at = [0] * size
+    W = sum(Js) - sum(orders)
+    columns = sum(Js)
+    # per column: each coordinate's jet on its branch, and where u^e takes it
+    jet_at = [[()] * columns for _ in coordinates]
+    bounds_at = [()] * columns
     ones = []
+    start, w = 0, W
     for i, (m, J) in enumerate(zip(orders, Js)):
-        start, end = (K + m - J) * r + i, (K + m) * r
-        ones.append(start)
+        run = start + J - m
         for on_columns, coordinate in zip(jet_at, coordinates):
-            on_columns[start:end:r] = [coordinate[i]] * J
-        end_at[start:end:r] = [end] * J
+            on_columns[start:run] = [coordinate[i]] * (J - m)
+            on_columns[w:w + m] = [coordinate[i]] * m
+        bounds_at[start:run] = [(run, run + m, w - run)] * (J - m)
+        bounds_at[w:w + m] = [(w + m, w + m, 0)] * m
+        ones.append(start)
+        start, w = run, w + m
     span = RowSpace()
     queue = [dict.fromkeys(ones, 1)]
     span.add(queue[0])
     while queue:
         vec = queue.pop()
         for on_columns in jet_at:
-            prod = _times_coordinate(vec, on_columns, end_at)
+            prod = _times_coordinate(vec, on_columns, bounds_at)
             if prod and span.add(prod):
                 queue.append(prod)
     return span
@@ -281,19 +285,17 @@ def delta_reduced(branches) -> int:
     Hence the finitely generated O-module N = (O + M)/O satisfies N = m_O N,
     and Nakayama's lemma (Matsumura, Commutative Ring Theory, Thm 2.2) gives
     N = 0, i.e. M c O. So T c O and delta is the codimension, exactly. The
-    certificate is a count: ``_jet_span`` lays the window out last, as the
-    columns from K * r on, K = max(J_i - m_i), and a row's pivot is its least
-    column, so the rows with a pivot there are a basis of the intersection of
-    S with the span W of the window. W lies in S exactly when they number
-    m_1 + ... + m_r.
+    certificate is a count: ``_jet_span`` lays the window out last, and a
+    row's pivot is its least column, so the rows with a pivot in the window
+    are a basis of the intersection of S with the span of the window, which
+    lies in S exactly when they number m_1 + ... + m_r.
 
     The closure runs on integers. Each coordinate's jets, on all branches at
-    once, are scaled by the lcm of their denominators (and their exponents
-    by r, for the layout). A coordinate times a nonzero constant generates
-    the same algebra, so S, its rank and the certificate are unchanged;
-    every vector the closure meets is a nonzero multiple of the one it meets
-    with the unscaled coordinates, so the same vectors are independent, in
-    the same order.
+    once, are scaled by the lcm of their denominators. A coordinate times a
+    nonzero constant generates the same algebra, so S, its rank and the
+    certificate are unchanged; every vector the closure meets is a nonzero
+    multiple of the one it meets with the unscaled coordinates, so the same
+    vectors are independent, in the same order.
 
     The certificate holds exactly when J_i - m_i >= c_i for every i, where
     (u^(c_1), ..., u^(c_r)) O' is the conductor of O in O': a certificate
@@ -335,17 +337,15 @@ def delta_reduced(branches) -> int:
             raise ComputationError(
                 f"branch exponent gcd {g} > 1: parametrization is not a normalization"
             )
-    r = len(branches)
     # coordinates[k][i]: the u-jet of coordinate k on branch i, times the lcm D
-    # of its denominators on all branches, with each exponent times r for the
-    # layout of ``_jet_span``. A coordinate that vanishes on every branch is
-    # left out: it takes every vector to 0.
+    # of its denominators on all branches. A coordinate that vanishes on every
+    # branch is left out: it takes every vector to 0.
     coordinates = []
     for on_branches in zip(*[b.jets for b in branches]):
         if any(pairs for _, pairs in on_branches):
             D = math.lcm(*[d for d, _ in on_branches])
             coordinates.append([
-                pairs if d == D and r == 1 else tuple([(e * r, c * (D // d)) for e, c in pairs])
+                pairs if d == D else tuple((e, c * (D // d)) for e, c in pairs)
                 for d, pairs in on_branches
             ])
     # two branches have the same parametrization exactly when their scaled
@@ -366,13 +366,14 @@ def delta_reduced(branches) -> int:
         )
     Js = [2 * m if J is None else max(2 * m, min(JET_ORDER_CAP, J))
           for m, J in zip(orders, _first_jet_orders(coordinates, orders))]
+    size = sum(orders)  # of the window
     while True:
         span = _jet_span(coordinates, orders, Js)
-        window = max(J - m for J, m in zip(Js, orders)) * r
-        if len([p for p in span.rows if p >= window]) == sum(orders):
+        window = sum(Js) - size  # its first column
+        if len([p for p in span.rows if p >= window]) == size:
             return sum(Js) - span.rank
         if min(Js) == JET_ORDER_CAP or not all(
-            span.contains({window + t * r + i: 1})
+            span.contains({window + sum(orders[:i]) + t: 1})
             for i, (m, J) in enumerate(zip(orders, Js)) if J == JET_ORDER_CAP
             for t in range(m)
         ):
