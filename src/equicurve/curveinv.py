@@ -312,11 +312,13 @@ def delta_reduced(branches) -> int:
     Singularities of Plane Curves), each intersection number being at least
     m_i m_j, with equality for distinct tangents. So the estimate is
     c(G'_i) + m_i, plus m_i (m_1 + ... + m_r - m_i) when the tangents (the
-    coefficient vectors of u^(m_i)) span at most a plane. J_i starts there,
-    at most JET_ORDER_CAP, or at 2 m_i if that is larger or gcd(G'_i) is
-    above 1. A failed count says only that some estimate J_i - m_i was too
-    small, so every J_i becomes 2 J_i - m_i, at most JET_ORDER_CAP: J_i - m_i
-    doubles from m_i or more, so every branch reaches the cap within
+    coefficient vectors of u^(m_i)) span at most a plane. As c(G'_i) bounds
+    c(G_i) from above and m_i m_j bounds (B_i . B_j) from below, this is only
+    an estimate: the certificate alone decides. J_i starts there, at most
+    JET_ORDER_CAP, or at 2 m_i if that is larger or gcd(G'_i) is above 1. A
+    failed count says only that some estimate J_i - m_i was too small, so
+    every J_i becomes 2 J_i - m_i, at most JET_ORDER_CAP: J_i - m_i doubles
+    from m_i or more, so every branch reaches the cap within
     ceil(log2 JET_ORDER_CAP) + 1 spans.
 
     A larger J_k, k != i, only refines the truncation, so a unit jet of
