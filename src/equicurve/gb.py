@@ -22,7 +22,9 @@ meets is homogeneous, so for any local order h = 1 maps each lead to the local
 lead of the image, and the images, minimalized by their leads, are a standard
 basis of the ideal in the local ring: for f in I, some h^k * f^h lies in the
 homogenized ideal, with the local lead of f times a power of h as its lead.
-The leads decide membership in the localized ideal (Greuel-Pfister 1.6).
+
+*Membership* is read off leads under every order: f lies in I, localized
+under a local order, iff I + <f> has the leading ideal of I.
 
 *Packed monomials.* In the core a monomial x^e in n variables is one int,
 p = sum_i e_i << (w*i), with w = ``_FIELD_BITS`` bits per variable whose top
@@ -51,15 +53,10 @@ the first field and packs the order ``_homogenized``: the degree, then the
 local order's rows on x.
 
 *Pair bookkeeping.* A pair waits under the degree and the key of its packed lcm
-l, both read off l without unpacking it. The degree is the sum of the fields:
-with E the mask of the even fields, (l & E) + ((l >> w) & E) holds the sum of
-fields 2j and 2j + 1, below 2^w, in the 2w-bit slot j, and one multiplication
-by the sum of 1 << 2wj adds all slots into the top one; no partial sum reaches
-2^(2w), so no slot carries into the next. Each d_j of the key is the degree of
-l masked to the fields of row j's slice. A proper divisor x^a of x^b is
-a smaller int, as b - a packs a nonzero monomial, so the new lcms, and the
-leads when the basis is minimalized, are visited in increasing order and
-tested only against those before them.
+l, both read off the fields of l. A proper divisor x^a of x^b is a smaller int,
+as b - a packs a nonzero monomial, so the new lcms, and the leads when the
+basis is minimalized, are visited in increasing order and tested only against
+those before them.
 
 No exponent overflows silently: input exponents are checked when packed, the
 lcm of guard-free monomials is guard-free, and q plus the fieldwise maximum of
@@ -116,7 +113,7 @@ class _Packing:
     docstring). A reducer is the tuple (packed lead, lead key, leading coefficient,
     terms as (key, coefficient) pairs, fieldwise maximum of the packed monomials)."""
 
-    __slots__ = ("width", "guard", "coeffs", "shifts", "rows", "low", "even", "ones", "top")
+    __slots__ = ("width", "guard", "coeffs", "shifts", "low")
 
     def __init__(self, nvars: int, order: MonomialOrder):
         w = self.width = _FIELD_BITS
@@ -124,31 +121,19 @@ class _Packing:
         self.shifts = tuple(range(0, C, w))
         self.guard = sum(1 << (i + w - 1) for i in self.shifts)
         self.low = (1 << C) - 1
-        field = (1 << w) - 1
-        # (coefficient, mask of the fields in its slice) of each row, the last first
-        self.rows = tuple((s << (C + R * j), sum(field << self.shifts[i] for i in range(nvars)[sl]))
-                          for j, (s, sl) in enumerate(reversed(order.rows)))
-        self.coeffs = tuple(sum(c for c, mask in self.rows if mask >> i & 1) - (1 << i) for i in self.shifts)
-        slots = range(0, C, 2 * w)
-        self.even = sum(field << s for s in slots)
-        self.ones = sum(1 << s for s in slots)
-        self.top = slots[-1]
+        # (coefficient, variables of its slice) of each row, the last first
+        rows = [(s << (C + R * j), range(nvars)[sl]) for j, (s, sl) in enumerate(reversed(order.rows))]
+        self.coeffs = tuple(sum(c for c, vs in rows if k in vs) - (1 << i) for k, i in enumerate(self.shifts))
 
     def key(self, exps) -> int:
         if max(exps) >> (self.width - 1):
             raise _overflow()
         return sum(map(mul, exps, self.coeffs))
 
-    def degree(self, p: int) -> int:
-        """The sum of the fields of p (module docstring, pair bookkeeping)."""
-        w = self.width
-        s = (p & self.even) + ((p >> w) & self.even)
-        return (s * self.ones >> self.top) & ((1 << 2 * w) - 1)
-
     def degree_key(self, p: int) -> tuple:
         """The degree and the order key of the packed monomial p."""
-        degree = self.degree
-        return degree(p), sum([c * degree(p & mask) for c, mask in self.rows]) - p
+        e = self.fields(p)
+        return sum(e), self.key(e)
 
     def packed(self, key: int) -> int:
         return -key & self.low
@@ -270,18 +255,16 @@ class StandardBasis:
     ideal, kept as the core's primitive term dicts under ``_packing``, the
     first ``_skip`` exponents (h, under a local order) to be dropped.
 
-    ``basis``, the monic ``Fraction`` polynomials, is built on its first read,
-    and the reducers of a Groebner basis on its first membership test; only a
-    Groebner basis is ever reduced by.
+    ``basis``, the monic ``Fraction`` polynomials, is built on its first read.
+    Membership compares leads only, so a computed basis is never reduced by.
     """
 
-    __slots__ = ("ideal", "order", "lead_monomials", "_packing", "_terms", "_skip",
-                 "_basis", "_reducers")
+    __slots__ = ("ideal", "order", "lead_monomials", "_packing", "_terms", "_skip", "_basis")
 
     def __init__(self, ideal, order, lead_monomials, packing, terms, skip=0):
         self.ideal, self.order, self.lead_monomials = ideal, order, tuple(lead_monomials)
         self._packing, self._terms, self._skip = packing, terms, skip
-        self._basis = self._reducers = None
+        self._basis = None
 
     @property
     def basis(self) -> tuple:
@@ -291,21 +274,16 @@ class StandardBasis:
         return self._basis
 
     def contains(self, f: Polynomial) -> bool:
-        """Whether f lies in the ideal, localized under a local order.
+        """Whether f lies in the ideal I, localized under a local order.
 
-        Under a global order f lies in I iff its division remainder by the
-        Groebner basis is zero. Under a local order f lies in I*O iff every
-        lead of a standard basis of I + <f> is divisible by a lead of this one:
-        I lies in I + <f>, and two nested ideals of the local ring with one
-        leading ideal are equal (Greuel-Pfister 1.6).
+        f lies in I (I*O under a local order) iff every lead of a basis of
+        I + <f> under the same order is divisible by a lead of this one: I lies
+        in I + <f>, and two nested ideals with one leading ideal are equal, in
+        the polynomial ring (Macaulay's basis theorem) and in the local ring
+        (Greuel-Pfister 1.6).
         """
         if f.ring != self.ideal.ring:
             raise RingMismatchError("polynomial over a different ring than the basis")
-        if self.order.is_global:
-            pk = self._packing
-            if self._reducers is None:
-                self._reducers = tuple(map(pk.reducer, self._terms))
-            return not _reduce_global(pk.integral(f.terms)[1], self._reducers, pk)
         bigger = std_basis(Ideal(self.ideal.gens + (f,), f.ring), self.order)
         return all(any(all(map(le, l, m)) for l in self.lead_monomials) for m in bigger.lead_monomials)
 

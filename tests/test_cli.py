@@ -4,6 +4,7 @@ determinism, exit codes and the corpus runner."""
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import signal
@@ -28,6 +29,7 @@ from equicurve.cli import (
     render_report,
     run_paper_corpus,
 )
+from equicurve.errors import EquicurveError
 from equicurve.poly import NEGDEGREVLEX, VarSet, parse_poly
 
 CUSP_FAMILY_ENTRY = {
@@ -1094,3 +1096,53 @@ class TestStartup:
         assert {
             "equicurve.gb", "equicurve.localdim", "equicurve.gcd", "equicurve.family"
         } <= added
+
+
+def _perfbench_workloads():
+    """The benchmark's input generators, ``perfbench/workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGbTraffic:
+    """The traffic ``gb`` is sized to: a corpus pass asks for one LAST_FIRST
+    standard basis per entry and no membership test, and the germ and family
+    paths ask for no basis at all. A change that puts global or elimination
+    bases back on a production path fails here and should measure ``gb``'s
+    bookkeeping again."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        std_basis, contains = gb.std_basis, gb.StandardBasis.contains
+
+        def counted_std_basis(I, order):
+            calls.append(("std_basis", order.kind))
+            return std_basis(I, order)
+
+        def counted_contains(B, f):
+            calls.append(("contains", B.order.kind))
+            return contains(B, f)
+
+        monkeypatch.setattr(gb, "std_basis", counted_std_basis)
+        monkeypatch.setattr(gb.StandardBasis, "contains", counted_contains)
+        return calls
+
+    def test_corpus_pass_asks_one_local_basis_per_entry(self, calls):
+        report, mismatches = run_paper_corpus()
+        assert not mismatches and len(report["entries"]) == 10
+        assert calls == [("std_basis", "local-last-first")] * 10
+
+    def test_germs_and_families_ask_for_no_basis(self, calls):
+        workloads = _perfbench_workloads()
+        drawn = workloads.draw_pass("germs", 1, 0) + workloads.draw_pass("families", 1, 0)
+        assert {stratum for stratum, _, _ in drawn} >= {"plane", "lines", "one", "two"}
+        for _, entry, _ in drawn:
+            try:
+                analyze_manifest(manifest(entry))
+            except EquicurveError:  # the frontier strata sit past a cap
+                pass
+        assert calls == []

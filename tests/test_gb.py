@@ -11,6 +11,7 @@ from equicurve.errors import ComputationError, RingMismatchError
 from equicurve.gb import Ideal, ideal_intersect, ideal_sum, std_basis
 from equicurve.poly import (
     DEGREVLEX,
+    LAST_FIRST,
     NEGDEGREVLEX,
     Elimination,
     Polynomial,
@@ -21,6 +22,7 @@ from gb_reference import exact_divide, ideal_equal, ideal_quotient
 
 XYZ = VarSet(("x", "y", "z"))
 UT = VarSet(("u", "t"))
+MEMBERSHIP_ORDERS = (DEGREVLEX, Elimination(1), NEGDEGREVLEX, LAST_FIRST)
 
 
 def P(s, ring=XYZ):
@@ -46,10 +48,26 @@ class TestGlobalBasis:
         assert [g.render() for g in B.basis] == ["x"]
 
     def test_membership_classic(self):
-        # <x^2 - y, x*y - z> contains x*z - y^2
-        B = std_basis(I("x^2 - y", "x*y - z"), DEGREVLEX)
-        assert B.contains(P("x*z - y^2"))
-        assert not B.contains(P("x"))
+        # <x^2 - y, x*y - z> contains x*z - y^2, and the edge cases of the one
+        # membership path under every kind of order; rows are (generators, f,
+        # member under a global order, member under a local order)
+        curve = ("x^2 - y", "x*y - z")
+        rows = [
+            (curve, "x*z - y^2", True, True),
+            (curve, "x", False, False),
+            (curve, "0", True, True),
+            # a unit is a member only of an ideal that holds a unit, and 1 + x
+            # is one only in the local ring
+            (curve, "1", False, False),
+            (("3", "x*y"), "1", True, True),
+            (("1 + x", "y"), "1", False, True),
+        ]
+        for order in MEMBERSHIP_ORDERS:
+            for gens, f, in_global, in_local in rows:
+                member = std_basis(I(*gens), order).contains(P(f))
+                assert member is (in_global if order.is_global else in_local), (order.kind, gens, f)
+            with pytest.raises(RingMismatchError):
+                std_basis(I(*curve), order).contains(parse_poly("u", UT))
 
     def test_basis_deterministic(self):
         a = std_basis(I("y^3 - x^4", "x*z", "y*z"), DEGREVLEX)
@@ -113,9 +131,8 @@ class TestMemo:
 
     @pytest.mark.parametrize("order", MEMO_ORDERS, ids=lambda o: o.kind)
     def test_repeat_equals_fresh_after_normal_forms(self, order):
-        # reading a basis changes it in nothing a later read sees: a global
-        # basis divides by its reducers, built on the first membership test,
-        # and the memberships of a local basis build other bases
+        # reading a basis changes it in nothing a later read sees: a
+        # membership test builds another basis, of I + <f>
         B = std_basis(I(*MEMO_GENS), order)
         for f in ("x^3*y + z^4", "x*y*z - y^5 + x", "(x + y + z)^4"):
             B.contains(P(f))
