@@ -10,6 +10,10 @@ which reads its witness off the generators and verifies sqrt(J) = <u>. The sum
 of the pullback multiplicities is the exact generic multiplicity, and it is
 checked against the multiplicity of the sampled generic fibers.
 
+Each component is normalized when it is built (u -> u^(1/g), g the gcd of its
+u-exponents), and a special branch that still factors through a power of u is
+refused: the special fiber is then not generically reduced.
+
 A family is a ``Parametrized`` or a ``Declared`` record, and ``classify``
 picks the route by its type. It returns the report's fields of the family
 entry as plain dicts, in report order, so the layout is known here alone.
@@ -42,6 +46,9 @@ class FamilyComponent:
 
     ``table`` holds the coordinates, read once, as ``gcd.recursive_form`` gives
     them: for each, (d, A) with A in Z[t][u] equal to d times the coordinate.
+    The component is built normalized: with g the gcd of its u-exponents, u is
+    replaced by u^(1/g) in ``param`` and the table keeps the rows A[::g], the
+    only nonzero ones. u^0 keeps its exponent, so the class is kept.
     """
 
     __slots__ = ("param", "label", "table")
@@ -55,26 +62,20 @@ class FamilyComponent:
                 raise ComputationError("family components must live in the (u, t) ring")
             if p.constant_term() != 0:
                 raise ComputationError("family component does not pass through the origin")
+        table = [recursive_form(p.terms) for p in param]
+        g = math.gcd(*[a for _, A in table for a, row in enumerate(A) if row])
+        if g > 1:
+            param = tuple(Polynomial(RING_UT, {(a // g, b): c for (a, b), c in p.terms.items()})
+                          for p in param)
+            table = [(d, A[::g]) for d, A in table]
         self.param = param
         self.label = label
-        self.table = [recursive_form(p.terms) for p in param]
+        self.table = table
 
     def component_class(self) -> str:
         """'A' when the section {u = 0} lies in the component, 'B' when the
         component meets the section only at the origin."""
         return "B" if any(A and A[0] for _, A in self.table) else "A"
-
-    def u_exponent_gcd(self) -> int:
-        return math.gcd(*[a for _, A in self.table for a, row in enumerate(A) if row])
-
-    def reparametrized(self, g: int) -> "FamilyComponent":
-        """Substitute u -> u^(1/g); valid when every u-exponent is divisible by g."""
-        if g <= 1:
-            return self
-        return FamilyComponent(
-            [Polynomial(RING_UT, {(a // g, b): c for (a, b), c in p.terms.items()}) for p in self.param],
-            self.label,
-        )
 
     def specialize(self, t0) -> BranchParam:
         """The branch of the fiber at t = t0 contributed by this component,
@@ -150,7 +151,7 @@ class Declared(namedtuple("Declared", "special classes assertions")):
 def pullback_ideal(c: FamilyComponent) -> Ideal:
     """The ideal J generated by the coordinate polynomials of the parametrization;
     ``is_cohen_macaulay`` verifies sqrt(J) = <u>."""
-    return Ideal([p for p in c.param if not p.is_zero()], RING_UT)
+    return Ideal(c.param, RING_UT)
 
 
 def connectivity(n_a: int, n_b: int) -> int:
@@ -195,26 +196,6 @@ def _generic_samples(seed: int):
     return samples
 
 
-def _normalized_components(F: Parametrized):
-    """Reparametrize every component, of either class, by the gcd of its
-    u-exponents (u^0 keeps its exponent, so the class is kept), and reject
-    families whose special fiber would be generically non-reduced."""
-    out = []
-    for c in F.components:
-        c = c.reparametrized(c.u_exponent_gcd())
-        # the exponent gcd of the branch at t = 0, whose exponents are the a with A[a](0) != 0
-        g = math.gcd(*[a for _, A in c.table for a, row in enumerate(A) if row and row[0]])
-        if not g:
-            c.specialize(0)  # the zero branch: its error comes before the pullback checks
-        if g > 1:
-            raise HypothesisError(
-                f"component {c.label!r}: special fiber parametrization factors "
-                "through a power of u; the special fiber is not generically reduced"
-            )
-        out.append((c, c.component_class()))
-    return out
-
-
 def classify(F: Parametrized | Declared, seed: int = 0) -> dict:
     """The three equisingularity verdicts with full justification, as the
     report's fields of a family entry; a parametrized family's generic samples
@@ -225,17 +206,23 @@ def classify(F: Parametrized | Declared, seed: int = 0) -> dict:
 
 
 def _classify_parametrized(F, seed):
-    comps = _normalized_components(F)
-    norm = F._replace(components=tuple(c for c, _ in comps))
-    n_b = sum(cls == "B" for _, cls in comps)
-    b0 = connectivity(len(comps) - n_b, n_b)
+    # The special branches, each read once; their errors come before the pullbacks'.
+    special = []
+    for c in F.components:
+        b = c.specialize(0)
+        if b.exponent_gcd() > 1:
+            raise HypothesisError(
+                f"component {c.label!r}: special fiber parametrization factors "
+                "through a power of u; the special fiber is not generically reduced"
+            )
+        special.append(b)
+    comps_a = [c for c in F.components if c.component_class() == "A"]
+    b0 = connectivity(len(comps_a), len(F.components) - len(comps_a))
 
     # Lemma 5.3 pipeline on each component through the section.
     cm_list = []
     sum_e = 0
-    for c, cls in comps:
-        if cls != "A":
-            continue
+    for c in comps_a:
         try:
             witness = is_cohen_macaulay(pullback_ideal(c))
         except HypothesisError as exc:
@@ -246,13 +233,12 @@ def _classify_parametrized(F, seed):
         sum_e += witness.multiplicity
 
     # Fiber invariants.
-    C0 = specialize_fiber(norm, 0)
-    inv0 = invariants(C0)
+    inv0 = invariants(CurvePresentation(special, ideal=F.special_ideal))
 
     # The total space is the reduced image of the components, so the generic
     # fiber is reduced: its epsilon is 0 and its delta and mu are delta_red, mu_red.
     samples = _generic_samples(seed)
-    gen_invs = [invariants(specialize_fiber(norm, s)) for s in samples]
+    gen_invs = [invariants(specialize_fiber(F, s)) for s in samples]
     if gen_invs[0] != gen_invs[1]:
         raise ComputationError(
             f"generic-fiber invariants disagree between samples {samples}: "

@@ -29,7 +29,7 @@ from equicurve.cli import (
     render_report,
     run_paper_corpus,
 )
-from equicurve.errors import EquicurveError
+from equicurve.errors import EquicurveError, HypothesisError, ParseError
 from equicurve.poly import NEGDEGREVLEX, VarSet, parse_poly
 
 CUSP_FAMILY_ENTRY = {
@@ -858,13 +858,29 @@ class TestOneLineFailures:
             "but r <= m, delta_red >= m - 1, and delta_red = 0 if m = 1\n"
         )
 
-    def test_zero_special_branch_precedes_the_cohen_macaulay_witness(self, tmp_path, capsys):
+    FACTORS = ("hypothesis failure: component '0': special fiber parametrization factors "
+               "through a power of u; the special fiber is not generically reduced\n")
+
+    @pytest.mark.parametrize("components, ideal, code, line", [
         # the pullback <t*u, t*u^2> fails the radical check (exit 4), but the
         # component's branch at t = 0 is zero, and that is named first
-        entry = {"name": "vanishing", "kind": "family", "components": [["t*u", "t*u^2", "0"]]}
-        assert main(["analyze", write_manifest(tmp_path, manifest(entry))]) == EXIT_COMPUTE
-        err = assert_one_error_line(capsys, "computation error:")
-        assert err == "computation error: component '0' specializes to the zero branch at t = 0\n"
+        ([["t*u", "t*u^2", "0"]], None, EXIT_COMPUTE,
+         "computation error: component '0' specializes to the zero branch at t = 0\n"),
+        # the special branch (u, u, 0) misses x, but no component holds the section
+        ([["u+t", "u", "0"]], ["x"], EXIT_HYPOTHESIS,
+         "hypothesis failure: no component contains the section: family outside scope\n"),
+        # the special branch (u^2, u^4, 0) factors through u^2 and misses x
+        ([["u^2+t*u", "u^4", "t*u^2"]], ["x"], EXIT_HYPOTHESIS, FACTORS),
+        # component '0' factors through u^2 before component '1' is the zero branch
+        ([["u^2+t*u", "u^4", "t*u^2"], ["t*u", "t*u^2", "0"]], None, EXIT_HYPOTHESIS, FACTORS),
+    ], ids=["zero-branch", "no-section", "factors", "factors-first"])
+    def test_zero_special_branch_precedes_the_cohen_macaulay_witness(
+            self, tmp_path, capsys, components, ideal, code, line):
+        entry = {"name": "faults", "kind": "family", "components": components}
+        if ideal is not None:
+            entry["special_fiber"] = {"ideal": ideal}
+        assert main(["analyze", write_manifest(tmp_path, manifest(entry))]) == code
+        assert assert_one_error_line(capsys, line.split(":")[0]) == line
 
 
 class TestJsonWriter:
@@ -1146,3 +1162,40 @@ class TestGbTraffic:
             except EquicurveError:  # a frontier entry may sit past a cap
                 pass
         assert calls == []
+
+
+class TestFamilyRecords:
+    """Every family the families workload can draw, checked against its line in
+    ``perfbench/expected_families.json`` as the benchmark's worker checks it: a
+    recorded report comes out byte for byte, and a recorded error comes out as
+    the same error, or as a verdict whose routes agree (a family that now gets
+    a verdict is a gain)."""
+
+    def test_every_drawable_family_matches_its_record(self):
+        workloads = _perfbench_workloads()
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "expected_families.json"
+        records = json.loads(path.read_text())
+        wrong = []
+        for stratum, components in workloads.all_families():
+            recorded = records[workloads.family_key(components)]
+            try:
+                report = analyze_manifest(manifest(workloads.family_entry(stratum, components)))
+            except EquicurveError as exc:
+                code = (EXIT_HYPOTHESIS if isinstance(exc, HypothesisError)
+                        else EXIT_PARSE if isinstance(exc, ParseError) else EXIT_COMPUTE)
+                got = [type(exc).__name__, (str(exc).splitlines() or [""])[0], code]
+                if recorded.get("error") != got:
+                    wrong.append((components, recorded, got))
+                continue
+            if "digest" in recorded:
+                text = render_report(report, "json")
+                if hashlib.sha256(text.encode()).hexdigest() != recorded["digest"]:
+                    wrong.append((components, recorded, "another report"))
+                continue
+            v = report["entries"][0]["verdict"]
+            cm_all = all(w["is_cm"] for w in v["cm_by_component"])
+            if v["strong_simultaneous_resolution"] != v["whitney"] or (
+                v["whitney"] != (v["topologically_trivial"] and cm_all)
+            ):
+                wrong.append((components, recorded, v))
+        assert wrong == []

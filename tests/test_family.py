@@ -27,6 +27,7 @@ from equicurve.family import (
     specialize_fiber,
 )
 from equicurve.gb import Ideal
+from equicurve.gcd import recursive_form
 from equicurve.localdim import is_cohen_macaulay
 from equicurve.poly import NEGDEGREVLEX, Polynomial, VarSet, parse_poly
 from gb_reference import ideal_equal
@@ -75,10 +76,10 @@ class TestFamilyComponent:
             comp("1 + u", "t*u")
 
     def test_reparametrization(self):
+        # built normalized by u -> u^(1/2), its table the rows A[::2]
         c = comp("u^2", "u^6", "t*u^2")
-        assert c.u_exponent_gcd() == 2
-        r = c.reparametrized(2)
-        assert [p.render() for p in r.param] == ["u", "u^3", "u*t"]
+        assert repr(c) == "FamilyComponent(u, u^3, u*t)"
+        assert c.table == [recursive_form(p.terms) for p in c.param]
 
     @pytest.mark.parametrize("t0", [0, 1, Fraction(-5, 9), 2])
     def test_specialize_matches_substitution(self, t0):
@@ -271,6 +272,10 @@ class TestClassify:
             return classify(Parametrized(components=(comp("u^2", "u^3", "t*u"), comp(*second))))
 
         assert report("t + u^2", "u^4", "t*u^2") == report("t + u", "u^2", "t*u")
+        c = comp("t + u^2", "u^4", "t*u^2")
+        assert repr(c) == "FamilyComponent(u + t, u^2, u*t)"
+        assert c.table == [recursive_form(p.terms) for p in c.param]
+        assert c.component_class() == "B"
 
     def test_rejects_generically_nonreduced_special_fiber(self):
         with pytest.raises(HypothesisError):
