@@ -13,7 +13,7 @@ import sys
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
-from .curveinv import RING_U, BranchParam, CurvePresentation, invariants
+from .curveinv import RING_U, BranchParam, CurvePresentation, invariants, jet
 from .errors import (
     ComputationError,
     EquicurveError,
@@ -21,7 +21,7 @@ from .errors import (
     InternalCheckError,
     ParseError,
 )
-from .poly import IDENTIFIER_RE, Ideal, VarSet, order_by_name, parse_poly
+from .poly import IDENTIFIER_RE, Ideal, VarSet, order_by_name, parse_integral, parse_poly
 
 # localdim, family and gb are imported where an input first needs them (an
 # ideal, a family entry, the std command), so a manifest of branches only
@@ -33,7 +33,7 @@ EXIT_COMPUTE = 3
 EXIT_HYPOTHESIS = 4
 
 # What the entries of one manifest share: its ring, and the map (text, ring) ->
-# Polynomial of the texts read so far (``_read_poly``).
+# reading of the texts read so far (``_read_poly``).
 _Manifest = namedtuple("_Manifest", "ring parsed")
 
 
@@ -71,27 +71,35 @@ def _parse_ring(node, where, reserved=()):
     return VarSet(tuple(names))
 
 
-def _read_poly(text, ring, parsed):
-    """parse_poly(text, ring), read once per map parsed: nothing changes a
-    parsed Polynomial's terms, so every use of a text can share one."""
-    poly = parsed.get((text, ring))
-    if poly is None:
-        poly = parsed[text, ring] = parse_poly(text, ring)
-    return poly
+def _read_poly(text, ring, parsed, read):
+    """read(text, ring), once per map parsed: nothing changes a reading, so
+    every use of a text can share one. Each ring has one reader: RING_U the
+    branch coordinates' ``_read_jet``, every other ring ``parse_poly``."""
+    value = parsed.get((text, ring))
+    if value is None:
+        value = parsed[text, ring] = read(text, ring)
+    return value
+
+
+def _read_jet(text, ring):
+    """The jet of a branch coordinate's text (``curveinv.jet``), with no
+    Polynomial between them."""
+    return jet(*parse_integral(text, ring))
 
 
 def _parse_ideal(gens, ring, where, parsed):
-    I = Ideal([_read_poly(g, ring, parsed) for g in _string_list(gens, where)], ring)
+    I = Ideal([_read_poly(g, ring, parsed, parse_poly) for g in _string_list(gens, where)], ring)
     if not I.gens:
         raise ParseError(f"{where}: the ideal is zero; give a nonzero generator")
     return I
 
 
-def _parse_parametrizations(node, ring, where, make, param_ring, parsed):
+def _parse_parametrizations(node, ring, where, make, read, param_ring, parsed):
     """The parametrizations listed in node, a nonempty list of lists of one
     polynomial over param_ring per variable of ring; the i-th is
-    make(polynomials, label=str(i)), a ``BranchParam`` or a ``FamilyComponent``.
-    Texts are read through the map parsed (``_read_poly``)."""
+    make(readings, label=str(i)), a ``BranchParam`` from its jets or a
+    ``FamilyComponent``, each text read by read through the map parsed
+    (``_read_poly``)."""
     if not isinstance(node, list) or not node:
         raise ParseError(f"{where}: expected a nonempty list")
     out = []
@@ -99,7 +107,7 @@ def _parse_parametrizations(node, ring, where, make, param_ring, parsed):
         comps = _string_list(comps, f"{where}[{i}]")
         if len(comps) != len(ring):
             raise ParseError(f"{where}[{i}]: {len(comps)} coordinates, ring has {len(ring)}")
-        out.append(make([_read_poly(c, param_ring, parsed) for c in comps], label=f"{i}"))
+        out.append(make([_read_poly(c, param_ring, parsed, read) for c in comps], label=f"{i}"))
     return out
 
 
@@ -109,7 +117,8 @@ def _parse_curve_data(node, manifest, where):
     branches = ideal = None
     if "branches" in node:
         branches = _parse_parametrizations(node["branches"], manifest.ring, f"{where}.branches",
-                                           BranchParam, RING_U, manifest.parsed)
+                                           BranchParam.from_jets, _read_jet, RING_U,
+                                           manifest.parsed)
     if "ideal" in node:
         ideal = _parse_ideal(node["ideal"], manifest.ring, f"{where}.ideal", manifest.parsed)
     return branches, ideal
@@ -194,8 +203,8 @@ def _analyze_family(entry, manifest, seed):
         if branches is not None or classes is not None:
             raise ParseError(f"{fiber_where}: branches/classes are only for declared mode")
         components = _parse_parametrizations(entry["components"], manifest.ring,
-                                             f"{where}.components", FamilyComponent, RING_UT,
-                                             manifest.parsed)
+                                             f"{where}.components", FamilyComponent, parse_poly,
+                                             RING_UT, manifest.parsed)
         F = Parametrized(tuple(components), ideal, assertions)
     else:
         if "components" in entry:

@@ -24,16 +24,22 @@ JET_ORDER_CAP = 256
 RING_U = VarSet(("u",))
 
 
+def jet(d, terms):
+    """The jet (d, pairs) of a coordinate in u whose integral form is (d,
+    terms), as ``poly.integral`` and ``poly.parse_integral`` give it."""
+    return d, tuple(sorted([(e, c) for (e,), c in terms.items()]))
+
+
 class BranchParam:
     """One branch of a curve germ, a record of its jets: one polynomial in u per
     coordinate, vanishing at u = 0.
 
     ``jets`` holds each coordinate as a pair (d, pairs): d is the lcm of the
     denominators of its coefficients, and pairs are (exponent, coefficient
-    times d) in increasing exponent order. The invariants read nothing else.
-    A parsed branch is read once from its ``Polynomial``s; a fiber of a family
-    enters with its jets (``from_jets``). Either way ``components`` is rendered
-    from the jets.
+    times d) in increasing exponent order (``jet``). The invariants read
+    nothing else. A branch of a manifest enters with the jets of its texts, and
+    a fiber of a family with the jets of its table (``from_jets``); either way
+    ``components`` is rendered from the jets.
     """
 
     __slots__ = ("jets", "label")
@@ -42,13 +48,7 @@ class BranchParam:
         components = tuple(components)
         if not components:
             raise ValueError("branch needs at least one component")
-        jets = []
-        for comp in components:
-            # ``integral`` of the terms, read straight into the pairs
-            d = math.lcm(*[c.denominator for c in comp.terms.values()])
-            jets.append((d, tuple(sorted(
-                (e, c.numerator * (d // c.denominator)) for (e,), c in comp.terms.items()))))
-        self._record(tuple(jets), label)
+        self._record(tuple([jet(*integral(comp.terms)) for comp in components]), label)
 
     @classmethod
     def from_jets(cls, jets, label="") -> "BranchParam":

@@ -166,11 +166,12 @@ def connectivity(n_a: int, n_b: int) -> int:
 
 
 def specialize_fiber(F: Parametrized, t0) -> CurvePresentation:
-    """The fiber germ at the section for parameter value t0; only class-A
-    components pass through the section when t0 is nonzero."""
+    """The fiber germ at the section for a nonzero parameter value t0, where
+    only class-A components pass through the section. (``classify`` builds the
+    special fiber, t0 = 0, from the branches it specializes.)"""
     t0 = Fraction(t0)
     if t0 == 0:
-        return CurvePresentation([c.specialize(0) for c in F.components], ideal=F.special_ideal)
+        raise ValueError("specialize_fiber takes a nonzero t0")
     comps = [c for c in F.components if c.component_class() == "A"]
     if not comps:
         raise HypothesisError("no component contains the section: empty generic germ")

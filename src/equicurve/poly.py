@@ -4,8 +4,9 @@ parser with explicit budgets.
 Monomials are exponent tuples aligned with a fixed ``VarSet``; polynomials are
 sparse dicts mapping exponent tuples to nonzero ``Fraction`` coefficients.
 All arithmetic is exact; there is no floating point anywhere in the package.
-The parser works on such dicts with int coefficients, a Fraction only from an
-``a/b`` literal, and makes every coefficient a Fraction in its one Polynomial.
+The parser works on such dicts with int coefficients and one denominator per
+dict, and returns the integral form (``integral``); ``parse_poly`` makes its
+coefficients Fractions.
 """
 
 from __future__ import annotations
@@ -94,17 +95,17 @@ def integral(terms):
     return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
 
 
-def _power_terms(p, n, nvars, multiply=_mul_terms):
+def _power_terms(p, n, nvars):
     """p**n for n >= 0: a single term scales its exponents, a sum is raised by
-    repeated squaring, each product done by ``multiply``."""
+    repeated squaring."""
     if len(p) == 1:
         ((m, c),) = p.items()
         return {tuple(e * n for e in m): c**n}
     result = {(0,) * nvars: 1}
     while n:
         if n & 1:
-            result = multiply(result, p)
-        p = multiply(p, p) if n > 1 else p
+            result = _mul_terms(result, p)
+        p = _mul_terms(p, p) if n > 1 else p
         n >>= 1
     return result
 
@@ -346,33 +347,37 @@ def _number_text(x) -> str:
 
 # A variable name the parser reads as one token; a ring name must match it.
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<num>\d+)|(?P<ident>{IDENTIFIER_RE.pattern})|(?P<op>[-+*^()/])|(?P<bad>\S))"
-)
+# One token per match, after any space: an operator or a name, a number with
+# the space before it (int() skips the space, and a too-long literal is
+# measured with it), or any other character.
+_TOKEN_RE = re.compile(rf"\s*([-+*^()/]|{IDENTIFIER_RE.pattern})|(\s*\d+)|\s*(\S)")
+_OPERATORS = frozenset("-+*^()/")
 
 
 def _tokenize(text: str):
+    """The tokens of text: an int for a number, a str for a name or an
+    operator, and None at the end."""
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        val = m[kind]
-        if kind == "bad":
-            raise ParseError(f"unexpected character {val!r} in {text!r}")
-        if kind == "num":
+    for word, num, bad in _TOKEN_RE.findall(text):
+        if word:
+            tokens.append(word)
+        elif num:
             try:
-                val = int(val)
+                tokens.append(int(num))
             except ValueError:  # past the interpreter's limit on digits
-                raise ParseError(f"number literal of {m.end() - m.start()} characters is too long") from None
-        tokens.append((kind, val))
-    tokens.append(("end", None))
+                raise ParseError(f"number literal of {len(num)} characters is too long") from None
+        else:
+            raise ParseError(f"unexpected character {bad!r} in {text!r}")
+    tokens.append(None)
     return tokens
 
 
 # Budgets of parse_poly; input past one is a ParseError that names it. A number
-# counts once per started 64-bit word of its numerator and denominator
-# (``_words``), since arithmetic on it costs about that many small products.
-# Deepest parenthesis nesting; each level costs five interpreter frames, so this
-# stays well inside Python's recursion limit.
+# counts once per started 64-bit word of its numerator and denominator in
+# lowest terms (``_words``), since arithmetic on it costs about that many small
+# products.
+# Deepest parenthesis nesting; each level costs three interpreter frames, so
+# this stays well inside Python's recursion limit.
 MAX_NESTING = 100
 # Largest exponent, counted through nested powers and times the words of a
 # number: in (a^m)^n the exponent applied to a is m*n. It bounds the degree and
@@ -381,22 +386,50 @@ MAX_NESTING = 100
 MAX_EXPONENT = 1000
 # Most term products in one multiplication, the parser's own or one step of a
 # power's repeated squaring: the operands' term counts multiplied, times the
-# words of their largest coefficient. The slowest accepted input found,
-# (u + t + 1/2)^43, parses in 0.4 s on a 2-vCPU VM; (u + t + 1)^43 in 0.05 s.
+# words of their largest coefficient. (u + t + 1/2)^43 parses in 0.035 s on a
+# 2-vCPU VM, as (u + t + 1)^43 does. The count does not see the common
+# denominator that a dict's ints carry: the product of two 223-term sums over
+# distinct 62-bit prime denominators, 11 KB of text, parses in 6 s.
 MAX_TERM_PRODUCTS = 50_000
 
 
-def _words(c) -> int:
-    return 1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64
+def _words(c: int, d: int) -> int:
+    """The words of the number c/d, given in lowest terms."""
+    return 1 + (c.bit_length() + d.bit_length()) // 64
+
+
+def _most_words(d, p) -> int:
+    """The most words of a coefficient of p divided by d, read in lowest terms
+    with one gcd per coefficient; p is not empty."""
+    if d == 1:
+        return 1 + (max(map(int.bit_length, p.values())) + 1) // 64
+    words = 1
+    for c in p.values():
+        g = math.gcd(c, d)
+        words = max(words, _words(c // g, d // g))
+    return words
+
+
+def _divided(d, p, g):
+    """(d, p) with d and every coefficient of p divided by g, a common factor."""
+    return (d, p) if g == 1 else (d // g, {m: c // g for m, c in p.items()})
+
+
+def _scaled(p, k):
+    return p if k == 1 else {m: c * k for m, c in p.items()}
 
 
 class _Parser:
-    """Recursive descent over: expr := term (+|- term)*; term := unary (* unary)*;
-    unary := (+|-)* power; power := atom [^ num]; atom := rational | ident | ( expr ).
+    """Recursive descent over: expr := term (+|- term)*; term := factor (* factor)*;
+    factor := (+|-)* atom [^ num]; atom := rational | ident | ( expr ).
 
-    Each rule returns a term dict {exponents: nonzero coefficient}, which its
-    caller owns and may change in place, and the largest exponent applied to
-    an atom inside it, counted through nested powers (see MAX_EXPONENT)."""
+    Each rule returns (d, p, w): its polynomial as p/d, where p is a term dict
+    {exponents: nonzero int} that its caller owns and may change in place and
+    (d, p) is in the integral form of ``integral``, and the largest exponent
+    applied to an atom inside it, counted through nested powers (see
+    MAX_EXPONENT)."""
+
+    __slots__ = ("text", "ring", "tokens", "pos", "depth")
 
     def __init__(self, text, ring):
         self.text = text
@@ -405,105 +438,141 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r} in {self.text!r}")
-
-    def multiply(self, p, q):
-        size = len(p) * len(q) * max(map(_words, (*p.values(), *q.values())), default=1)
+    def multiply(self, d, p, dq, q):
+        size = len(p) * len(q)
+        if size:
+            size *= max(_most_words(d, p), _most_words(dq, q))
         if size > MAX_TERM_PRODUCTS:
             raise ParseError(
                 f"a multiplication of {size} term products exceeds "
                 f"MAX_TERM_PRODUCTS = {MAX_TERM_PRODUCTS} in {self.text!r}"
             )
-        return _mul_terms(p, q)
+        out = _mul_terms(p, q)
+        if d == dq == 1:
+            return 1, out
+        # p and q are in lowest terms, so by Gauss's lemma (the content of a
+        # product is the product of the contents) the common factor of d * dq
+        # and the coefficients of p * q is gcd(d, content q) * gcd(dq, content p)
+        return _divided(d * dq, out, math.gcd(d, *q.values()) * math.gcd(dq, *p.values()))
 
     def parse(self):
-        p, _ = self.expr()
-        if self.peek()[0] != "end":
+        d, p, _ = self.expr()
+        if self.tokens[self.pos] is not None:
             raise ParseError(f"trailing input in {self.text!r}")
-        return Polynomial(self.ring, p)
+        return d, p
 
     def expr(self):
-        p, w = self.term()
-        while self.peek() in (("op", "+"), ("op", "-")):
-            _, op = self.next()
-            q, wq = self.term()
-            p = _add_terms(p, q if op == "+" else _negated(q))
+        d, p, w = self.term()
+        op = self.tokens[self.pos]
+        while op == "+" or op == "-":
+            self.pos += 1
+            dq, q, wq = self.term()
+            if op == "-":
+                q = _negated(q)
+            if dq != d:
+                lcm = math.lcm(d, dq)
+                p, q, d = _scaled(p, lcm // d), _scaled(q, lcm // dq), lcm
+            n = len(p) + len(q)
+            p = _add_terms(p, q)
+            if d > 1 and len(p) < n:
+                # only a monomial of both can take the sum out of lowest terms,
+                # so the gcd starts from those, and goes on if it is not 1 yet
+                g = math.gcd(d, *[p.get(m, 0) for m in q])
+                d, p = _divided(d, p, math.gcd(g, *p.values()) if g > 1 else 1)
             w = max(w, wq)
-        return p, w
+            op = self.tokens[self.pos]
+        return d, p, w
 
     def term(self):
-        p, w = self.unary()
-        while self.peek() == ("op", "*"):
-            self.next()
-            q, wq = self.unary()
-            p = self.multiply(p, q)
+        d, p, w = self.factor()
+        while self.tokens[self.pos] == "*":
+            self.pos += 1
+            dq, q, wq = self.factor()
+            d, p = self.multiply(d, p, dq, q)
             w = max(w, wq)
-        return p, w
+        return d, p, w
 
-    def unary(self):
+    def factor(self):
+        tokens = self.tokens
+        pos = self.pos
+        tok = tokens[pos]
         negate = False
-        while self.peek() in (("op", "-"), ("op", "+")):
-            negate ^= self.next()[1] == "-"
-        p, w = self.power()
-        return (_negated(p) if negate else p), w
-
-    def power(self):
-        base, w = self.atom()
-        if self.peek() != ("op", "^"):
-            return base, w
-        self.next()
-        kind, val = self.peek()
-        if kind == "op" and val == "-":
-            raise ParseError(f"negative exponent in {self.text!r}")
-        kind, n = self.next()
-        if kind != "num":
-            raise ParseError(f"exponent must be an integer literal in {self.text!r}")
-        if w * n > MAX_EXPONENT:
-            raise ParseError(
-                f"exponent {w * n} exceeds MAX_EXPONENT = {MAX_EXPONENT} in {self.text!r}"
-            )
-        return _power_terms(base, n, len(self.ring), self.multiply), w * n
-
-    def atom(self):
-        kind, val = self.next()
-        if kind == "num":
-            if self.peek() == ("op", "/"):
-                self.next()
-                kind2, den = self.next()
-                if kind2 != "num":
+        while tok == "-" or tok == "+":
+            negate ^= tok == "-"
+            pos += 1
+            tok = tokens[pos]
+        pos += 1
+        if type(tok) is int:
+            d = 1
+            if tokens[pos] == "/":
+                d = tokens[pos + 1]
+                pos += 2
+                if type(d) is not int:
                     raise ParseError(f"malformed rational literal in {self.text!r}")
-                if den == 0:
+                if d == 0:
                     raise ParseError("zero denominator")
-                val = Fraction(val, den)
-            return ({(0,) * len(self.ring): val} if val else {}), _words(val)
-        if kind == "ident":
-            if val not in self.ring:
-                raise ParseError(f"unknown variable {val!r} (ring has {self.ring.names})")
-            e = [0] * len(self.ring)
-            e[self.ring.index[val]] = 1
-            return {tuple(e): 1}, 1
-        if kind == "op" and val == "(":
+                g = math.gcd(tok, d)
+                tok, d = tok // g, d // g
+            p = {(0,) * len(self.ring): tok} if tok else {}
+            w = _words(tok, d)
+        elif tok == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
             self.depth += 1
-            p = self.expr()
-            self.expect_op(")")
+            self.pos = pos
+            d, p, w = self.expr()
+            pos = self.pos
+            if tokens[pos] != ")":
+                raise ParseError(f"expected ')' in {self.text!r}")
+            pos += 1
             self.depth -= 1
-            return p
-        raise ParseError(f"malformed expression {self.text!r}")
+        elif type(tok) is str and tok not in _OPERATORS:
+            i = self.ring.index.get(tok)
+            if i is None:
+                raise ParseError(f"unknown variable {tok!r} (ring has {self.ring.names})")
+            e = [0] * len(self.ring)
+            e[i] = 1
+            d, p, w = 1, {tuple(e): 1}, 1
+        else:
+            raise ParseError(f"malformed expression {self.text!r}")
+        if tokens[pos] == "^":
+            n = tokens[pos + 1]
+            pos += 2
+            if n == "-":
+                raise ParseError(f"negative exponent in {self.text!r}")
+            if type(n) is not int:
+                raise ParseError(f"exponent must be an integer literal in {self.text!r}")
+            if w * n > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {w * n} exceeds MAX_EXPONENT = {MAX_EXPONENT} in {self.text!r}"
+                )
+            w *= n
+            if len(p) == 1:  # a single term in lowest terms stays so
+                ((m, c),) = p.items()
+                d, p = d**n, {tuple([e * n for e in m]): c**n}
+            else:  # repeated squaring
+                dn, pn = 1, {(0,) * len(self.ring): 1}
+                while n:
+                    if n & 1:
+                        dn, pn = self.multiply(dn, pn, d, p)
+                    if n > 1:
+                        d, p = self.multiply(d, p, d, p)
+                    n >>= 1
+                d, p = dn, pn
+        self.pos = pos
+        return d, (_negated(p) if negate else p), w
+
+
+def parse_integral(text: str, ring: VarSet):
+    """The polynomial of text (``parse_poly``) in the integral form of
+    ``integral``: (d, {exponents: int}), d the lcm of the denominators of its
+    coefficients and the ints the coefficients times d."""
+    return _Parser(text, ring).parse()
 
 
 def parse_poly(text: str, ring: VarSet) -> Polynomial:
     """Parse an arithmetic expression with +, -, *, ^, parentheses and rational literals."""
-    return _Parser(text, ring).parse()
+    d, terms = parse_integral(text, ring)
+    poly = Polynomial(ring)
+    poly.terms = {m: Fraction(c, d) for m, c in terms.items()}
+    return poly

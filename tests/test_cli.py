@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equicurve import cli, corpus, gb
+from equicurve import cli, corpus, gb, poly
 from equicurve.cli import (
     EXIT_COMPUTE,
     EXIT_HYPOTHESIS,
@@ -29,6 +29,7 @@ from equicurve.cli import (
     render_report,
     run_paper_corpus,
 )
+from equicurve.curveinv import RING_U, BranchParam
 from equicurve.errors import EquicurveError, HypothesisError, ParseError
 from equicurve.poly import NEGDEGREVLEX, VarSet, parse_poly
 
@@ -673,20 +674,19 @@ class TestDeterminism:
     def test_each_text_is_parsed_once_per_manifest(self, monkeypatch):
         # the two curve entries repeat every text; the family repeats the ideal,
         # and its coordinates u^3 and u^4 are read again over the ring (u, t)
-        from equicurve.curveinv import RING_U
         from equicurve.family import RING_UT
 
         data = manifest(CUSP_CURVE_ENTRY, dict(CUSP_CURVE_ENTRY, name="again"),
                         CUSP_FAMILY_ENTRY)
         alone = [analyze_manifest(manifest(e))["entries"][0] for e in data["entries"]]
         calls = []
-        real = cli.parse_poly
+        real = poly._Parser.parse
 
-        def counting(text, ring):
-            calls.append((text, ring))
-            return real(text, ring)
+        def counting(parser):  # the parser core, under branches, ideals and components alike
+            calls.append((parser.text, parser.ring))
+            return real(parser)
 
-        monkeypatch.setattr(cli, "parse_poly", counting)
+        monkeypatch.setattr(poly._Parser, "parse", counting)
         report = analyze_manifest(data)
         xyz = VarSet(("x", "y", "z"))
         assert len(calls) == len(set(calls)) == 11
@@ -1162,6 +1162,23 @@ class TestGbTraffic:
             except EquicurveError:  # a frontier entry may sit past a cap
                 pass
         assert calls == []
+
+
+class TestBranchJets:
+    def test_jets_read_from_text_match_the_polynomial_route(self):
+        # a branch's texts go to its jets with no Polynomial between them
+        workloads = _perfbench_workloads()
+        drawn = [d for seed in (1, 2, 3) for index in (0, 1, 2)
+                 for d in workloads.draw_pass("germs", seed, index)]
+        assert {stratum for stratum, _, _ in drawn} == {"plane", "branch_line", "lines", "frontier"}
+        branches = [b for _, entry, _ in drawn for b in entry["branches"]]
+        for data in corpus.MANIFESTS:
+            for entry in data["entries"]:
+                branches += entry.get("branches", []) + entry.get("special_fiber", {}).get("branches", [])
+        assert len(branches) > 1000
+        for b in branches:
+            jets = [cli._read_jet(c, RING_U) for c in b]
+            assert jets == list(BranchParam([parse_poly(c, RING_U) for c in b]).jets), b
 
 
 class TestFamilyRecords:

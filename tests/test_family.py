@@ -40,6 +40,12 @@ def comp(*polys, label=""):
     return FamilyComponent([parse_poly(s, RING_UT) for s in polys], label=label)
 
 
+def special_fiber(F):
+    """The special fiber of F as ``classify`` builds it: every component at
+    t = 0, with the family's ideal."""
+    return CurvePresentation([c.specialize(0) for c in F.components], ideal=F.special_ideal)
+
+
 def ut_ideal(*gens):
     return Ideal([parse_poly(g, RING_UT) for g in gens], RING_UT)
 
@@ -134,13 +140,13 @@ class TestMultiplicities:
             total = sum(
                 special_multiplicity(pullback_ideal(c)) for c in F.components
             )
-            assert total == invariants(specialize_fiber(F, 0)).m
+            assert total == invariants(special_fiber(F)).m
 
 
 class TestSpecialization:
     def test_special_fiber_merges_override(self):
         F = cusp_family_a()
-        C0 = specialize_fiber(F, 0)
+        C0 = special_fiber(F)
         # the special fiber carries the family's ideal, and with it its epsilon;
         # a family takes no decomposition
         assert C0.ideal is F.special_ideal
@@ -157,18 +163,19 @@ class TestSpecialization:
         F = Parametrized(
             components=(comp("u^2", "u^3", "0"), comp("u + t", "u", "0")),
         )
-        assert len(specialize_fiber(F, 0).branches) == 2
+        assert len(special_fiber(F).branches) == 2
         assert len(specialize_fiber(F, Fraction(1, 2)).branches) == 1
 
     def test_product_family_constant(self):
         F = Parametrized(components=(comp("u^2", "u^3"),))
-        for t0 in (0, 1, Fraction(-5, 9)):
-            C = specialize_fiber(F, t0)
+        for C in (special_fiber(F), specialize_fiber(F, 1), specialize_fiber(F, Fraction(-5, 9))):
             assert [p.render() for p in C.branches[0].components] == ["u^2", "u^3"]
 
     def test_zero_specialization_rejected(self):
         F = Parametrized(components=(comp("t*u", "t*u^2"),))
         with pytest.raises(ComputationError):
+            special_fiber(F)
+        with pytest.raises(ValueError):  # classify builds the special fiber itself
             specialize_fiber(F, 0)
 
 
