@@ -4,9 +4,9 @@ parser with explicit budgets.
 Monomials are exponent tuples aligned with a fixed ``VarSet``; polynomials are
 sparse dicts mapping exponent tuples to nonzero ``Fraction`` coefficients.
 All arithmetic is exact; there is no floating point anywhere in the package.
-The parser works on such dicts with int coefficients and one denominator per
-dict, and returns the integral form (``integral``); ``parse_poly`` makes its
-coefficients Fractions.
+The parser works on such dicts with int coefficients, a Fraction only from an
+``a/b`` literal; ``parse_poly`` makes every coefficient a Fraction in its one
+Polynomial, and ``parse_integral`` gives the integral form (``integral``).
 """
 
 from __future__ import annotations
@@ -95,17 +95,17 @@ def integral(terms):
     return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
 
 
-def _power_terms(p, n, nvars):
+def _power_terms(p, n, nvars, multiply=_mul_terms):
     """p**n for n >= 0: a single term scales its exponents, a sum is raised by
-    repeated squaring."""
+    repeated squaring, each product done by ``multiply``."""
     if len(p) == 1:
         ((m, c),) = p.items()
         return {tuple(e * n for e in m): c**n}
     result = {(0,) * nvars: 1}
     while n:
         if n & 1:
-            result = _mul_terms(result, p)
-        p = _mul_terms(p, p) if n > 1 else p
+            result = multiply(result, p)
+        p = multiply(p, p) if n > 1 else p
         n >>= 1
     return result
 
@@ -373,9 +373,8 @@ def _tokenize(text: str):
 
 
 # Budgets of parse_poly; input past one is a ParseError that names it. A number
-# counts once per started 64-bit word of its numerator and denominator in
-# lowest terms (``_words``), since arithmetic on it costs about that many small
-# products.
+# counts once per started 64-bit word of its numerator and denominator
+# (``_words``), since arithmetic on it costs about that many small products.
 # Deepest parenthesis nesting; each level costs three interpreter frames, so
 # this stays well inside Python's recursion limit.
 MAX_NESTING = 100
@@ -386,48 +385,23 @@ MAX_NESTING = 100
 MAX_EXPONENT = 1000
 # Most term products in one multiplication, the parser's own or one step of a
 # power's repeated squaring: the operands' term counts multiplied, times the
-# words of their largest coefficient. (u + t + 1/2)^43 parses in 0.035 s on a
-# 2-vCPU VM, as (u + t + 1)^43 does. The count does not see the common
-# denominator that a dict's ints carry: the product of two 223-term sums over
-# distinct 62-bit prime denominators, 13 KB of text, parses in 7 s and 190 MB.
+# words of their largest coefficient. The slowest accepted input found,
+# (u + t + 1/2)^43, parses in 0.4 s on a 2-vCPU VM; (u + t + 1)^43 in 0.05 s.
 MAX_TERM_PRODUCTS = 50_000
 
 
-def _words(c: int, d: int) -> int:
-    """The words of the number c/d, given in lowest terms."""
-    return 1 + (c.bit_length() + d.bit_length()) // 64
-
-
-def _most_words(d, p) -> int:
-    """The most words of a coefficient of p divided by d, read in lowest terms
-    with one gcd per coefficient; p is not empty."""
-    if d == 1:
-        return 1 + (max(map(int.bit_length, p.values())) + 1) // 64
-    words = 1
-    for c in p.values():
-        g = math.gcd(c, d)
-        words = max(words, _words(c // g, d // g))
-    return words
-
-
-def _divided(d, p, g):
-    """(d, p) with d and every coefficient of p divided by g, a common factor."""
-    return (d, p) if g == 1 else (d // g, {m: c // g for m, c in p.items()})
-
-
-def _scaled(p, k):
-    return p if k == 1 else {m: c * k for m, c in p.items()}
+def _words(c) -> int:
+    return 1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64
 
 
 class _Parser:
     """Recursive descent over: expr := term (+|- term)*; term := factor (* factor)*;
     factor := (+|-)* atom [^ num]; atom := rational | ident | ( expr ).
 
-    Each rule returns (d, p, w): its polynomial as p/d, where p is a term dict
-    {exponents: nonzero int} that its caller owns and may change in place and
-    (d, p) is in the integral form of ``integral``, and the largest exponent
-    applied to an atom inside it, counted through nested powers (see
-    MAX_EXPONENT)."""
+    Each rule returns a term dict {exponents: nonzero coefficient}, which its
+    caller owns and may change in place, and the largest exponent applied to
+    an atom inside it, counted through nested powers (see MAX_EXPONENT). The
+    coefficients are ints; a Fraction enters only with an ``a/b`` literal."""
 
     __slots__ = ("text", "ring", "tokens", "pos", "depth")
 
@@ -438,64 +412,40 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def multiply(self, d, p, dq, q):
-        size = len(p) * len(q)
-        if size:
-            size *= max(_most_words(d, p), _most_words(dq, q))
+    def multiply(self, p, q):
+        size = len(p) * len(q) * max(map(_words, (*p.values(), *q.values())), default=1)
         if size > MAX_TERM_PRODUCTS:
             raise ParseError(
                 f"a multiplication of {size} term products exceeds "
                 f"MAX_TERM_PRODUCTS = {MAX_TERM_PRODUCTS} in {self.text!r}"
             )
-        out = _mul_terms(p, q)
-        if d == dq == 1:
-            return 1, out
-        # p and q are in lowest terms, so by Gauss's lemma (the content of a
-        # product is the product of the contents) the common factor of d * dq
-        # and the coefficients of p * q is gcd(d, content q) * gcd(dq, content p)
-        return _divided(d * dq, out, math.gcd(d, *q.values()) * math.gcd(dq, *p.values()))
+        return _mul_terms(p, q)
 
     def parse(self):
-        d, p, _ = self.expr()
+        p, _ = self.expr()
         if self.tokens[self.pos] is not None:
             raise ParseError(f"trailing input in {self.text!r}")
-        return d, p
+        return p
 
     def expr(self):
-        d, p, w = self.term()
+        p, w = self.term()
         op = self.tokens[self.pos]
-        if op != "+" and op != "-":
-            return d, p, w
-        # every term is read first and then scaled once, to the lcm of their
-        # denominators; rescaling the sum at each new denominator would cost
-        # the cube of the number of terms
-        terms = []
         while op == "+" or op == "-":
             self.pos += 1
-            dq, q, wq = self.term()
-            terms.append((op, dq, q))
+            q, wq = self.term()
+            p = _add_terms(p, q if op == "+" else _negated(q))
             w = max(w, wq)
             op = self.tokens[self.pos]
-        lcm = math.lcm(d, *[dq for _, dq, _ in terms])
-        p = _scaled(p, lcm // d)
-        n = len(p)
-        for op, dq, q in terms:
-            p = _add_terms(p, _scaled(q, lcm // dq if op == "+" else -(lcm // dq)))
-            n += len(q)
-        d = lcm
-        if d > 1 and len(p) < n:
-            # terms with no monomial in common leave the sum in lowest terms
-            d, p = _divided(d, p, math.gcd(d, *p.values()))
-        return d, p, w
+        return p, w
 
     def term(self):
-        d, p, w = self.factor()
+        p, w = self.factor()
         while self.tokens[self.pos] == "*":
             self.pos += 1
-            dq, q, wq = self.factor()
-            d, p = self.multiply(d, p, dq, q)
+            q, wq = self.factor()
+            p = self.multiply(p, q)
             w = max(w, wq)
-        return d, p, w
+        return p, w
 
     def factor(self):
         tokens = self.tokens
@@ -508,24 +458,22 @@ class _Parser:
             tok = tokens[pos]
         pos += 1
         if type(tok) is int:
-            d = 1
             if tokens[pos] == "/":
-                d = tokens[pos + 1]
+                den = tokens[pos + 1]
                 pos += 2
-                if type(d) is not int:
+                if type(den) is not int:
                     raise ParseError(f"malformed rational literal in {self.text!r}")
-                if d == 0:
+                if den == 0:
                     raise ParseError("zero denominator")
-                g = math.gcd(tok, d)
-                tok, d = tok // g, d // g
+                tok = Fraction(tok, den)
             p = {(0,) * len(self.ring): tok} if tok else {}
-            w = _words(tok, d)
+            w = _words(tok)
         elif tok == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
             self.depth += 1
             self.pos = pos
-            d, p, w = self.expr()
+            p, w = self.expr()
             pos = self.pos
             if tokens[pos] != ")":
                 raise ParseError(f"expected ')' in {self.text!r}")
@@ -537,7 +485,7 @@ class _Parser:
                 raise ParseError(f"unknown variable {tok!r} (ring has {self.ring.names})")
             e = [0] * len(self.ring)
             e[i] = 1
-            d, p, w = 1, {tuple(e): 1}, 1
+            p, w = {tuple(e): 1}, 1
         else:
             raise ParseError(f"malformed expression {self.text!r}")
         if tokens[pos] == "^":
@@ -551,33 +499,19 @@ class _Parser:
                 raise ParseError(
                     f"exponent {w * n} exceeds MAX_EXPONENT = {MAX_EXPONENT} in {self.text!r}"
                 )
+            p = _power_terms(p, n, len(self.ring), self.multiply)
             w *= n
-            if len(p) == 1:  # a single term in lowest terms stays so
-                ((m, c),) = p.items()
-                d, p = d**n, {tuple([e * n for e in m]): c**n}
-            else:  # repeated squaring
-                dn, pn = 1, {(0,) * len(self.ring): 1}
-                while n:
-                    if n & 1:
-                        dn, pn = self.multiply(dn, pn, d, p)
-                    if n > 1:
-                        d, p = self.multiply(d, p, d, p)
-                    n >>= 1
-                d, p = dn, pn
         self.pos = pos
-        return d, (_negated(p) if negate else p), w
+        return (_negated(p) if negate else p), w
 
 
 def parse_integral(text: str, ring: VarSet):
     """The polynomial of text (``parse_poly``) in the integral form of
-    ``integral``: (d, {exponents: int}), d the lcm of the denominators of its
-    coefficients and the ints the coefficients times d."""
-    return _Parser(text, ring).parse()
+    ``integral``, with no Polynomial or Fraction between them unless the text
+    has an ``a/b`` literal."""
+    return integral(_Parser(text, ring).parse())
 
 
 def parse_poly(text: str, ring: VarSet) -> Polynomial:
     """Parse an arithmetic expression with +, -, *, ^, parentheses and rational literals."""
-    d, terms = parse_integral(text, ring)
-    poly = Polynomial(ring)
-    poly.terms = {m: Fraction(c, d) for m, c in terms.items()}
-    return poly
+    return Polynomial(ring, _Parser(text, ring).parse())

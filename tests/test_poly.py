@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -279,6 +280,24 @@ class TestParser:
         assert P(f"({half}) * ({b})")
         with pytest.raises(ParseError, match="MAX_TERM_PRODUCTS"):
             P(f"({2**128} + {half}) * ({b})")
+
+    def test_term_product_budget_bounds_the_time_of_many_denominators(self):
+        # two 223-term sums over distinct 62-bit (probable) prime denominators,
+        # multiplied: inside the budget, 13 KB of text; kept apart as Fractions
+        # their product is about 0.3 s, where one common denominator per sum
+        # would carry all 223 primes in every coefficient
+        primes, n = [], 2**61
+        while len(primes) < 446:
+            n += 1
+            if pow(2, n - 1, n) == 1:
+                primes.append(n)
+        a = " + ".join(f"1/{primes[i]}*u^{i}" for i in range(223))
+        b = " + ".join(f"1/{primes[223 + i]}*t^{i}" for i in range(223))
+        start = time.perf_counter()
+        p = P(f"({a}) * ({b})", UT)
+        assert time.perf_counter() - start < 3
+        assert len(p.terms) == 223 * 223
+        assert p.terms[(5, 7)] == Fraction(1, primes[5] * primes[230])
 
     def test_overlong_number_literal_is_a_parse_error(self):
         with pytest.raises(ParseError, match="too long"):
