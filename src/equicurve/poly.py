@@ -386,7 +386,7 @@ MAX_EXPONENT = 1000
 # Most term products in one multiplication, the parser's own or one step of a
 # power's repeated squaring: the operands' term counts multiplied, times the
 # words of their largest coefficient. The slowest accepted input found,
-# (u + t + 1/2)^43, parses in 0.4 s on a 2-vCPU VM; (u + t + 1)^43 in 0.05 s.
+# (u + t + 1/2)^43, parses in 0.3 s on a 2-vCPU VM; (u + t + 1)^43 in 0.04 s.
 MAX_TERM_PRODUCTS = 50_000
 
 
